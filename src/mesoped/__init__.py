@@ -1,5 +1,6 @@
-"""Mesoscopic pedestrian simulator: value-iteration navigation fields over
-edge-walled grids, plus a density-coupled discrete-time movement engine."""
+"""Mesoscopic pedestrian simulator: navigation fields solved exactly as the
+fixed point of the Q-learning update over edge-walled grids, plus a
+density-coupled discrete-time movement engine."""
 
 from .layout import (
     BoundaryError, ConsistencyError, EmptyError, LayoutError, LayoutGrid,
@@ -7,9 +8,8 @@ from .layout import (
     moves_of, obstacle, parse_layout, serialize_layout, validate_grid,
 )
 from .floorfield import (
-    FloorField, NotConvergedWarning, QMatrix, RewardsMatrix, Stuck,
-    build_rewards, compute_field, distance_field, extract_field,
-    field_to_csv, greedy_descent, solve_q,
+    FloorField, Stuck, compute_field, distance_field, field_to_csv,
+    greedy_descent,
 )
 from .engine import (
     Agent, CellGeometry, MESO_TABLE, MICRO_TABLE, OutOfRange, Simulation,

@@ -145,7 +145,7 @@ def cmd_compare(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mesoped",
-        description="Mesoscopic pedestrian simulator with value-iteration navigation fields.")
+        description="Mesoscopic pedestrian simulator with exact Q-learning navigation fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one scenario and write its artifacts")

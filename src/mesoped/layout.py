@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+import numpy as np
+
 Cell = tuple[int, int]
 
 # Wall bits, most significant first: a set bit means the side is closed.
@@ -37,6 +39,9 @@ _DIAG_SIDES = {
     "SW": ((BOTTOM, LEFT), (TOP, RIGHT)),
     "NW": ((TOP, LEFT), (BOTTOM, RIGHT)),
 }
+# Move names for each 8-bit permission mask, bit k standing for DIRECTIONS[k].
+_MOVES_BY_MASK = tuple(tuple(d for k, d in enumerate(DIRECTIONS) if mask >> k & 1)
+                       for mask in range(1 << len(DIRECTIONS)))
 
 
 class LayoutError(Exception):
@@ -112,10 +117,6 @@ class LayoutGrid:
         return cell[0] * self.cols + cell[1]
 
     @cached_property
-    def sink_weights(self) -> dict[Cell, float]:
-        return dict(self.sinks)
-
-    @cached_property
     def sink_set(self) -> frozenset[Cell]:
         return frozenset(cell for cell, _ in self.sinks)
 
@@ -124,32 +125,37 @@ class LayoutGrid:
         return frozenset(self.sources)
 
     @cached_property
+    def neighbours(self) -> np.ndarray:
+        """Read-only (rows*cols, 8) table: the flat index of each move's
+        destination in DIRECTIONS order, or -1 where the move is not permitted.
+
+        This is the one definition of move permission. On a grid that passes
+        `validate_grid` it is symmetric: j is a neighbour of i iff i is one of j.
+        """
+        rows, cols = self.rows, self.cols
+        walls = np.array(self.walls, dtype=np.int64)
+        r, c = np.indices((rows, cols))
+        table = np.full((rows, cols, len(DIRECTIONS)), -1, dtype=np.int64)
+        for k, d in enumerate(DIRECTIONS):
+            dr, dc = DIR_VECTORS[d]
+            nr, nc = r + dr, c + dc
+            ok = (nr >= 0) & (nr < rows) & (nc >= 0) & (nc < cols)
+            if d in _SIDE_OF:
+                ok &= (walls & _SIDE_OF[d]) == 0
+            else:
+                (s1, s2), (t1, t2) = _DIAG_SIDES[d]
+                dest = walls[nr.clip(0, rows - 1), nc.clip(0, cols - 1)]
+                ok &= ((walls & (s1 | s2)) == 0) & ((dest & (t1 | t2)) == 0)
+            table[..., k] = np.where(ok, nr * cols + nc, -1)
+        table = table.reshape(rows * cols, len(DIRECTIONS))
+        table.flags.writeable = False
+        return table
+
+    @cached_property
     def _move_lists(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
-        return tuple(
-            tuple(_permitted_moves(self, (r, c)) for c in range(self.cols))
-            for r in range(self.rows)
-        )
-
-
-def _permitted_moves(grid: LayoutGrid, cell: Cell) -> tuple[str, ...]:
-    r, c = cell
-    code = grid.walls[r][c]
-    out = []
-    for d in DIRECTIONS:
-        dr, dc = DIR_VECTORS[d]
-        nr, nc = r + dr, c + dc
-        if not (0 <= nr < grid.rows and 0 <= nc < grid.cols):
-            continue
-        if d in _SIDE_OF:
-            if side_open(code, _SIDE_OF[d]):
-                out.append(d)
-        else:
-            (s1, s2), (t1, t2) = _DIAG_SIDES[d]
-            dest = grid.walls[nr][nc]
-            if side_open(code, s1) and side_open(code, s2) \
-                    and side_open(dest, t1) and side_open(dest, t2):
-                out.append(d)
-    return tuple(out)
+        masks = ((self.neighbours >= 0) << np.arange(len(DIRECTIONS))).sum(axis=1)
+        return tuple(tuple(_MOVES_BY_MASK[m] for m in row)
+                     for row in masks.reshape(self.rows, self.cols).tolist())
 
 
 def moves_of(grid: LayoutGrid, cell: Cell) -> tuple[str, ...]:

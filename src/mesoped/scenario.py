@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import MESO_TABLE, MICRO_TABLE, Simulation, SpawnEntry, SpeedDensityTable
-from .floorfield import (DEFAULT_BASE_REWARD, DEFAULT_EPSILON, DEFAULT_GAMMA,
-                         FloorField, build_rewards, extract_field, solve_q)
+from .floorfield import DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField, compute_field
 from .layout import Cell, LayoutGrid, parse_layout
 
 
@@ -34,8 +33,6 @@ class ScenarioConfig:
     seed: int = 0
     gamma: float = DEFAULT_GAMMA
     base_reward: float = DEFAULT_BASE_REWARD
-    epsilon: float = DEFAULT_EPSILON
-    max_sweeps: int | None = None
     sink_multipliers: tuple[tuple[Cell, float], ...] = ()
     schedule: tuple[SpawnEntry, ...] = ()
     table: SpeedDensityTable | None = None
@@ -128,12 +125,14 @@ def parse_scenario(text: str, name: str, base_dir: Path) -> ScenarioConfig:
 
     gamma = get("field", "gamma", float, DEFAULT_GAMMA)
     base_reward = get("field", "base_reward", float, DEFAULT_BASE_REWARD)
-    epsilon = get("field", "epsilon", float, DEFAULT_EPSILON)
-    max_sweeps = get("field", "max_sweeps", int, None)
+    for key in ("epsilon", "max_sweeps"):
+        if parser.has_option("field", key):
+            raise ConfigError(f"{name}: [field] {key} is no longer accepted: "
+                              "the field is solved exactly, with no stop threshold")
     if not 0 < gamma < 1:
         raise ConfigError(f"{name}: gamma must be in (0, 1), got {gamma}")
-    if base_reward <= 0 or epsilon <= 0:
-        raise ConfigError(f"{name}: base_reward and epsilon must be positive")
+    if base_reward <= 0:
+        raise ConfigError(f"{name}: base_reward must be positive")
 
     multipliers = []
     if parser.has_section("sinks"):
@@ -175,7 +174,6 @@ def parse_scenario(text: str, name: str, base_dir: Path) -> ScenarioConfig:
     return ScenarioConfig(
         name=name, layout_path=layout_path, mode=mode, dt_s=dt_s,
         max_steps=max_steps, seed=seed, gamma=gamma, base_reward=base_reward,
-        epsilon=epsilon, max_sweeps=max_sweeps,
         sink_multipliers=tuple(multipliers), schedule=tuple(schedule), table=table,
     )
 
@@ -219,8 +217,11 @@ class Runtime:
     grid: LayoutGrid
     field: FloorField
     table: SpeedDensityTable
-    converged: bool
-    sweeps: int
+
+    @property
+    def sweeps(self) -> int:
+        """Frontier rounds the field solve took."""
+        return self.field.rounds
 
 
 def build_runtime(config: ScenarioConfig) -> Runtime:
@@ -239,11 +240,8 @@ def build_runtime(config: ScenarioConfig) -> Runtime:
         table = config.table
     else:
         table = MICRO_TABLE if config.mode == "micro" else MESO_TABLE
-    q = solve_q(build_rewards(grid, config.base_reward), gamma=config.gamma,
-                epsilon=config.epsilon, max_sweeps=config.max_sweeps)
-    field = extract_field(q, grid)
-    return Runtime(grid=grid, field=field, table=table,
-                   converged=q.converged, sweeps=q.sweeps)
+    field = compute_field(grid, gamma=config.gamma, base_reward=config.base_reward)
+    return Runtime(grid=grid, field=field, table=table)
 
 
 def make_simulation(runtime: Runtime, config: ScenarioConfig,

@@ -1,9 +1,22 @@
-"""Shared pytest config: import path and the acceptance summary block."""
+"""Shared pytest config: import path, shared random layouts, and the
+acceptance summary block."""
 
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from gridgen import random_grid  # noqa: E402
+
+
+@pytest.fixture(scope="session")
+def random_grids():
+    """200 seeded random layouts, shared by the field and move-table checks."""
+    return [random_grid(np.random.default_rng(1000 + seed)) for seed in range(200)]
+
 
 # One label per acceptance criterion, keyed by test function name.
 ACCEPTANCE_LABELS = {

@@ -122,6 +122,25 @@ def random_grid(rng: np.random.Generator, max_rows: int = 30,
     return grid
 
 
+def corridor_layout(length: int) -> str:
+    """Layout text of a 1 x length corridor: source at the west end, sink at the east."""
+    return (f"1 {length} 1.0\n11 " + "10 " * (length - 2)
+            + f"14\nsink 0 {length - 1} 1\nsource 0 0\n")
+
+
+def open_hall(size: int, exit_width: int = 4) -> LayoutGrid:
+    """Closed size x size hall with a centred east exit and one west source."""
+    walls = _closed_room(size, size)
+    first = size // 2 - exit_width // 2
+    sinks = []
+    for r in range(first, first + exit_width):
+        walls[r][size - 1] &= ~RIGHT
+        sinks.append(((r, size - 1), 1.0))
+    grid = _grid_from(size, size, walls, sinks, [(size // 2, 0)])
+    validate_grid(grid)
+    return grid
+
+
 def random_schedule(rng: np.random.Generator, grid: LayoutGrid,
                     max_count: int = 8, max_release: int = 10
                     ) -> tuple[SpawnEntry, ...]:

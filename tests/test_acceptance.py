@@ -76,8 +76,7 @@ def test_criterion_3_sink_weight_scaling():
                 runtime.grid,
                 sinks=tuple((cell, w * c) for cell, w in runtime.grid.sinks))
             scaled_field = compute_field(scaled_grid, gamma=config.gamma,
-                                         base_reward=config.base_reward,
-                                         epsilon=config.epsilon)
+                                         base_reward=config.base_reward)
             np.testing.assert_allclose(scaled_field.values,
                                        runtime.field.values * c, rtol=1e-6)
             rerun = Simulation(scaled_grid, scaled_field, runtime.table,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gridgen import corridor_layout
 from mesoped.cli import (DimensionMismatch, check_refinement, main,
                          parse_populations)
 from mesoped.layout import parse_layout
@@ -71,6 +72,21 @@ def test_run_step_limit_reports_incomplete(corridor_scenario, tmp_path, capsys):
     assert (out / "metrics.csv").read_text().splitlines()[1].endswith("false")
 
 
+def test_run_long_corridor_agent_exits(tmp_path):
+    """A lone agent 199 hops from the exit still sees a field that leads it out."""
+    (tmp_path / "corridor.layout").write_text(corridor_layout(200))
+    path = tmp_path / "long.scenario"
+    path.write_text("[run]\nmax_steps = 1000\n[layout]\npath = corridor.layout\n"
+                    "[spawn]\n0,0 = 1@0\n")
+    out = tmp_path / "artifacts"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    field = [float(v) for v in (out / "field.csv").read_text().strip().split(",")]
+    assert len(field) == 200 and min(field) > 0.0
+    kinds = [ln.split(",")[3] for ln in (out / "events.csv").read_text().splitlines()[1:]]
+    assert kinds.count("move") == 199 and kinds[-1] == "exit"
+    assert "stay" not in kinds
+
+
 def test_run_defaults_to_env_out_dir(corridor_scenario, tmp_path, monkeypatch):
     monkeypatch.setenv("MESOPED_OUT", str(tmp_path / "envout"))
     code = main(["run", str(corridor_scenario)])
@@ -98,6 +114,13 @@ def test_run_unknown_scenario_is_config_error(capsys):
     code = main(["run", "definitely_not_bundled"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("key", ["epsilon = 1e-9", "max_sweeps = 500"])
+def test_run_removed_field_key_is_config_error(corridor_scenario, key, capsys):
+    corridor_scenario.write_text(CORRIDOR_SCENARIO + f"\n[field]\n{key}\n")
+    assert main(["run", str(corridor_scenario)]) == 2
+    assert f"[field] {key.split()[0]}" in capsys.readouterr().err
 
 
 def test_export_field(corridor_scenario, tmp_path):

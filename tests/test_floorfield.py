@@ -1,15 +1,17 @@
-"""Rewards construction, value iteration, field extraction, and descent."""
+"""The exact field solve against its value-iteration oracle, and descent."""
 
 import numpy as np
 import pytest
 
-from gridgen import random_grid
-from mesoped.floorfield import (DEFAULT_BASE_REWARD, DEFAULT_GAMMA,
-                                NotConvergedWarning, Stuck, build_rewards,
-                                compute_field, distance_field, extract_field,
-                                field_to_csv, greedy_descent, solve_q)
+from gridgen import corridor_layout, open_hall, random_grid
+from mesoped.floorfield import (DEFAULT_BASE_REWARD, DEFAULT_GAMMA, Stuck,
+                                compute_field, distance_field, field_to_csv,
+                                greedy_descent)
 from mesoped.layout import (BOTTOM, DIR_VECTORS, LEFT, RIGHT, TOP, LayoutGrid,
                             moves_of, parse_layout)
+from mesoped.scenario import (apply_sink_multipliers, bundled_scenarios,
+                              load_scenario)
+from oracle import value_iteration
 
 CORRIDOR_1X3 = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
 
@@ -20,61 +22,91 @@ def bare_grid(walls, sinks=(), sources=(), cell_size=1.0):
                       sinks=tuple(sinks), sources=tuple(sources))
 
 
+def assert_matches_oracle(grid, gamma=DEFAULT_GAMMA, base_reward=DEFAULT_BASE_REWARD):
+    field = compute_field(grid, gamma, base_reward)
+    assert np.array_equal(field.values, value_iteration(grid, gamma, base_reward))
+    return field
+
+
+def assert_bellman_fixed_point(field, grid):
+    """Every reached non-sink cell is exactly gamma times its best neighbour."""
+    values = field.values.ravel()
+    best = field.gamma * np.append(values, 0.0)[grid.neighbours].max(axis=1)
+    free = values > 0
+    free[[grid.index(cell) for cell, _ in grid.sinks]] = False
+    assert np.array_equal(values[free], best[free])
+
+
 def test_rewards_corridor_entries():
+    """The sink holds its reward; a move onto it pays that reward and ends the walk."""
     grid = parse_layout(CORRIDOR_1X3)
-    r = build_rewards(grid)
-    assert r.value(0, 0) == 0.0          # self-loop
-    assert r.value(0, 1) == 0.0          # move to a plain cell
-    assert r.value(1, 2) == 100.0        # move onto the sink
-    assert r.value(2, 2) == 100.0        # sink self-loop pays its weight
-    assert r.value(0, 2) is None         # not adjacent
-    assert r.value(2, 1) is None         # sink rows are absorbing
-    assert r.value(2, 0) is None
+    field = assert_matches_oracle(grid)
+    assert field.values[0, 2] == 100.0
+    assert field.values[0, 1] == DEFAULT_GAMMA * 100.0
+    assert field.values[0, 0] == DEFAULT_GAMMA * field.values[0, 1]
 
 
 def test_rewards_scale_with_weight_and_base():
     grid = parse_layout("1 3 1.0\n11 10 14\nsink 0 2 2.5\nsource 0 0\n")
-    r = build_rewards(grid, base_reward=40.0)
-    assert r.value(1, 2) == 100.0
-    assert r.value(2, 2) == 100.0
-    assert r.base_reward == 40.0
+    field = assert_matches_oracle(grid, base_reward=40.0)
+    assert field.values.tolist() == [[64.0, 80.0, 100.0]]
+    assert field.base_reward == 40.0
 
 
 def test_rewards_isolated_cells_have_self_loops_only():
     grid = bare_grid([[15, 15]], sinks=(((0, 1), 1.0),))
-    r = build_rewards(grid)
-    assert r.value(0, 0) == 0.0
-    assert r.value(1, 1) == 100.0
-    assert r.value(0, 1) is None
-    assert r.value(1, 0) is None
+    field = assert_matches_oracle(grid)
+    assert field.values.tolist() == [[0.0, 100.0]]
 
 
 def test_corridor_field_oracle():
     """Two plain cells and one sink: N must be exactly [64, 80, 100]."""
     grid = parse_layout(CORRIDOR_1X3)
-    q = solve_q(build_rewards(grid))
-    assert q.converged and q.sweeps == 3
-    assert q.value(1, 2) == 100.0, "a move onto a sink is terminal"
-    assert q.value(0, 1) == 80.0
-    field = extract_field(q, grid)
+    field = compute_field(grid)
+    assert field.rounds == 3, "two rounds that raise a cell, one that raises none"
     assert field.values.tolist() == [[64.0, 80.0, 100.0]]
+    assert value_iteration(grid).tolist() == [[64.0, 80.0, 100.0]]
     assert field_to_csv(field) == "64.0,80.0,100.0\n"
 
 
 def test_solve_rejects_bad_gamma():
     grid = parse_layout(CORRIDOR_1X3)
-    r = build_rewards(grid)
     for gamma in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValueError):
-            solve_q(r, gamma=gamma)
+            compute_field(grid, gamma=gamma)
 
 
-def test_unconverged_solve_warns():
-    grid = parse_layout("1 6 1.0\n11 10 10 10 10 14\nsink 0 5 1\nsource 0 0\n")
-    q = solve_q(build_rewards(grid), max_sweeps=1)
-    assert not q.converged
-    with pytest.warns(NotConvergedWarning):
-        extract_field(q, grid)
+def test_long_corridor_field_reaches_every_cell():
+    """199 hops at gamma 0.8 is 100 * 0.8**199, about 5e-18: small, not zero."""
+    grid = parse_layout(corridor_layout(200))
+    field = assert_matches_oracle(grid)
+    assert (field.values > 0).all()
+    assert np.all(np.diff(field.values[0]) > 0)
+
+
+def test_matches_value_iteration_on_bundled_scenarios():
+    for name in bundled_scenarios():
+        config = load_scenario(name)
+        grid = apply_sink_multipliers(parse_layout(config.layout_path.read_text()),
+                                      config.sink_multipliers)
+        field = assert_matches_oracle(grid, config.gamma, config.base_reward)
+        assert_bellman_fixed_point(field, grid)
+
+
+@pytest.mark.parametrize("size", [50, 100])
+def test_matches_value_iteration_on_halls(size):
+    grid = open_hall(size)
+    field = assert_matches_oracle(grid, gamma=0.9)
+    assert (field.values > 0).all()
+    assert_bellman_fixed_point(field, grid)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.8, 0.9])
+def test_matches_value_iteration_on_random_grids(gamma, random_grids):
+    for k, grid in enumerate(random_grids):
+        field = compute_field(grid, gamma)
+        assert np.array_equal(field.values, value_iteration(grid, gamma)), k
+        assert_bellman_fixed_point(field, grid)
 
 
 def test_sink_value_is_base_times_weight():

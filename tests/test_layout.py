@@ -1,5 +1,7 @@
 """Wall codes, move permissions, parsing, validation, and serialization."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -236,6 +238,36 @@ def test_moves_are_symmetric_and_in_bounds():
                     target = (r + dr, c + dc)
                     assert grid.in_bounds(target), (seed, (r, c), d)
                     assert OPPOSITE[d] in moves_of(grid, target), (seed, (r, c), d)
+
+
+def bundled_layouts():
+    root = resources.files("mesoped") / "scenarios"
+    return [parse_layout(p.read_text()) for p in sorted(root.iterdir(), key=lambda p: p.name)
+            if p.name.endswith(".layout")]
+
+
+def test_neighbour_table_agrees_with_moves_of(random_grids):
+    """Each row lists, in compass order, the flat index of each permitted move's
+    destination, and -1 for each move that is not permitted."""
+    for k, grid in enumerate(bundled_layouts() + random_grids):
+        table = grid.neighbours
+        assert table.shape == (grid.rows * grid.cols, len(DIRECTIONS)), k
+        for i, row in enumerate(table.tolist()):
+            r, c = divmod(i, grid.cols)
+            assert moves_of(grid, (r, c)) == tuple(
+                d for d, j in zip(DIRECTIONS, row) if j >= 0), (k, (r, c))
+            for d, j in zip(DIRECTIONS, row):
+                dr, dc = DIR_VECTORS[d]
+                assert j in (-1, grid.index((r + dr, c + dc))), (k, (r, c), d)
+
+
+def test_neighbour_table_is_symmetric(random_grids):
+    """j is a neighbour of i iff i is a neighbour of j."""
+    for k, grid in enumerate(bundled_layouts() + random_grids):
+        table = grid.neighbours
+        src, slot = np.nonzero(table >= 0)
+        edges = set(zip(src.tolist(), table[src, slot].tolist()))
+        assert edges == {(j, i) for i, j in edges}, k
 
 
 def test_serialize_round_trips_random_grids():
