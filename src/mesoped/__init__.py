@@ -12,9 +12,8 @@ from .floorfield import (
     greedy_descent,
 )
 from .engine import (
-    Agent, CellGeometry, MESO_TABLE, MICRO_TABLE, OutOfRange, Simulation,
-    SimulationState, SpawnEntry, SpeedDensityTable, choose_move, dwell_elapsed,
-    entry_probability, events_to_csv, render_snapshot, score_candidates, step,
+    Agent, MESO_TABLE, MICRO_TABLE, OutOfRange, Simulation, SimulationState,
+    SpawnEntry, SpeedDensityTable, events_to_csv, render_snapshot,
 )
 from .metrics import RunMetrics, SweepPoint, summarize, sweep
 from .scenario import (

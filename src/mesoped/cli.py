@@ -47,8 +47,8 @@ def compare(meso_config: ScenarioConfig, micro_config: ScenarioConfig,
     meso_runtime = build_runtime(meso_config)
     micro_runtime = build_runtime(micro_config)
     check_refinement(meso_runtime.grid, micro_runtime.grid)
-    meso_points = sweep(meso_config, populations, seeds_per_point)
-    micro_points = sweep(micro_config, populations, seeds_per_point)
+    meso_points = sweep(meso_config, populations, seeds_per_point, meso_runtime)
+    micro_points = sweep(micro_config, populations, seeds_per_point, micro_runtime)
     return meso_points, micro_points
 
 
@@ -62,7 +62,10 @@ def parse_populations(spec: str) -> list[int]:
             if lo < 0 or hi < lo:
                 raise ValueError
             return list(range(lo, hi + 1))
-        return [int(tok) for tok in spec.split(",") if tok.strip()]
+        populations = [int(tok) for tok in spec.split(",") if tok.strip()]
+        if not populations:
+            raise ValueError
+        return populations
     except ValueError:
         raise ConfigError(f"bad population spec {spec!r}; use N, A,B,C, or LO..HI") from None
 
@@ -77,6 +80,8 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         config = config.with_seed(args.seed)
     max_steps = config.max_steps if args.steps is None else args.steps
+    if max_steps < 0:
+        raise ConfigError(f"--steps must be non-negative, got {max_steps}")
     runtime = build_runtime(config)
     sim = make_simulation(runtime, config)
 
@@ -121,10 +126,11 @@ def cmd_sweep(args) -> int:
     if args.seed is not None:
         config = config.with_seed(args.seed)
     populations = parse_populations(args.pop)
-    points = sweep(config, populations, args.seeds)
-    runtime_sinks = [cell for cell, _ in build_runtime(config).grid.sinks]
+    runtime = build_runtime(config)
+    points = sweep(config, populations, args.seeds, runtime)
+    sinks = [cell for cell, _ in runtime.grid.sinks]
     out_dir = Path(args.out) if args.out else default_out_dir() / f"{config.name}-sweep"
-    _write(out_dir / "metrics.csv", metrics_csv([(p.population, p) for p in points], runtime_sinks))
+    _write(out_dir / "metrics.csv", metrics_csv([(p.population, p) for p in points], sinks))
     print(f"{config.name}: {len(points)} population points x {args.seeds} seeds -> {out_dir}")
     return 0 if all(p.completed for p in points) else 3
 

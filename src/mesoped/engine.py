@@ -10,13 +10,13 @@ sink is absorbed at the start of the following step.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .layout import (Cell, DIR_VECTORS, LayoutGrid, ORTHOGONAL,
-                     TOP, RIGHT, BOTTOM, LEFT, moves_of, side_open)
+from .layout import Cell, LayoutGrid, TOP, RIGHT, BOTTOM, LEFT, side_open
 from .floorfield import FloorField
 
 # Mean of the inscribed and circumscribed circle diameters of a square cell.
@@ -108,30 +108,22 @@ MICRO_TABLE = SpeedDensityTable((
 
 
 @dataclass(frozen=True)
-class CellGeometry:
-    cell_size_m: float
-
-    @property
-    def diameter_m(self) -> float:
-        """Distance an agent covers to pass through one cell."""
-        return self.cell_size_m * DIAMETER_FACTOR
-
-
-@dataclass(frozen=True)
 class SpawnEntry:
     cell: Cell
     count: int
     release_step: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Agent:
+    """One pedestrian: its cell, that cell's flat index `at`, and the clock
+    at which it entered the cell (`t_in`) and the grid (`spawn_time`)."""
+
     id: int
     cell: Cell
+    at: int
     t_in: float
     spawn_time: float
-    distance_m: float = 0.0
-    exit: tuple[Cell, float] | None = None
 
 
 class SimulationState:
@@ -155,131 +147,15 @@ class SimulationState:
     def pending_count(self) -> int:
         return sum(rem for _, rem, _ in self.pending)
 
-    def density_at(self, grid: LayoutGrid, cell: Cell) -> int:
-        return self.density[grid.index(cell)]
-
-
-def dwell_elapsed(agent: Agent, state: SimulationState, grid: LayoutGrid,
-                  geom: CellGeometry, table: SpeedDensityTable) -> bool:
-    """True when the agent has finished crossing its cell and may move.
-
-    The walking speed comes from the count of other occupants of the agent's
-    cell; a zero speed means the agent can never finish this step.
-    """
-    others = state.density[grid.index(agent.cell)] - 1
-    u = table.speed(others)
-    if u <= 0.0:
-        return False
-    return state.clock >= agent.t_in + geom.diameter_m / u
-
-
-def entry_probability(table: SpeedDensityTable, density: int) -> float:
-    return table.entry_probability(density)
-
-
-def score_candidates(agent: Agent, state: SimulationState, grid: LayoutGrid,
-                     field: FloorField, table: SpeedDensityTable) -> list[tuple[str, float]]:
-    """Entry probability times navigation value for each permitted direction.
-
-    Densities reflect moves already executed earlier in the same step, so a
-    cell filled moments ago scores zero for everyone after.
-    """
-    r, c = agent.cell
-    scores = []
-    for name in moves_of(grid, agent.cell):
-        dr, dc = DIR_VECTORS[name]
-        nxt = (r + dr, c + dc)
-        p = table.entry_probability(state.density[grid.index(nxt)])
-        scores.append((name, p * float(field.values[nxt])))
-    return scores
-
-
-def choose_move(scores: list[tuple[str, float]], rng: np.random.Generator) -> str | None:
-    """Argmax direction, or None to stay when nothing scores above zero.
-
-    Exact ties prefer orthogonal moves over diagonal ones; remaining ties are
-    broken uniformly with the run's generator.
-    """
-    if not scores:
-        return None
-    best = max(s for _, s in scores)
-    if best <= 0.0:
-        return None
-    top = [name for name, s in scores if s == best]
-    ortho = [name for name in top if name in ORTHOGONAL]
-    pool = ortho if ortho else top
-    if len(pool) == 1:
-        return pool[0]
-    return pool[int(rng.integers(len(pool)))]
-
-
-def _spawn_pass(state: SimulationState, grid: LayoutGrid, table: SpeedDensityTable) -> None:
-    capacity = table.capacity
-    for entry in state.pending:
-        cell, remaining, release = entry
-        if release > state.step_index or remaining == 0:
-            continue
-        idx = grid.index(cell)
-        while entry[1] > 0 and state.density[idx] < capacity:
-            agent = Agent(id=state.next_id, cell=cell,
-                          t_in=state.clock, spawn_time=state.clock)
-            state.next_id += 1
-            state.spawned += 1
-            state.agents[agent.id] = agent
-            state.density[idx] += 1
-            entry[1] -= 1
-            state.events.append((state.step_index, state.clock, agent.id,
-                                 EVENT_SPAWN, cell[0], cell[1]))
-
-
-def step(state: SimulationState, grid: LayoutGrid, field: FloorField,
-         table: SpeedDensityTable, geom: CellGeometry, dt: float) -> SimulationState:
-    """Advance one interval: spawn, absorb sink-standing agents, move the rest."""
-    state.step_index += 1
-    state.clock = state.step_index * dt
-    clock = state.clock
-
-    _spawn_pass(state, grid, table)
-
-    sinks = grid.sink_set
-    arrived = [aid for aid, a in state.agents.items() if a.cell in sinks]
-    for aid in sorted(arrived):
-        agent = state.agents.pop(aid)
-        agent.exit = (agent.cell, clock)
-        state.density[grid.index(agent.cell)] -= 1
-        state.exited.append(agent)
-        state.events.append((state.step_index, clock, aid,
-                             EVENT_EXIT, agent.cell[0], agent.cell[1]))
-
-    ids = sorted(state.agents)
-    if len(ids) > 1:
-        ids = [ids[i] for i in state.rng.permutation(len(ids))]
-    size = grid.cell_size_m
-    diag_size = size * math.sqrt(2.0)
-    for aid in ids:
-        agent = state.agents[aid]
-        if not dwell_elapsed(agent, state, grid, geom, table):
-            continue
-        scores = score_candidates(agent, state, grid, field, table)
-        name = choose_move(scores, state.rng)
-        if name is None:
-            state.events.append((state.step_index, clock, aid,
-                                 EVENT_STAY, agent.cell[0], agent.cell[1]))
-            continue
-        dr, dc = DIR_VECTORS[name]
-        old = agent.cell
-        new = (old[0] + dr, old[1] + dc)
-        state.density[grid.index(old)] -= 1
-        state.density[grid.index(new)] += 1
-        agent.cell = new
-        agent.t_in = clock
-        agent.distance_m += diag_size if dr and dc else size
-        state.events.append((state.step_index, clock, aid, EVENT_MOVE, new[0], new[1]))
-    return state
-
 
 class Simulation:
-    """Owns one run: layout, field, table, schedule, state, and the event log."""
+    """Owns one run: layout, field, table, schedule, state, and the event log.
+
+    The step loop reads per-run lookup tables instead of the layout and the
+    field: each cell's move mask (`LayoutGrid.move_masks`) selects a tuple of
+    (flat offset, orthogonal?) moves, field values sit in a flat array, and
+    entry probabilities and dwell times are indexed by density.
+    """
 
     def __init__(self, grid: LayoutGrid, field: FloorField,
                  table: SpeedDensityTable, schedule: tuple[SpawnEntry, ...] = (),
@@ -295,16 +171,99 @@ class Simulation:
         self.grid = grid
         self.field = field
         self.table = table
-        self.geometry = CellGeometry(grid.cell_size_m)
         self.dt = dt
+        self._values = array("d", field.values.tobytes())
+        self._is_sink = bytearray(grid.rows * grid.cols)
+        for cell, _ in grid.sinks:
+            self._is_sink[grid.index(cell)] = 1
+        # Time to cross a cell for each count of other occupants; None where
+        # the speed is 0 and the agent cannot leave.
+        diameter = grid.cell_size_m * DIAMETER_FACTOR
+        self._dwell = tuple(diameter / u if u > 0.0 else None for u in table._speeds)
         if rng is None:
             rng = np.random.default_rng(seed)
         self.state = SimulationState(grid, rng, schedule)
         # release step 0 is "present when the clock starts"
-        _spawn_pass(self.state, grid, table)
+        self._spawn()
+
+    def _spawn(self) -> None:
+        state = self.state
+        capacity = self.table.capacity
+        for entry in state.pending:
+            cell, _, release = entry
+            if release > state.step_index:
+                continue
+            idx = self.grid.index(cell)
+            while entry[1] > 0 and state.density[idx] < capacity:
+                agent = Agent(id=state.next_id, cell=cell, at=idx,
+                              t_in=state.clock, spawn_time=state.clock)
+                state.next_id += 1
+                state.spawned += 1
+                state.agents[agent.id] = agent
+                state.density[idx] += 1
+                entry[1] -= 1
+                state.events.append((state.step_index, state.clock, agent.id,
+                                     EVENT_SPAWN, *cell))
 
     def step(self) -> SimulationState:
-        return step(self.state, self.grid, self.field, self.table, self.geometry, self.dt)
+        """Advance one interval: spawn, absorb sink-standing agents, move the rest.
+
+        Each agent whose dwell time has elapsed scores every permitted move as
+        entry probability times navigation value, at densities that include
+        moves made earlier in the step, and takes the best one. It stays when
+        nothing scores above zero. Exact ties prefer orthogonal moves; any
+        tie left is broken with the run's generator.
+        """
+        state = self.state
+        state.step_index += 1
+        step_i = state.step_index
+        clock = state.clock = step_i * self.dt
+        self._spawn()
+
+        agents, density, events = state.agents, state.density, state.events
+        is_sink = self._is_sink
+        for aid in sorted(aid for aid, a in agents.items() if is_sink[a.at]):
+            agent = agents.pop(aid)
+            density[agent.at] -= 1
+            state.exited.append(agent)
+            events.append((step_i, clock, aid, EVENT_EXIT, *agent.cell))
+
+        ids = sorted(agents)
+        if len(ids) > 1:
+            ids = [ids[k] for k in state.rng.permutation(len(ids)).tolist()]
+        masks, moves_by_mask = self.grid.move_masks, self.grid.move_offsets
+        values, probs, dwell = self._values, self.table._probs, self._dwell
+        cols = self.grid.cols
+        for aid in ids:
+            agent = agents[aid]
+            i = agent.at
+            wait = dwell[density[i] - 1]
+            if wait is None or clock < agent.t_in + wait:
+                continue
+            best = 0.0
+            ties = None
+            for offset, ortho in moves_by_mask[masks[i]]:
+                j = i + offset
+                score = probs[density[j]] * values[j]
+                if score > best:
+                    best, dest, dest_ortho, ties = score, j, ortho, None
+                elif score == best and best > 0.0:
+                    if ties is None:
+                        ties = [(dest, dest_ortho)]
+                    ties.append((j, ortho))
+            if best <= 0.0:
+                events.append((step_i, clock, aid, EVENT_STAY, *agent.cell))
+                continue
+            if ties is not None:
+                pool = [j for j, ortho in ties if ortho] or [j for j, _ in ties]
+                dest = pool[0] if len(pool) == 1 else pool[int(state.rng.integers(len(pool)))]
+            density[i] -= 1
+            density[dest] += 1
+            agent.at = dest
+            agent.cell = cell = divmod(dest, cols)
+            agent.t_in = clock
+            events.append((step_i, clock, aid, EVENT_MOVE, *cell))
+        return state
 
     def run(self, max_steps: int, on_step=None):
         """Step until everyone has exited or `max_steps` intervals elapse."""

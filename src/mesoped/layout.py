@@ -152,30 +152,46 @@ class LayoutGrid:
         return table
 
     @cached_property
-    def _move_lists(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
-        masks = ((self.neighbours >= 0) << np.arange(len(DIRECTIONS))).sum(axis=1)
-        return tuple(tuple(_MOVES_BY_MASK[m] for m in row)
-                     for row in masks.reshape(self.rows, self.cols).tolist())
+    def move_masks(self) -> bytes:
+        """Each cell's permitted moves as an 8-bit mask, bit k for DIRECTIONS[k],
+        read from `neighbours`; one byte per cell in row-major order."""
+        bits = (self.neighbours >= 0) << np.arange(len(DIRECTIONS), dtype=np.uint8)
+        return bits.sum(axis=1, dtype=np.uint8).tobytes()
+
+    @cached_property
+    def move_offsets(self) -> tuple[tuple[tuple[int, bool], ...], ...]:
+        """For each of the 256 move masks, its moves as (flat index offset,
+        orthogonal?) pairs in DIRECTIONS order."""
+        moves = [(DIR_VECTORS[d][0] * self.cols + DIR_VECTORS[d][1], d in ORTHOGONAL)
+                 for d in DIRECTIONS]
+        return tuple(tuple(m for k, m in enumerate(moves) if mask >> k & 1)
+                     for mask in range(1 << len(DIRECTIONS)))
 
 
 def moves_of(grid: LayoutGrid, cell: Cell) -> tuple[str, ...]:
     """Permitted move directions out of `cell`, in fixed compass order."""
     if not grid.in_bounds(cell):
         raise OutOfBounds(f"cell {cell} outside {grid.rows}x{grid.cols} grid")
-    return grid._move_lists[cell[0]][cell[1]]
+    return _MOVES_BY_MASK[grid.move_masks[grid.index(cell)]]
 
 
 def find_edge_conflicts(walls) -> list[tuple[Cell, Cell]]:
-    """Cell pairs whose shared edge is encoded open on one side, closed on the other."""
-    rows, cols = len(walls), len(walls[0])
+    """Cell pairs whose shared edge is encoded open on one side, closed on the other.
+
+    Pairs come in row-major order of their first cell, its east edge before
+    its south edge.
+    """
+    w = np.asarray(walls, dtype=np.int64)
+    cols = w.shape[1]
+    east_r, east_c = np.nonzero(((w[:, :-1] & RIGHT) > 0) != ((w[:, 1:] & LEFT) > 0))
+    south_r, south_c = np.nonzero(((w[:-1] & BOTTOM) > 0) != ((w[1:] & TOP) > 0))
+    # Key 2 * flat index of the first cell, plus 1 for a south edge.
+    keys = np.concatenate([(east_r * cols + east_c) * 2, (south_r * cols + south_c) * 2 + 1])
     bad = []
-    for r in range(rows):
-        for c in range(cols):
-            code = walls[r][c]
-            if c + 1 < cols and bool(code & RIGHT) != bool(walls[r][c + 1] & LEFT):
-                bad.append(((r, c), (r, c + 1)))
-            if r + 1 < rows and bool(code & BOTTOM) != bool(walls[r + 1][c] & TOP):
-                bad.append(((r, c), (r + 1, c)))
+    for key in np.sort(keys).tolist():
+        cell, south = divmod(key, 2)
+        r, c = divmod(cell, cols)
+        bad.append(((r, c), (r + south, c + 1 - south)))
     return bad
 
 
@@ -190,13 +206,14 @@ def validate_grid(grid: LayoutGrid) -> None:
     if not grid.sources:
         raise EmptyError("layout has no sources")
     sinks = grid.sink_set
+    last_r, last_c = grid.rows - 1, grid.cols - 1
     for r in range(grid.rows):
-        for c in range(grid.cols):
+        for c in range(grid.cols) if r in (0, last_r) else sorted({0, last_c}):
             if (r, c) in sinks:
                 continue
             code = grid.walls[r][c]
-            for side, on_edge in ((TOP, r == 0), (BOTTOM, r == grid.rows - 1),
-                                  (LEFT, c == 0), (RIGHT, c == grid.cols - 1)):
+            for side, on_edge in ((TOP, r == 0), (BOTTOM, r == last_r),
+                                  (LEFT, c == 0), (RIGHT, c == last_c)):
                 if on_edge and side_open(code, side):
                     raise BoundaryError(
                         f"open {SIDE_NAMES[side]} side on perimeter cell ({r}, {c}) "

@@ -86,15 +86,17 @@ def run_seed_sequence(base_seed: int, population: int, run: int) -> np.random.Se
     return np.random.SeedSequence([base_seed, population, run])
 
 
-def sweep(config, populations: list[int], seeds_per_point: int) -> list[SweepPoint]:
+def sweep(config, populations: list[int], seeds_per_point: int,
+          runtime) -> list[SweepPoint]:
     """Average metrics across seeded repeats for each population size.
 
-    The layout and navigation field are built once; only the spawn schedule
-    and the generator change between runs.
+    Every run reuses the layout and navigation field of `runtime`, built
+    from `config`; only the spawn schedule and the generator change.
     """
-    from .scenario import build_runtime, make_simulation
+    from .scenario import ConfigError, make_simulation
 
-    runtime = build_runtime(config)
+    if seeds_per_point < 1:
+        raise ConfigError(f"seeds per population must be at least 1, got {seeds_per_point}")
     points = []
     for population in populations:
         metrics = []

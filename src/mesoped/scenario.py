@@ -225,7 +225,8 @@ class Runtime:
 
 
 def build_runtime(config: ScenarioConfig) -> Runtime:
-    """Parse the layout, apply multipliers, and solve the navigation field."""
+    """Parse the layout, apply multipliers, solve the navigation field, and
+    reject a source at field value 0, whose agents could only stay."""
     try:
         text = config.layout_path.read_text()
     except OSError as exc:
@@ -241,6 +242,11 @@ def build_runtime(config: ScenarioConfig) -> Runtime:
     else:
         table = MICRO_TABLE if config.mode == "micro" else MESO_TABLE
     field = compute_field(grid, gamma=config.gamma, base_reward=config.base_reward)
+    for cell in grid.sources:
+        if field.values[cell] <= 0.0:
+            raise ConfigError(
+                f"{config.name}: source {cell} has navigation value 0, so its agents "
+                f"cannot find a sink (walled off, or too far at gamma {config.gamma})")
     return Runtime(grid=grid, field=field, table=table)
 
 

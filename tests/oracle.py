@@ -1,20 +1,34 @@
-"""Reference field solver: the paper's Q-learning update by value iteration.
+"""Reference implementations that the package must match exactly.
 
-Synchronous sweeps of Q(i, j) = R(i, j) + gamma * max_k Q(j, k) over a CSR
+Field solver: the paper's Q-learning update by value iteration. Synchronous
+sweeps of Q(i, j) = R(i, j) + gamma * max_k Q(j, k) over a CSR
 matrix holding each cell's permitted moves plus a self loop. Only moves into
 a sink earn a reward, base_reward times the sink's weight, and they end the
 walk, so sink rows hold only their self loop. The sweeps run until no entry
 changes; the diagonal Q(i, i) is the navigation field. It costs one sweep
 over every move per hop of grid diameter, so it serves only as the oracle
 that `mesoped.floorfield.compute_field` must match bit for bit.
+
+Edge conflicts: a cell-by-cell scan that `mesoped.layout.find_edge_conflicts`
+must match, pair for pair and in order.
+
+Step loop: the engine's movement rule written agent by agent over
+`Cell` tuples, through `moves_of`, `DIR_VECTORS` and the table's lookup
+methods. `ReferenceSimulation` runs it in place of the flat step loop of
+`mesoped.engine.Simulation`, whose event logs and densities must match it
+exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mesoped.floorfield import DEFAULT_BASE_REWARD, DEFAULT_GAMMA
-from mesoped.layout import DIR_VECTORS, LayoutGrid, moves_of
+from mesoped.engine import (DIAMETER_FACTOR, EVENT_EXIT, EVENT_MOVE, EVENT_SPAWN,
+                            EVENT_STAY, Agent, Simulation, SimulationState,
+                            SpeedDensityTable)
+from mesoped.floorfield import DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField
+from mesoped.layout import (BOTTOM, DIR_VECTORS, LEFT, ORTHOGONAL, RIGHT, TOP,
+                            LayoutGrid, moves_of)
 
 
 def value_iteration(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
@@ -45,3 +59,134 @@ def value_iteration(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
         if np.array_equal(new, q):
             return q[diag].reshape(grid.rows, cols)
         q = new
+
+
+def edge_conflicts(walls) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Pairs whose shared edge the two cells encode differently, row-major,
+    each cell's east edge before its south edge."""
+    rows, cols = len(walls), len(walls[0])
+    bad = []
+    for r in range(rows):
+        for c in range(cols):
+            code = walls[r][c]
+            if c + 1 < cols and bool(code & RIGHT) != bool(walls[r][c + 1] & LEFT):
+                bad.append(((r, c), (r, c + 1)))
+            if r + 1 < rows and bool(code & BOTTOM) != bool(walls[r + 1][c] & TOP):
+                bad.append(((r, c), (r + 1, c)))
+    return bad
+
+
+def dwell_elapsed(agent: Agent, state: SimulationState, grid: LayoutGrid,
+                  table: SpeedDensityTable) -> bool:
+    """True when the agent has finished crossing its cell and may move.
+
+    The walking speed comes from the count of other occupants of the agent's
+    cell; a zero speed means the agent can never finish this step.
+    """
+    others = state.density[grid.index(agent.cell)] - 1
+    u = table.speed(others)
+    if u <= 0.0:
+        return False
+    diameter_m = grid.cell_size_m * DIAMETER_FACTOR
+    return state.clock >= agent.t_in + diameter_m / u
+
+
+def score_candidates(agent: Agent, state: SimulationState, grid: LayoutGrid,
+                     field: FloorField, table: SpeedDensityTable) -> list[tuple[str, float]]:
+    """Entry probability times navigation value for each permitted direction."""
+    r, c = agent.cell
+    scores = []
+    for name in moves_of(grid, agent.cell):
+        dr, dc = DIR_VECTORS[name]
+        nxt = (r + dr, c + dc)
+        p = table.entry_probability(state.density[grid.index(nxt)])
+        scores.append((name, p * float(field.values[nxt])))
+    return scores
+
+
+def choose_move(scores: list[tuple[str, float]], rng: np.random.Generator) -> str | None:
+    """Argmax direction, or None to stay when nothing scores above zero.
+
+    Exact ties prefer orthogonal moves over diagonal ones; remaining ties are
+    broken uniformly with the run's generator.
+    """
+    if not scores:
+        return None
+    best = max(s for _, s in scores)
+    if best <= 0.0:
+        return None
+    top = [name for name, s in scores if s == best]
+    ortho = [name for name in top if name in ORTHOGONAL]
+    pool = ortho if ortho else top
+    if len(pool) == 1:
+        return pool[0]
+    return pool[int(rng.integers(len(pool)))]
+
+
+def spawn_pass(state: SimulationState, grid: LayoutGrid, table: SpeedDensityTable) -> None:
+    capacity = table.capacity
+    for entry in state.pending:
+        cell, remaining, release = entry
+        if release > state.step_index or remaining == 0:
+            continue
+        idx = grid.index(cell)
+        while entry[1] > 0 and state.density[idx] < capacity:
+            agent = Agent(id=state.next_id, cell=cell, at=idx,
+                          t_in=state.clock, spawn_time=state.clock)
+            state.next_id += 1
+            state.spawned += 1
+            state.agents[agent.id] = agent
+            state.density[idx] += 1
+            entry[1] -= 1
+            state.events.append((state.step_index, state.clock, agent.id,
+                                 EVENT_SPAWN, cell[0], cell[1]))
+
+
+def reference_step(state: SimulationState, grid: LayoutGrid, field: FloorField,
+                   table: SpeedDensityTable, dt: float) -> SimulationState:
+    """One interval, agent by agent: spawn, absorb sink-standing agents, move the rest."""
+    state.step_index += 1
+    state.clock = state.step_index * dt
+    clock = state.clock
+
+    spawn_pass(state, grid, table)
+
+    sinks = grid.sink_set
+    arrived = [aid for aid, a in state.agents.items() if a.cell in sinks]
+    for aid in sorted(arrived):
+        agent = state.agents.pop(aid)
+        state.density[grid.index(agent.cell)] -= 1
+        state.exited.append(agent)
+        state.events.append((state.step_index, clock, aid,
+                             EVENT_EXIT, agent.cell[0], agent.cell[1]))
+
+    ids = sorted(state.agents)
+    if len(ids) > 1:
+        ids = [ids[i] for i in state.rng.permutation(len(ids))]
+    for aid in ids:
+        agent = state.agents[aid]
+        if not dwell_elapsed(agent, state, grid, table):
+            continue
+        scores = score_candidates(agent, state, grid, field, table)
+        name = choose_move(scores, state.rng)
+        if name is None:
+            state.events.append((state.step_index, clock, aid,
+                                 EVENT_STAY, agent.cell[0], agent.cell[1]))
+            continue
+        dr, dc = DIR_VECTORS[name]
+        old = agent.cell
+        new = (old[0] + dr, old[1] + dc)
+        state.density[grid.index(old)] -= 1
+        state.density[grid.index(new)] += 1
+        agent.cell = new
+        agent.at = grid.index(new)
+        agent.t_in = clock
+        state.events.append((state.step_index, clock, aid, EVENT_MOVE, new[0], new[1]))
+    return state
+
+
+class ReferenceSimulation(Simulation):
+    """A `Simulation` stepped by `reference_step` instead of the flat loop."""
+
+    def step(self) -> SimulationState:
+        return reference_step(self.state, self.grid, self.field, self.table, self.dt)

@@ -126,8 +126,10 @@ def test_criterion_5_escalator_preference():
 def test_criterion_6_resolution_comparison():
     """Pop-1 parity within one dt; both models' curves rise with population."""
     populations = list(range(1, 51))
-    meso = sweep(load_scenario("compare_10x15"), populations, seeds_per_point=10)
-    micro = sweep(load_scenario("compare_10x15_micro"), populations, seeds_per_point=10)
+    meso_config = load_scenario("compare_10x15")
+    micro_config = load_scenario("compare_10x15_micro")
+    meso = sweep(meso_config, populations, 10, build_runtime(meso_config))
+    micro = sweep(micro_config, populations, 10, build_runtime(micro_config))
     assert all(p.completed for p in meso)
     assert all(p.completed for p in micro)
     assert abs(meso[0].avg_travel_time_s - micro[0].avg_travel_time_s) <= 0.5 + 1e-9

@@ -171,11 +171,44 @@ def test_bad_population_spec(capsys):
     assert "population spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "compare_10x15", "--pop", "1", "--seeds", "0"],
+    ["sweep", "compare_10x15", "--pop", "1", "--seeds", "-2"],
+    ["compare", "compare_10x15", "compare_10x15_micro", "--pop", "1", "--seeds", "0"],
+])
+def test_seeds_below_one_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert "seeds per population must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pop", ["", " ", ","])
+def test_empty_population_spec_is_usage_error(pop, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "compare_10x15", "--pop", pop, "--out", str(out)]) == 2
+    assert "population spec" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_negative_steps_is_usage_error(corridor_scenario, tmp_path, capsys):
+    out = tmp_path / "artifacts"
+    assert main(["run", str(corridor_scenario), "--out", str(out), "--steps", "-1"]) == 2
+    assert "--steps must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_walled_off_source_is_config_error(tmp_path, capsys):
+    (tmp_path / "walled.layout").write_text("1 3 1.0\n15 11 10\nsink 0 2 1\nsource 0 0\n")
+    path = tmp_path / "walled.scenario"
+    path.write_text("[layout]\npath = walled.layout\n[spawn]\n0,0 = 1@0\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "source (0, 0)" in capsys.readouterr().err
+
+
 def test_parse_populations_forms():
     assert parse_populations("25") == [25]
     assert parse_populations("1,5,10") == [1, 5, 10]
     assert parse_populations("1..4") == [1, 2, 3, 4]
     assert parse_populations(" 2 , 3 ") == [2, 3]
-    for bad in ("abc", "5..3", "-1..2", "1..x"):
+    for bad in ("abc", "5..3", "-1..2", "1..x", "", ","):
         with pytest.raises(ConfigError):
             parse_populations(bad)

@@ -1,4 +1,9 @@
-"""Speed-density tables, dwell timing, move choice, and the step loop."""
+"""Speed-density tables, dwell timing, move choice, and the step loop.
+
+Dwell, scoring and tie rules are checked through `Simulation.step`; the
+flat step loop must also reproduce the reference loop in `oracle.py`
+event for event.
+"""
 
 import math
 
@@ -7,30 +12,48 @@ import pytest
 
 from gridgen import random_grid, random_schedule
 from mesoped.engine import (DIAMETER_FACTOR, MESO_TABLE, MICRO_TABLE, Agent,
-                            CellGeometry, OutOfRange, Simulation,
-                            SimulationState, SpawnEntry, SpeedDensityTable,
-                            choose_move, dwell_elapsed, entry_probability,
-                            events_to_csv, render_snapshot, score_candidates)
+                            OutOfRange, Simulation, SpawnEntry,
+                            SpeedDensityTable, events_to_csv, render_snapshot)
 from mesoped.floorfield import compute_field
-from mesoped.layout import LayoutGrid, parse_layout
+from mesoped.layout import parse_layout
+from mesoped.metrics import summarize
+from mesoped.scenario import build_runtime, bundled_scenarios, load_scenario
+from oracle import ReferenceSimulation
 
 CORRIDOR_1X3 = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
+# Source in the middle of five cells, a sink at each end; the west sink's
+# weight is the first format field.
+TWO_EXITS_1X5 = "1 5 1.0\n11 10 10 10 14\nsink 0 0 {}\nsink 0 4 1\nsource 0 2\n"
+# Agents placed with this entry clock never finish crossing their cell.
+NEVER = 1e12
 
 
-def corridor():
-    grid = parse_layout(CORRIDOR_1X3)
+def corridor(text=CORRIDOR_1X3):
+    grid = parse_layout(text)
     return grid, compute_field(grid)
 
 
-def make_state(grid, seed=0, schedule=()):
-    return SimulationState(grid, np.random.default_rng(seed), schedule)
+def lone_agent(text=CORRIDOR_1X3, dt=0.5, seed=0, source=(0, 0)):
+    grid, field = corridor(text)
+    return Simulation(grid, field, MESO_TABLE, schedule=(SpawnEntry(source, 1),),
+                      dt=dt, seed=seed)
 
 
 def place(state, grid, cell, t_in=0.0, agent_id=0):
-    agent = Agent(id=agent_id, cell=cell, t_in=t_in, spawn_time=t_in)
+    agent = Agent(id=agent_id, cell=cell, at=grid.index(cell), t_in=t_in, spawn_time=t_in)
     state.agents[agent_id] = agent
     state.density[grid.index(cell)] += 1
     return agent
+
+
+def first_move(sim, max_steps=50):
+    """Step until agent 0 moves; return that step's index and destination."""
+    for _ in range(max_steps):
+        sim.step()
+        moves = [e for e in sim.events if e[3] == "move" and e[2] == 0]
+        if moves:
+            return moves[0][0], moves[0][4:]
+    return None
 
 
 def test_meso_table_rows():
@@ -74,98 +97,114 @@ def test_table_validation_rejects(entries):
 
 
 def test_cell_geometry_diameter():
-    assert CellGeometry(1.0).diameter_m == DIAMETER_FACTOR
+    """The dwell time is cell size x DIAMETER_FACTOR over the speed."""
     assert math.isclose(DIAMETER_FACTOR, (1 + math.sqrt(2)) / 2)
-    assert CellGeometry(0.5).diameter_m == 0.5 * DIAMETER_FACTOR
+    # At 1.44 m/s a lone agent needs 0.838 s to cross a 1 m cell, 0.419 s a 0.5 m one.
+    assert first_move(lone_agent(dt=0.1)) == (9, (0, 1))
+    half = CORRIDOR_1X3.replace("1 3 1.0", "1 3 0.5")
+    assert first_move(lone_agent(half, dt=0.1)) == (5, (0, 1))
 
 
 def test_dwell_lone_agent_finishes_after_0p84_seconds():
-    grid, _ = corridor()
-    state = make_state(grid)
-    agent = place(state, grid, (0, 0), t_in=0.0)
-    geom = CellGeometry(1.0)
-    state.clock = 0.5
-    assert not dwell_elapsed(agent, state, grid, geom, MESO_TABLE)
-    state.clock = 1.0
-    assert dwell_elapsed(agent, state, grid, geom, MESO_TABLE)
+    sim = lone_agent(dt=0.5)
+    sim.step()  # clock 0.5
+    assert [e[3] for e in sim.events] == ["spawn"]
+    sim.step()  # clock 1.0
+    assert sim.events[-1] == (2, 1.0, 0, "move", 0, 1)
 
 
 def test_dwell_exact_boundary_counts_as_elapsed():
-    grid, _ = corridor()
-    state = make_state(grid)
-    geom = CellGeometry(1.0)
-    agent = place(state, grid, (0, 0), t_in=0.0)
-    state.clock = geom.diameter_m / 1.44
-    assert dwell_elapsed(agent, state, grid, geom, MESO_TABLE)
+    sim = lone_agent(dt=DIAMETER_FACTOR / 1.44)
+    sim.step()
+    assert sim.state.clock == DIAMETER_FACTOR / 1.44
+    assert sim.events[-1][:4] == (1, sim.state.clock, 0, "move")
 
 
 def test_dwell_slows_with_company():
-    grid, _ = corridor()
-    state = make_state(grid)
-    geom = CellGeometry(1.0)
-    agent = place(state, grid, (0, 0), t_in=0.0, agent_id=0)
-    place(state, grid, (0, 0), t_in=0.0, agent_id=1)
-    state.clock = 1.0
-    assert not dwell_elapsed(agent, state, grid, geom, MESO_TABLE), \
-        "two occupants walk at 1.12 m/s, not 1.44"
-    state.clock = geom.diameter_m / 1.12
-    assert dwell_elapsed(agent, state, grid, geom, MESO_TABLE)
+    """Two occupants walk at 1.12 m/s, not 1.44: nobody moves at clock 1.0."""
+    grid, field = corridor()
+    sim = Simulation(grid, field, MESO_TABLE, schedule=(SpawnEntry((0, 0), 2),),
+                     dt=0.5, seed=0)
+    sim.step()
+    sim.step()  # clock 1.0, short of 1.08 s
+    assert [e[3] for e in sim.events] == ["spawn", "spawn"]
+    sim.step()  # clock 1.5
+    assert [e[3] for e in sim.events[2:]] == ["move", "move"]
+    # Exactly at the 1.12 m/s crossing time the pair may leave.
+    sim = Simulation(grid, field, MESO_TABLE, schedule=(SpawnEntry((0, 0), 2),),
+                     dt=DIAMETER_FACTOR / 1.12, seed=0)
+    sim.step()
+    assert [e[3] for e in sim.events[2:]] == ["move", "move"]
 
 
 def test_dwell_full_cell_never_elapses():
-    grid, _ = corridor()
-    state = make_state(grid)
-    agent = place(state, grid, (0, 0), agent_id=0)
-    for i in range(1, 6):
-        place(state, grid, (0, 0), agent_id=i)
-    state.clock = 1e9
-    assert state.density_at(grid, (0, 0)) == 6
-    assert not dwell_elapsed(agent, state, grid, CellGeometry(1.0), MESO_TABLE)
+    grid, field = corridor()
+    sim = Simulation(grid, field, MESO_TABLE, schedule=(), dt=1e8, seed=0)
+    for i in range(6):
+        place(sim.state, grid, (0, 0), agent_id=i)
+    for _ in range(10):
+        sim.step()
+    assert sim.state.clock == 1e9
+    assert sim.state.density[grid.index((0, 0))] == 6
+    assert sim.events == [], "six occupants have speed 0: no move and no stay"
 
 
 def test_score_is_entry_probability_times_navigation():
-    grid, field = corridor()
-    state = make_state(grid)
-    agent = place(state, grid, (0, 0))
-    place(state, grid, (0, 1), agent_id=1)
-    place(state, grid, (0, 1), agent_id=2)
-    scores = dict(score_candidates(agent, state, grid, field, MESO_TABLE))
-    assert scores == {"E": 0.6 * 80.0}
-    assert entry_probability(MESO_TABLE, 2) == 0.6
+    """East has the higher value (80) but one occupant: 0.8 x 80 = 64. West
+    holds 0.8 x max(100 x weight, 64): 72 at weight 0.9, 51.2 at 0.5."""
+    for west_weight, dest in ((0.9, (0, 1)), (0.5, (0, 3))):
+        grid, field = corridor(TWO_EXITS_1X5.format(west_weight))
+        assert field.values[0, 3] == 80.0
+        sim = Simulation(grid, field, MESO_TABLE, schedule=(SpawnEntry((0, 2), 1),),
+                         dt=0.5, seed=0)
+        place(sim.state, grid, (0, 3), t_in=NEVER, agent_id=1)
+        assert first_move(sim) == (2, dest), west_weight
+    assert MESO_TABLE.entry_probability(1) == 0.8
 
 
 def test_score_full_cell_is_zero():
-    grid, field = corridor()
-    state = make_state(grid)
-    agent = place(state, grid, (0, 0))
+    """A full east cell scores 0, so a poorer open west cell wins."""
+    grid, field = corridor(TWO_EXITS_1X5.format(0.1))
+    sim = Simulation(grid, field, MESO_TABLE, schedule=(SpawnEntry((0, 2), 1),),
+                     dt=0.5, seed=0)
     for i in range(1, 6):
-        place(state, grid, (0, 1), agent_id=i)
-    scores = dict(score_candidates(agent, state, grid, field, MESO_TABLE))
-    assert scores == {"E": 0.0}
+        place(sim.state, grid, (0, 3), t_in=NEVER, agent_id=i)
+    assert first_move(sim) == (2, (0, 1))
 
 
 def test_choose_move_argmax_and_stay():
-    rng = np.random.default_rng(0)
-    assert choose_move([("E", 30.0), ("N", 10.0)], rng) == "E"
-    assert choose_move([("E", 0.0), ("N", 0.0)], rng) is None
-    assert choose_move([], rng) is None
-    assert choose_move([("E", -5.0)], rng) is None
+    grid, field = corridor(TWO_EXITS_1X5.format(0.5))
+    sim = Simulation(grid, field, MESO_TABLE, schedule=(SpawnEntry((0, 2), 1),),
+                     dt=0.5, seed=0)
+    assert first_move(sim) == (2, (0, 3)), "the higher score wins"
+    sim = Simulation(grid, field, MESO_TABLE, schedule=(SpawnEntry((0, 2), 1),),
+                     dt=0.5, seed=0)
+    for i, cell in enumerate([(0, 1)] * 5 + [(0, 3)] * 5, start=1):
+        place(sim.state, grid, cell, t_in=NEVER, agent_id=i)
+    sim.step()
+    sim.step()
+    assert sim.events[-1] == (2, 1.0, 0, "stay", 0, 2), "nothing scores above 0"
 
 
 def test_choose_move_tie_prefers_orthogonal():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        assert choose_move([("NE", 50.0), ("E", 50.0)], rng) == "E"
-        assert choose_move([("NE", 50.0), ("SE", 50.0), ("S", 50.0)], rng) == "S"
+    """East, north-east and south-east sinks all score 100: east wins every time."""
+    text = "3 2 1.0\n9 12\n1 4\n3 6\nsink 0 1 1\nsink 1 1 1\nsink 2 1 1\nsource 1 0\n"
+    for seed in range(20):
+        sim = lone_agent(text, seed=seed, source=(1, 0))
+        assert first_move(sim) == (2, (1, 1))
+    text = "2 2 1.0\n9 12\n3 6\nsink 0 1 1\nsink 1 1 1\nsource 1 0\n"
+    assert first_move(lone_agent(text, source=(1, 0))) == (2, (1, 1))
 
 
 def test_choose_move_tie_uses_seeded_generator():
-    picks_a = [choose_move([("E", 50.0), ("W", 50.0)], np.random.default_rng(s))
-               for s in range(30)]
-    picks_b = [choose_move([("E", 50.0), ("W", 50.0)], np.random.default_rng(s))
-               for s in range(30)]
-    assert picks_a == picks_b
-    assert {"E", "W"} == set(picks_a), "both options must be reachable"
+    text = "1 3 1.0\n11 10 14\nsink 0 0 1\nsink 0 2 1\nsource 0 1\n"
+
+    def picks():
+        return [first_move(lone_agent(text, seed=s, source=(0, 1)))[1] for s in range(30)]
+
+    picks_a = picks()
+    assert picks_a == picks()
+    assert set(picks_a) == {(0, 0), (0, 2)}, "both options must be reachable"
 
 
 def test_corridor_single_agent_event_log():
@@ -181,10 +220,11 @@ def test_corridor_single_agent_event_log():
         (5, 2.5, 0, "exit", 0, 2),
     ]
     assert sim.completed
-    agent = sim.state.exited[0]
-    assert agent.exit == ((0, 2), 2.5)
-    assert agent.spawn_time == 0.0
-    assert agent.distance_m == 2.0
+    assert sim.state.exited[0].spawn_time == 0.0
+    m = summarize(sim.events, grid.cell_size_m)
+    assert m.per_exit_counts == {(0, 2): 1}
+    assert m.avg_travel_time_s == 2.5
+    assert m.avg_distance_m == 2.0
 
 
 def test_corridor_csv_golden():
@@ -209,7 +249,7 @@ def test_diagonal_move_adds_diagonal_distance():
                      schedule=(SpawnEntry((0, 0), 1),), dt=0.5, seed=0)
     sim.run(max_steps=50)
     assert sim.completed
-    assert sim.state.exited[0].distance_m == pytest.approx(math.sqrt(2))
+    assert summarize(sim.events, grid.cell_size_m).avg_distance_m == pytest.approx(math.sqrt(2))
 
 
 def test_stay_event_only_for_blocked_movable_agents():
@@ -287,7 +327,7 @@ def test_absorption_happens_before_movement():
     state.spawned = 1
     sim.step()
     assert state.agents == {}
-    assert state.density_at(grid, (0, 2)) == 0
+    assert state.density[grid.index((0, 2))] == 0
     assert state.events == [(1, 0.5, 0, "exit", 0, 2)]
 
 
@@ -335,3 +375,34 @@ def test_render_snapshot_shows_occupancy():
     art = render_snapshot(grid, sim.state.density)
     assert "2" in art and "." in art
     assert "+" in art and "-" in art and "|" in art
+
+
+def assert_matches_reference(make, max_steps):
+    """The flat step loop and the reference loop log the same events and
+    leave the same densities after every step."""
+    runs = []
+    for cls in (Simulation, ReferenceSimulation):
+        sim = make(cls)
+        densities = []
+        sim.run(max_steps, on_step=lambda s: densities.append(list(s.state.density)))
+        runs.append((sim.events, densities))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("table", [MESO_TABLE, MICRO_TABLE], ids=["meso", "micro"])
+def test_step_matches_reference_loop_on_random_grids(random_grids, table):
+    for k, grid in enumerate(random_grids):
+        field = compute_field(grid)
+        schedule = random_schedule(np.random.default_rng(k), grid)
+        assert_matches_reference(
+            lambda cls: cls(grid, field, table, schedule, dt=0.5, seed=k), max_steps=1000)
+
+
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_step_matches_reference_loop_on_bundled_scenarios(name):
+    config = load_scenario(name)
+    runtime = build_runtime(config)
+    assert_matches_reference(
+        lambda cls: cls(runtime.grid, runtime.field, runtime.table, config.schedule,
+                        dt=config.dt_s, seed=config.seed),
+        max_steps=config.max_steps)

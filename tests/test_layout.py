@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridgen import random_grid
+from oracle import edge_conflicts
 from mesoped.layout import (BOTTOM, DIR_VECTORS, DIRECTIONS, LEFT, OPPOSITE,
                             RIGHT, SIDES, TOP, BoundaryError, ConsistencyError,
                             EmptyError, LayoutGrid, OutOfBounds, ParseError,
@@ -91,6 +92,19 @@ def test_edge_consistency_brute_force_vertical():
             expected = side_open(a, BOTTOM) != side_open(b, TOP)
             conflicts = find_edge_conflicts(walls)
             assert (len(conflicts) > 0) == expected, (a, b)
+
+
+def test_edge_conflicts_match_cell_by_cell_scan():
+    """Random codes give many conflicts; the list and its order match the scan."""
+    rng = np.random.default_rng(7)
+    for rows, cols in ((1, 1), (1, 9), (9, 1), (6, 7), (20, 30)):
+        for _ in range(10):
+            walls = tuple(map(tuple, rng.integers(0, 16, size=(rows, cols)).tolist()))
+            assert find_edge_conflicts(walls) == edge_conflicts(walls)
+    walls = open_room(4, 5)
+    walls[2][3] |= RIGHT
+    walls[1][0] |= BOTTOM
+    assert find_edge_conflicts(walls) == [((1, 0), (2, 0)), ((2, 3), (2, 4))]
 
 
 def test_diagonal_requires_all_four_corner_edges():

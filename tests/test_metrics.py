@@ -4,7 +4,7 @@ import math
 
 from mesoped.metrics import (RunMetrics, SweepPoint, comparison_csv,
                              metrics_csv, run_seed_sequence, summarize, sweep)
-from mesoped.scenario import load_scenario
+from mesoped.scenario import build_runtime, load_scenario
 
 CORRIDOR_EVENTS = [
     (0, 0.0, 0, "spawn", 0, 0),
@@ -88,8 +88,8 @@ def test_seed_sequences_are_distinct_and_stable():
 
 def test_sweep_is_deterministic():
     config = load_scenario("compare_10x15")
-    a = sweep(config, [1, 3], seeds_per_point=2)
-    b = sweep(config, [1, 3], seeds_per_point=2)
+    a = sweep(config, [1, 3], 2, build_runtime(config))
+    b = sweep(config, [1, 3], 2, build_runtime(config))
     assert a == b
     assert [p.population for p in a] == [1, 3]
     assert all(p.completed and p.n_runs == 2 for p in a)

@@ -1,9 +1,11 @@
 """Scenario parsing, overrides, bundled files, and runtime assembly."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from gridgen import corridor_layout
 from mesoped.engine import MESO_TABLE, MICRO_TABLE, SpawnEntry
 from mesoped.scenario import (ConfigError, ScenarioConfig,
                               apply_sink_multipliers, build_runtime,
@@ -184,6 +186,24 @@ def test_build_runtime_rejects_non_source_spawn(corridor_dir):
     cfg = parse_scenario(text, "bad", corridor_dir)
     with pytest.raises(ConfigError, match="not a source"):
         build_runtime(cfg)
+
+
+def test_build_runtime_rejects_walled_off_source(tmp_path):
+    """The source cell is closed on all four sides; before this check its agent
+    logged `stay` until the step limit."""
+    (tmp_path / "walled.layout").write_text("1 3 1.0\n15 11 10\nsink 0 2 1\nsource 0 0\n")
+    cfg = ScenarioConfig(name="walled", layout_path=tmp_path / "walled.layout")
+    with pytest.raises(ConfigError, match=r"source \(0, 0\) has navigation value 0"):
+        build_runtime(cfg)
+
+
+def test_build_runtime_rejects_source_where_field_underflows(tmp_path):
+    """400 hops at gamma 0.1 take 100 x 0.1**399 below the smallest double."""
+    (tmp_path / "long.layout").write_text(corridor_layout(400))
+    cfg = ScenarioConfig(name="long", layout_path=tmp_path / "long.layout", gamma=0.1)
+    with pytest.raises(ConfigError, match=r"source \(0, 0\).*gamma 0.1"):
+        build_runtime(cfg)
+    assert build_runtime(replace(cfg, gamma=0.8)).field.values[0, 0] > 0.0
 
 
 def test_simulate_corridor_end_to_end(corridor_dir):
