@@ -94,9 +94,9 @@ def cmd_run(args) -> int:
     sim.run(max_steps, on_step=on_step if args.snapshots else None)
 
     out_dir = Path(args.out) if args.out else default_out_dir() / f"{config.name}-seed{config.seed if args.seed is None else args.seed}"
-    m = summarize(sim.events, runtime.grid.cell_size_m)
+    m = summarize(sim.state.log, runtime.grid.cell_size_m)
     sinks = [cell for cell, _ in runtime.grid.sinks]
-    _write(out_dir / "events.csv", events_to_csv(sim.events))
+    _write(out_dir / "events.csv", events_to_csv(sim.state.log))
     _write(out_dir / "metrics.csv", metrics_csv([(m.n_agents, m)], sinks))
     _write(out_dir / "field.csv", field_to_csv(runtime.field))
     if args.snapshots:
@@ -104,7 +104,7 @@ def cmd_run(args) -> int:
 
     print(f"{config.name}: spawned {sim.state.spawned}, exited {len(sim.state.exited)}, "
           f"steps {sim.state.step_index}, clock {sim.state.clock:g} s -> {out_dir}")
-    if sim.schedule_overflow:
+    if sim.state.pending_count > 0:
         print(f"warning: {sim.state.pending_count} scheduled agents never spawned "
               "within the step limit", file=sys.stderr)
     if not sim.completed:

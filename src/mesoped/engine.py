@@ -26,8 +26,9 @@ EVENT_SPAWN = "spawn"
 EVENT_MOVE = "move"
 EVENT_STAY = "stay"
 EVENT_EXIT = "exit"
-
-Event = tuple[int, float, int, str, int, int]
+# Event kind codes as stored in `EventLog.kinds`: the index into KINDS.
+KINDS = (EVENT_SPAWN, EVENT_MOVE, EVENT_STAY, EVENT_EXIT)
+SPAWN, MOVE, STAY, EXIT = range(len(KINDS))
 
 
 class OutOfRange(Exception):
@@ -51,8 +52,8 @@ class SpeedDensityTable:
         for k, (d, u, p) in enumerate(self.entries):
             if d != k:
                 raise ValueError(f"densities must run 0..{len(self.entries) - 1}, got {d}")
-            if u < 0:
-                raise ValueError(f"negative speed {u} at density {d}")
+            if not 0 <= u < math.inf:
+                raise ValueError(f"speed {u} at density {d} is not a finite non-negative number")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"entry probability {p} at density {d} outside [0, 1]")
         speeds = [u for _, u, _ in self.entries]
@@ -114,6 +115,54 @@ class SpawnEntry:
     release_step: int = 0
 
 
+class EventLog:
+    """A run's events in order, as flat columns.
+
+    Event k is agent `agents[k]` doing `KINDS[kinds[k]]` at flat cell
+    `cells[k]` (row * cols + col). Events are logged step by step:
+    `starts[s]` is the index of the first event of step s or later, so step
+    s owns events `starts[s]` up to `starts[s + 1]` (or the end). No clock is
+    stored, because the clock of step s is always `s * dt`.
+    """
+
+    def __init__(self, dt: float, cols: int) -> None:
+        self.dt = dt
+        self.cols = cols
+        self.starts = array("i", [0])
+        self.agents = array("i")
+        self.kinds = bytearray()
+        self.cells = array("i")
+
+    def open_step(self, step: int) -> None:
+        """Make `step` the step that events appended from now on belong to."""
+        if step < len(self.starts) - 1:
+            raise ValueError(f"step {step} comes before logged step {len(self.starts) - 1}")
+        while len(self.starts) <= step:
+            self.starts.append(len(self.kinds))
+
+    def append(self, step: int, agent: int, kind: str, at: int) -> None:
+        """Log agent `agent` doing `kind` (one of KINDS) at flat cell `at`."""
+        self.open_step(step)
+        self.agents.append(agent)
+        self.kinds.append(KINDS.index(kind))
+        self.cells.append(at)
+
+    def bounds(self) -> list[int]:
+        """Event index bounds of every step: step s owns `[b[s], b[s + 1])`."""
+        bounds = self.starts.tolist()
+        bounds.append(len(self.kinds))
+        return bounds
+
+    def __iter__(self):
+        """Each event as a `(step, clock, agent, kind, row, col)` tuple."""
+        bounds, cols = self.bounds(), self.cols
+        for step in range(len(bounds) - 1):
+            clock = step * self.dt
+            for k in range(bounds[step], bounds[step + 1]):
+                yield (step, clock, self.agents[k], KINDS[self.kinds[k]],
+                       *divmod(self.cells[k], cols))
+
+
 @dataclass(slots=True)
 class Agent:
     """One pedestrian: its cell, that cell's flat index `at`, and the clock
@@ -127,21 +176,21 @@ class Agent:
 
 
 class SimulationState:
-    """Mutable per-run state: clock, roster, density, pending spawns, events."""
+    """Mutable per-run state: clock, roster, density, pending spawns, event log."""
 
     def __init__(self, grid: LayoutGrid, rng: np.random.Generator,
-                 schedule: tuple[SpawnEntry, ...]) -> None:
+                 schedule: tuple[SpawnEntry, ...], dt: float) -> None:
         self.clock = 0.0
         self.step_index = 0
         self.rng = rng
         self.density = [0] * (grid.rows * grid.cols)
         self.agents: dict[int, Agent] = {}
         self.exited: list[Agent] = []
-        self.events: list[Event] = []
+        self.log = EventLog(dt, grid.cols)
         self.next_id = 0
         self.spawned = 0
-        # mutable [cell, remaining, release_step] work list
-        self.pending = [[e.cell, e.count, e.release_step] for e in schedule]
+        # mutable [flat cell, remaining, release_step] work list
+        self.pending = [[grid.index(e.cell), e.count, e.release_step] for e in schedule]
 
     @property
     def pending_count(self) -> int:
@@ -161,8 +210,8 @@ class Simulation:
                  table: SpeedDensityTable, schedule: tuple[SpawnEntry, ...] = (),
                  dt: float = 0.5, seed: int | None = 0,
                  rng: np.random.Generator | None = None) -> None:
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        if not 0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         for entry in schedule:
             if entry.cell not in grid.source_set:
                 raise ValueError(f"spawn cell {entry.cell} is not a layout source")
@@ -171,7 +220,7 @@ class Simulation:
         self.grid = grid
         self.field = field
         self.table = table
-        self.dt = dt
+        self.dt = dt = float(dt)
         self._values = array("d", field.values.tobytes())
         self._is_sink = bytearray(grid.rows * grid.cols)
         for cell, _ in grid.sinks:
@@ -182,7 +231,7 @@ class Simulation:
         self._dwell = tuple(diameter / u if u > 0.0 else None for u in table._speeds)
         if rng is None:
             rng = np.random.default_rng(seed)
-        self.state = SimulationState(grid, rng, schedule)
+        self.state = SimulationState(grid, rng, schedule, dt)
         # release step 0 is "present when the clock starts"
         self._spawn()
 
@@ -190,10 +239,10 @@ class Simulation:
         state = self.state
         capacity = self.table.capacity
         for entry in state.pending:
-            cell, _, release = entry
-            if release > state.step_index:
+            idx, remaining, release = entry
+            if release > state.step_index or remaining == 0:
                 continue
-            idx = self.grid.index(cell)
+            cell = divmod(idx, self.grid.cols)
             while entry[1] > 0 and state.density[idx] < capacity:
                 agent = Agent(id=state.next_id, cell=cell, at=idx,
                               t_in=state.clock, spawn_time=state.clock)
@@ -202,8 +251,7 @@ class Simulation:
                 state.agents[agent.id] = agent
                 state.density[idx] += 1
                 entry[1] -= 1
-                state.events.append((state.step_index, state.clock, agent.id,
-                                     EVENT_SPAWN, *cell))
+                state.log.append(state.step_index, agent.id, EVENT_SPAWN, idx)
 
     def step(self) -> SimulationState:
         """Advance one interval: spawn, absorb sink-standing agents, move the rest.
@@ -218,15 +266,17 @@ class Simulation:
         state.step_index += 1
         step_i = state.step_index
         clock = state.clock = step_i * self.dt
+        log = state.log
+        log.open_step(step_i)
         self._spawn()
 
-        agents, density, events = state.agents, state.density, state.events
+        agents, density = state.agents, state.density
         is_sink = self._is_sink
         for aid in sorted(aid for aid, a in agents.items() if is_sink[a.at]):
             agent = agents.pop(aid)
             density[agent.at] -= 1
             state.exited.append(agent)
-            events.append((step_i, clock, aid, EVENT_EXIT, *agent.cell))
+            log.append(step_i, aid, EVENT_EXIT, agent.at)
 
         ids = sorted(agents)
         if len(ids) > 1:
@@ -234,6 +284,7 @@ class Simulation:
         masks, moves_by_mask = self.grid.move_masks, self.grid.move_offsets
         values, probs, dwell = self._values, self.table._probs, self._dwell
         cols = self.grid.cols
+        log_agent, log_kind, log_cell = log.agents.append, log.kinds.append, log.cells.append
         for aid in ids:
             agent = agents[aid]
             i = agent.at
@@ -252,7 +303,9 @@ class Simulation:
                         ties = [(dest, dest_ortho)]
                     ties.append((j, ortho))
             if best <= 0.0:
-                events.append((step_i, clock, aid, EVENT_STAY, *agent.cell))
+                log_agent(aid)
+                log_kind(STAY)
+                log_cell(i)
                 continue
             if ties is not None:
                 pool = [j for j, ortho in ties if ortho] or [j for j, _ in ties]
@@ -260,9 +313,11 @@ class Simulation:
             density[i] -= 1
             density[dest] += 1
             agent.at = dest
-            agent.cell = cell = divmod(dest, cols)
+            agent.cell = divmod(dest, cols)
             agent.t_in = clock
-            events.append((step_i, clock, aid, EVENT_MOVE, *cell))
+            log_agent(aid)
+            log_kind(MOVE)
+            log_cell(dest)
         return state
 
     def run(self, max_steps: int, on_step=None):
@@ -278,24 +333,36 @@ class Simulation:
         return self.state
 
     @property
-    def events(self) -> list[Event]:
-        return self.state.events
+    def events(self) -> list[tuple[int, float, int, str, int, int]]:
+        """The event log as `(step, clock, agent, kind, row, col)` tuples,
+        built on each call; `state.log` holds the events themselves."""
+        return list(self.state.log)
 
     @property
     def completed(self) -> bool:
         return not self.state.agents and self.state.pending_count == 0
 
-    @property
-    def schedule_overflow(self) -> bool:
-        """True when scheduled spawns never fit within the steps run so far."""
-        return self.state.pending_count > 0
 
+def events_to_csv(log: EventLog) -> str:
+    """The log as CSV, one line per event.
 
-def events_to_csv(events: list[Event]) -> str:
-    lines = ["step,clock_s,agent_id,event,row,col"]
-    for step_i, clock, aid, kind, r, c in events:
-        lines.append(f"{step_i},{clock!r},{aid},{kind},{r},{c}")
-    return "\n".join(lines) + "\n"
+    Each line joins a per-step `step,clock,` prefix, the agent id, a
+    per-kind `,kind,` piece and a per-cell `row,col` suffix, and the lines
+    are joined step by step.
+    """
+    agents, kinds, cells = log.agents, log.kinds, log.cells
+    kind_text = [f",{name}," for name in KINDS]
+    cell_text = {at: "%d,%d\n" % divmod(at, log.cols) for at in set(cells)}
+    chunks = ["step,clock_s,agent_id,event,row,col\n"]
+    bounds = log.bounds()
+    for step in range(len(bounds) - 1):
+        lo, hi = bounds[step], bounds[step + 1]
+        if lo == hi:
+            continue
+        prefix = f"{step},{step * log.dt!r},"
+        chunks.append("".join([f"{prefix}{a}{kind_text[k]}{cell_text[at]}"
+                               for a, k, at in zip(agents[lo:hi], kinds[lo:hi], cells[lo:hi])]))
+    return "".join(chunks)
 
 
 def render_snapshot(grid: LayoutGrid, density: list[int]) -> str:

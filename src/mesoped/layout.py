@@ -8,6 +8,7 @@ instead of repairing them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -248,8 +249,8 @@ def parse_layout(text: str) -> LayoutGrid:
         cell_size = float(parts[2])
     except ValueError as exc:
         raise ParseError(f"line {no}: bad header value: {exc}") from None
-    if rows < 1 or cols < 1 or cell_size <= 0:
-        raise ParseError(f"line {no}: rows, cols, cell size must be positive")
+    if rows < 1 or cols < 1 or not 0 < cell_size < math.inf:
+        raise ParseError(f"line {no}: rows, cols, cell size must be positive and finite")
 
     if len(lines) - 1 < rows:
         raise ParseError(f"expected {rows} wall-code lines, found {len(lines) - 1}")
@@ -282,8 +283,8 @@ def parse_layout(text: str) -> LayoutGrid:
                     raise ValueError("expected 'sink r c weight'")
                 cell = (int(tokens[1]), int(tokens[2]))
                 weight = float(tokens[3])
-                if weight <= 0:
-                    raise ValueError(f"sink weight must be positive, got {weight}")
+                if not 0 < weight < math.inf:
+                    raise ValueError(f"sink weight must be positive and finite, got {weight}")
                 if cell in seen_sinks:
                     raise ValueError(f"duplicate sink {cell}")
                 seen_sinks.add(cell)

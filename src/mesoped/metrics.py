@@ -13,7 +13,7 @@ from statistics import fmean
 
 import numpy as np
 
-from .engine import (EVENT_EXIT, EVENT_MOVE, EVENT_SPAWN, Event)
+from .engine import EXIT, MOVE, SPAWN, EventLog
 from .layout import Cell
 
 
@@ -32,40 +32,53 @@ class RunMetrics:
         return sum(self.per_exit_counts.values())
 
 
-def summarize(events: list[Event], cell_size_m: float) -> RunMetrics:
+def summarize(log: EventLog, cell_size_m: float) -> RunMetrics:
     """Travel times, walked distances, and exit usage from one event log.
 
     A run with agents still inside is flagged incomplete and summarized over
-    the agents that made it out.
+    the agents that made it out. A travel time is the exit clock minus the
+    spawn clock, and a walked distance is the sum of the agent's hops in the
+    order it made them (a hop is diagonal when both row and column change),
+    so every average is the same float the event-by-event sums give.
     """
-    diag = cell_size_m * math.sqrt(2.0)
-    spawn_clock: dict[int, float] = {}
-    position: dict[int, Cell] = {}
-    distance: dict[int, float] = {}
-    travel: list[float] = []
-    dist_done: list[float] = []
-    exits: Counter[Cell] = Counter()
-    for _, clock, aid, kind, r, c in events:
-        if kind == EVENT_SPAWN:
-            spawn_clock[aid] = clock
-            position[aid] = (r, c)
-            distance[aid] = 0.0
-        elif kind == EVENT_MOVE:
-            pr, pc = position[aid]
-            distance[aid] += diag if (r != pr and c != pc) else cell_size_m
-            position[aid] = (r, c)
-        elif kind == EVENT_EXIT:
-            travel.append(clock - spawn_clock[aid])
-            dist_done.append(distance[aid])
-            exits[(r, c)] += 1
-    n_agents = len(spawn_clock)
-    n_exited = len(travel)
+    bounds = log.bounds()
+    kinds = np.frombuffer(log.kinds, dtype=np.uint8)
+    agents = np.frombuffer(log.agents, dtype=np.intc)
+    cells = np.frombuffer(log.cells, dtype=np.intc)
+    steps = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    is_spawn = kinds == SPAWN
+    spawns = np.flatnonzero(is_spawn)
+    exits = np.flatnonzero(kinds == EXIT)
+    n_agents = len(spawns)
+    if not len(exits):
+        return RunMetrics(n_agents=n_agents, avg_travel_time_s=None, avg_distance_m=None,
+                          per_exit_counts={}, completed=n_agents == 0)
+    size = int(agents.max()) + 1
+    spawn_step = np.zeros(size, dtype=np.int64)
+    spawn_step[agents[spawns]] = steps[spawns]
+    exit_agents = agents[exits]
+    travel = steps[exits] * log.dt - spawn_step[exit_agents] * log.dt
+
+    # Each agent's cells in the order it reached them, spawn cell first. A
+    # hop is diagonal when both the row and the column change.
+    walk = np.flatnonzero(is_spawn | (kinds == MOVE))
+    walk = walk[np.argsort(agents[walk], kind="stable")]
+    who = agents[walk]
+    rows, cols = np.divmod(cells[walk], log.cols)
+    hop = who[1:] == who[:-1]
+    diagonal = (rows[1:] != rows[:-1]) & (cols[1:] != cols[:-1])
+    hop_len = np.where(diagonal, cell_size_m * math.sqrt(2.0), cell_size_m)
+    # bincount adds the weights one by one in input order, so each agent's
+    # distance is a running total of its hops in the order it made them.
+    distance = np.bincount(who[1:][hop], weights=hop_len[hop], minlength=size)
+
+    exit_rows, exit_cols = np.divmod(cells[exits], log.cols)
     return RunMetrics(
         n_agents=n_agents,
-        avg_travel_time_s=fmean(travel) if travel else None,
-        avg_distance_m=fmean(dist_done) if dist_done else None,
-        per_exit_counts=dict(exits),
-        completed=n_exited == n_agents,
+        avg_travel_time_s=fmean(travel.tolist()),
+        avg_distance_m=fmean(distance[exit_agents].tolist()),
+        per_exit_counts=dict(Counter(zip(exit_rows.tolist(), exit_cols.tolist()))),
+        completed=len(exits) == n_agents,
     )
 
 
@@ -105,7 +118,7 @@ def sweep(config, populations: list[int], seeds_per_point: int,
                 run_seed_sequence(config.seed, population, run_i)))
             sim = make_simulation(runtime, config, population=population, rng=rng)
             sim.run(config.max_steps)
-            metrics.append(summarize(sim.events, runtime.grid.cell_size_m))
+            metrics.append(summarize(sim.state.log, runtime.grid.cell_size_m))
         travels = [m.avg_travel_time_s for m in metrics if m.avg_travel_time_s is not None]
         dists = [m.avg_distance_m for m in metrics if m.avg_distance_m is not None]
         counts: dict[Cell, float] = {}

@@ -8,6 +8,8 @@ addressed by bare name.
 from __future__ import annotations
 
 import configparser
+import math
+import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -104,9 +106,12 @@ def parse_scenario(text: str, name: str, base_dir: Path) -> ScenarioConfig:
             return default
         raw = parser.get(section, key)
         try:
-            return cast(raw)
+            value = cast(raw)
         except ValueError:
             raise ConfigError(f"{name}: [{section}] {key} = {raw!r} is not a {cast.__name__}") from None
+        if cast is float and not math.isfinite(value):
+            raise ConfigError(f"{name}: [{section}] {key} = {raw!r} is not a finite number")
+        return value
 
     if not parser.has_option("layout", "path"):
         raise ConfigError(f"{name}: missing [layout] path")
@@ -142,8 +147,8 @@ def parse_scenario(text: str, name: str, base_dir: Path) -> ScenarioConfig:
                 factor = float(raw)
             except ValueError:
                 raise ConfigError(f"{name}: [sinks] {key} = {raw!r} is not a float") from None
-            if factor <= 0:
-                raise ConfigError(f"{name}: [sinks] {key}: multiplier must be positive")
+            if not 0 < factor < math.inf:
+                raise ConfigError(f"{name}: [sinks] {key}: multiplier must be positive and finite")
             multipliers.append((cell, factor))
 
     schedule = []
@@ -241,12 +246,31 @@ def build_runtime(config: ScenarioConfig) -> Runtime:
         table = config.table
     else:
         table = MICRO_TABLE if config.mode == "micro" else MESO_TABLE
+    for cell, weight in grid.sinks:
+        if not math.isfinite(config.base_reward * weight):
+            raise ConfigError(
+                f"{config.name}: sink {cell}: base_reward {config.base_reward!r} times "
+                f"weight {weight!r} (multipliers applied) overflows")
     field = compute_field(grid, gamma=config.gamma, base_reward=config.base_reward)
     for cell in grid.sources:
         if field.values[cell] <= 0.0:
             raise ConfigError(
                 f"{config.name}: source {cell} has navigation value 0, so its agents "
                 f"cannot find a sink (walled off, or too far at gamma {config.gamma})")
+    # A non-sink cell no lower than its best neighbour is a plateau where
+    # agents find no ascent. With gamma < 1 that only happens once repeated
+    # gamma * x sticks at subnormal values, so only those cells are checked.
+    values = field.values.ravel()
+    tiny = np.flatnonzero((values > 0.0) & (values < sys.float_info.min))
+    if tiny.size:
+        best = np.append(values, 0.0)[grid.neighbours[tiny]].max(axis=1)
+        for i in tiny[values[tiny] >= best].tolist():
+            cell = divmod(i, grid.cols)
+            if cell not in grid.sink_set:
+                raise ConfigError(
+                    f"{config.name}: cell {cell} lies on a plateau of the navigation "
+                    f"field at {values[i]!r}, with no higher neighbour (too far from "
+                    f"every sink at gamma {config.gamma})")
     return Runtime(grid=grid, field=field, table=table)
 
 

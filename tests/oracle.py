@@ -16,10 +16,20 @@ Step loop: the engine's movement rule written agent by agent over
 `Cell` tuples, through `moves_of`, `DIR_VECTORS` and the table's lookup
 methods. `ReferenceSimulation` runs it in place of the flat step loop of
 `mesoped.engine.Simulation`, whose event logs and densities must match it
-exactly.
+exactly. It logs through `EventLog.append`, one event at a time.
+
+Event log outputs: `summarize` and `events_to_csv` walk the log as
+`(step, clock, agent, kind, row, col)` tuples (`Simulation.events`), one
+event at a time with dicts and f-strings. `mesoped.metrics.summarize` and
+`mesoped.engine.events_to_csv`, which read the log's columns, must equal
+them exactly.
 """
 
 from __future__ import annotations
+
+import math
+from collections import Counter
+from statistics import fmean
 
 import numpy as np
 
@@ -29,6 +39,7 @@ from mesoped.engine import (DIAMETER_FACTOR, EVENT_EXIT, EVENT_MOVE, EVENT_SPAWN
 from mesoped.floorfield import DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField
 from mesoped.layout import (BOTTOM, DIR_VECTORS, LEFT, ORTHOGONAL, RIGHT, TOP,
                             LayoutGrid, moves_of)
+from mesoped.metrics import RunMetrics
 
 
 def value_iteration(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
@@ -126,10 +137,10 @@ def choose_move(scores: list[tuple[str, float]], rng: np.random.Generator) -> st
 def spawn_pass(state: SimulationState, grid: LayoutGrid, table: SpeedDensityTable) -> None:
     capacity = table.capacity
     for entry in state.pending:
-        cell, remaining, release = entry
+        idx, remaining, release = entry
         if release > state.step_index or remaining == 0:
             continue
-        idx = grid.index(cell)
+        cell = divmod(idx, grid.cols)
         while entry[1] > 0 and state.density[idx] < capacity:
             agent = Agent(id=state.next_id, cell=cell, at=idx,
                           t_in=state.clock, spawn_time=state.clock)
@@ -138,8 +149,7 @@ def spawn_pass(state: SimulationState, grid: LayoutGrid, table: SpeedDensityTabl
             state.agents[agent.id] = agent
             state.density[idx] += 1
             entry[1] -= 1
-            state.events.append((state.step_index, state.clock, agent.id,
-                                 EVENT_SPAWN, cell[0], cell[1]))
+            state.log.append(state.step_index, agent.id, EVENT_SPAWN, idx)
 
 
 def reference_step(state: SimulationState, grid: LayoutGrid, field: FloorField,
@@ -148,6 +158,7 @@ def reference_step(state: SimulationState, grid: LayoutGrid, field: FloorField,
     state.step_index += 1
     state.clock = state.step_index * dt
     clock = state.clock
+    state.log.open_step(state.step_index)
 
     spawn_pass(state, grid, table)
 
@@ -157,8 +168,7 @@ def reference_step(state: SimulationState, grid: LayoutGrid, field: FloorField,
         agent = state.agents.pop(aid)
         state.density[grid.index(agent.cell)] -= 1
         state.exited.append(agent)
-        state.events.append((state.step_index, clock, aid,
-                             EVENT_EXIT, agent.cell[0], agent.cell[1]))
+        state.log.append(state.step_index, aid, EVENT_EXIT, grid.index(agent.cell))
 
     ids = sorted(state.agents)
     if len(ids) > 1:
@@ -170,8 +180,7 @@ def reference_step(state: SimulationState, grid: LayoutGrid, field: FloorField,
         scores = score_candidates(agent, state, grid, field, table)
         name = choose_move(scores, state.rng)
         if name is None:
-            state.events.append((state.step_index, clock, aid,
-                                 EVENT_STAY, agent.cell[0], agent.cell[1]))
+            state.log.append(state.step_index, aid, EVENT_STAY, grid.index(agent.cell))
             continue
         dr, dc = DIR_VECTORS[name]
         old = agent.cell
@@ -181,7 +190,7 @@ def reference_step(state: SimulationState, grid: LayoutGrid, field: FloorField,
         agent.cell = new
         agent.at = grid.index(new)
         agent.t_in = clock
-        state.events.append((state.step_index, clock, aid, EVENT_MOVE, new[0], new[1]))
+        state.log.append(state.step_index, aid, EVENT_MOVE, grid.index(new))
     return state
 
 
@@ -190,3 +199,42 @@ class ReferenceSimulation(Simulation):
 
     def step(self) -> SimulationState:
         return reference_step(self.state, self.grid, self.field, self.table, self.dt)
+
+
+def summarize(events, cell_size_m: float) -> RunMetrics:
+    """Travel times, walked distances and exit usage, event by event."""
+    diag = cell_size_m * math.sqrt(2.0)
+    spawn_clock: dict[int, float] = {}
+    position: dict[int, tuple[int, int]] = {}
+    distance: dict[int, float] = {}
+    travel: list[float] = []
+    dist_done: list[float] = []
+    exits: Counter[tuple[int, int]] = Counter()
+    for _, clock, aid, kind, r, c in events:
+        if kind == EVENT_SPAWN:
+            spawn_clock[aid] = clock
+            position[aid] = (r, c)
+            distance[aid] = 0.0
+        elif kind == EVENT_MOVE:
+            pr, pc = position[aid]
+            distance[aid] += diag if (r != pr and c != pc) else cell_size_m
+            position[aid] = (r, c)
+        elif kind == EVENT_EXIT:
+            travel.append(clock - spawn_clock[aid])
+            dist_done.append(distance[aid])
+            exits[(r, c)] += 1
+    return RunMetrics(
+        n_agents=len(spawn_clock),
+        avg_travel_time_s=fmean(travel) if travel else None,
+        avg_distance_m=fmean(dist_done) if dist_done else None,
+        per_exit_counts=dict(exits),
+        completed=len(travel) == len(spawn_clock),
+    )
+
+
+def events_to_csv(events) -> str:
+    """One f-string per event."""
+    lines = ["step,clock_s,agent_id,event,row,col"]
+    for step_i, clock, aid, kind, r, c in events:
+        lines.append(f"{step_i},{clock!r},{aid},{kind},{r},{c}")
+    return "\n".join(lines) + "\n"

@@ -92,7 +92,7 @@ def _cinema_shares(name):
     for seed in range(10):
         sim = make_simulation(runtime, config, seed=seed)
         sim.run(config.max_steps)
-        m = summarize(sim.events, runtime.grid.cell_size_m)
+        m = summarize(sim.state.log, runtime.grid.cell_size_m)
         assert m.completed, f"{name} seed {seed} did not finish"
         assert m.n_agents == 60
         main_count = sum(n for cell, n in m.per_exit_counts.items()

@@ -212,3 +212,53 @@ def test_parse_populations_forms():
     for bad in ("abc", "5..3", "-1..2", "1..x", "", ","):
         with pytest.raises(ConfigError):
             parse_populations(bad)
+
+
+# Each case: layout text, extra scenario lines, and the text the error must
+# carry (the key, line or cell at fault). Every one of these ran to exit 0 or
+# 3 before non-finite numbers were rejected where they are parsed.
+NAN_SPEED_TABLE = "[table]\n0 = 1.44 1.0\n1 = nan 0.5\n2 = 0.0 0.0\n"
+
+
+@pytest.mark.parametrize("layout,extra,needle", [
+    (CORRIDOR_LAYOUT, "[run]\ndt_s = inf\n", "dt_s"),
+    (CORRIDOR_LAYOUT, "[run]\ndt_s = nan\n", "dt_s"),
+    ("1 3 nan\n11 10 14\nsink 0 2 1\nsource 0 0\n", "", "line 1"),
+    ("1 3 inf\n11 10 14\nsink 0 2 1\nsource 0 0\n", "", "line 1"),
+    (CORRIDOR_LAYOUT, "[field]\nbase_reward = inf\n", "base_reward"),
+    (CORRIDOR_LAYOUT, "[field]\nbase_reward = nan\n", "base_reward"),
+    (CORRIDOR_LAYOUT, "[field]\ngamma = nan\n", "gamma"),
+    ("1 3 1.0\n11 10 14\nsink 0 2 nan\nsource 0 0\n", "", "line 3"),
+    ("1 3 1.0\n11 10 14\nsink 0 2 inf\nsource 0 0\n", "", "line 3"),
+    (CORRIDOR_LAYOUT, "[sinks]\n0,2 = nan\n", "[sinks] 0,2"),
+    (CORRIDOR_LAYOUT, "[sinks]\n0,2 = inf\n", "[sinks] 0,2"),
+    (CORRIDOR_LAYOUT, NAN_SPEED_TABLE, "density 1"),
+    ("1 3 1.0\n11 10 14\nsink 0 2 1e300\nsource 0 0\n",
+     "[field]\nbase_reward = 1e10\n", "sink (0, 2)"),
+    (CORRIDOR_LAYOUT, "[field]\nbase_reward = 1e300\n[sinks]\n0,2 = 1e10\n", "sink (0, 2)"),
+], ids=["dt_inf", "dt_nan", "cell_size_nan", "cell_size_inf", "base_reward_inf",
+        "base_reward_nan", "gamma_nan", "sink_weight_nan", "sink_weight_inf",
+        "multiplier_nan", "multiplier_inf", "table_speed_nan",
+        "reward_times_weight_overflows", "reward_times_multiplier_overflows"])
+def test_run_rejects_non_finite_numbers(tmp_path, capsys, layout, extra, needle):
+    (tmp_path / "corridor.layout").write_text(layout)
+    path = tmp_path / "bad.scenario"
+    path.write_text("[layout]\npath = corridor.layout\n[spawn]\n0,0 = 1@0\n" + extra)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert not out.exists()
+
+
+def test_run_subnormal_plateau_is_config_error(tmp_path, capsys):
+    """On a 1 x 3500 corridor at gamma 0.8 the field sticks at the smallest
+    subnormals far from the sink, where greedy descent finds no ascent."""
+    (tmp_path / "corridor.layout").write_text(corridor_layout(3500))
+    path = tmp_path / "long.scenario"
+    path.write_text("[layout]\npath = corridor.layout\n[spawn]\n0,0 = 1@0\n")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "plateau" in err and "cell (0, " in err
+    assert not out.exists()

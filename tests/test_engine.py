@@ -90,6 +90,8 @@ def test_table_lookup_out_of_range():
     ((0, 1.0, 0.5), (1, 0.5, 0.8)),                  # probability increases
     ((0, 1.0, 1.0), (1, 0.5, 0.2)),                  # final probability not 0
     ((0, 1.0, 0.0), (1, 0.5, 0.0)),                  # nothing can ever enter
+    ((0, 1.0, 1.0), (1, math.nan, 0.0)),             # NaN speed
+    ((0, math.inf, 1.0), (1, 0.5, 0.0)),             # infinite speed
 ])
 def test_table_validation_rejects(entries):
     with pytest.raises(ValueError):
@@ -221,7 +223,7 @@ def test_corridor_single_agent_event_log():
     ]
     assert sim.completed
     assert sim.state.exited[0].spawn_time == 0.0
-    m = summarize(sim.events, grid.cell_size_m)
+    m = summarize(sim.state.log, grid.cell_size_m)
     assert m.per_exit_counts == {(0, 2): 1}
     assert m.avg_travel_time_s == 2.5
     assert m.avg_distance_m == 2.0
@@ -232,7 +234,7 @@ def test_corridor_csv_golden():
     sim = Simulation(grid, field, MESO_TABLE,
                      schedule=(SpawnEntry((0, 0), 1),), dt=0.5, seed=0)
     sim.run(max_steps=100)
-    assert events_to_csv(sim.events) == (
+    assert events_to_csv(sim.state.log) == (
         "step,clock_s,agent_id,event,row,col\n"
         "0,0.0,0,spawn,0,0\n"
         "2,1.0,0,move,0,1\n"
@@ -249,7 +251,7 @@ def test_diagonal_move_adds_diagonal_distance():
                      schedule=(SpawnEntry((0, 0), 1),), dt=0.5, seed=0)
     sim.run(max_steps=50)
     assert sim.completed
-    assert summarize(sim.events, grid.cell_size_m).avg_distance_m == pytest.approx(math.sqrt(2))
+    assert summarize(sim.state.log, grid.cell_size_m).avg_distance_m == pytest.approx(math.sqrt(2))
 
 
 def test_stay_event_only_for_blocked_movable_agents():
@@ -262,7 +264,7 @@ def test_stay_event_only_for_blocked_movable_agents():
         place(state, grid, (0, 1), t_in=0.0, agent_id=100 + i)
     sim.step()  # clock 0.5: dwell not elapsed, no stay logged
     sim.step()  # clock 1.0: movable but blocked
-    stays = [e for e in state.events if e[3] == "stay"]
+    stays = [e for e in sim.events if e[3] == "stay"]
     assert stays == [(2, 1.0, 0, "stay", 0, 0)]
     assert state.agents[0].t_in == 0.0, "waiting must not reset the dwell clock"
 
@@ -294,12 +296,15 @@ def test_release_step_delays_spawn():
 
 
 def test_schedule_overflow_flag():
+    """A spawn released after the step limit is still pending: nothing was
+    logged and the run is not complete."""
     grid, field = corridor()
     sim = Simulation(grid, field, MESO_TABLE,
                      schedule=(SpawnEntry((0, 0), 1, release_step=50),),
                      dt=0.5, seed=0)
     sim.run(max_steps=10)
-    assert sim.schedule_overflow
+    assert sim.state.pending_count == 1
+    assert sim.events == []
     assert not sim.completed
 
 
@@ -328,7 +333,7 @@ def test_absorption_happens_before_movement():
     sim.step()
     assert state.agents == {}
     assert state.density[grid.index((0, 2))] == 0
-    assert state.events == [(1, 0.5, 0, "exit", 0, 2)]
+    assert sim.events == [(1, 0.5, 0, "exit", 0, 2)]
 
 
 def test_same_seed_reproduces_event_log():
@@ -340,10 +345,10 @@ def test_same_seed_reproduces_event_log():
         sim = Simulation(grid, field, MESO_TABLE, schedule=schedule,
                          dt=0.5, seed=seed)
         sim.run(max_steps=500)
-        return sim.events
+        return sim
 
-    assert run(11) == run(11)
-    assert events_to_csv(run(7)) == events_to_csv(run(7))
+    assert run(11).events == run(11).events
+    assert events_to_csv(run(7).state.log) == events_to_csv(run(7).state.log)
 
 
 def test_random_runs_conserve_agents_and_respect_capacity():

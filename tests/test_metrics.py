@@ -1,21 +1,41 @@
-"""Event-log summaries, population sweeps, and metrics CSV output."""
+"""Event-log summaries, population sweeps, and metrics CSV output.
+
+`summarize` and `events_to_csv` read the log's columns; on real runs they
+must equal, exactly, the event-by-event versions in `oracle.py`.
+"""
 
 import math
+from statistics import fmean
 
+import numpy as np
+import pytest
+
+import oracle
+from gridgen import random_schedule
+from mesoped.engine import MESO_TABLE, MICRO_TABLE, EventLog, Simulation, events_to_csv
+from mesoped.floorfield import compute_field
 from mesoped.metrics import (RunMetrics, SweepPoint, comparison_csv,
                              metrics_csv, run_seed_sequence, summarize, sweep)
-from mesoped.scenario import build_runtime, load_scenario
+from mesoped.scenario import build_runtime, bundled_scenarios, load_scenario
 
 CORRIDOR_EVENTS = [
-    (0, 0.0, 0, "spawn", 0, 0),
-    (2, 1.0, 0, "move", 0, 1),
-    (4, 2.0, 0, "move", 0, 2),
-    (5, 2.5, 0, "exit", 0, 2),
+    (0, 0, "spawn", 0, 0),
+    (2, 0, "move", 0, 1),
+    (4, 0, "move", 0, 2),
+    (5, 0, "exit", 0, 2),
 ]
 
 
+def log_of(events, dt=0.5, cols=3):
+    """An event log of (step, agent, kind, row, col) events; clock = step x dt."""
+    log = EventLog(dt, cols)
+    for step, agent, kind, r, c in events:
+        log.append(step, agent, kind, r * cols + c)
+    return log
+
+
 def test_summarize_corridor_oracle():
-    m = summarize(CORRIDOR_EVENTS, cell_size_m=1.0)
+    m = summarize(log_of(CORRIDOR_EVENTS), cell_size_m=1.0)
     assert m.n_agents == 1
     assert m.n_exited == 1
     assert m.avg_travel_time_s == 2.5
@@ -25,22 +45,22 @@ def test_summarize_corridor_oracle():
 
 
 def test_summarize_scales_distance_with_cell_size():
-    m = summarize(CORRIDOR_EVENTS, cell_size_m=0.5)
+    m = summarize(log_of(CORRIDOR_EVENTS), cell_size_m=0.5)
     assert m.avg_distance_m == 1.0
 
 
 def test_summarize_counts_diagonal_moves():
     events = [
-        (0, 0.0, 0, "spawn", 0, 0),
-        (2, 1.0, 0, "move", 1, 1),
-        (3, 1.5, 0, "exit", 1, 1),
+        (0, 0, "spawn", 0, 0),
+        (2, 0, "move", 1, 1),
+        (3, 0, "exit", 1, 1),
     ]
-    m = summarize(events, cell_size_m=1.0)
+    m = summarize(log_of(events), cell_size_m=1.0)
     assert m.avg_distance_m == math.sqrt(2.0)
 
 
 def test_summarize_empty_log():
-    m = summarize([], cell_size_m=1.0)
+    m = summarize(log_of([]), cell_size_m=1.0)
     assert m.n_agents == 0
     assert m.avg_travel_time_s is None
     assert m.avg_distance_m is None
@@ -50,17 +70,17 @@ def test_summarize_empty_log():
 
 def test_summarize_ignores_stays_and_averages_pairs():
     events = [
-        (0, 0.0, 0, "spawn", 0, 0),
-        (0, 0.0, 1, "spawn", 0, 0),
-        (2, 1.0, 0, "move", 0, 1),
-        (2, 1.0, 1, "stay", 0, 0),
-        (4, 2.0, 0, "move", 0, 2),
-        (4, 2.0, 1, "move", 0, 1),
-        (5, 2.5, 0, "exit", 0, 2),
-        (6, 3.0, 1, "move", 0, 2),
-        (7, 3.5, 1, "exit", 0, 2),
+        (0, 0, "spawn", 0, 0),
+        (0, 1, "spawn", 0, 0),
+        (2, 0, "move", 0, 1),
+        (2, 1, "stay", 0, 0),
+        (4, 0, "move", 0, 2),
+        (4, 1, "move", 0, 1),
+        (5, 0, "exit", 0, 2),
+        (6, 1, "move", 0, 2),
+        (7, 1, "exit", 0, 2),
     ]
-    m = summarize(events, cell_size_m=1.0)
+    m = summarize(log_of(events), cell_size_m=1.0)
     assert m.n_agents == 2
     assert m.avg_travel_time_s == 3.0
     assert m.avg_distance_m == 2.0
@@ -69,10 +89,83 @@ def test_summarize_ignores_stays_and_averages_pairs():
 
 
 def test_summarize_flags_incomplete_runs():
-    m = summarize(CORRIDOR_EVENTS[:-1], cell_size_m=1.0)
+    m = summarize(log_of(CORRIDOR_EVENTS[:-1]), cell_size_m=1.0)
     assert not m.completed
     assert m.n_agents == 1 and m.n_exited == 0
     assert m.avg_travel_time_s is None
+
+
+def test_summarize_travel_time_is_a_difference_of_clocks():
+    """Exit clock minus spawn clock, each one step x dt: in doubles
+    3 x 0.1 - 1 x 0.1 is not (3 - 1) x 0.1."""
+    m = summarize(log_of([(1, 0, "spawn", 0, 0), (3, 0, "exit", 0, 0)], dt=0.1), 1.0)
+    assert m.avg_travel_time_s == 3 * 0.1 - 1 * 0.1
+    assert m.avg_travel_time_s != (3 - 1) * 0.1
+
+
+def walk(agent, start_row, hops, first_step=1):
+    """Move events of one agent going east, one row down on each 'd' hop."""
+    r, c, events = start_row, 0, []
+    for step, hop in enumerate(hops, start=first_step):
+        r, c = r + (hop == "d"), c + 1
+        events.append((step, agent, "move", r, c))
+    return events
+
+
+def test_summarize_sums_each_walk_in_hop_order():
+    """An agent's distance adds its hops one at a time in the order made. For
+    these 12 hops a pairwise (numpy), sorted or exact sum gives other doubles.
+    A second agent, its hops interleaved, has its own sum."""
+    hops = ("sssdssddsssd", "dsssddsssdss")
+    lengths = [[math.sqrt(2.0) if h == "d" else 1.0 for h in w] for w in hops]
+    sums = []
+    for w in lengths:
+        total = 0.0
+        for x in w:
+            total += x
+        sums.append(total)
+    assert sums[0] != float(np.sum(lengths[0]))
+    assert sums[0] != sum(sorted(lengths[0])) and sums[0] != math.fsum(lengths[0])
+    moves = sorted(walk(0, 0, hops[0]) + walk(1, 20, hops[1]), key=lambda e: e[0])
+    events = ([(0, 0, "spawn", 0, 0), (0, 1, "spawn", 20, 0)] + moves
+              + [(13, 1, "exit", *moves[-1][3:]), (13, 0, "exit", *moves[-2][3:])])
+    m = summarize(log_of(events, cols=20), cell_size_m=1.0)
+    assert m.avg_distance_m == fmean(sums)
+    assert summarize(log_of(events[:-1], cols=20), 1.0).avg_distance_m == sums[1]
+
+
+def test_event_log_rejects_an_earlier_step():
+    log = log_of(CORRIDOR_EVENTS)
+    with pytest.raises(ValueError, match="step 4"):
+        log.append(4, 0, "stay", 2)
+
+
+def assert_log_outputs_match_oracle(sim, cell_size_m):
+    """Column-reading `summarize`/`events_to_csv` equal the event-by-event ones."""
+    events = sim.events
+    assert summarize(sim.state.log, cell_size_m) == oracle.summarize(events, cell_size_m)
+    assert events_to_csv(sim.state.log) == oracle.events_to_csv(events)
+
+
+@pytest.mark.parametrize("table", [MESO_TABLE, MICRO_TABLE], ids=["meso", "micro"])
+def test_log_outputs_match_oracle_on_random_grids(random_grids, table):
+    """At dt 0.3 neither clocks nor their differences are exact in doubles."""
+    for k, grid in enumerate(random_grids):
+        sim = Simulation(grid, compute_field(grid), table,
+                         random_schedule(np.random.default_rng(k), grid), dt=0.3, seed=k)
+        sim.run(max_steps=1000)
+        assert_log_outputs_match_oracle(sim, grid.cell_size_m)
+
+
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_log_outputs_match_oracle_on_bundled_scenarios(name):
+    config = load_scenario(name)
+    runtime = build_runtime(config)
+    for dt in (config.dt_s, 0.3):
+        sim = Simulation(runtime.grid, runtime.field, runtime.table, config.schedule,
+                         dt=dt, seed=config.seed)
+        sim.run(config.max_steps)
+        assert_log_outputs_match_oracle(sim, runtime.grid.cell_size_m)
 
 
 def test_seed_sequences_are_distinct_and_stable():

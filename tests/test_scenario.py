@@ -206,6 +206,31 @@ def test_build_runtime_rejects_source_where_field_underflows(tmp_path):
     assert build_runtime(replace(cfg, gamma=0.8)).field.values[0, 0] > 0.0
 
 
+def test_build_runtime_rejects_subnormal_plateau(tmp_path):
+    """Past about 3,350 hops at gamma 0.8 the field sticks at 1e-323: 147
+    cells of a 1 x 3500 corridor share that value and none has a higher
+    neighbour. The far end's own value is positive, so only the plateau
+    check stops it."""
+    (tmp_path / "long.layout").write_text(corridor_layout(3500))
+    cfg = ScenarioConfig(name="long", layout_path=tmp_path / "long.layout")
+    with pytest.raises(ConfigError, match=r"cell \(0, \d+\) lies on a plateau.*gamma 0.8"):
+        build_runtime(cfg)
+    assert build_runtime(replace(cfg, gamma=0.9)).field.values[0, 0] > 1e-300
+
+
+@pytest.mark.parametrize("text,needle", [
+    ("[run]\ndt_s = inf\n", "[run] dt_s"),
+    ("[run]\ndt_s = nan\n", "[run] dt_s"),
+    ("[field]\nbase_reward = inf\n", "[field] base_reward"),
+    ("[field]\nbase_reward = nan\n", "[field] base_reward"),
+    ("[sinks]\n0,2 = nan\n", "[sinks] 0,2"),
+    ("[table]\n0 = 1.0 1.0\n1 = nan 0.5\n2 = 0.0 0.0\n", "density 1"),
+])
+def test_parse_rejects_non_finite_numbers(corridor_dir, text, needle):
+    with pytest.raises(ConfigError, match=needle.replace("[", r"\[")):
+        parse_scenario("[layout]\npath = corridor.layout\n" + text, "bad", corridor_dir)
+
+
 def test_simulate_corridor_end_to_end(corridor_dir):
     text = "[layout]\npath = corridor.layout\n[spawn]\n0,0 = 1@0\n"
     cfg = parse_scenario(text, "demo", corridor_dir)
