@@ -66,6 +66,10 @@ class SpeedDensityTable:
             raise ValueError("entry probability must be 0 at the final row")
         if probs[0] <= 0.0:
             raise ValueError("entry probability at density 0 must be positive")
+        for d, u, _ in self.entries[:self.capacity]:
+            if u == 0.0:
+                raise ValueError(f"speed 0 at density {d}, which a cell can reach, "
+                                 "would hold its agents in place forever")
 
     @cached_property
     def _speeds(self) -> tuple[float, ...]:

@@ -42,9 +42,6 @@ class FloorField:
     base_reward: float
     rounds: int
 
-    def value(self, cell: Cell) -> float:
-        return float(self.values[cell])
-
 
 def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
                   base_reward: float = DEFAULT_BASE_REWARD) -> FloorField:
@@ -144,6 +141,14 @@ def greedy_descent(field: FloorField, grid: LayoutGrid, start: Cell) -> list[Cel
 
 
 def field_to_csv(field: FloorField) -> str:
-    """Full-precision CSV, one line per grid row."""
-    lines = [",".join(repr(float(v)) for v in row) for row in field.values]
-    return "\n".join(lines) + "\n"
+    """Full-precision CSV, one line per grid row.
+
+    A solved field holds few distinct values (base reward x weight x
+    gamma^hops), so each distinct bit pattern is formatted once; the text of
+    a value depends only on its bits, -0.0 and subnormals included.
+    """
+    values = np.asarray(field.values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    cells = text[inverse.reshape(values.shape)].tolist()
+    return "".join([",".join(row) + "\n" for row in cells])

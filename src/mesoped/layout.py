@@ -40,6 +40,8 @@ _DIAG_SIDES = {
     "SW": ((BOTTOM, LEFT), (TOP, RIGHT)),
     "NW": ((TOP, LEFT), (BOTTOM, RIGHT)),
 }
+# The canonical spelling of each wall code, as `serialize_layout` writes it.
+_WALL_CODES = {str(code): code for code in range(16)}
 # Move names for each 8-bit permission mask, bit k standing for DIRECTIONS[k].
 _MOVES_BY_MASK = tuple(tuple(d for k, d in enumerate(DIRECTIONS) if mask >> k & 1)
                        for mask in range(1 << len(DIRECTIONS)))
@@ -227,6 +229,16 @@ def validate_grid(grid: LayoutGrid) -> None:
         raise ParseError(f"cell {sorted(overlap)[0]} is both source and sink")
 
 
+def _parse_wall_code(tok: str, no: int) -> int:
+    try:
+        code = int(tok)
+    except ValueError:
+        raise ParseError(f"line {no}: wall code {tok!r} is not an integer") from None
+    if not 0 <= code <= 15:
+        raise ParseError(f"line {no}: wall code {code} outside [0, 15]")
+    return code
+
+
 def parse_layout(text: str) -> LayoutGrid:
     """Parse the plain-text layout format and return a validated grid.
 
@@ -259,16 +271,10 @@ def parse_layout(text: str) -> LayoutGrid:
         tokens = ln.split()
         if len(tokens) != cols:
             raise ParseError(f"line {no}: expected {cols} wall codes, found {len(tokens)}")
-        row = []
-        for tok in tokens:
-            try:
-                code = int(tok)
-            except ValueError:
-                raise ParseError(f"line {no}: wall code {tok!r} is not an integer") from None
-            if not 0 <= code <= 15:
-                raise ParseError(f"line {no}: wall code {code} outside [0, 15]")
-            row.append(code)
-        walls.append(tuple(row))
+        try:
+            walls.append(tuple(map(_WALL_CODES.__getitem__, tokens)))
+        except KeyError:  # a spelling such as "07" or "+3", or a bad token
+            walls.append(tuple(_parse_wall_code(tok, no) for tok in tokens))
 
     sinks: list[tuple[Cell, float]] = []
     sources: list[Cell] = []

@@ -42,9 +42,6 @@ class ScenarioConfig:
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return replace(self, seed=seed)
 
-    def with_population(self, population: int) -> "ScenarioConfig":
-        return replace(self, schedule=redistribute(self.schedule, population))
-
 
 def redistribute(schedule: tuple[SpawnEntry, ...], population: int) -> tuple[SpawnEntry, ...]:
     """Spread `population` agents round-robin over the schedule's entries."""
@@ -193,9 +190,11 @@ def load_scenario(source: str | Path) -> ScenarioConfig:
     """Load a scenario from a file path or a bundled scenario name."""
     path = Path(source)
     if path.suffix == ".scenario" or path.exists():
-        if not path.exists():
-            raise ConfigError(f"scenario file {path} not found")
-        return parse_scenario(path.read_text(), path.stem, path.parent)
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
+        return parse_scenario(text, path.stem, path.parent)
     root = resources.files("mesoped") / "scenarios"
     candidate = root / f"{source}.scenario"
     if not candidate.is_file():

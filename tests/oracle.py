@@ -23,6 +23,10 @@ Event log outputs: `summarize` and `events_to_csv` walk the log as
 event at a time with dicts and f-strings. `mesoped.metrics.summarize` and
 `mesoped.engine.events_to_csv`, which read the log's columns, must equal
 them exactly.
+
+Field CSV: `field_to_csv` formats every cell with its own `repr`;
+`mesoped.floorfield.field_to_csv`, which formats each distinct value once,
+must equal its text exactly.
 """
 
 from __future__ import annotations
@@ -237,4 +241,10 @@ def events_to_csv(events) -> str:
     lines = ["step,clock_s,agent_id,event,row,col"]
     for step_i, clock, aid, kind, r, c in events:
         lines.append(f"{step_i},{clock!r},{aid},{kind},{r},{c}")
+    return "\n".join(lines) + "\n"
+
+
+def field_to_csv(field: FloorField) -> str:
+    """One `repr` per cell."""
+    lines = [",".join(repr(float(v)) for v in row) for row in field.values]
     return "\n".join(lines) + "\n"

@@ -5,8 +5,10 @@ import pytest
 from gridgen import corridor_layout
 from mesoped.cli import (DimensionMismatch, check_refinement, main,
                          parse_populations)
+from mesoped.floorfield import field_to_csv
 from mesoped.layout import parse_layout
-from mesoped.scenario import ConfigError
+from mesoped.scenario import (ConfigError, build_runtime, bundled_scenarios,
+                              load_scenario)
 
 CORRIDOR_LAYOUT = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
 CORRIDOR_SCENARIO = """
@@ -130,6 +132,36 @@ def test_export_field(corridor_scenario, tmp_path):
     assert out.read_text() == "64.0,80.0,100.0\n"
 
 
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_export_field_writes_field_to_csv(name, tmp_path):
+    out = tmp_path / "field.csv"
+    assert main(["export-field", name, "--out", str(out)]) == 0
+    assert out.read_text() == field_to_csv(build_runtime(load_scenario(name)).field)
+
+
+def test_run_directory_as_scenario_is_config_error(tmp_path, capsys):
+    scenario_dir = tmp_path / "scenarios"
+    scenario_dir.mkdir()
+    assert main(["run", str(scenario_dir), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(scenario_dir) in err
+
+
+def test_export_field_to_directory_is_config_error(corridor_scenario, tmp_path, capsys):
+    assert main(["export-field", str(corridor_scenario), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path) in err
+
+
+def test_run_out_is_existing_file_is_config_error(corridor_scenario, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["run", str(corridor_scenario), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+    assert out.read_text() == "not a directory\n"
+
+
 def test_sweep_writes_one_row_per_population(corridor_scenario, tmp_path):
     out = tmp_path / "sweep"
     code = main(["sweep", str(corridor_scenario), "--pop", "1,2",
@@ -248,6 +280,20 @@ def test_run_rejects_non_finite_numbers(tmp_path, capsys, layout, extra, needle)
     assert main(["run", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err
+    assert not out.exists()
+
+
+def test_run_table_with_zero_speed_below_capacity_is_config_error(tmp_path, capsys):
+    """A lone agent in a cell it may share with nobody walks at speed 0: it
+    would stay until the step limit."""
+    (tmp_path / "corridor.layout").write_text(CORRIDOR_LAYOUT)
+    path = tmp_path / "frozen.scenario"
+    path.write_text("[layout]\npath = corridor.layout\n[spawn]\n0,0 = 1@0\n"
+                    "[table]\n0 = 0 1.0\n1 = 0 0\n")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[table]" in err and "density 0" in err
     assert not out.exists()
 
 

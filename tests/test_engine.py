@@ -92,6 +92,8 @@ def test_table_lookup_out_of_range():
     ((0, 1.0, 0.0), (1, 0.5, 0.0)),                  # nothing can ever enter
     ((0, 1.0, 1.0), (1, math.nan, 0.0)),             # NaN speed
     ((0, math.inf, 1.0), (1, 0.5, 0.0)),             # infinite speed
+    ((0, 0.0, 1.0), (1, 0.0, 0.0)),                  # a lone agent never moves
+    ((0, 1.0, 1.0), (1, 0.0, 0.5), (2, 0.0, 0.0)),   # two agents freeze in a cell
 ])
 def test_table_validation_rejects(entries):
     with pytest.raises(ValueError):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from gridgen import corridor_layout, open_hall, random_grid
-from mesoped.floorfield import (DEFAULT_BASE_REWARD, DEFAULT_GAMMA, Stuck,
-                                compute_field, distance_field, field_to_csv,
-                                greedy_descent)
+from mesoped.floorfield import (DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField,
+                                Stuck, compute_field, distance_field,
+                                field_to_csv, greedy_descent)
 from mesoped.layout import (BOTTOM, DIR_VECTORS, LEFT, RIGHT, TOP, LayoutGrid,
                             moves_of, parse_layout)
 from mesoped.scenario import (apply_sink_multipliers, bundled_scenarios,
                               load_scenario)
+from oracle import field_to_csv as field_to_csv_oracle
 from oracle import value_iteration
 
 CORRIDOR_1X3 = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
@@ -26,6 +27,10 @@ def assert_matches_oracle(grid, gamma=DEFAULT_GAMMA, base_reward=DEFAULT_BASE_RE
     field = compute_field(grid, gamma, base_reward)
     assert np.array_equal(field.values, value_iteration(grid, gamma, base_reward))
     return field
+
+
+def assert_csv_matches_oracle(field):
+    assert field_to_csv(field) == field_to_csv_oracle(field)
 
 
 def assert_bellman_fixed_point(field, grid):
@@ -91,6 +96,7 @@ def test_matches_value_iteration_on_bundled_scenarios():
                                       config.sink_multipliers)
         field = assert_matches_oracle(grid, config.gamma, config.base_reward)
         assert_bellman_fixed_point(field, grid)
+        assert_csv_matches_oracle(field)
 
 
 @pytest.mark.parametrize("size", [50, 100])
@@ -107,6 +113,7 @@ def test_matches_value_iteration_on_random_grids(gamma, random_grids):
         field = compute_field(grid, gamma)
         assert np.array_equal(field.values, value_iteration(grid, gamma)), k
         assert_bellman_fixed_point(field, grid)
+        assert_csv_matches_oracle(field)
 
 
 def test_sink_value_is_base_times_weight():
@@ -228,3 +235,26 @@ def test_field_is_deterministic():
     b = compute_field(grid)
     assert np.array_equal(a.values, b.values)
     assert field_to_csv(a) == field_to_csv(b)
+
+
+@pytest.mark.parametrize("size", [50, 100, 200])
+def test_field_csv_matches_oracle_on_halls(size):
+    assert_csv_matches_oracle(compute_field(open_hall(size), gamma=0.9))
+
+
+def bare_field(values):
+    return FloorField(values=np.asarray(values, dtype=np.float64), gamma=DEFAULT_GAMMA,
+                      base_reward=DEFAULT_BASE_REWARD, rounds=0)
+
+
+def test_field_csv_matches_oracle_on_distinct_values():
+    """40,000 distinct values: no value is formatted twice."""
+    values = np.random.default_rng(11).random((200, 200)) * 100.0
+    assert np.unique(values).size == values.size
+    assert_csv_matches_oracle(bare_field(values))
+
+
+def test_field_csv_keeps_signed_zero_and_subnormals_apart():
+    field = bare_field([[0.0, -0.0, 5e-324], [1e-310, -0.0, 0.0]])
+    assert_csv_matches_oracle(field)
+    assert field_to_csv(field) == "0.0,-0.0,5e-324\n1e-310,-0.0,0.0\n"

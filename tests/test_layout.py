@@ -208,6 +208,24 @@ def test_parse_rejects_malformed_inputs(text, err):
         parse_layout(text)
 
 
+def test_parse_accepts_non_canonical_wall_code_spellings():
+    text = "# two rows\n2 2 1.0\n\n09 12\n +3 6\nsink 1 1 1\nsource 0 0\n"
+    assert parse_layout(text).walls == ((9, 12), (3, 6))
+    assert parse_layout("2 1 1.0\n13\n07\nsink 1 0 1\nsource 0 0\n").walls == ((13,), (7,))
+
+
+@pytest.mark.parametrize("token,message", [
+    ("16", "line 4: wall code 16 outside [0, 15]"),
+    ("-1", "line 4: wall code -1 outside [0, 15]"),
+    ("x", "line 4: wall code 'x' is not an integer"),
+])
+def test_parse_bad_wall_code_names_line_and_code(token, message):
+    text = f"2 2 1.0\n9 12\n# the bad row\n3 {token}\nsink 1 1 1\nsource 0 0\n"
+    with pytest.raises(ParseError) as exc:
+        parse_layout(text)
+    assert str(exc.value) == message
+
+
 def test_parse_error_carries_line_number():
     text = "1 2 1.0\n10 99\nsink 0 1 1\nsource 0 0\n"
     with pytest.raises(ParseError, match="line 2"):

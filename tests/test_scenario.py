@@ -111,9 +111,9 @@ def test_with_seed_and_population():
                          schedule=(SpawnEntry((0, 0), 3, 0),
                                    SpawnEntry((1, 0), 3, 4)))
     assert cfg.with_seed(9).seed == 9
-    repop = cfg.with_population(5)
-    assert [e.count for e in repop.schedule] == [3, 2]
-    assert [e.release_step for e in repop.schedule] == [0, 4]
+    repop = redistribute(cfg.schedule, 5)
+    assert [e.count for e in repop] == [3, 2]
+    assert [e.release_step for e in repop] == [0, 4]
 
 
 def test_redistribute_round_robin():
