@@ -7,18 +7,15 @@ from .layout import (
     OutOfBounds, ParseError, ProtectedCell, decode_wall_code, encode_wall_code,
     moves_of, obstacle, parse_layout, serialize_layout, validate_grid,
 )
-from .floorfield import (
-    FloorField, Stuck, compute_field, distance_field, field_to_csv,
-    greedy_descent,
-)
+from .floorfield import FloorField, Stuck, compute_field, field_to_csv, greedy_descent
 from .engine import (
-    Agent, MESO_TABLE, MICRO_TABLE, OutOfRange, Simulation, SimulationState,
+    MESO_TABLE, MICRO_TABLE, OutOfRange, Simulation, SimulationState,
     SpawnEntry, SpeedDensityTable, events_to_csv, render_snapshot,
 )
 from .metrics import RunMetrics, SweepPoint, summarize, sweep
 from .scenario import (
     ConfigError, ScenarioConfig, Runtime, build_runtime, bundled_scenarios,
-    load_scenario, make_simulation, simulate,
+    load_scenario, make_simulation,
 )
 from .cli import DimensionMismatch, compare
 

@@ -63,11 +63,29 @@ def parse_populations(spec: str) -> list[int]:
                 raise ValueError
             return list(range(lo, hi + 1))
         populations = [int(tok) for tok in spec.split(",") if tok.strip()]
-        if not populations:
+        if not populations or min(populations) < 0:
             raise ValueError
         return populations
     except ValueError:
         raise ConfigError(f"bad population spec {spec!r}; use N, A,B,C, or LO..HI") from None
+
+
+def _with_seed(config: ScenarioConfig, seed: int | None) -> ScenarioConfig:
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
+    return config if seed is None else config.with_seed(seed)
+
+
+def _out_dir(out: str | None, default_name: str) -> Path:
+    """The output directory, checked before any work: it, or else its nearest
+    existing ancestor, must be a writable directory. Nothing is created yet,
+    so a command that fails later leaves nothing behind."""
+    path = Path(out) if out else default_out_dir() / default_name
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write to output directory {path}: "
+                          f"{existing} is not a writable directory")
+    return path
 
 
 def _write(path: Path, text: str) -> None:
@@ -79,12 +97,11 @@ def _write(path: Path, text: str) -> None:
 
 
 def cmd_run(args) -> int:
-    config = load_scenario(args.scenario)
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
+    config = _with_seed(load_scenario(args.scenario), args.seed)
     max_steps = config.max_steps if args.steps is None else args.steps
     if max_steps < 0:
         raise ConfigError(f"--steps must be non-negative, got {max_steps}")
+    out_dir = _out_dir(args.out, f"{config.name}-seed{config.seed}")
     runtime = build_runtime(config)
     sim = make_simulation(runtime, config)
 
@@ -96,7 +113,6 @@ def cmd_run(args) -> int:
 
     sim.run(max_steps, on_step=on_step if args.snapshots else None)
 
-    out_dir = Path(args.out) if args.out else default_out_dir() / f"{config.name}-seed{config.seed if args.seed is None else args.seed}"
     m = summarize(sim.state.log, runtime.grid.cell_size_m)
     sinks = [cell for cell, _ in runtime.grid.sinks]
     _write(out_dir / "events.csv", events_to_csv(sim.state.log))
@@ -105,7 +121,8 @@ def cmd_run(args) -> int:
     if args.snapshots:
         _write(out_dir / "snapshots.txt", "\n".join(snapshots))
 
-    print(f"{config.name}: spawned {sim.state.spawned}, exited {len(sim.state.exited)}, "
+    print(f"{config.name}: spawned {sim.state.spawned}, "
+          f"exited {sim.state.spawned - len(sim.state.present)}, "
           f"steps {sim.state.step_index}, clock {sim.state.clock:g} s -> {out_dir}")
     if sim.state.pending_count > 0:
         print(f"warning: {sim.state.pending_count} scheduled agents never spawned "
@@ -125,14 +142,12 @@ def cmd_export_field(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = load_scenario(args.scenario)
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
+    config = _with_seed(load_scenario(args.scenario), args.seed)
     populations = parse_populations(args.pop)
+    out_dir = _out_dir(args.out, f"{config.name}-sweep")
     runtime = build_runtime(config)
     points = sweep(config, populations, args.seeds, runtime)
     sinks = [cell for cell, _ in runtime.grid.sinks]
-    out_dir = Path(args.out) if args.out else default_out_dir() / f"{config.name}-sweep"
     _write(out_dir / "metrics.csv", metrics_csv([(p.population, p) for p in points], sinks))
     print(f"{config.name}: {len(points)} population points x {args.seeds} seeds -> {out_dir}")
     return 0 if all(p.completed for p in points) else 3
@@ -142,8 +157,8 @@ def cmd_compare(args) -> int:
     meso_config = load_scenario(args.meso)
     micro_config = load_scenario(args.micro)
     populations = parse_populations(args.pop)
+    out_dir = _out_dir(args.out, f"{meso_config.name}-vs-{micro_config.name}")
     meso_points, micro_points = compare(meso_config, micro_config, populations, args.seeds)
-    out_dir = Path(args.out) if args.out else default_out_dir() / f"{meso_config.name}-vs-{micro_config.name}"
     _write(out_dir / "comparison.csv", comparison_csv(populations, meso_points, micro_points))
     print(f"{meso_config.name} vs {micro_config.name}: {len(populations)} population "
           f"points x {args.seeds} seeds -> {out_dir}")

@@ -167,20 +167,13 @@ class EventLog:
                        *divmod(self.cells[k], cols))
 
 
-@dataclass(slots=True)
-class Agent:
-    """One pedestrian: its cell, that cell's flat index `at`, and the clock
-    at which it entered the cell (`t_in`) and the grid (`spawn_time`)."""
-
-    id: int
-    cell: Cell
-    at: int
-    t_in: float
-    spawn_time: float
-
-
 class SimulationState:
-    """Mutable per-run state: clock, roster, density, pending spawns, event log."""
+    """Mutable per-run state: clock, agent columns, density, pending spawns, event log.
+
+    Agent ids count up from 0 in spawn order and index the columns: `at[a]` is
+    agent a's flat cell and `t_in[a]` the clock at which it entered it.
+    `present` holds the ids still inside, ascending; the rest is in the log.
+    """
 
     def __init__(self, grid: LayoutGrid, rng: np.random.Generator,
                  schedule: tuple[SpawnEntry, ...], dt: float) -> None:
@@ -188,13 +181,16 @@ class SimulationState:
         self.step_index = 0
         self.rng = rng
         self.density = [0] * (grid.rows * grid.cols)
-        self.agents: dict[int, Agent] = {}
-        self.exited: list[Agent] = []
+        self.at: list[int] = []
+        self.t_in: list[float] = []
+        self.present: list[int] = []
         self.log = EventLog(dt, grid.cols)
-        self.next_id = 0
-        self.spawned = 0
-        # mutable [flat cell, remaining, release_step] work list
+        # mutable [flat cell, remaining, release_step] work list, unspent entries only
         self.pending = [[grid.index(e.cell), e.count, e.release_step] for e in schedule]
+
+    @property
+    def spawned(self) -> int:
+        return len(self.at)
 
     @property
     def pending_count(self) -> int:
@@ -204,10 +200,11 @@ class SimulationState:
 class Simulation:
     """Owns one run: layout, field, table, schedule, state, and the event log.
 
-    The step loop reads per-run lookup tables instead of the layout and the
-    field: each cell's move mask (`LayoutGrid.move_masks`) selects a tuple of
-    (flat offset, orthogonal?) moves, field values sit in a flat array, and
-    entry probabilities and dwell times are indexed by density.
+    The step loop reads lookup tables cached on the layout and the field,
+    built once per runtime: each cell's move mask (`LayoutGrid.move_masks`)
+    selects a tuple of flat move offsets (`LayoutGrid.move_offsets`), sink
+    flags (`LayoutGrid.sink_flags`) and field values (`FloorField.flat`) are
+    indexed by flat cell, and entry probabilities and dwell times by density.
     """
 
     def __init__(self, grid: LayoutGrid, field: FloorField,
@@ -225,10 +222,6 @@ class Simulation:
         self.field = field
         self.table = table
         self.dt = dt = float(dt)
-        self._values = array("d", field.values.tobytes())
-        self._is_sink = bytearray(grid.rows * grid.cols)
-        for cell, _ in grid.sinks:
-            self._is_sink[grid.index(cell)] = 1
         # Time to cross a cell for each count of other occupants; None where
         # the speed is 0 and the agent cannot leave.
         diameter = grid.cell_size_m * DIAMETER_FACTOR
@@ -240,22 +233,24 @@ class Simulation:
         self._spawn()
 
     def _spawn(self) -> None:
+        """Release due agents into their source cells while there is room,
+        then drop the schedule entries that are spent."""
         state = self.state
         capacity = self.table.capacity
+        density, at, t_in, present = state.density, state.at, state.t_in, state.present
         for entry in state.pending:
-            idx, remaining, release = entry
-            if release > state.step_index or remaining == 0:
+            idx, _, release = entry
+            if release > state.step_index:
                 continue
-            cell = divmod(idx, self.grid.cols)
-            while entry[1] > 0 and state.density[idx] < capacity:
-                agent = Agent(id=state.next_id, cell=cell, at=idx,
-                              t_in=state.clock, spawn_time=state.clock)
-                state.next_id += 1
-                state.spawned += 1
-                state.agents[agent.id] = agent
-                state.density[idx] += 1
+            while entry[1] > 0 and density[idx] < capacity:
+                aid = len(at)
+                at.append(idx)
+                t_in.append(state.clock)
+                present.append(aid)
+                density[idx] += 1
                 entry[1] -= 1
-                state.log.append(state.step_index, agent.id, EVENT_SPAWN, idx)
+                state.log.append(state.step_index, aid, EVENT_SPAWN, idx)
+        state.pending = [entry for entry in state.pending if entry[1]]
 
     def step(self) -> SimulationState:
         """Advance one interval: spawn, absorb sink-standing agents, move the rest.
@@ -272,53 +267,57 @@ class Simulation:
         clock = state.clock = step_i * self.dt
         log = state.log
         log.open_step(step_i)
-        self._spawn()
+        if state.pending:
+            self._spawn()
 
-        agents, density = state.agents, state.density
-        is_sink = self._is_sink
-        for aid in sorted(aid for aid, a in agents.items() if is_sink[a.at]):
-            agent = agents.pop(aid)
-            density[agent.at] -= 1
-            state.exited.append(agent)
-            log.append(step_i, aid, EVENT_EXIT, agent.at)
+        at, t_in, density = state.at, state.t_in, state.density
+        is_sink = self.grid.sink_flags
+        gone = [aid for aid in state.present if is_sink[at[aid]]]
+        if gone:
+            for aid in gone:
+                density[at[aid]] -= 1
+                log.append(step_i, aid, EVENT_EXIT, at[aid])
+            state.present = [aid for aid in state.present if not is_sink[at[aid]]]
 
-        ids = sorted(agents)
+        # Shuffling a copy makes the same draws as `permutation(len(ids))` and
+        # leaves the ids in the order that permutation would give them.
+        ids = state.present[:]
         if len(ids) > 1:
-            ids = [ids[k] for k in state.rng.permutation(len(ids)).tolist()]
+            state.rng.shuffle(ids)
         masks, moves_by_mask = self.grid.move_masks, self.grid.move_offsets
-        values, probs, dwell = self._values, self.table._probs, self._dwell
+        values, probs, dwell = self.field.flat, self.table._probs, self._dwell
         cols = self.grid.cols
         log_agent, log_kind, log_cell = log.agents.append, log.kinds.append, log.cells.append
         for aid in ids:
-            agent = agents[aid]
-            i = agent.at
+            i = at[aid]
             wait = dwell[density[i] - 1]
-            if wait is None or clock < agent.t_in + wait:
+            if wait is None or clock < t_in[aid] + wait:
                 continue
             best = 0.0
             ties = None
-            for offset, ortho in moves_by_mask[masks[i]]:
+            for offset in moves_by_mask[masks[i]]:
                 j = i + offset
                 score = probs[density[j]] * values[j]
                 if score > best:
-                    best, dest, dest_ortho, ties = score, j, ortho, None
+                    best, dest, ties = score, j, None
                 elif score == best and best > 0.0:
                     if ties is None:
-                        ties = [(dest, dest_ortho)]
-                    ties.append((j, ortho))
+                        ties = [dest]
+                    ties.append(j)
             if best <= 0.0:
                 log_agent(aid)
                 log_kind(STAY)
                 log_cell(i)
                 continue
             if ties is not None:
-                pool = [j for j, ortho in ties if ortho] or [j for j, _ in ties]
+                # A move is orthogonal when it keeps the row or the column.
+                r, c = divmod(i, cols)
+                pool = [j for j in ties if j // cols == r or j % cols == c] or ties
                 dest = pool[0] if len(pool) == 1 else pool[int(state.rng.integers(len(pool)))]
             density[i] -= 1
             density[dest] += 1
-            agent.at = dest
-            agent.cell = divmod(dest, cols)
-            agent.t_in = clock
+            at[aid] = dest
+            t_in[aid] = clock
             log_agent(aid)
             log_kind(MOVE)
             log_cell(dest)
@@ -329,7 +328,7 @@ class Simulation:
         if on_step is not None:
             on_step(self)
         for _ in range(max_steps):
-            if not self.state.agents and self.state.pending_count == 0:
+            if self.completed:
                 break
             self.step()
             if on_step is not None:
@@ -344,7 +343,7 @@ class Simulation:
 
     @property
     def completed(self) -> bool:
-        return not self.state.agents and self.state.pending_count == 0
+        return not self.state.present and not self.state.pending
 
 
 def events_to_csv(log: EventLog) -> str:

@@ -15,8 +15,8 @@ about 1,080 hops at gamma 0.5.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +41,15 @@ class FloorField:
     gamma: float
     base_reward: float
     rounds: int
+
+    @cached_property
+    def flat(self) -> list[float]:
+        """The values in row-major order, one shared float per distinct bit
+        pattern: the step loop reads them without making a float each time."""
+        values = np.asarray(self.values, dtype=np.float64)
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        distinct = bits.view(np.float64).tolist()
+        return [distinct[k] for k in inverse.ravel().tolist()]
 
 
 def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
@@ -79,30 +88,6 @@ def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
         values[risen] = new[up]
     return FloorField(values=values[:n].reshape(grid.rows, grid.cols),
                       gamma=gamma, base_reward=base_reward, rounds=rounds)
-
-
-def distance_field(grid: LayoutGrid) -> np.ndarray:
-    """Hop distance to the nearest sink over permitted moves; inf if unreachable.
-
-    Breadth-first from all sinks at once. Move permission is symmetric on a
-    consistent grid, so expanding outward with each cell's own move list is
-    equivalent to searching move-reversed edges.
-    """
-    dist = np.full((grid.rows, grid.cols), np.inf)
-    queue: deque[Cell] = deque()
-    for cell, _ in grid.sinks:
-        dist[cell] = 0.0
-        queue.append(cell)
-    while queue:
-        r, c = queue.popleft()
-        d = dist[r, c] + 1.0
-        for name in moves_of(grid, (r, c)):
-            dr, dc = DIR_VECTORS[name]
-            nxt = (r + dr, c + dc)
-            if d < dist[nxt]:
-                dist[nxt] = d
-                queue.append(nxt)
-    return dist
 
 
 def greedy_descent(field: FloorField, grid: LayoutGrid, start: Cell) -> list[Cell]:

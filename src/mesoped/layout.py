@@ -162,13 +162,19 @@ class LayoutGrid:
         return bits.sum(axis=1, dtype=np.uint8).tobytes()
 
     @cached_property
-    def move_offsets(self) -> tuple[tuple[tuple[int, bool], ...], ...]:
-        """For each of the 256 move masks, its moves as (flat index offset,
-        orthogonal?) pairs in DIRECTIONS order."""
-        moves = [(DIR_VECTORS[d][0] * self.cols + DIR_VECTORS[d][1], d in ORTHOGONAL)
-                 for d in DIRECTIONS]
-        return tuple(tuple(m for k, m in enumerate(moves) if mask >> k & 1)
+    def move_offsets(self) -> tuple[tuple[int, ...], ...]:
+        """For each of the 256 move masks, the flat index offsets of its
+        moves in DIRECTIONS order."""
+        offsets = [DIR_VECTORS[d][0] * self.cols + DIR_VECTORS[d][1] for d in DIRECTIONS]
+        return tuple(tuple(off for k, off in enumerate(offsets) if mask >> k & 1)
                      for mask in range(1 << len(DIRECTIONS)))
+
+    @cached_property
+    def sink_flags(self) -> bytes:
+        """One byte per cell in row-major order: 1 on a sink, else 0."""
+        flags = np.zeros(self.rows * self.cols, dtype=np.uint8)
+        flags[[self.index(cell) for cell, _ in self.sinks]] = 1
+        return flags.tobytes()
 
 
 def moves_of(grid: LayoutGrid, cell: Cell) -> tuple[str, ...]:

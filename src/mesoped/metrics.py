@@ -9,12 +9,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from statistics import fmean
 
 import numpy as np
 
 from .engine import EXIT, MOVE, SPAWN, EventLog
 from .layout import Cell
+
+
+def _fmean(xs) -> float:
+    """The float mean, as `statistics.fmean` computes it: `fsum(xs) / len(xs)`."""
+    return math.fsum(xs) / len(xs)
 
 
 @dataclass(frozen=True)
@@ -75,8 +79,8 @@ def summarize(log: EventLog, cell_size_m: float) -> RunMetrics:
     exit_rows, exit_cols = np.divmod(cells[exits], log.cols)
     return RunMetrics(
         n_agents=n_agents,
-        avg_travel_time_s=fmean(travel.tolist()),
-        avg_distance_m=fmean(distance[exit_agents].tolist()),
+        avg_travel_time_s=_fmean(travel.tolist()),
+        avg_distance_m=_fmean(distance[exit_agents].tolist()),
         per_exit_counts=dict(Counter(zip(exit_rows.tolist(), exit_cols.tolist()))),
         completed=len(exits) == n_agents,
     )
@@ -123,11 +127,11 @@ def sweep(config, populations: list[int], seeds_per_point: int,
         dists = [m.avg_distance_m for m in metrics if m.avg_distance_m is not None]
         counts: dict[Cell, float] = {}
         for cell, _ in runtime.grid.sinks:
-            counts[cell] = fmean([m.per_exit_counts.get(cell, 0) for m in metrics])
+            counts[cell] = _fmean([m.per_exit_counts.get(cell, 0) for m in metrics])
         points.append(SweepPoint(
             population=population,
-            avg_travel_time_s=fmean(travels) if travels else None,
-            avg_distance_m=fmean(dists) if dists else None,
+            avg_travel_time_s=_fmean(travels) if travels else None,
+            avg_distance_m=_fmean(dists) if dists else None,
             per_exit_counts=counts,
             completed=all(m.completed for m in metrics),
             n_runs=len(metrics),

@@ -52,7 +52,7 @@ def redistribute(schedule: tuple[SpawnEntry, ...], population: int) -> tuple[Spa
     counts = [0] * len(schedule)
     for k in range(population):
         counts[k % len(schedule)] += 1
-    return tuple(replace(e, count=n) for e, n in zip(schedule, counts))
+    return tuple(SpawnEntry(e.cell, n, e.release_step) for e, n in zip(schedule, counts))
 
 
 def _parse_cell(key: str, where: str) -> Cell:
@@ -124,6 +124,8 @@ def parse_scenario(text: str, name: str, base_dir: Path) -> ScenarioConfig:
         raise ConfigError(f"{name}: dt_s must be positive")
     if max_steps < 0:
         raise ConfigError(f"{name}: max_steps must be non-negative")
+    if seed < 0:
+        raise ConfigError(f"{name}: [run] seed must be non-negative, got {seed}")
 
     gamma = get("field", "gamma", float, DEFAULT_GAMMA)
     base_reward = get("field", "base_reward", float, DEFAULT_BASE_REWARD)
@@ -283,11 +285,3 @@ def make_simulation(runtime: Runtime, config: ScenarioConfig,
                       dt=config.dt_s, seed=config.seed if seed is None else seed,
                       rng=rng)
 
-
-def simulate(config: ScenarioConfig, seed: int | None = None,
-             max_steps: int | None = None) -> Simulation:
-    """Build and run a scenario in one call."""
-    runtime = build_runtime(config)
-    sim = make_simulation(runtime, config, seed=seed)
-    sim.run(config.max_steps if max_steps is None else max_steps)
-    return sim

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from mesoped.engine import SpawnEntry
-from mesoped.floorfield import distance_field
 from mesoped.layout import (BOTTOM, LEFT, RIGHT, TOP, LayoutGrid,
                             validate_grid)
+from oracle import distance_field
 
 Cell = tuple[int, int]
 
@@ -63,10 +63,16 @@ def _grid_from(rows: int, cols: int, walls: list[list[int]],
 
 def random_grid(rng: np.random.Generator, max_rows: int = 30,
                 max_cols: int = 30, wall_density: float = 0.25,
-                max_sinks: int = 5, uniform_weights: bool = False) -> LayoutGrid:
-    """Random walled room, 1-5 boundary exits, carved until fully connected."""
-    rows = int(rng.integers(3, max_rows + 1))
-    cols = int(rng.integers(3, max_cols + 1))
+                max_sinks: int = 5, uniform_weights: bool = False,
+                min_rows: int = 3, min_cols: int = 3) -> LayoutGrid:
+    """Random walled room, 1-5 boundary exits, carved until fully connected.
+
+    At least one cell is left for a source, so the room needs two cells.
+    """
+    rows = int(rng.integers(min_rows, max_rows + 1))
+    cols = int(rng.integers(min_cols, max_cols + 1))
+    if rows * cols < 2:
+        raise ValueError(f"a {rows}x{cols} room has no cell left for a source")
     walls = _closed_room(rows, cols)
     for r in range(rows):
         for c in range(cols):
@@ -77,7 +83,7 @@ def random_grid(rng: np.random.Generator, max_rows: int = 30,
 
     boundary = [(r, c) for r in range(rows) for c in range(cols)
                 if r in (0, rows - 1) or c in (0, cols - 1)]
-    n_sinks = int(rng.integers(1, max_sinks + 1))
+    n_sinks = int(rng.integers(1, min(max_sinks, rows * cols - 1) + 1))
     picks = rng.permutation(len(boundary))[:n_sinks]
     sinks: list[tuple[Cell, float]] = []
     for i in picks:

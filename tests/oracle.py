@@ -9,14 +9,19 @@ changes; the diagonal Q(i, i) is the navigation field. It costs one sweep
 over every move per hop of grid diameter, so it serves only as the oracle
 that `mesoped.floorfield.compute_field` must match bit for bit.
 
+Hop distances: `distance_field`, a breadth-first search over `moves_of`,
+is the shortest-path reference that greedy descent of the field must
+follow (criterion 2), and the connectivity check of `gridgen.random_grid`.
+
 Edge conflicts: a cell-by-cell scan that `mesoped.layout.find_edge_conflicts`
 must match, pair for pair and in order.
 
 Step loop: the engine's movement rule written agent by agent over
-`Cell` tuples, through `moves_of`, `DIR_VECTORS` and the table's lookup
-methods. `ReferenceSimulation` runs it in place of the flat step loop of
-`mesoped.engine.Simulation`, whose event logs and densities must match it
-exactly. It logs through `EventLog.append`, one event at a time.
+`Agent` objects kept in a dict, through `Cell` tuples, `moves_of`,
+`DIR_VECTORS` and the table's lookup methods. `ReferenceSimulation` runs it
+in place of `mesoped.engine.Simulation`, whose flat step loop over agent
+columns must match its event logs and densities exactly. It logs through
+`EventLog.append`, one event at a time.
 
 Event log outputs: `summarize` and `events_to_csv` walk the log as
 `(step, clock, agent, kind, row, col)` tuples (`Simulation.events`), one
@@ -32,14 +37,14 @@ must equal its text exactly.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
+from dataclasses import dataclass
 from statistics import fmean
 
 import numpy as np
 
 from mesoped.engine import (DIAMETER_FACTOR, EVENT_EXIT, EVENT_MOVE, EVENT_SPAWN,
-                            EVENT_STAY, Agent, Simulation, SimulationState,
-                            SpeedDensityTable)
+                            EVENT_STAY, EventLog, SpawnEntry, SpeedDensityTable)
 from mesoped.floorfield import DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField
 from mesoped.layout import (BOTTOM, DIR_VECTORS, LEFT, ORTHOGONAL, RIGHT, TOP,
                             LayoutGrid, moves_of)
@@ -76,6 +81,30 @@ def value_iteration(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
         q = new
 
 
+def distance_field(grid: LayoutGrid) -> np.ndarray:
+    """Hop distance to the nearest sink over permitted moves; inf if unreachable.
+
+    Breadth-first from all sinks at once. Move permission is symmetric on a
+    consistent grid, so expanding outward with each cell's own move list is
+    equivalent to searching move-reversed edges.
+    """
+    dist = np.full((grid.rows, grid.cols), np.inf)
+    queue: deque[tuple[int, int]] = deque()
+    for cell, _ in grid.sinks:
+        dist[cell] = 0.0
+        queue.append(cell)
+    while queue:
+        r, c = queue.popleft()
+        d = dist[r, c] + 1.0
+        for name in moves_of(grid, (r, c)):
+            dr, dc = DIR_VECTORS[name]
+            nxt = (r + dr, c + dc)
+            if d < dist[nxt]:
+                dist[nxt] = d
+                queue.append(nxt)
+    return dist
+
+
 def edge_conflicts(walls) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """Pairs whose shared edge the two cells encode differently, row-major,
     each cell's east edge before its south edge."""
@@ -91,7 +120,40 @@ def edge_conflicts(walls) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     return bad
 
 
-def dwell_elapsed(agent: Agent, state: SimulationState, grid: LayoutGrid,
+@dataclass(slots=True)
+class Agent:
+    """One pedestrian: its cell, that cell's flat index `at`, and the clock
+    at which it entered the cell (`t_in`) and the grid (`spawn_time`)."""
+
+    id: int
+    cell: tuple[int, int]
+    at: int
+    t_in: float
+    spawn_time: float
+
+
+class ReferenceState:
+    """Per-run state with one `Agent` object per agent inside, keyed by id."""
+
+    def __init__(self, grid: LayoutGrid, rng: np.random.Generator,
+                 schedule: tuple[SpawnEntry, ...], dt: float) -> None:
+        self.clock = 0.0
+        self.step_index = 0
+        self.rng = rng
+        self.density = [0] * (grid.rows * grid.cols)
+        self.agents: dict[int, Agent] = {}
+        self.exited: list[Agent] = []
+        self.log = EventLog(dt, grid.cols)
+        self.next_id = 0
+        self.spawned = 0
+        self.pending = [[grid.index(e.cell), e.count, e.release_step] for e in schedule]
+
+    @property
+    def pending_count(self) -> int:
+        return sum(rem for _, rem, _ in self.pending)
+
+
+def dwell_elapsed(agent: Agent, state: ReferenceState, grid: LayoutGrid,
                   table: SpeedDensityTable) -> bool:
     """True when the agent has finished crossing its cell and may move.
 
@@ -106,7 +168,7 @@ def dwell_elapsed(agent: Agent, state: SimulationState, grid: LayoutGrid,
     return state.clock >= agent.t_in + diameter_m / u
 
 
-def score_candidates(agent: Agent, state: SimulationState, grid: LayoutGrid,
+def score_candidates(agent: Agent, state: ReferenceState, grid: LayoutGrid,
                      field: FloorField, table: SpeedDensityTable) -> list[tuple[str, float]]:
     """Entry probability times navigation value for each permitted direction."""
     r, c = agent.cell
@@ -138,7 +200,7 @@ def choose_move(scores: list[tuple[str, float]], rng: np.random.Generator) -> st
     return pool[int(rng.integers(len(pool)))]
 
 
-def spawn_pass(state: SimulationState, grid: LayoutGrid, table: SpeedDensityTable) -> None:
+def spawn_pass(state: ReferenceState, grid: LayoutGrid, table: SpeedDensityTable) -> None:
     capacity = table.capacity
     for entry in state.pending:
         idx, remaining, release = entry
@@ -156,8 +218,8 @@ def spawn_pass(state: SimulationState, grid: LayoutGrid, table: SpeedDensityTabl
             state.log.append(state.step_index, agent.id, EVENT_SPAWN, idx)
 
 
-def reference_step(state: SimulationState, grid: LayoutGrid, field: FloorField,
-                   table: SpeedDensityTable, dt: float) -> SimulationState:
+def reference_step(state: ReferenceState, grid: LayoutGrid, field: FloorField,
+                   table: SpeedDensityTable, dt: float) -> ReferenceState:
     """One interval, agent by agent: spawn, absorb sink-standing agents, move the rest."""
     state.step_index += 1
     state.clock = state.step_index * dt
@@ -198,11 +260,40 @@ def reference_step(state: SimulationState, grid: LayoutGrid, field: FloorField,
     return state
 
 
-class ReferenceSimulation(Simulation):
-    """A `Simulation` stepped by `reference_step` instead of the flat loop."""
+class ReferenceSimulation:
+    """A run stepped by `reference_step`, with the constructor, `run`,
+    `events` and `completed` of `mesoped.engine.Simulation`."""
 
-    def step(self) -> SimulationState:
+    def __init__(self, grid: LayoutGrid, field: FloorField, table: SpeedDensityTable,
+                 schedule: tuple[SpawnEntry, ...] = (), dt: float = 0.5,
+                 seed: int | None = 0, rng: np.random.Generator | None = None) -> None:
+        self.grid, self.field, self.table, self.dt = grid, field, table, float(dt)
+        if rng is None:
+            rng = np.random.default_rng(seed)
+        self.state = ReferenceState(grid, rng, schedule, self.dt)
+        spawn_pass(self.state, grid, table)
+
+    def step(self) -> ReferenceState:
         return reference_step(self.state, self.grid, self.field, self.table, self.dt)
+
+    def run(self, max_steps: int, on_step=None) -> ReferenceState:
+        if on_step is not None:
+            on_step(self)
+        for _ in range(max_steps):
+            if self.completed:
+                break
+            self.step()
+            if on_step is not None:
+                on_step(self)
+        return self.state
+
+    @property
+    def events(self) -> list[tuple[int, float, int, str, int, int]]:
+        return list(self.state.log)
+
+    @property
+    def completed(self) -> bool:
+        return not self.state.agents and self.state.pending_count == 0
 
 
 def summarize(events, cell_size_m: float) -> RunMetrics:

@@ -11,12 +11,12 @@ from scipy import stats
 
 from gridgen import random_grid, random_schedule
 from mesoped.cli import main
-from mesoped.engine import (MESO_TABLE, MICRO_TABLE, Simulation,
-                            SpeedDensityTable)
-from mesoped.floorfield import compute_field, distance_field, greedy_descent
+from mesoped.engine import EXIT, MESO_TABLE, MICRO_TABLE, SPAWN, Simulation
+from mesoped.floorfield import compute_field, greedy_descent
 from mesoped.metrics import summarize, sweep
 from mesoped.layout import DIR_VECTORS, moves_of
 from mesoped.scenario import build_runtime, load_scenario, make_simulation
+from oracle import distance_field
 
 # The four main-exit cells of the cinema hall; everything else is a side exit.
 CINEMA_MAIN = {(8, 29), (9, 29), (10, 29), (11, 29)}
@@ -154,13 +154,14 @@ def test_criterion_7_conservation_and_capacity():
 
         def check(s):
             state = s.state
-            assert state.spawned == len(state.agents) + len(state.exited), \
+            kinds = state.log.kinds
+            assert kinds.count(SPAWN) == len(state.present) + kinds.count(EXIT), \
                 f"seed {seed} step {state.step_index}: headcount drifted"
             assert max(state.density) <= table.capacity, \
                 f"seed {seed} step {state.step_index}: capacity exceeded"
             recount = [0] * (grid.rows * grid.cols)
-            for agent in state.agents.values():
-                recount[grid.index(agent.cell)] += 1
+            for agent in state.present:
+                recount[state.at[agent]] += 1
             assert recount == state.density, \
                 f"seed {seed} step {state.step_index}: density desynced"
 

@@ -5,6 +5,7 @@ import pytest
 from gridgen import corridor_layout
 from mesoped.cli import (DimensionMismatch, check_refinement, main,
                          parse_populations)
+from mesoped.engine import Simulation
 from mesoped.floorfield import field_to_csv
 from mesoped.layout import parse_layout
 from mesoped.scenario import (ConfigError, build_runtime, bundled_scenarios,
@@ -241,7 +242,7 @@ def test_parse_populations_forms():
     assert parse_populations("1,5,10") == [1, 5, 10]
     assert parse_populations("1..4") == [1, 2, 3, 4]
     assert parse_populations(" 2 , 3 ") == [2, 3]
-    for bad in ("abc", "5..3", "-1..2", "1..x", "", ","):
+    for bad in ("abc", "5..3", "-1..2", "1..x", "", ",", "-1", "3,-2"):
         with pytest.raises(ConfigError):
             parse_populations(bad)
 
@@ -307,4 +308,58 @@ def test_run_subnormal_plateau_is_config_error(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "plateau" in err and "cell (0, " in err
+    assert not out.exists()
+
+
+def refuse_to_run(monkeypatch):
+    """Make any simulation run fail the test: the command must stop first."""
+    def run(self, *args, **kwargs):
+        raise AssertionError("Simulation.run was called")
+    monkeypatch.setattr(Simulation, "run", run)
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "{scenario}"],
+    ["sweep", "{scenario}", "--pop", "1,2", "--seeds", "2"],
+    ["compare", "compare_10x15", "compare_10x15_micro", "--pop", "1", "--seeds", "1"],
+], ids=["run", "sweep", "compare"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+def test_unwritable_out_fails_before_any_run(corridor_scenario, tmp_path, capsys,
+                                             monkeypatch, command, below):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "sub" if below else taken
+    refuse_to_run(monkeypatch)
+    argv = [arg.format(scenario=corridor_scenario) for arg in command]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+    assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["run", "{scenario}", "--seed", "-1"], "--seed"),
+    (["sweep", "compare_10x15", "--pop", "1", "--seeds", "1", "--seed", "-3"], "--seed"),
+    (["compare", "compare_10x15", "compare_10x15_micro", "--pop", "-1", "--seeds", "1"],
+     "population spec"),
+    (["compare", "compare_10x15", "compare_10x15_micro", "--pop", "2,-1", "--seeds", "1"],
+     "population spec"),
+    (["sweep", "compare_10x15", "--pop", "-4", "--seeds", "1"], "population spec"),
+], ids=["run_seed", "sweep_seed", "compare_pop", "compare_pop_list", "sweep_pop"])
+def test_negative_seed_or_population_is_usage_error(corridor_scenario, tmp_path, capsys,
+                                                    argv, needle):
+    out = tmp_path / "out"
+    argv = [arg.format(scenario=corridor_scenario) for arg in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert not out.exists()
+
+
+def test_negative_scenario_seed_is_config_error(corridor_scenario, tmp_path, capsys):
+    corridor_scenario.write_text(CORRIDOR_SCENARIO.replace("seed = 3", "seed = -1"))
+    out = tmp_path / "out"
+    assert main(["run", str(corridor_scenario), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[run] seed" in err
     assert not out.exists()

@@ -9,10 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridgen import random_grid, random_schedule
-from mesoped.engine import (DIAMETER_FACTOR, MESO_TABLE, MICRO_TABLE, Agent,
-                            OutOfRange, Simulation, SpawnEntry,
+from mesoped.engine import (DIAMETER_FACTOR, EXIT, MESO_TABLE, MICRO_TABLE,
+                            SPAWN, OutOfRange, Simulation, SpawnEntry,
                             SpeedDensityTable, events_to_csv, render_snapshot)
 from mesoped.floorfield import compute_field
 from mesoped.layout import parse_layout
@@ -39,11 +40,13 @@ def lone_agent(text=CORRIDOR_1X3, dt=0.5, seed=0, source=(0, 0)):
                       dt=dt, seed=seed)
 
 
-def place(state, grid, cell, t_in=0.0, agent_id=0):
-    agent = Agent(id=agent_id, cell=cell, at=grid.index(cell), t_in=t_in, spawn_time=t_in)
-    state.agents[agent_id] = agent
+def place(state, grid, cell, t_in=0.0):
+    """Put a new agent, the next id in spawn order, in `cell` as if it had
+    entered at `t_in`, without logging a spawn."""
+    state.present.append(state.spawned)
+    state.at.append(grid.index(cell))
+    state.t_in.append(t_in)
     state.density[grid.index(cell)] += 1
-    return agent
 
 
 def first_move(sim, max_steps=50):
@@ -144,8 +147,8 @@ def test_dwell_slows_with_company():
 def test_dwell_full_cell_never_elapses():
     grid, field = corridor()
     sim = Simulation(grid, field, MESO_TABLE, schedule=(), dt=1e8, seed=0)
-    for i in range(6):
-        place(sim.state, grid, (0, 0), agent_id=i)
+    for _ in range(6):
+        place(sim.state, grid, (0, 0))
     for _ in range(10):
         sim.step()
     assert sim.state.clock == 1e9
@@ -161,7 +164,7 @@ def test_score_is_entry_probability_times_navigation():
         assert field.values[0, 3] == 80.0
         sim = Simulation(grid, field, MESO_TABLE, schedule=(SpawnEntry((0, 2), 1),),
                          dt=0.5, seed=0)
-        place(sim.state, grid, (0, 3), t_in=NEVER, agent_id=1)
+        place(sim.state, grid, (0, 3), t_in=NEVER)
         assert first_move(sim) == (2, dest), west_weight
     assert MESO_TABLE.entry_probability(1) == 0.8
 
@@ -171,8 +174,8 @@ def test_score_full_cell_is_zero():
     grid, field = corridor(TWO_EXITS_1X5.format(0.1))
     sim = Simulation(grid, field, MESO_TABLE, schedule=(SpawnEntry((0, 2), 1),),
                      dt=0.5, seed=0)
-    for i in range(1, 6):
-        place(sim.state, grid, (0, 3), t_in=NEVER, agent_id=i)
+    for _ in range(5):
+        place(sim.state, grid, (0, 3), t_in=NEVER)
     assert first_move(sim) == (2, (0, 1))
 
 
@@ -183,8 +186,8 @@ def test_choose_move_argmax_and_stay():
     assert first_move(sim) == (2, (0, 3)), "the higher score wins"
     sim = Simulation(grid, field, MESO_TABLE, schedule=(SpawnEntry((0, 2), 1),),
                      dt=0.5, seed=0)
-    for i, cell in enumerate([(0, 1)] * 5 + [(0, 3)] * 5, start=1):
-        place(sim.state, grid, cell, t_in=NEVER, agent_id=i)
+    for cell in [(0, 1)] * 5 + [(0, 3)] * 5:
+        place(sim.state, grid, cell, t_in=NEVER)
     sim.step()
     sim.step()
     assert sim.events[-1] == (2, 1.0, 0, "stay", 0, 2), "nothing scores above 0"
@@ -224,7 +227,7 @@ def test_corridor_single_agent_event_log():
         (5, 2.5, 0, "exit", 0, 2),
     ]
     assert sim.completed
-    assert sim.state.exited[0].spawn_time == 0.0
+    assert sim.state.present == [] and sim.state.at == [grid.index((0, 2))]
     m = summarize(sim.state.log, grid.cell_size_m)
     assert m.per_exit_counts == {(0, 2): 1}
     assert m.avg_travel_time_s == 2.5
@@ -262,13 +265,13 @@ def test_stay_event_only_for_blocked_movable_agents():
     sim = Simulation(grid, field, MESO_TABLE,
                      schedule=(SpawnEntry((0, 0), 1),), dt=0.5, seed=0)
     state = sim.state
-    for i in range(5):
-        place(state, grid, (0, 1), t_in=0.0, agent_id=100 + i)
+    for _ in range(5):
+        place(state, grid, (0, 1), t_in=0.0)
     sim.step()  # clock 0.5: dwell not elapsed, no stay logged
     sim.step()  # clock 1.0: movable but blocked
     stays = [e for e in sim.events if e[3] == "stay"]
     assert stays == [(2, 1.0, 0, "stay", 0, 0)]
-    assert state.agents[0].t_in == 0.0, "waiting must not reset the dwell clock"
+    assert state.t_in[0] == 0.0, "waiting must not reset the dwell clock"
 
 
 def test_spawn_defers_when_cell_is_full():
@@ -281,8 +284,8 @@ def test_spawn_defers_when_cell_is_full():
     sim.run(max_steps=200)
     assert sim.completed
     assert sim.state.spawned == 7
-    late = [a for a in sim.state.exited if a.spawn_time > 0.0]
-    assert len(late) == 2, "deferred agents carry their actual entry time"
+    late = [e for e in sim.events if e[3] == "spawn" and e[1] > 0.0]
+    assert len(late) == 2, "deferred agents are logged at their actual entry time"
 
 
 def test_release_step_delays_spawn():
@@ -330,10 +333,9 @@ def test_absorption_happens_before_movement():
     grid, field = corridor()
     sim = Simulation(grid, field, MESO_TABLE, schedule=(), dt=0.5, seed=0)
     state = sim.state
-    place(state, grid, (0, 2), t_in=0.0, agent_id=0)
-    state.spawned = 1
+    place(state, grid, (0, 2), t_in=0.0)
     sim.step()
-    assert state.agents == {}
+    assert state.present == []
     assert state.density[grid.index((0, 2))] == 0
     assert sim.events == [(1, 0.5, 0, "exit", 0, 2)]
 
@@ -364,11 +366,12 @@ def test_random_runs_conserve_agents_and_respect_capacity():
 
         def check(s):
             state = s.state
-            assert state.spawned == len(state.agents) + len(state.exited)
+            exits = state.log.kinds.count(EXIT)
+            assert state.log.kinds.count(SPAWN) == state.spawned == len(state.present) + exits
             assert max(state.density) <= MESO_TABLE.capacity
             recount = [0] * (grid.rows * grid.cols)
-            for a in state.agents.values():
-                recount[grid.index(a.cell)] += 1
+            for a in state.present:
+                recount[state.at[a]] += 1
             assert recount == state.density
 
         sim.run(max_steps=800, on_step=check)
@@ -413,3 +416,59 @@ def test_step_matches_reference_loop_on_bundled_scenarios(name):
         lambda cls: cls(runtime.grid, runtime.field, runtime.table, config.schedule,
                         dt=config.dt_s, seed=config.seed),
         max_steps=config.max_steps)
+
+
+@st.composite
+def fuzzed_runs(draw):
+    """A random room of 1-7 rows and columns (1- and 2-wide ones included),
+    with equal sink weights half the time so that ties are common, a
+    schedule with late releases and counts above a cell's capacity, a
+    table, a step length and a seed."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    if rows * cols < 2:
+        cols = 2
+    grid = random_grid(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                       min_rows=rows, max_rows=rows, min_cols=cols, max_cols=cols,
+                       uniform_weights=draw(st.booleans()))
+    schedule = []
+    for cell in grid.sources:
+        for _ in range(draw(st.integers(1, 3))):
+            schedule.append(SpawnEntry(cell, draw(st.integers(0, 12)), draw(st.integers(0, 40))))
+    table = draw(st.sampled_from([MESO_TABLE, MICRO_TABLE]))
+    dt = draw(st.sampled_from([0.1, 0.3, 0.5]))
+    return grid, tuple(schedule), table, dt, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fuzzed_runs())
+def test_step_matches_reference_loop_under_fuzzing(run):
+    """Stepped side by side, the flat loop and the reference loop log the
+    same events and hold the same densities after every step, and the
+    headcount counted from the log and the capacity hold throughout."""
+    grid, schedule, table, dt, seed = run
+    field = compute_field(grid)
+    sim = Simulation(grid, field, table, schedule, dt=dt, seed=seed)
+    ref = ReferenceSimulation(grid, field, table, schedule, dt=dt, seed=seed)
+    scheduled = sum(e.count for e in schedule)
+    seen = 0
+    for _ in range(600):
+        log, state = sim.state.log, sim.state
+        assert ref.state.log.kinds[seen:] == log.kinds[seen:]
+        assert ref.state.log.agents[seen:] == log.agents[seen:]
+        assert ref.state.log.cells[seen:] == log.cells[seen:]
+        assert ref.state.density == state.density
+        seen = len(log.kinds)
+        spawns, exits = log.kinds.count(SPAWN), log.kinds.count(EXIT)
+        assert spawns == state.spawned == len(state.present) + exits
+        assert spawns + state.pending_count == scheduled
+        assert max(state.density) <= table.capacity
+        recount = [0] * (grid.rows * grid.cols)
+        for a in state.present:
+            recount[state.at[a]] += 1
+        assert recount == state.density
+        assert sim.completed == ref.completed
+        if sim.completed:
+            break
+        sim.step()
+        ref.step()
+    assert ref.state.log.starts == log.starts

@@ -5,14 +5,14 @@ import pytest
 
 from gridgen import corridor_layout, open_hall, random_grid
 from mesoped.floorfield import (DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField,
-                                Stuck, compute_field, distance_field,
-                                field_to_csv, greedy_descent)
+                                Stuck, compute_field, field_to_csv,
+                                greedy_descent)
 from mesoped.layout import (BOTTOM, DIR_VECTORS, LEFT, RIGHT, TOP, LayoutGrid,
                             moves_of, parse_layout)
 from mesoped.scenario import (apply_sink_multipliers, bundled_scenarios,
                               load_scenario)
 from oracle import field_to_csv as field_to_csv_oracle
-from oracle import value_iteration
+from oracle import distance_field, value_iteration
 
 CORRIDOR_1X3 = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
 

@@ -9,8 +9,8 @@ from gridgen import corridor_layout
 from mesoped.engine import MESO_TABLE, MICRO_TABLE, SpawnEntry
 from mesoped.scenario import (ConfigError, ScenarioConfig,
                               apply_sink_multipliers, build_runtime,
-                              bundled_scenarios, load_scenario,
-                              parse_scenario, redistribute, simulate)
+                              bundled_scenarios, load_scenario, make_simulation,
+                              parse_scenario, redistribute)
 
 CORRIDOR_LAYOUT = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
 
@@ -94,6 +94,7 @@ def test_parse_custom_table(corridor_dir):
     ("[layout]\npath = corridor.layout\n[spawn]\n0,0 = 5@\n", "spawn term"),
     ("[layout]\npath = corridor.layout\n[spawn]\n0,0 = x@0\n", "spawn term"),
     ("[layout]\npath = corridor.layout\n[table]\n0 = 1.0\n", "[table]"),
+    ("[run]\nseed = -1\n[layout]\npath = corridor.layout\n", "[run] seed"),
 ])
 def test_parse_rejects_bad_configs(corridor_dir, text, needle):
     with pytest.raises(ConfigError, match="(?i)" + needle.replace("[", r"\[")):
@@ -234,6 +235,7 @@ def test_parse_rejects_non_finite_numbers(corridor_dir, text, needle):
 def test_simulate_corridor_end_to_end(corridor_dir):
     text = "[layout]\npath = corridor.layout\n[spawn]\n0,0 = 1@0\n"
     cfg = parse_scenario(text, "demo", corridor_dir)
-    sim = simulate(cfg)
+    sim = make_simulation(build_runtime(cfg), cfg)
+    sim.run(cfg.max_steps)
     assert sim.completed
     assert sim.events[-1] == (5, 2.5, 0, "exit", 0, 2)
