@@ -4,19 +4,17 @@ density-coupled discrete-time movement engine."""
 
 from .layout import (
     BoundaryError, ConsistencyError, EmptyError, LayoutError, LayoutGrid,
-    OutOfBounds, ParseError, ProtectedCell, decode_wall_code, encode_wall_code,
-    moves_of, obstacle, parse_layout, serialize_layout, validate_grid,
+    ParseError, moves_of, parse_layout, serialize_layout, validate_grid,
 )
 from .floorfield import FloorField, Stuck, compute_field, field_to_csv, greedy_descent
 from .engine import (
-    MESO_TABLE, MICRO_TABLE, OutOfRange, Simulation, SimulationState,
-    SpawnEntry, SpeedDensityTable, events_to_csv, render_snapshot,
+    MESO_TABLE, MICRO_TABLE, OutOfRange, Simulation, SpawnEntry,
+    SpeedDensityTable, events_to_csv, render_snapshot,
 )
 from .metrics import RunMetrics, SweepPoint, summarize, sweep
 from .scenario import (
     ConfigError, ScenarioConfig, Runtime, build_runtime, bundled_scenarios,
     load_scenario, make_simulation,
 )
-from .cli import DimensionMismatch, compare
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .engine import events_to_csv, render_snapshot
@@ -25,10 +26,6 @@ class DimensionMismatch(Exception):
     """Paired meso/micro layouts do not describe the same floor plan."""
 
 
-def default_out_dir() -> Path:
-    return Path(os.environ.get(OUT_ENV, "out"))
-
-
 def check_refinement(meso_grid, micro_grid) -> None:
     """The micro grid must be the meso grid at twice the resolution."""
     if micro_grid.rows != 2 * meso_grid.rows or micro_grid.cols != 2 * meso_grid.cols:
@@ -39,17 +36,6 @@ def check_refinement(meso_grid, micro_grid) -> None:
         raise DimensionMismatch(
             f"micro cell size {micro_grid.cell_size_m} is not half the meso "
             f"cell size {meso_grid.cell_size_m}")
-
-
-def compare(meso_config: ScenarioConfig, micro_config: ScenarioConfig,
-            populations: list[int], seeds_per_point: int):
-    """Paired population sweeps of geometrically matched meso/micro scenarios."""
-    meso_runtime = build_runtime(meso_config)
-    micro_runtime = build_runtime(micro_config)
-    check_refinement(meso_runtime.grid, micro_runtime.grid)
-    meso_points = sweep(meso_config, populations, seeds_per_point, meso_runtime)
-    micro_points = sweep(micro_config, populations, seeds_per_point, micro_runtime)
-    return meso_points, micro_points
 
 
 def parse_populations(spec: str) -> list[int]:
@@ -73,14 +59,14 @@ def parse_populations(spec: str) -> list[int]:
 def _with_seed(config: ScenarioConfig, seed: int | None) -> ScenarioConfig:
     if seed is not None and seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {seed}")
-    return config if seed is None else config.with_seed(seed)
+    return config if seed is None else replace(config, seed=seed)
 
 
 def _out_dir(out: str | None, default_name: str) -> Path:
     """The output directory, checked before any work: it, or else its nearest
     existing ancestor, must be a writable directory. Nothing is created yet,
     so a command that fails later leaves nothing behind."""
-    path = Path(out) if out else default_out_dir() / default_name
+    path = Path(out) if out else Path(os.environ.get(OUT_ENV, "out")) / default_name
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
         raise ConfigError(f"cannot write to output directory {path}: "
@@ -158,7 +144,11 @@ def cmd_compare(args) -> int:
     micro_config = load_scenario(args.micro)
     populations = parse_populations(args.pop)
     out_dir = _out_dir(args.out, f"{meso_config.name}-vs-{micro_config.name}")
-    meso_points, micro_points = compare(meso_config, micro_config, populations, args.seeds)
+    meso_runtime = build_runtime(meso_config)
+    micro_runtime = build_runtime(micro_config)
+    check_refinement(meso_runtime.grid, micro_runtime.grid)
+    meso_points = sweep(meso_config, populations, args.seeds, meso_runtime)
+    micro_points = sweep(micro_config, populations, args.seeds, micro_runtime)
     _write(out_dir / "comparison.csv", comparison_csv(populations, meso_points, micro_points))
     print(f"{meso_config.name} vs {micro_config.name}: {len(populations)} population "
           f"points x {args.seeds} seeds -> {out_dir}")

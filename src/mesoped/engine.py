@@ -209,8 +209,7 @@ class Simulation:
 
     def __init__(self, grid: LayoutGrid, field: FloorField,
                  table: SpeedDensityTable, schedule: tuple[SpawnEntry, ...] = (),
-                 dt: float = 0.5, seed: int | None = 0,
-                 rng: np.random.Generator | None = None) -> None:
+                 dt: float = 0.5, seed: int | np.random.SeedSequence | None = 0) -> None:
         if not 0 < dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {dt}")
         for entry in schedule:
@@ -226,9 +225,7 @@ class Simulation:
         # the speed is 0 and the agent cannot leave.
         diameter = grid.cell_size_m * DIAMETER_FACTOR
         self._dwell = tuple(diameter / u if u > 0.0 else None for u in table._speeds)
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        self.state = SimulationState(grid, rng, schedule, dt)
+        self.state = SimulationState(grid, np.random.default_rng(seed), schedule, dt)
         # release step 0 is "present when the clock starts"
         self._spawn()
 

@@ -9,7 +9,7 @@ instead of repairing them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -18,7 +18,6 @@ Cell = tuple[int, int]
 
 # Wall bits, most significant first: a set bit means the side is closed.
 TOP, RIGHT, BOTTOM, LEFT = 8, 4, 2, 1
-SIDES = (TOP, RIGHT, BOTTOM, LEFT)
 SIDE_NAMES = {TOP: "top", RIGHT: "right", BOTTOM: "bottom", LEFT: "left"}
 
 DIRECTIONS = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
@@ -27,8 +26,6 @@ DIR_VECTORS = {
     "N": (-1, 0), "NE": (-1, 1), "E": (0, 1), "SE": (1, 1),
     "S": (1, 0), "SW": (1, -1), "W": (0, -1), "NW": (-1, -1),
 }
-OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E",
-            "NE": "SW", "SW": "NE", "NW": "SE", "SE": "NW"}
 
 _SIDE_OF = {"N": TOP, "E": RIGHT, "S": BOTTOM, "W": LEFT}
 # Diagonal moves pass a cell corner: both flanking sides must be open at the
@@ -71,23 +68,6 @@ class OutOfBounds(LayoutError):
     pass
 
 
-class ProtectedCell(LayoutError):
-    """Attempt to overwrite a source or sink cell."""
-
-
-def encode_wall_code(top: bool, right: bool, bottom: bool, left: bool) -> int:
-    """Pack four closed-side flags into a wall code in [0, 15]."""
-    return (TOP if top else 0) | (RIGHT if right else 0) | \
-        (BOTTOM if bottom else 0) | (LEFT if left else 0)
-
-
-def decode_wall_code(code: int) -> tuple[bool, bool, bool, bool]:
-    """Unpack a wall code into (top, right, bottom, left) closed flags."""
-    if not 0 <= code <= 15:
-        raise ParseError(f"wall code {code} outside [0, 15]")
-    return bool(code & TOP), bool(code & RIGHT), bool(code & BOTTOM), bool(code & LEFT)
-
-
 def side_open(code: int, side: int) -> bool:
     return not code & side
 
@@ -96,8 +76,8 @@ def side_open(code: int, side: int) -> bool:
 class LayoutGrid:
     """Immutable layout: wall codes plus sink weights and source cells.
 
-    Construction does not validate; `parse_layout` and `obstacle` run
-    `validate_grid` on every grid they hand out.
+    Construction does not validate; `parse_layout` runs `validate_grid` on
+    every grid it hands out.
     """
 
     rows: int
@@ -110,11 +90,6 @@ class LayoutGrid:
     def in_bounds(self, cell: Cell) -> bool:
         r, c = cell
         return 0 <= r < self.rows and 0 <= c < self.cols
-
-    def wall_code(self, cell: Cell) -> int:
-        if not self.in_bounds(cell):
-            raise OutOfBounds(f"cell {cell} outside {self.rows}x{self.cols} grid")
-        return self.walls[cell[0]][cell[1]]
 
     def index(self, cell: Cell) -> int:
         return cell[0] * self.cols + cell[1]
@@ -332,22 +307,3 @@ def serialize_layout(grid: LayoutGrid) -> str:
     for r, c in grid.sources:
         out.append(f"source {r} {c}")
     return "\n".join(out) + "\n"
-
-
-def obstacle(grid: LayoutGrid, cell: Cell) -> LayoutGrid:
-    """Return a copy with `cell` fully walled and neighbor edges mirrored."""
-    if not grid.in_bounds(cell):
-        raise OutOfBounds(f"cell {cell} outside {grid.rows}x{grid.cols} grid")
-    if cell in grid.sink_set or cell in grid.source_set:
-        raise ProtectedCell(f"cell {cell} is a source or sink")
-    walls = [list(row) for row in grid.walls]
-    r, c = cell
-    walls[r][c] = 15
-    for d in ("N", "E", "S", "W"):
-        dr, dc = DIR_VECTORS[d]
-        nr, nc = r + dr, c + dc
-        if 0 <= nr < grid.rows and 0 <= nc < grid.cols:
-            walls[nr][nc] |= _SIDE_OF[OPPOSITE[d]]
-    new = replace(grid, walls=tuple(tuple(row) for row in walls))
-    validate_grid(new)
-    return new

@@ -31,10 +31,6 @@ class RunMetrics:
     per_exit_counts: dict[Cell, int]
     completed: bool
 
-    @property
-    def n_exited(self) -> int:
-        return sum(self.per_exit_counts.values())
-
 
 def summarize(log: EventLog, cell_size_m: float) -> RunMetrics:
     """Travel times, walked distances, and exit usage from one event log.
@@ -95,12 +91,6 @@ class SweepPoint:
     avg_distance_m: float | None
     per_exit_counts: dict[Cell, float]
     completed: bool
-    n_runs: int
-
-
-def run_seed_sequence(base_seed: int, population: int, run: int) -> np.random.SeedSequence:
-    """Distinct, reproducible stream per (scenario seed, population, run)."""
-    return np.random.SeedSequence([base_seed, population, run])
 
 
 def sweep(config, populations: list[int], seeds_per_point: int,
@@ -118,9 +108,9 @@ def sweep(config, populations: list[int], seeds_per_point: int,
     for population in populations:
         metrics = []
         for run_i in range(seeds_per_point):
-            rng = np.random.Generator(np.random.PCG64(
-                run_seed_sequence(config.seed, population, run_i)))
-            sim = make_simulation(runtime, config, population=population, rng=rng)
+            # A distinct, reproducible stream per (scenario seed, population, run).
+            seed = np.random.SeedSequence([config.seed, population, run_i])
+            sim = make_simulation(runtime, config, seed=seed, population=population)
             sim.run(config.max_steps)
             metrics.append(summarize(sim.state.log, runtime.grid.cell_size_m))
         travels = [m.avg_travel_time_s for m in metrics if m.avg_travel_time_s is not None]
@@ -134,7 +124,6 @@ def sweep(config, populations: list[int], seeds_per_point: int,
             avg_distance_m=_fmean(dists) if dists else None,
             per_exit_counts=counts,
             completed=all(m.completed for m in metrics),
-            n_runs=len(metrics),
         ))
     return points
 

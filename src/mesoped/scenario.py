@@ -39,9 +39,6 @@ class ScenarioConfig:
     schedule: tuple[SpawnEntry, ...] = ()
     table: SpeedDensityTable | None = None
 
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        return replace(self, seed=seed)
-
 
 def redistribute(schedule: tuple[SpawnEntry, ...], population: int) -> tuple[SpawnEntry, ...]:
     """Spread `population` agents round-robin over the schedule's entries."""
@@ -112,7 +109,11 @@ def parse_scenario(text: str, name: str, base_dir: Path) -> ScenarioConfig:
 
     if not parser.has_option("layout", "path"):
         raise ConfigError(f"{name}: missing [layout] path")
-    layout_path = (base_dir / parser.get("layout", "path")).resolve()
+    raw_path = parser.get("layout", "path")
+    try:
+        layout_path = (base_dir / raw_path).resolve()
+    except ValueError as exc:  # an embedded NUL byte
+        raise ConfigError(f"{name}: [layout] path = {raw_path!r}: {exc}") from None
 
     mode = get("run", "mode", str, "meso").strip().lower()
     if mode not in ("meso", "micro"):
@@ -276,12 +277,11 @@ def build_runtime(config: ScenarioConfig) -> Runtime:
 
 
 def make_simulation(runtime: Runtime, config: ScenarioConfig,
-                    seed: int | None = None, population: int | None = None,
-                    rng: np.random.Generator | None = None) -> Simulation:
+                    seed: int | np.random.SeedSequence | None = None,
+                    population: int | None = None) -> Simulation:
     schedule = config.schedule
     if population is not None:
         schedule = redistribute(schedule, population)
     return Simulation(runtime.grid, runtime.field, runtime.table, schedule,
-                      dt=config.dt_s, seed=config.seed if seed is None else seed,
-                      rng=rng)
+                      dt=config.dt_s, seed=config.seed if seed is None else seed)
 

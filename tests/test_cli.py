@@ -1,7 +1,13 @@
 """Command-line behavior: artifacts, exit codes, and error reporting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import mesoped
 from gridgen import corridor_layout
 from mesoped.cli import (DimensionMismatch, check_refinement, main,
                          parse_populations)
@@ -363,3 +369,29 @@ def test_negative_scenario_seed_is_config_error(corridor_scenario, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error:") and "[run] seed" in err
     assert not out.exists()
+
+
+def test_run_nul_in_layout_path_is_config_error(tmp_path, capsys):
+    path = tmp_path / "nul.scenario"
+    path.write_text("[layout]\npath = a\x00b\n[spawn]\n0,0 = 1@0\n")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[layout] path" in err
+    assert not out.exists()
+
+
+def test_python_m_cli_runs_without_runtime_warning(tmp_path):
+    """`python -m mesoped.cli` must not import `mesoped.cli` twice: runpy warns
+    when the package's `__init__` has already imported it."""
+    src = Path(mesoped.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "field.csv"
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "mesoped.cli",
+         "export-field", "escalator_stair", "--out", str(out)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert out.read_text() == field_to_csv(build_runtime(load_scenario("escalator_stair")).field)

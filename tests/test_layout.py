@@ -1,21 +1,20 @@
 """Wall codes, move permissions, parsing, validation, and serialization."""
 
+import math
 from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridgen import random_grid
 from oracle import edge_conflicts
-from mesoped.layout import (BOTTOM, DIR_VECTORS, DIRECTIONS, LEFT, OPPOSITE,
-                            RIGHT, SIDES, TOP, BoundaryError, ConsistencyError,
-                            EmptyError, LayoutGrid, OutOfBounds, ParseError,
-                            ProtectedCell, decode_wall_code, encode_wall_code,
-                            find_edge_conflicts, moves_of, obstacle,
-                            parse_layout, serialize_layout, side_open,
-                            validate_grid)
+from mesoped.layout import (BOTTOM, DIR_VECTORS, DIRECTIONS, LEFT, RIGHT, TOP,
+                            BoundaryError, ConsistencyError, EmptyError,
+                            LayoutError, LayoutGrid, OutOfBounds, ParseError,
+                            find_edge_conflicts, moves_of, parse_layout,
+                            serialize_layout, side_open, validate_grid)
 
 CLOSED_1X3 = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
 
@@ -40,39 +39,43 @@ def open_room(rows, cols):
 
 def test_wall_code_bit_layout():
     assert (TOP, RIGHT, BOTTOM, LEFT) == (8, 4, 2, 1)
-    assert encode_wall_code(True, False, False, False) == 8
-    assert encode_wall_code(False, True, False, False) == 4
-    assert encode_wall_code(False, False, True, False) == 2
-    assert encode_wall_code(False, False, False, True) == 1
-    assert encode_wall_code(True, True, True, True) == 15
-    assert encode_wall_code(False, False, False, False) == 0
+    # The closed corridor: the west end is open only east, the middle east
+    # and west, the east end only west.
+    assert parse_layout(CLOSED_1X3).walls == (
+        (TOP | BOTTOM | LEFT, TOP | BOTTOM, TOP | RIGHT | BOTTOM),)
 
 
 def test_code_7_means_only_top_open():
-    top, right, bottom, left = decode_wall_code(7)
-    assert not top and right and bottom and left
     assert side_open(7, TOP)
     assert not side_open(7, RIGHT)
     assert not side_open(7, BOTTOM)
     assert not side_open(7, LEFT)
 
 
-@given(st.booleans(), st.booleans(), st.booleans(), st.booleans())
-def test_wall_code_round_trip(t, r, b, l):
-    assert decode_wall_code(encode_wall_code(t, r, b, l)) == (t, r, b, l)
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(2, 12))
+def test_wall_code_round_trip(seed, rows, cols):
+    """The text format keeps every wall code, sink and source of a random room."""
+    grid = random_grid(np.random.default_rng(seed), min_rows=rows, max_rows=rows,
+                       min_cols=cols, max_cols=cols)
+    assert parse_layout(serialize_layout(grid)) == grid
 
 
 @given(st.integers(min_value=0, max_value=15))
 def test_wall_code_inverse(code):
-    assert encode_wall_code(*decode_wall_code(code)) == code
-    for k, side in enumerate(SIDES):
-        assert decode_wall_code(code)[k] == (not side_open(code, side))
+    """Each set bit closes one side: the centre of an open 3x3 room keeps
+    exactly the orthogonal moves through its open sides."""
+    walls = [[0] * 3 for _ in range(3)]
+    walls[1][1] = code
+    moves = moves_of(bare_grid(walls), (1, 1))
+    for d, side in (("N", TOP), ("E", RIGHT), ("S", BOTTOM), ("W", LEFT)):
+        assert (d in moves) == side_open(code, side) == (not code & side)
 
 
 @pytest.mark.parametrize("code", [-1, 16, 255])
 def test_decode_rejects_out_of_range(code):
-    with pytest.raises(ParseError):
-        decode_wall_code(code)
+    with pytest.raises(ParseError, match=f"wall code {code} outside"):
+        parse_layout(f"1 2 1.0\n11 {code}\nsink 0 1 1\nsource 0 0\n")
 
 
 def test_edge_consistency_brute_force_horizontal():
@@ -133,10 +136,20 @@ def test_moves_of_open_room():
     assert moves_of(grid, (2, 1)) == ("N", "NE", "E", "W", "NW")
 
 
+def solid_centre(walls):
+    """Wall in the centre of a 3x3 room, mirroring each shared edge."""
+    walls[1][1] = TOP | RIGHT | BOTTOM | LEFT
+    walls[0][1] |= BOTTOM
+    walls[2][1] |= TOP
+    walls[1][0] |= RIGHT
+    walls[1][2] |= LEFT
+    return walls
+
+
 def test_moves_of_solid_cell_is_empty():
-    walls = open_room(3, 3)
-    grid = obstacle(bare_grid(walls, sinks=(((0, 0), 1.0),),
-                              sources=((2, 2),)), (1, 1))
+    grid = bare_grid(solid_centre(open_room(3, 3)), sinks=(((0, 0), 1.0),),
+                     sources=((2, 2),))
+    validate_grid(grid)
     assert moves_of(grid, (1, 1)) == ()
     # Neighbors lose the moves that led into or cut the filled cell's corners.
     assert "S" not in moves_of(grid, (0, 1))
@@ -182,7 +195,7 @@ def test_validate_requires_a_source():
 
 def test_sink_may_open_its_exterior_side():
     grid = parse_layout("1 3 1.0\n11 10 10\nsink 0 2 1\nsource 0 0\n")
-    assert side_open(grid.wall_code((0, 2)), RIGHT)
+    assert side_open(grid.walls[0][2], RIGHT)
     validate_grid(grid)
 
 
@@ -233,38 +246,28 @@ def test_parse_error_carries_line_number():
 
 
 def test_obstacle_mirrors_neighbor_edges():
+    """A solid cell is valid only with its four neighbours' shared sides
+    closed too; each unmirrored side is reported as an edge conflict."""
     walls = open_room(3, 3)
-    grid = bare_grid(walls, sinks=(((0, 0), 1.0),), sources=((2, 2),))
-    blocked = obstacle(grid, (1, 1))
-    assert blocked.wall_code((1, 1)) == 15
-    assert not side_open(blocked.wall_code((0, 1)), BOTTOM)
-    assert not side_open(blocked.wall_code((2, 1)), TOP)
-    assert not side_open(blocked.wall_code((1, 0)), RIGHT)
-    assert not side_open(blocked.wall_code((1, 2)), LEFT)
-    assert grid.wall_code((1, 1)) == 0, "original grid must be untouched"
-    assert not find_edge_conflicts(blocked.walls)
-
-
-def test_obstacle_rejects_protected_and_outside_cells():
-    grid = bare_grid(open_room(3, 3), sinks=(((0, 0), 1.0),), sources=((2, 2),))
-    with pytest.raises(ProtectedCell):
-        obstacle(grid, (0, 0))
-    with pytest.raises(ProtectedCell):
-        obstacle(grid, (2, 2))
-    with pytest.raises(OutOfBounds):
-        obstacle(grid, (3, 0))
+    walls[1][1] = 15
+    assert find_edge_conflicts(walls) == [((0, 1), (1, 1)), ((1, 0), (1, 1)),
+                                          ((1, 1), (1, 2)), ((1, 1), (2, 1))]
+    with pytest.raises(ConsistencyError):
+        validate_grid(bare_grid(walls, sinks=(((0, 0), 1.0),), sources=((2, 2),)))
+    assert not find_edge_conflicts(solid_centre(open_room(3, 3)))
 
 
 def test_wall_code_lookup_bounds():
     grid = bare_grid(open_room(2, 2))
     with pytest.raises(OutOfBounds):
-        grid.wall_code((-1, 0))
+        moves_of(grid, (-1, 0))
     with pytest.raises(OutOfBounds):
-        grid.wall_code((0, 2))
+        moves_of(grid, (0, 2))
 
 
 def test_moves_are_symmetric_and_in_bounds():
     """d from a to b implies the opposite move from b to a, on random grids."""
+    direction_of = {vector: d for d, vector in DIR_VECTORS.items()}
     for seed in range(8):
         grid = random_grid(np.random.default_rng(seed), max_rows=15, max_cols=15)
         for r in range(grid.rows):
@@ -273,7 +276,8 @@ def test_moves_are_symmetric_and_in_bounds():
                     dr, dc = DIR_VECTORS[d]
                     target = (r + dr, c + dc)
                     assert grid.in_bounds(target), (seed, (r, c), d)
-                    assert OPPOSITE[d] in moves_of(grid, target), (seed, (r, c), d)
+                    back = direction_of[(-dr, -dc)]
+                    assert back in moves_of(grid, target), (seed, (r, c), d)
 
 
 def bundled_layouts():
@@ -310,3 +314,62 @@ def test_serialize_round_trips_random_grids():
     for seed in range(8):
         grid = random_grid(np.random.default_rng(seed), max_rows=12, max_cols=12)
         assert parse_layout(serialize_layout(grid)) == grid
+
+
+# Numbers near the edges of the format: wall codes and cells in and out of
+# range, odd spellings, non-finite and huge values.
+NUMBERS = st.one_of(
+    st.integers(-2, 17).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "07", "+3", "1_0", "9" * 5000]),
+)
+TOKENS = st.one_of(NUMBERS, st.sampled_from(["sink", "source", "spring", "#", "\x00", "\x0b"]),
+                   st.text(max_size=3))
+
+
+@st.composite
+def layout_texts(draw):
+    """Arbitrary text, token soup, or a valid layout with a few characters
+    deleted, replaced or inserted."""
+    kind = draw(st.sampled_from(["text", "tokens", "edited"]))
+    if kind == "text":
+        return draw(st.text())
+    if kind == "tokens":
+        lines = st.lists(TOKENS, max_size=5).map(" ".join)
+        return "\n".join(draw(st.lists(lines, max_size=8)))
+    text = draw(st.sampled_from([CLOSED_1X3, "2 2 0.5\n9 12\n3 6\nsink 1 1 2.5\nsource 0 0\n"]))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        text = text[:at] + draw(TOKENS) + text[at + cut:]
+    return text
+
+
+def assert_valid_or_layout_error(text):
+    """What parses is a valid layout with finite sizes and weights."""
+    try:
+        grid = parse_layout(text)
+    except LayoutError:
+        return
+    assert 0 < grid.cell_size_m < math.inf
+    assert all(0 < w < math.inf for _, w in grid.sinks)
+    assert all(grid.in_bounds(cell) for cell in (*grid.sink_set, *grid.sources))
+    assert parse_layout(serialize_layout(grid)) == grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout_texts())
+def test_parse_layout_raises_only_layout_errors(text):
+    assert_valid_or_layout_error(text)
+
+
+@pytest.mark.parametrize("slot", range(11))
+@settings(max_examples=30, deadline=None)
+@given(number=NUMBERS)
+def test_parse_layout_numbers_are_finite_or_rejected(slot, number):
+    """Each of the corridor's 11 numbers (header, wall codes, sink, source)
+    replaced by a drawn one."""
+    tokens = CLOSED_1X3.replace("\n", " \n ").split(" ")
+    numeric = [k for k, tok in enumerate(tokens) if tok[:1].isdigit()]
+    tokens[numeric[slot]] = number
+    assert_valid_or_layout_error(" ".join(tokens))

@@ -5,6 +5,7 @@ must equal, exactly, the event-by-event versions in `oracle.py`.
 """
 
 import math
+from dataclasses import replace
 from statistics import fmean
 
 import numpy as np
@@ -12,10 +13,11 @@ import pytest
 
 import oracle
 from gridgen import random_schedule
+from mesoped import scenario
 from mesoped.engine import MESO_TABLE, MICRO_TABLE, EventLog, Simulation, events_to_csv
 from mesoped.floorfield import compute_field
 from mesoped.metrics import (RunMetrics, SweepPoint, comparison_csv,
-                             metrics_csv, run_seed_sequence, summarize, sweep)
+                             metrics_csv, summarize, sweep)
 from mesoped.scenario import build_runtime, bundled_scenarios, load_scenario
 
 CORRIDOR_EVENTS = [
@@ -37,7 +39,7 @@ def log_of(events, dt=0.5, cols=3):
 def test_summarize_corridor_oracle():
     m = summarize(log_of(CORRIDOR_EVENTS), cell_size_m=1.0)
     assert m.n_agents == 1
-    assert m.n_exited == 1
+    assert sum(m.per_exit_counts.values()) == 1
     assert m.avg_travel_time_s == 2.5
     assert m.avg_distance_m == 2.0
     assert m.per_exit_counts == {(0, 2): 1}
@@ -91,7 +93,7 @@ def test_summarize_ignores_stays_and_averages_pairs():
 def test_summarize_flags_incomplete_runs():
     m = summarize(log_of(CORRIDOR_EVENTS[:-1]), cell_size_m=1.0)
     assert not m.completed
-    assert m.n_agents == 1 and m.n_exited == 0
+    assert m.n_agents == 1 and sum(m.per_exit_counts.values()) == 0
     assert m.avg_travel_time_s is None
 
 
@@ -168,15 +170,29 @@ def test_log_outputs_match_oracle_on_bundled_scenarios(name):
         assert_log_outputs_match_oracle(sim, runtime.grid.cell_size_m)
 
 
-def test_seed_sequences_are_distinct_and_stable():
-    a = run_seed_sequence(1, 10, 0)
-    b = run_seed_sequence(1, 10, 1)
-    c = run_seed_sequence(1, 11, 0)
-    assert a.entropy == [1, 10, 0]
-    states = {tuple(s.generate_state(4)) for s in (a, b, c)}
-    assert len(states) == 3
-    again = run_seed_sequence(1, 10, 0)
-    assert tuple(again.generate_state(4)) == tuple(a.generate_state(4))
+def test_seed_sequences_are_distinct_and_stable(monkeypatch):
+    """Each run of a sweep draws its own stream, keyed by the scenario seed,
+    the population and the run index; sweeping again replays the same runs."""
+    config = load_scenario("compare_10x15")
+    runtime = build_runtime(config)
+    make_simulation = scenario.make_simulation
+    sims = []
+
+    def recording(*args, **kwargs):
+        sims.append(make_simulation(*args, **kwargs))
+        return sims[-1]
+
+    monkeypatch.setattr(scenario, "make_simulation", recording)
+    for seed in (config.seed, config.seed, config.seed + 1):
+        sweep(replace(config, seed=seed), [20], 3, runtime)
+    logs = [events_to_csv(sim.state.log) for sim in sims]
+    assert len(set(logs[:3])) == 3, "runs of one population must differ"
+    assert logs[3:6] == logs[:3], "the same seed must replay the same runs"
+    assert not set(logs[6:]) & set(logs[:3]), "another seed must give other runs"
+    seed = np.random.SeedSequence([config.seed, 20, 1])
+    direct = make_simulation(runtime, config, seed=seed, population=20)
+    direct.run(config.max_steps)
+    assert events_to_csv(direct.state.log) == logs[1]
 
 
 def test_sweep_is_deterministic():
@@ -185,7 +201,7 @@ def test_sweep_is_deterministic():
     b = sweep(config, [1, 3], 2, build_runtime(config))
     assert a == b
     assert [p.population for p in a] == [1, 3]
-    assert all(p.completed and p.n_runs == 2 for p in a)
+    assert all(p.completed for p in a)
     assert a[0].avg_travel_time_s == 14.5
 
 
@@ -206,8 +222,8 @@ def test_metrics_csv_handles_missing_values():
 
 
 def test_comparison_csv_pairs_rows():
-    a = SweepPoint(1, 14.5, 14.0, {}, True, 10)
-    b = SweepPoint(1, 15.0, 14.5, {}, True, 10)
+    a = SweepPoint(1, 14.5, 14.0, {}, True)
+    b = SweepPoint(1, 15.0, 14.5, {}, True)
     text = comparison_csv([1], [a], [b])
     lines = text.splitlines()
     assert lines[0].startswith("population,meso_avg_travel_time_s")

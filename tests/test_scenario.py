@@ -1,11 +1,15 @@
 """Scenario parsing, overrides, bundled files, and runtime assembly."""
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridgen import corridor_layout
+from mesoped.cli import _with_seed
 from mesoped.engine import MESO_TABLE, MICRO_TABLE, SpawnEntry
 from mesoped.scenario import (ConfigError, ScenarioConfig,
                               apply_sink_multipliers, build_runtime,
@@ -95,6 +99,7 @@ def test_parse_custom_table(corridor_dir):
     ("[layout]\npath = corridor.layout\n[spawn]\n0,0 = x@0\n", "spawn term"),
     ("[layout]\npath = corridor.layout\n[table]\n0 = 1.0\n", "[table]"),
     ("[run]\nseed = -1\n[layout]\npath = corridor.layout\n", "[run] seed"),
+    ("[layout]\npath = a\x00b\n", "bad: [layout] path"),   # NUL: no such file name
 ])
 def test_parse_rejects_bad_configs(corridor_dir, text, needle):
     with pytest.raises(ConfigError, match="(?i)" + needle.replace("[", r"\[")):
@@ -111,7 +116,8 @@ def test_with_seed_and_population():
     cfg = ScenarioConfig(name="x", layout_path=Path("x"),
                          schedule=(SpawnEntry((0, 0), 3, 0),
                                    SpawnEntry((1, 0), 3, 4)))
-    assert cfg.with_seed(9).seed == 9
+    assert _with_seed(cfg, 9) == replace(cfg, seed=9)
+    assert _with_seed(cfg, None) is cfg
     repop = redistribute(cfg.schedule, 5)
     assert [e.count for e in repop] == [3, 2]
     assert [e.release_step for e in repop] == [0, 4]
@@ -239,3 +245,71 @@ def test_simulate_corridor_end_to_end(corridor_dir):
     sim.run(cfg.max_steps)
     assert sim.completed
     assert sim.events[-1] == (5, 2.5, 0, "exit", 0, 2)
+
+
+# The keys each section knows, plus some it does not.
+SECTION_KEYS = {
+    "run": ["mode", "dt_s", "max_steps", "seed", "x"],
+    "layout": ["path"],
+    "field": ["gamma", "base_reward", "epsilon", "max_sweeps"],
+    "sinks": ["0,2", "0", "x,y"],
+    "spawn": ["0,0", "1"],
+    "table": ["0", "1", "x"],
+    "junk": ["x"],
+}
+# Values near the edges of each key: signs, non-finite and huge numbers,
+# spawn terms and table rows.
+VALUES = st.one_of(
+    st.sampled_from(["meso", "micro", "0", "-1", "0.5", "nan", "inf", "1e400", "9" * 5000,
+                     "3@0, 2@10", "5@", "@", "1.0 1.0", "%(x)s", ""]),
+    st.integers(-5, 5).map(str),
+    st.text(max_size=8),
+)
+# Layout paths, NUL bytes among them: no file name can hold one.
+PATHS = st.one_of(st.sampled_from(["corridor.layout", "a\x00b", "\x00", "../x", "/", ""]),
+                  st.text(max_size=8))
+
+
+@st.composite
+def scenario_texts(draw):
+    """Arbitrary text, or sections of `key = value` lines drawn from the keys
+    each section knows (a `[layout] path` with NUL among them)."""
+    if draw(st.booleans()):
+        return draw(st.text())
+    lines = []
+    for section in draw(st.lists(st.sampled_from(list(SECTION_KEYS)), max_size=4, unique=True)):
+        lines.append(f"[{section}]")
+        for key in draw(st.lists(st.sampled_from(SECTION_KEYS[section]), max_size=3, unique=True)):
+            lines.append(f"{key} = {draw(PATHS if key == 'path' else VALUES)}")
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario_texts())
+def test_parse_scenario_raises_only_config_errors(text):
+    try:
+        parse_scenario(text, "fuzz", Path(__file__).resolve().parent)
+    except ConfigError:
+        pass
+
+
+# Every number a scenario holds, by section and key, as FULL_TEXT sets it.
+NUMERIC_KEYS = [("run", "dt_s"), ("run", "max_steps"), ("run", "seed"),
+                ("field", "gamma"), ("field", "base_reward"), ("sinks", "0,2")]
+NUMBERS = st.one_of(st.floats().map(repr), st.integers().map(str),
+                    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "9" * 5000]))
+
+
+@pytest.mark.parametrize("section,key", NUMERIC_KEYS)
+@settings(max_examples=30, deadline=None)
+@given(number=NUMBERS)
+def test_parse_scenario_numbers_are_finite_or_rejected(section, key, number):
+    text = FULL_TEXT.replace(f"\n{key} = ", f"\n{key} = {number} # ", 1)
+    assert f"{key} = {number} #" in text and f"[{section}]" in text
+    try:
+        cfg = parse_scenario(text, "fuzz", Path(__file__).resolve().parent)
+    except ConfigError:
+        return
+    assert 0 < cfg.dt_s < math.inf and 0 < cfg.gamma < 1 and 0 < cfg.base_reward < math.inf
+    assert cfg.max_steps >= 0 and cfg.seed >= 0
+    assert all(0 < factor < math.inf for _, factor in cfg.sink_multipliers)
