@@ -15,7 +15,7 @@ from pathlib import Path
 from .engine import events_to_csv, render_snapshot
 from .floorfield import field_to_csv
 from .layout import LayoutError
-from .metrics import comparison_csv, metrics_csv, summarize, sweep
+from .metrics import comparison_csv, metrics_csv, run_metrics, sweep
 from .scenario import (ConfigError, ScenarioConfig, build_runtime,
                        load_scenario, make_simulation)
 
@@ -99,7 +99,7 @@ def cmd_run(args) -> int:
 
     sim.run(max_steps, on_step=on_step if args.snapshots else None)
 
-    m = summarize(sim.state.log, runtime.grid.cell_size_m)
+    m = run_metrics(sim)
     sinks = [cell for cell, _ in runtime.grid.sinks]
     _write(out_dir / "events.csv", events_to_csv(sim.state.log))
     _write(out_dir / "metrics.csv", metrics_csv([(m.n_agents, m)], sinks))

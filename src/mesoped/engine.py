@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -187,6 +188,8 @@ class SimulationState:
         self.log = EventLog(dt, grid.cols)
         # mutable [flat cell, remaining, release_step] work list, unspent entries only
         self.pending = [[grid.index(e.cell), e.count, e.release_step] for e in schedule]
+        # per-step work list: ids that moved onto a sink this step, to exit next step
+        self.arrived: list[int] = []
 
     @property
     def spawned(self) -> int:
@@ -202,9 +205,10 @@ class Simulation:
 
     The step loop reads lookup tables cached on the layout and the field,
     built once per runtime: each cell's move mask (`LayoutGrid.move_masks`)
-    selects a tuple of flat move offsets (`LayoutGrid.move_offsets`), sink
-    flags (`LayoutGrid.sink_flags`) and field values (`FloorField.flat`) are
-    indexed by flat cell, and entry probabilities and dwell times by density.
+    selects its orthogonal and its diagonal flat move offsets (the two tables
+    of `LayoutGrid.move_offsets`), sink flags (`LayoutGrid.sink_flags`) and
+    field values (`FloorField.flat`) are indexed by flat cell, and entry
+    probabilities and dwell times by density.
     """
 
     def __init__(self, grid: LayoutGrid, field: FloorField,
@@ -213,8 +217,8 @@ class Simulation:
         if not 0 < dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {dt}")
         for entry in schedule:
-            if entry.cell not in grid.source_set:
-                raise ValueError(f"spawn cell {entry.cell} is not a layout source")
+            if entry.cell not in grid.source_set or entry.cell in grid.sink_set:
+                raise ValueError(f"spawn cell {entry.cell} is not a layout source, or is a sink")
             if entry.count < 0 or entry.release_step < 0:
                 raise ValueError(f"bad spawn entry {entry}")
         self.grid = grid
@@ -250,13 +254,13 @@ class Simulation:
         state.pending = [entry for entry in state.pending if entry[1]]
 
     def step(self) -> SimulationState:
-        """Advance one interval: spawn, absorb sink-standing agents, move the rest.
+        """Advance one interval: spawn, absorb last step's sink arrivals, move the rest.
 
         Each agent whose dwell time has elapsed scores every permitted move as
         entry probability times navigation value, at densities that include
         moves made earlier in the step, and takes the best one. It stays when
-        nothing scores above zero. Exact ties prefer orthogonal moves; any
-        tie left is broken with the run's generator.
+        nothing scores above zero. Orthogonal moves are scored first, and a
+        diagonal must beat them; a tie left is broken with the run's generator.
         """
         state = self.state
         state.step_index += 1
@@ -267,37 +271,50 @@ class Simulation:
         if state.pending:
             self._spawn()
 
-        at, t_in, density = state.at, state.t_in, state.density
-        is_sink = self.grid.sink_flags
-        gone = [aid for aid in state.present if is_sink[at[aid]]]
-        if gone:
-            for aid in gone:
+        at, t_in, density, arrived = state.at, state.t_in, state.density, state.arrived
+        if arrived:
+            arrived.sort()
+            present = state.present
+            for aid in arrived:
                 density[at[aid]] -= 1
                 log.append(step_i, aid, EVENT_EXIT, at[aid])
-            state.present = [aid for aid in state.present if not is_sink[at[aid]]]
+                del present[bisect_left(present, aid)]
+            arrived.clear()
 
         # Shuffling a copy makes the same draws as `permutation(len(ids))` and
         # leaves the ids in the order that permutation would give them.
         ids = state.present[:]
         if len(ids) > 1:
             state.rng.shuffle(ids)
-        masks, moves_by_mask = self.grid.move_masks, self.grid.move_offsets
+        masks, (orth_moves, diag_moves) = self.grid.move_masks, self.grid.move_offsets
         values, probs, dwell = self.field.flat, self.table._probs, self._dwell
-        cols = self.grid.cols
+        is_sink = self.grid.sink_flags
         log_agent, log_kind, log_cell = log.agents.append, log.kinds.append, log.cells.append
         for aid in ids:
             i = at[aid]
             wait = dwell[density[i] - 1]
             if wait is None or clock < t_in[aid] + wait:
                 continue
+            mask = masks[i]
             best = 0.0
             ties = None
-            for offset in moves_by_mask[masks[i]]:
+            for offset in orth_moves[mask]:
                 j = i + offset
                 score = probs[density[j]] * values[j]
                 if score > best:
                     best, dest, ties = score, j, None
                 elif score == best and best > 0.0:
+                    if ties is None:
+                        ties = [dest]
+                    ties.append(j)
+            # A diagonal move ties only where diagonals alone hold the best score.
+            orth_best = best
+            for offset in diag_moves[mask]:
+                j = i + offset
+                score = probs[density[j]] * values[j]
+                if score > best:
+                    best, dest, ties = score, j, None
+                elif score == best and best > orth_best:
                     if ties is None:
                         ties = [dest]
                     ties.append(j)
@@ -307,10 +324,9 @@ class Simulation:
                 log_cell(i)
                 continue
             if ties is not None:
-                # A move is orthogonal when it keeps the row or the column.
-                r, c = divmod(i, cols)
-                pool = [j for j in ties if j // cols == r or j % cols == c] or ties
-                dest = pool[0] if len(pool) == 1 else pool[int(state.rng.integers(len(pool)))]
+                dest = ties[int(state.rng.integers(len(ties)))]
+            if is_sink[dest]:
+                arrived.append(aid)
             density[i] -= 1
             density[dest] += 1
             at[aid] = dest

@@ -67,21 +67,23 @@ def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
     nbr = grid.neighbours
     # One extra slot holding 0: a -1 entry of the move table indexes it.
     values = np.zeros(n + 1)
-    fixed = np.zeros(n + 1, dtype=bool)
-    fixed[n] = True
+    free = np.ones(n + 1, dtype=bool)
+    free[n] = False
     sinks = np.array([grid.index(cell) for cell, _ in grid.sinks], dtype=np.int64)
     values[sinks] = [base_reward * w for _, w in grid.sinks]
-    fixed[sinks] = True
-    marked = np.zeros(n + 1, dtype=bool)
+    free[sinks] = False
+    # Dedupes a round's neighbours: each cell keeps the one position whose
+    # write to slot[cell] lasted.
+    slot = np.zeros(n + 1, dtype=np.int64)
     risen = sinks
     rounds = 0
     while risen.size:
         rounds += 1
         near = nbr[risen].ravel()
-        marked[near] = True
-        marked[fixed] = False
-        cells = np.flatnonzero(marked)
-        marked[cells] = False
+        near = near[free[near]]
+        order = np.arange(near.size)
+        slot[near] = order
+        cells = near[slot[near] == order]
         new = gamma * values[nbr[cells]].max(axis=1)
         up = new > values[cells]
         risen = cells[up]

@@ -137,12 +137,12 @@ class LayoutGrid:
         return bits.sum(axis=1, dtype=np.uint8).tobytes()
 
     @cached_property
-    def move_offsets(self) -> tuple[tuple[int, ...], ...]:
-        """For each of the 256 move masks, the flat index offsets of its
-        moves in DIRECTIONS order."""
-        offsets = [DIR_VECTORS[d][0] * self.cols + DIR_VECTORS[d][1] for d in DIRECTIONS]
-        return tuple(tuple(off for k, off in enumerate(offsets) if mask >> k & 1)
-                     for mask in range(1 << len(DIRECTIONS)))
+    def move_offsets(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """Two tables over the 256 move masks: the flat index offsets of each
+        mask's orthogonal moves, and of its diagonal moves, in DIRECTIONS order."""
+        offsets = {d: DIR_VECTORS[d][0] * self.cols + DIR_VECTORS[d][1] for d in DIRECTIONS}
+        return tuple(tuple(tuple(offsets[d] for d in moves if (d in ORTHOGONAL) == orth)
+                           for moves in _MOVES_BY_MASK) for orth in (True, False))
 
     @cached_property
     def sink_flags(self) -> bytes:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,10 +36,11 @@ def summarize(log: EventLog, cell_size_m: float) -> RunMetrics:
     """Travel times, walked distances, and exit usage from one event log.
 
     A run with agents still inside is flagged incomplete and summarized over
-    the agents that made it out. A travel time is the exit clock minus the
-    spawn clock, and a walked distance is the sum of the agent's hops in the
-    order it made them (a hop is diagonal when both row and column change),
-    so every average is the same float the event-by-event sums give.
+    the agents that made it out (`run_metrics` also counts those never
+    spawned). A travel time is the exit clock minus the spawn clock, and a
+    walked distance is the sum of the agent's hops in the order it made them
+    (a hop is diagonal when both row and column change), so every average is
+    the same float the event-by-event sums give.
     """
     bounds = log.bounds()
     kinds = np.frombuffer(log.kinds, dtype=np.uint8)
@@ -62,7 +63,8 @@ def summarize(log: EventLog, cell_size_m: float) -> RunMetrics:
     # Each agent's cells in the order it reached them, spawn cell first. A
     # hop is diagonal when both the row and the column change.
     walk = np.flatnonzero(is_spawn | (kinds == MOVE))
-    walk = walk[np.argsort(agents[walk], kind="stable")]
+    # Keys agent * len(kinds) + index are unique, so this is the stable order.
+    walk = walk[np.argsort(agents[walk].astype(np.int64) * len(kinds) + walk)]
     who = agents[walk]
     rows, cols = np.divmod(cells[walk], log.cols)
     hop = who[1:] == who[:-1]
@@ -80,6 +82,12 @@ def summarize(log: EventLog, cell_size_m: float) -> RunMetrics:
         per_exit_counts=dict(Counter(zip(exit_rows.tolist(), exit_cols.tolist()))),
         completed=len(exits) == n_agents,
     )
+
+
+def run_metrics(sim) -> RunMetrics:
+    """`summarize` of a finished simulation's log; the run is complete only
+    when nobody is inside and nobody is still waiting to spawn."""
+    return replace(summarize(sim.state.log, sim.grid.cell_size_m), completed=sim.completed)
 
 
 @dataclass(frozen=True)
@@ -112,7 +120,7 @@ def sweep(config, populations: list[int], seeds_per_point: int,
             seed = np.random.SeedSequence([config.seed, population, run_i])
             sim = make_simulation(runtime, config, seed=seed, population=population)
             sim.run(config.max_steps)
-            metrics.append(summarize(sim.state.log, runtime.grid.cell_size_m))
+            metrics.append(run_metrics(sim))
         travels = [m.avg_travel_time_s for m in metrics if m.avg_travel_time_s is not None]
         dists = [m.avg_distance_m for m in metrics if m.avg_distance_m is not None]
         counts: dict[Cell, float] = {}

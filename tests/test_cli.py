@@ -96,6 +96,49 @@ def test_run_long_corridor_agent_exits(tmp_path):
     assert "stay" not in kinds
 
 
+LATE_SPAWN_SCENARIO = ("[run]\nmode = {mode}\nmax_steps = 100\n[layout]\npath = {layout}\n"
+                       "[spawn]\n0,0 = 1@0, 1@5000\n")
+MICRO_CORRIDOR_LAYOUT = ("2 6 0.5\n9 8 8 8 8 8\n3 2 2 2 2 2\n"
+                         "sink 0 5 1\nsink 1 5 1\nsource 0 0\n")
+
+
+def late_spawn_scenarios(tmp_path):
+    """A meso corridor and its micro refinement, each scheduling one agent at
+    step 0 and one at step 5000, past the 100-step limit."""
+    paths = []
+    for mode, layout in (("meso", CORRIDOR_LAYOUT), ("micro", MICRO_CORRIDOR_LAYOUT)):
+        (tmp_path / f"{mode}.layout").write_text(layout)
+        path = tmp_path / f"late_{mode}.scenario"
+        path.write_text(LATE_SPAWN_SCENARIO.format(mode=mode, layout=f"{mode}.layout"))
+        paths.append(str(path))
+    return paths
+
+
+def test_run_with_unspawned_agents_is_incomplete(tmp_path, capsys):
+    """Agents still waiting to spawn at the step limit leave the run incomplete,
+    in the exit code and in metrics.csv alike."""
+    meso, _ = late_spawn_scenarios(tmp_path)
+    out = tmp_path / "artifacts"
+    assert main(["run", meso, "--out", str(out)]) == 3
+    assert "1 scheduled agents never spawned" in capsys.readouterr().err
+    assert (out / "metrics.csv").read_text().splitlines()[1] == "1,2.5,2.0,1,false"
+
+
+def test_sweep_with_unspawned_agents_is_incomplete(tmp_path):
+    meso, _ = late_spawn_scenarios(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", meso, "--pop", "2", "--seeds", "1", "--out", str(out)]) == 3
+    assert (out / "metrics.csv").read_text().splitlines()[1] == "2,2.5,2.0,1.0,false"
+
+
+def test_compare_with_unspawned_agents_is_incomplete(tmp_path):
+    meso, micro = late_spawn_scenarios(tmp_path)
+    out = tmp_path / "cmp"
+    assert main(["compare", meso, micro, "--pop", "2", "--seeds", "1", "--out", str(out)]) == 3
+    row = (out / "comparison.csv").read_text().splitlines()[1].split(",")
+    assert row[0] == "2" and row[3] == "false" and row[6] == "false"
+
+
 def test_run_defaults_to_env_out_dir(corridor_scenario, tmp_path, monkeypatch):
     monkeypatch.setenv("MESOPED_OUT", str(tmp_path / "envout"))
     code = main(["run", str(corridor_scenario)])

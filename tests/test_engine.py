@@ -6,6 +6,7 @@ event for event.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +43,9 @@ def lone_agent(text=CORRIDOR_1X3, dt=0.5, seed=0, source=(0, 0)):
 
 def place(state, grid, cell, t_in=0.0):
     """Put a new agent, the next id in spawn order, in `cell` as if it had
-    entered at `t_in`, without logging a spawn."""
+    entered at `t_in`, without logging a spawn; on a sink it is due to exit."""
+    if cell in grid.sink_set:
+        state.arrived.append(state.spawned)
     state.present.append(state.spawned)
     state.at.append(grid.index(cell))
     state.t_in.append(t_in)
@@ -193,9 +196,13 @@ def test_choose_move_argmax_and_stay():
     assert sim.events[-1] == (2, 1.0, 0, "stay", 0, 2), "nothing scores above 0"
 
 
+# A closed 3x2 room: the agent starts at (1, 0), west of three east cells.
+ROOM_3X2 = "3 2 1.0\n9 12\n1 4\n3 6\n{}source 1 0\n"
+
+
 def test_choose_move_tie_prefers_orthogonal():
     """East, north-east and south-east sinks all score 100: east wins every time."""
-    text = "3 2 1.0\n9 12\n1 4\n3 6\nsink 0 1 1\nsink 1 1 1\nsink 2 1 1\nsource 1 0\n"
+    text = ROOM_3X2.format("sink 0 1 1\nsink 1 1 1\nsink 2 1 1\n")
     for seed in range(20):
         sim = lone_agent(text, seed=seed, source=(1, 0))
         assert first_move(sim) == (2, (1, 1))
@@ -212,6 +219,59 @@ def test_choose_move_tie_uses_seeded_generator():
     picks_a = picks()
     assert picks_a == picks()
     assert set(picks_a) == {(0, 0), (0, 2)}, "both options must be reachable"
+
+
+def rng_draws_by_step(sim, max_steps=10):
+    """Step a run to its end; for each step, whether it drew from the generator."""
+    drew = []
+    for _ in range(max_steps):
+        if sim.completed:
+            break
+        before = sim.state.rng.bit_generator.state
+        sim.step()
+        drew.append(sim.state.rng.bit_generator.state != before)
+    return drew
+
+
+def test_orthogonal_move_tying_a_diagonal_draws_nothing():
+    """East ties north-east and south-east at 100: the orthogonal move is taken
+    without a draw, so a lone agent's run never touches the generator."""
+    text = ROOM_3X2.format("sink 0 1 1\nsink 1 1 1\nsink 2 1 1\n")
+    sim = lone_agent(text, seed=4, source=(1, 0))
+    assert rng_draws_by_step(sim) == [False] * 3
+    assert [e[3:] for e in sim.events] == [("spawn", 1, 0), ("move", 1, 1), ("exit", 1, 1)]
+
+
+def test_diagonals_only_tie_draws():
+    """North-east and south-east tie at 100 above every orthogonal move (80):
+    the tie is broken by one draw, at the step of the move."""
+    text = ROOM_3X2.format("sink 0 1 1\nsink 2 1 1\n")
+    picks = set()
+    for seed in range(20):
+        sim = lone_agent(text, seed=seed, source=(1, 0))
+        assert rng_draws_by_step(sim) == [False, True, False]
+        picks.add(sim.events[1][4:])
+    assert picks == {(0, 1), (2, 1)}
+
+
+def test_sink_arrivals_exit_next_step_in_ascending_id_order():
+    """Four agents step onto four sinks in one step, in the shuffled order of
+    that step, and exit together at the next step, lowest id first."""
+    text = ("4 2 1.0\n9 8\n1 0\n1 0\n3 2\n"
+            + "".join(f"sink {r} 1 1\n" for r in range(4))
+            + "".join(f"source {r} 0\n" for r in range(4)))
+    grid, field = corridor(text)
+    shuffled = 0
+    for seed in range(10):
+        sim = Simulation(grid, field, MESO_TABLE, dt=0.5, seed=seed,
+                         schedule=tuple(SpawnEntry((r, 0), 1) for r in (2, 0, 3, 1)))
+        sim.run(max_steps=10)
+        moves = [e for e in sim.events if e[3] == "move"]
+        exits = [e for e in sim.events if e[3] == "exit"]
+        assert {e[0] for e in moves} == {2} and {e[0] for e in exits} == {3}
+        assert [e[2] for e in exits] == [0, 1, 2, 3]
+        shuffled += [e[2] for e in moves] != [0, 1, 2, 3]
+    assert shuffled, "no seed moved the agents out of id order"
 
 
 def test_corridor_single_agent_event_log():
@@ -317,6 +377,10 @@ def test_spawn_rejects_non_source_cells():
     grid, field = corridor()
     with pytest.raises(ValueError):
         Simulation(grid, field, MESO_TABLE, schedule=(SpawnEntry((0, 1), 1),))
+    # A grid built without validation may list a sink as a source too.
+    both = replace(grid, sources=((0, 0), (0, 2)))
+    with pytest.raises(ValueError, match="is a sink"):
+        Simulation(both, field, MESO_TABLE, schedule=(SpawnEntry((0, 2), 1),))
 
 
 def test_step_with_no_agents_only_advances_clock():
