@@ -22,7 +22,7 @@ from .scenario import (ConfigError, ScenarioConfig, build_runtime,
 OUT_ENV = "MESOPED_OUT"
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(ConfigError):
     """Paired meso/micro layouts do not describe the same floor plan."""
 
 
@@ -74,10 +74,14 @@ def _out_dir(out: str | None, default_name: str) -> Path:
     return path
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, data: str | bytes | bytearray) -> None:
+    """Write text, or bytes-like data as they are."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        if isinstance(data, str):
+            path.write_text(data)
+        else:
+            path.write_bytes(data)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
@@ -198,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, LayoutError, DimensionMismatch) as exc:
+    except (ConfigError, LayoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,11 +74,13 @@ class SpeedDensityTable:
                                  "would hold its agents in place forever")
 
     @cached_property
-    def _speeds(self) -> tuple[float, ...]:
+    def speeds(self) -> tuple[float, ...]:
+        """Walking speed (m/s) by density: the table's second column."""
         return tuple(u for _, u, _ in self.entries)
 
     @cached_property
-    def _probs(self) -> tuple[float, ...]:
+    def probs(self) -> tuple[float, ...]:
+        """Entry probability by density: the table's third column."""
         return tuple(p for _, _, p in self.entries)
 
     @cached_property
@@ -88,12 +91,12 @@ class SpeedDensityTable:
     def speed(self, density: int) -> float:
         if not 0 <= density < len(self.entries):
             raise OutOfRange(f"density {density} outside table range")
-        return self._speeds[density]
+        return self.speeds[density]
 
     def entry_probability(self, density: int) -> float:
         if not 0 <= density < len(self.entries):
             raise OutOfRange(f"density {density} outside table range")
-        return self._probs[density]
+        return self.probs[density]
 
 
 MESO_TABLE = SpeedDensityTable((
@@ -168,6 +171,36 @@ class EventLog:
                        *divmod(self.cells[k], cols))
 
 
+def bounded_draw(rng: np.random.Generator) -> Callable[[int], int]:
+    """A function `draw(n)` equal to `int(rng.integers(n))` for 1 <= n <= 2**32:
+    the same value from the same bit-generator calls, without the cost of a
+    numpy call.
+
+    It is the method numpy itself uses for such bounds (Lemire 2019, "Fast
+    Random Integer Generation in an Interval"): multiply a 32-bit draw by n,
+    keep the high word, and draw again while the low word is below
+    (2**32 - n) % n. The 32-bit draws come straight from the bit generator's
+    `ctypes.next_uint32`; `tests/test_engine.py` checks the result against
+    `Generator.integers`, so a change in numpy fails there by name.
+    """
+    handle = rng.bit_generator.ctypes
+    next_uint32, state = handle.next_uint32, handle.state
+
+    def draw(n: int) -> int:
+        if n == 1:
+            return 0  # numpy draws nothing for a single choice
+        m = next_uint32(state) * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = next_uint32(state) * n
+        return m >> 32
+
+    # `state` is a raw pointer into the generator, which must outlive `draw`.
+    draw.rng = rng
+    return draw
+
+
 class SimulationState:
     """Mutable per-run state: clock, agent columns, density, pending spawns, event log.
 
@@ -190,6 +223,11 @@ class SimulationState:
         self.pending = [[grid.index(e.cell), e.count, e.release_step] for e in schedule]
         # per-step work list: ids that moved onto a sink this step, to exit next step
         self.arrived: list[int] = []
+
+    @cached_property
+    def draw(self) -> Callable[[int], int]:
+        """`int(self.rng.integers(n))` by `bounded_draw`, built on a run's first tie."""
+        return bounded_draw(self.rng)
 
     @property
     def spawned(self) -> int:
@@ -228,7 +266,7 @@ class Simulation:
         # Time to cross a cell for each count of other occupants; None where
         # the speed is 0 and the agent cannot leave.
         diameter = grid.cell_size_m * DIAMETER_FACTOR
-        self._dwell = tuple(diameter / u if u > 0.0 else None for u in table._speeds)
+        self._dwell = tuple(diameter / u if u > 0.0 else None for u in table.speeds)
         self.state = SimulationState(grid, np.random.default_rng(seed), schedule, dt)
         # release step 0 is "present when the clock starts"
         self._spawn()
@@ -287,7 +325,7 @@ class Simulation:
         if len(ids) > 1:
             state.rng.shuffle(ids)
         masks, (orth_moves, diag_moves) = self.grid.move_masks, self.grid.move_offsets
-        values, probs, dwell = self.field.flat, self.table._probs, self._dwell
+        values, probs, dwell = self.field.flat, self.table.probs, self._dwell
         is_sink = self.grid.sink_flags
         log_agent, log_kind, log_cell = log.agents.append, log.kinds.append, log.cells.append
         for aid in ids:
@@ -324,7 +362,7 @@ class Simulation:
                 log_cell(i)
                 continue
             if ties is not None:
-                dest = ties[int(state.rng.integers(len(ties)))]
+                dest = ties[state.draw(len(ties))]
             if is_sink[dest]:
                 arrived.append(aid)
             density[i] -= 1
@@ -359,26 +397,67 @@ class Simulation:
         return not self.state.present and not self.state.pending
 
 
-def events_to_csv(log: EventLog) -> str:
-    """The log as CSV, one line per event.
+CSV_HEADER = b"step,clock_s,agent_id,event,row,col\n"
+# Events formatted per block, so the scratch memory does not grow with the log.
+CSV_BLOCK_EVENTS = 1 << 14
 
-    Each line joins a per-step `step,clock,` prefix, the agent id, a
-    per-kind `,kind,` piece and a per-cell `row,col` suffix, and the lines
-    are joined step by step.
+
+def _byte_table(pieces: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """The pieces as a fixed-width array, NUL-padded (numpy's `S` dtype), and
+    their lengths."""
+    table = np.array(pieces, dtype=bytes)
+    return table, np.fromiter(map(len, pieces), np.intp, len(pieces))
+
+
+def events_to_csv(log: EventLog) -> bytearray:
+    """The log as CSV bytes, one line per event, built in numpy.
+
+    A line is five pieces, each looked up in a small table: `step,clock,`
+    (one entry per step that has events), the agent id, `,kind,`, `row,` and
+    `col\n`. Each block of events gathers its pieces into one fixed-width row
+    of bytes per event; the NUL padding is dropped and the rest copied into
+    one buffer whose size is summed from the table lengths beforehand. The
+    bytes equal the per-event f-string writer kept in `tests/oracle.py`.
     """
-    agents, kinds, cells = log.agents, log.kinds, log.cells
-    kind_text = [f",{name}," for name in KINDS]
-    cell_text = {at: "%d,%d\n" % divmod(at, log.cols) for at in set(cells)}
-    chunks = ["step,clock_s,agent_id,event,row,col\n"]
-    bounds = log.bounds()
-    for step in range(len(bounds) - 1):
-        lo, hi = bounds[step], bounds[step + 1]
-        if lo == hi:
-            continue
-        prefix = f"{step},{step * log.dt!r},"
-        chunks.append("".join([f"{prefix}{a}{kind_text[k]}{cell_text[at]}"
-                               for a, k, at in zip(agents[lo:hi], kinds[lo:hi], cells[lo:hi])]))
-    return "".join(chunks)
+    n = len(log.kinds)
+    if not n:
+        return bytearray(CSV_HEADER)
+    counts = np.diff(log.bounds())
+    steps = np.flatnonzero(counts)
+    agents = np.frombuffer(log.agents, dtype=np.intc)
+    kinds = np.frombuffer(log.kinds, dtype=np.uint8)
+    cells = np.frombuffer(log.cells, dtype=np.intc)
+    cols = log.cols
+    rows = int(cells.max()) // cols + 1
+    step_text, step_len = _byte_table([b"%d,%r," % (s, s * log.dt) for s in steps.tolist()])
+    agent_text, agent_len = _byte_table([b"%d" % a for a in range(int(agents.max()) + 1)])
+    kind_text, kind_len = _byte_table([b",%s," % name.encode() for name in KINDS])
+    row_text, row_len = _byte_table([b"%d," % r for r in range(rows)])
+    col_text, col_len = _byte_table([b"%d\n" % c for c in range(cols)])
+    size = (len(CSV_HEADER) + step_len @ counts[steps]
+            + np.bincount(agents) @ agent_len
+            + np.bincount(kinds, minlength=len(KINDS)) @ kind_len
+            + np.bincount(cells, minlength=rows * cols) @ (row_len[:, None] + col_len).ravel())
+    step_of = np.repeat(np.arange(len(steps), dtype=np.intc), counts[steps])
+
+    tables = (step_text, agent_text, kind_text, row_text, col_text)
+    line = np.dtype([(f"f{k}", t.dtype) for k, t in enumerate(tables)])
+    raw = bytearray(CSV_BLOCK_EVENTS * line.itemsize)
+    block = np.frombuffer(raw, line)
+    out = bytearray(int(size))
+    out[:len(CSV_HEADER)] = CSV_HEADER
+    pos = len(CSV_HEADER)
+    for lo in range(0, n, CSV_BLOCK_EVENTS):
+        hi = min(lo + CSV_BLOCK_EVENTS, n)
+        block[hi - lo:] = np.zeros((), line)  # a short last block leaves only NULs behind
+        r, c = np.divmod(cells[lo:hi], cols)
+        for name, table, keys in zip(line.names, tables,
+                                     (step_of[lo:hi], agents[lo:hi], kinds[lo:hi], r, c)):
+            block[name][:hi - lo] = table.take(keys)
+        text = raw.translate(None, b"\0")
+        out[pos:pos + len(text)] = text
+        pos += len(text)
+    return out
 
 
 def render_snapshot(grid: LayoutGrid, density: list[int]) -> str:

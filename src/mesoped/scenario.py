@@ -41,15 +41,14 @@ class ScenarioConfig:
 
 
 def redistribute(schedule: tuple[SpawnEntry, ...], population: int) -> tuple[SpawnEntry, ...]:
-    """Spread `population` agents round-robin over the schedule's entries."""
+    """Spread `population` agents round-robin over the schedule's entries:
+    agent k goes to entry k mod len(schedule)."""
     if not schedule:
         raise ConfigError("cannot set a population on an empty spawn schedule")
     if population < 0:
         raise ConfigError(f"population must be non-negative, got {population}")
-    counts = [0] * len(schedule)
-    for k in range(population):
-        counts[k % len(schedule)] += 1
-    return tuple(SpawnEntry(e.cell, n, e.release_step) for e, n in zip(schedule, counts))
+    q, r = divmod(population, len(schedule))
+    return tuple(SpawnEntry(e.cell, q + (k < r), e.release_step) for k, e in enumerate(schedule))
 
 
 def _parse_cell(key: str, where: str) -> Cell:

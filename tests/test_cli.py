@@ -231,20 +231,39 @@ def test_compare_bundled_pair(tmp_path):
     assert lines[1] == "1,14.5,14.0,true,15.0,14.5,true"
 
 
+# Twice the corridor's rows and columns, but cells of the same size.
+STRETCHED_LAYOUT = ("2 6 1.0\n11 10 10 10 10 10\n11 10 10 10 10 10\n"
+                    "sink 0 5 1\nsink 1 5 1\nsource 0 0\n")
+
+
 def test_compare_rejects_mismatched_grids(capsys):
     code = main(["compare", "compare_10x15", "escalator_stair",
                  "--pop", "1", "--seeds", "1"])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert "is not twice the meso grid" in capsys.readouterr().err
+
+
+def test_compare_rejects_mismatched_cell_size(tmp_path, capsys):
+    """A micro grid of twice the rows and columns but not half the cell size
+    is a configuration error: exit 2, nothing written."""
+    (tmp_path / "meso.layout").write_text(CORRIDOR_LAYOUT)
+    (tmp_path / "micro.layout").write_text(STRETCHED_LAYOUT)
+    for mode in ("meso", "micro"):
+        (tmp_path / f"{mode}.scenario").write_text(
+            f"[run]\nmode = {mode}\n[layout]\npath = {mode}.layout\n[spawn]\n0,0 = 1@0\n")
+    out = tmp_path / "cmp"
+    code = main(["compare", str(tmp_path / "meso.scenario"), str(tmp_path / "micro.scenario"),
+                 "--pop", "1", "--seeds", "1", "--out", str(out)])
+    assert code == 2
+    assert "half the meso cell size" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_refinement_wants_half_cells():
     meso = parse_layout(CORRIDOR_LAYOUT)
-    stretched = parse_layout("2 6 1.0\n" + "11 10 10 10 10 10\n"
-                             "11 10 10 10 10 10\n"
-                             "sink 0 5 1\nsink 1 5 1\nsource 0 0\n")
     with pytest.raises(DimensionMismatch, match="cell size"):
-        check_refinement(meso, stretched)
+        check_refinement(meso, parse_layout(STRETCHED_LAYOUT))
+    assert issubclass(DimensionMismatch, ConfigError)
 
 
 def test_bad_population_spec(capsys):

@@ -15,11 +15,13 @@ from hypothesis import given, settings, strategies as st
 from gridgen import random_grid, random_schedule
 from mesoped.engine import (DIAMETER_FACTOR, EXIT, MESO_TABLE, MICRO_TABLE,
                             SPAWN, OutOfRange, Simulation, SpawnEntry,
-                            SpeedDensityTable, events_to_csv, render_snapshot)
+                            SpeedDensityTable, bounded_draw, events_to_csv,
+                            render_snapshot)
 from mesoped.floorfield import compute_field
 from mesoped.layout import parse_layout
 from mesoped.metrics import summarize
 from mesoped.scenario import build_runtime, bundled_scenarios, load_scenario
+import oracle
 from oracle import ReferenceSimulation
 
 CORRIDOR_1X3 = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
@@ -254,6 +256,32 @@ def test_diagonals_only_tie_draws():
     assert picks == {(0, 1), (2, 1)}
 
 
+@pytest.mark.parametrize("sizes", [
+    range(1, 9),
+    [2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 2, 2**32 - 1, 2**32],
+], ids=["ties", "near-2**32"])
+def test_bounded_draw_equals_generator_integers(sizes):
+    """On twin generators `bounded_draw` gives `int(Generator.integers(n))`,
+    draw for draw, interleaved with list shuffles as in the step loop, and
+    leaves the same generator state. Bounds just above 2**31 reject nearly
+    half their 32-bit draws; 2**32 - 1 rejects almost none."""
+    plan = np.random.default_rng(2024)
+    for seed in range(10):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = bounded_draw(ours)
+        for _ in range(400):
+            if plan.random() < 0.2:
+                a = list(range(int(plan.integers(2, 40))))
+                b = a[:]
+                ours.shuffle(a)
+                theirs.shuffle(b)
+                assert a == b
+            else:
+                n = int(plan.choice(sizes))
+                assert draw(n) == int(theirs.integers(n)), f"seed {seed}, n {n}"
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def test_sink_arrivals_exit_next_step_in_ascending_id_order():
     """Four agents step onto four sinks in one step, in the shuffled order of
     that step, and exit together at the next step, lowest id first."""
@@ -300,11 +328,11 @@ def test_corridor_csv_golden():
                      schedule=(SpawnEntry((0, 0), 1),), dt=0.5, seed=0)
     sim.run(max_steps=100)
     assert events_to_csv(sim.state.log) == (
-        "step,clock_s,agent_id,event,row,col\n"
-        "0,0.0,0,spawn,0,0\n"
-        "2,1.0,0,move,0,1\n"
-        "4,2.0,0,move,0,2\n"
-        "5,2.5,0,exit,0,2\n"
+        b"step,clock_s,agent_id,event,row,col\n"
+        b"0,0.0,0,spawn,0,0\n"
+        b"2,1.0,0,move,0,1\n"
+        b"4,2.0,0,move,0,2\n"
+        b"5,2.5,0,exit,0,2\n"
     )
 
 
@@ -536,3 +564,4 @@ def test_step_matches_reference_loop_under_fuzzing(run):
         sim.step()
         ref.step()
     assert ref.state.log.starts == log.starts
+    assert events_to_csv(log) == oracle.events_to_csv(ref.events).encode()

@@ -13,9 +13,11 @@ import pytest
 
 import oracle
 from gridgen import random_schedule
-from mesoped import scenario
-from mesoped.engine import MESO_TABLE, MICRO_TABLE, EventLog, Simulation, events_to_csv
+from mesoped import engine, scenario
+from mesoped.engine import (MESO_TABLE, MICRO_TABLE, EventLog, Simulation, SpawnEntry,
+                            events_to_csv)
 from mesoped.floorfield import compute_field
+from mesoped.layout import parse_layout
 from mesoped.metrics import (RunMetrics, SweepPoint, comparison_csv,
                              metrics_csv, summarize, sweep)
 from mesoped.scenario import build_runtime, bundled_scenarios, load_scenario
@@ -146,7 +148,7 @@ def assert_log_outputs_match_oracle(sim, cell_size_m):
     """Column-reading `summarize`/`events_to_csv` equal the event-by-event ones."""
     events = sim.events
     assert summarize(sim.state.log, cell_size_m) == oracle.summarize(events, cell_size_m)
-    assert events_to_csv(sim.state.log) == oracle.events_to_csv(events)
+    assert events_to_csv(sim.state.log) == oracle.events_to_csv(events).encode()
 
 
 @pytest.mark.parametrize("table", [MESO_TABLE, MICRO_TABLE], ids=["meso", "micro"])
@@ -170,6 +172,60 @@ def test_log_outputs_match_oracle_on_bundled_scenarios(name):
         assert_log_outputs_match_oracle(sim, runtime.grid.cell_size_m)
 
 
+def assert_csv_matches_oracle(log):
+    assert events_to_csv(log) == oracle.events_to_csv(list(log)).encode()
+
+
+def test_events_csv_of_an_empty_log_is_the_header():
+    assert events_to_csv(EventLog(0.5, 3)) == b"step,clock_s,agent_id,event,row,col\n"
+    log = EventLog(0.5, 3)
+    log.open_step(40)
+    assert_csv_matches_oracle(log)
+
+
+def test_events_csv_agent_ids_cross_digit_widths():
+    """Ids 0-1000 (widths 1 to 4) in one step and interleaved across steps,
+    in rooms whose rows and columns also cross a digit width."""
+    ids = list(range(1001))
+    log = log_of([(1, a, "spawn", a % 11, a % 101) for a in ids], cols=101)
+    assert_csv_matches_oracle(log)
+    events = [(s, a, kind, (a * 7) % 12, a % 13)
+              for s in range(2, 40) for a in (9, 10, 99, 100, 999, 1000)
+              for kind in ("move", "stay") if (a + s) % 3]
+    assert_csv_matches_oracle(log_of(events, dt=0.25, cols=13))
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.3, 0.5, 1e-9, 7.0])
+def test_events_csv_clocks_are_reprs(dt):
+    """Step s's clock is `repr(s * dt)`: 17 significant digits at dt 0.1 and
+    0.3 (3 * 0.1 is 0.30000000000000004), exponents at dt 1e-9."""
+    events = [(s, s % 5, ("spawn", "move", "stay", "exit")[s % 4], 0, s % 3)
+              for s in range(0, 400, 3)]
+    assert_csv_matches_oracle(log_of(events, dt=dt))
+    assert b"\n3,0.30000000000000004,3," in events_to_csv(log_of(events, dt=0.1))
+
+
+def test_events_csv_skips_thousands_of_empty_steps():
+    events = [(0, 0, "spawn", 0, 0), (2500, 0, "move", 0, 1), (9999, 0, "exit", 0, 1),
+              (10000, 1, "stay", 0, 2)]
+    log = log_of(events)
+    assert len(log.starts) == 10001
+    assert_csv_matches_oracle(log)
+    grid = parse_layout("1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n")
+    sim = Simulation(grid, compute_field(grid), MESO_TABLE, dt=0.1, seed=0,
+                     schedule=(SpawnEntry((0, 0), 1, 3000), SpawnEntry((0, 0), 1, 4500)))
+    sim.run(max_steps=6000)
+    assert sim.completed and len(sim.state.log.kinds) == 8
+    assert_csv_matches_oracle(sim.state.log)
+
+
+def test_events_csv_spans_many_blocks():
+    """A log several formatting blocks long, whose last block is short."""
+    n = 3 * engine.CSV_BLOCK_EVENTS + 17
+    events = [(k // 50, k % 777, ("move", "stay")[k % 2], k % 9, k % 31) for k in range(n)]
+    assert_csv_matches_oracle(log_of(events, dt=0.1, cols=31))
+
+
 def test_seed_sequences_are_distinct_and_stable(monkeypatch):
     """Each run of a sweep draws its own stream, keyed by the scenario seed,
     the population and the run index; sweeping again replays the same runs."""
@@ -185,7 +241,7 @@ def test_seed_sequences_are_distinct_and_stable(monkeypatch):
     monkeypatch.setattr(scenario, "make_simulation", recording)
     for seed in (config.seed, config.seed, config.seed + 1):
         sweep(replace(config, seed=seed), [20], 3, runtime)
-    logs = [events_to_csv(sim.state.log) for sim in sims]
+    logs = [bytes(events_to_csv(sim.state.log)) for sim in sims]
     assert len(set(logs[:3])) == 3, "runs of one population must differ"
     assert logs[3:6] == logs[:3], "the same seed must replay the same runs"
     assert not set(logs[6:]) & set(logs[:3]), "another seed must give other runs"

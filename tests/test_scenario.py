@@ -1,6 +1,9 @@
 """Scenario parsing, overrides, bundled files, and runtime assembly."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -131,6 +134,34 @@ def test_redistribute_round_robin():
         redistribute((), 5)
     with pytest.raises(ConfigError):
         redistribute(schedule, -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 60), st.integers(0, 5))
+def test_redistribute_matches_round_robin(entries, population, first_release):
+    """Agent k goes to entry k mod len(schedule); cells and release steps stay."""
+    schedule = tuple(SpawnEntry((k, 0), 1, first_release + k) for k in range(entries))
+    counts = [0] * entries
+    for k in range(population):
+        counts[k % entries] += 1
+    repop = redistribute(schedule, population)
+    assert [e.count for e in repop] == counts
+    assert [(e.cell, e.release_step) for e in repop] == [(e.cell, e.release_step) for e in schedule]
+
+
+def test_redistribute_huge_population_is_immediate():
+    """The spread is arithmetic, not a loop over agents: 10**18 agents over
+    seven entries takes no time (a loop would take millennia)."""
+    code = ("from mesoped.engine import SpawnEntry\n"
+            "from mesoped.scenario import redistribute\n"
+            "schedule = tuple(SpawnEntry((k, 0), 1) for k in range(7))\n"
+            "print([e.count for e in redistribute(schedule, 10**18)])\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, env=env)
+    q, r = divmod(10**18, 7)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{[q + 1] * r + [q] * (7 - r)}\n"
 
 
 def test_load_scenario_from_path(corridor_dir):
