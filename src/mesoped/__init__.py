@@ -11,10 +11,10 @@ from .engine import (
     MESO_TABLE, MICRO_TABLE, OutOfRange, Simulation, SpawnEntry,
     SpeedDensityTable, events_to_csv, render_snapshot,
 )
-from .metrics import RunMetrics, SweepPoint, summarize, sweep
 from .scenario import (
     ConfigError, ScenarioConfig, Runtime, build_runtime, bundled_scenarios,
     load_scenario, make_simulation,
 )
+from .metrics import RunMetrics, summarize, sweep
 
 __version__ = "0.1.0"

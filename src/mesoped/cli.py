@@ -103,10 +103,9 @@ def cmd_run(args) -> int:
 
     sim.run(max_steps, on_step=on_step if args.snapshots else None)
 
-    m = run_metrics(sim)
     sinks = [cell for cell, _ in runtime.grid.sinks]
     _write(out_dir / "events.csv", events_to_csv(sim.state.log))
-    _write(out_dir / "metrics.csv", metrics_csv([(m.n_agents, m)], sinks))
+    _write(out_dir / "metrics.csv", metrics_csv([run_metrics(sim)], sinks))
     _write(out_dir / "field.csv", field_to_csv(runtime.field))
     if args.snapshots:
         _write(out_dir / "snapshots.txt", "\n".join(snapshots))
@@ -138,7 +137,7 @@ def cmd_sweep(args) -> int:
     runtime = build_runtime(config)
     points = sweep(config, populations, args.seeds, runtime)
     sinks = [cell for cell, _ in runtime.grid.sinks]
-    _write(out_dir / "metrics.csv", metrics_csv([(p.population, p) for p in points], sinks))
+    _write(out_dir / "metrics.csv", metrics_csv(points, sinks))
     print(f"{config.name}: {len(points)} population points x {args.seeds} seeds -> {out_dir}")
     return 0 if all(p.completed for p in points) else 3
 
@@ -153,7 +152,7 @@ def cmd_compare(args) -> int:
     check_refinement(meso_runtime.grid, micro_runtime.grid)
     meso_points = sweep(meso_config, populations, args.seeds, meso_runtime)
     micro_points = sweep(micro_config, populations, args.seeds, micro_runtime)
-    _write(out_dir / "comparison.csv", comparison_csv(populations, meso_points, micro_points))
+    _write(out_dir / "comparison.csv", comparison_csv(meso_points, micro_points))
     print(f"{meso_config.name} vs {micro_config.name}: {len(populations)} population "
           f"points x {args.seeds} seeds -> {out_dir}")
     ok = all(p.completed for p in meso_points) and all(p.completed for p in micro_points)

@@ -386,6 +386,7 @@ class Simulation:
                 on_step(self)
         return self.state
 
+    # perfbench/tracer.py counts from this; it stays until the tracer reads state.log.
     @property
     def events(self) -> list[tuple[int, float, int, str, int, int]]:
         """The event log as `(step, clock, agent, kind, row, col)` tuples,

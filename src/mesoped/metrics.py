@@ -14,6 +14,7 @@ import numpy as np
 
 from .engine import EXIT, MOVE, SPAWN, EventLog
 from .layout import Cell
+from .scenario import ConfigError, Runtime, ScenarioConfig, make_simulation
 
 
 def _fmean(xs) -> float:
@@ -23,12 +24,17 @@ def _fmean(xs) -> float:
 
 @dataclass(frozen=True)
 class RunMetrics:
-    """Aggregates for one run; averages cover exited agents only."""
+    """Aggregates for one run, or for one sweep point averaged over seeds.
+
+    `n_agents` is the number of agents spawned for a run, and the population
+    swept for a sweep point, whose exit counts are seed means. Averages cover
+    exited agents only.
+    """
 
     n_agents: int
     avg_travel_time_s: float | None
     avg_distance_m: float | None
-    per_exit_counts: dict[Cell, int]
+    per_exit_counts: dict[Cell, int | float]
     completed: bool
 
 
@@ -90,26 +96,13 @@ def run_metrics(sim) -> RunMetrics:
     return replace(summarize(sim.state.log, sim.grid.cell_size_m), completed=sim.completed)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """Seed-averaged metrics at one population size."""
-
-    population: int
-    avg_travel_time_s: float | None
-    avg_distance_m: float | None
-    per_exit_counts: dict[Cell, float]
-    completed: bool
-
-
-def sweep(config, populations: list[int], seeds_per_point: int,
-          runtime) -> list[SweepPoint]:
+def sweep(config: ScenarioConfig, populations: list[int], seeds_per_point: int,
+          runtime: Runtime) -> list[RunMetrics]:
     """Average metrics across seeded repeats for each population size.
 
     Every run reuses the layout and navigation field of `runtime`, built
     from `config`; only the spawn schedule and the generator change.
     """
-    from .scenario import ConfigError, make_simulation
-
     if seeds_per_point < 1:
         raise ConfigError(f"seeds per population must be at least 1, got {seeds_per_point}")
     points = []
@@ -123,11 +116,10 @@ def sweep(config, populations: list[int], seeds_per_point: int,
             metrics.append(run_metrics(sim))
         travels = [m.avg_travel_time_s for m in metrics if m.avg_travel_time_s is not None]
         dists = [m.avg_distance_m for m in metrics if m.avg_distance_m is not None]
-        counts: dict[Cell, float] = {}
-        for cell, _ in runtime.grid.sinks:
-            counts[cell] = _fmean([m.per_exit_counts.get(cell, 0) for m in metrics])
-        points.append(SweepPoint(
-            population=population,
+        counts = {cell: _fmean([m.per_exit_counts.get(cell, 0) for m in metrics])
+                  for cell, _ in runtime.grid.sinks}
+        points.append(RunMetrics(
+            n_agents=population,
             avg_travel_time_s=_fmean(travels) if travels else None,
             avg_distance_m=_fmean(dists) if dists else None,
             per_exit_counts=counts,
@@ -140,30 +132,31 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def metrics_csv(rows: list[tuple[int, RunMetrics | SweepPoint]], sinks: list[Cell]) -> str:
-    """Shared CSV shape for single runs and sweeps: one line per population."""
+def metrics_csv(rows: list[RunMetrics], sinks: list[Cell]) -> str:
+    """Shared CSV shape for single runs and sweeps: one line per population.
+
+    An exit count is written with `str`: an int for a run, the float's repr
+    for a seed mean.
+    """
     header = ["population", "avg_travel_time_s", "avg_distance_m"]
     header += [f"exit_{r}_{c}_count" for r, c in sinks]
     header.append("completed")
     lines = [",".join(header)]
-    for population, m in rows:
-        cells = [str(population), _fmt(m.avg_travel_time_s), _fmt(m.avg_distance_m)]
-        for cell in sinks:
-            count = m.per_exit_counts.get(cell, 0)
-            cells.append(repr(float(count)) if isinstance(count, float) else str(count))
+    for m in rows:
+        cells = [str(m.n_agents), _fmt(m.avg_travel_time_s), _fmt(m.avg_distance_m)]
+        cells += [str(m.per_exit_counts.get(cell, 0)) for cell in sinks]
         cells.append("true" if m.completed else "false")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
-def comparison_csv(populations: list[int], meso: list[SweepPoint],
-                   micro: list[SweepPoint]) -> str:
+def comparison_csv(meso: list[RunMetrics], micro: list[RunMetrics]) -> str:
     header = ("population,meso_avg_travel_time_s,meso_avg_distance_m,meso_completed,"
               "micro_avg_travel_time_s,micro_avg_distance_m,micro_completed")
     lines = [header]
-    for population, a, b in zip(populations, meso, micro):
+    for a, b in zip(meso, micro):
         lines.append(",".join([
-            str(population),
+            str(a.n_agents),
             _fmt(a.avg_travel_time_s), _fmt(a.avg_distance_m),
             "true" if a.completed else "false",
             _fmt(b.avg_travel_time_s), _fmt(b.avg_distance_m),

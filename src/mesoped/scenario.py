@@ -29,7 +29,6 @@ class ConfigError(Exception):
 class ScenarioConfig:
     name: str
     layout_path: Path
-    mode: str = "meso"
     dt_s: float = 0.5
     max_steps: int = 1000
     seed: int = 0
@@ -37,7 +36,7 @@ class ScenarioConfig:
     base_reward: float = DEFAULT_BASE_REWARD
     sink_multipliers: tuple[tuple[Cell, float], ...] = ()
     schedule: tuple[SpawnEntry, ...] = ()
-    table: SpeedDensityTable | None = None
+    table: SpeedDensityTable = MESO_TABLE
 
 
 def redistribute(schedule: tuple[SpawnEntry, ...], population: int) -> tuple[SpawnEntry, ...]:
@@ -157,7 +156,7 @@ def parse_scenario(text: str, name: str, base_dir: Path) -> ScenarioConfig:
             for count, step in _parse_spawn_terms(raw, f"{name}: [spawn] {key}"):
                 schedule.append(SpawnEntry(cell=cell, count=count, release_step=step))
 
-    table = None
+    table = MICRO_TABLE if mode == "micro" else MESO_TABLE
     if parser.has_section("table"):
         rows = []
         for key, raw in parser.items("table"):
@@ -176,7 +175,7 @@ def parse_scenario(text: str, name: str, base_dir: Path) -> ScenarioConfig:
             raise ConfigError(f"{name}: [table]: {exc}") from None
 
     return ScenarioConfig(
-        name=name, layout_path=layout_path, mode=mode, dt_s=dt_s,
+        name=name, layout_path=layout_path, dt_s=dt_s,
         max_steps=max_steps, seed=seed, gamma=gamma, base_reward=base_reward,
         sink_multipliers=tuple(multipliers), schedule=tuple(schedule), table=table,
     )
@@ -189,17 +188,23 @@ def bundled_scenarios() -> list[str]:
 
 
 def load_scenario(source: str | Path) -> ScenarioConfig:
-    """Load a scenario from a file path or a bundled scenario name."""
+    """Load a scenario from a file path or a bundled scenario name.
+
+    A source ending in `.scenario`, or naming an existing file, is a path.
+    Anything else is the bare name of a bundled scenario, with no directory
+    part, so a directory of that name in the working directory does not
+    shadow it.
+    """
     path = Path(source)
-    if path.suffix == ".scenario" or path.exists():
+    if path.suffix == ".scenario" or path.is_file():
         try:
             text = path.read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
         return parse_scenario(text, path.stem, path.parent)
     root = resources.files("mesoped") / "scenarios"
-    candidate = root / f"{source}.scenario"
-    if not candidate.is_file():
+    candidate = root / f"{path.name}.scenario"
+    if path.name != str(source) or not candidate.is_file():
         raise ConfigError(
             f"{source!r} is neither a scenario file nor a bundled scenario "
             f"(bundled: {', '.join(bundled_scenarios())})")
@@ -224,6 +229,7 @@ class Runtime:
     field: FloorField
     table: SpeedDensityTable
 
+    # perfbench/tracer.py reads this; it stays until the tracer reads field.rounds.
     @property
     def sweeps(self) -> int:
         """Frontier rounds the field solve took."""
@@ -243,10 +249,6 @@ def build_runtime(config: ScenarioConfig) -> Runtime:
         if entry.cell not in grid.source_set:
             raise ConfigError(
                 f"{config.name}: spawn cell {entry.cell} is not a source in the layout")
-    if config.table is not None:
-        table = config.table
-    else:
-        table = MICRO_TABLE if config.mode == "micro" else MESO_TABLE
     for cell, weight in grid.sinks:
         if not math.isfinite(config.base_reward * weight):
             raise ConfigError(
@@ -272,7 +274,7 @@ def build_runtime(config: ScenarioConfig) -> Runtime:
                     f"{config.name}: cell {cell} lies on a plateau of the navigation "
                     f"field at {values[i]!r}, with no higher neighbour (too far from "
                     f"every sink at gamma {config.gamma})")
-    return Runtime(grid=grid, field=field, table=table)
+    return Runtime(grid=grid, field=field, table=config.table)
 
 
 def make_simulation(runtime: Runtime, config: ScenarioConfig,

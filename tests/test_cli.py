@@ -197,6 +197,24 @@ def test_run_directory_as_scenario_is_config_error(tmp_path, capsys):
     assert err.startswith("error:") and str(scenario_dir) in err
 
 
+def test_directory_does_not_shadow_bundled_scenario(tmp_path, monkeypatch):
+    """A bare name is a bundled scenario, even when the working directory
+    holds a directory of that name (such as an earlier run's --out)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "compare_10x15").mkdir()
+    assert main(["run", "compare_10x15", "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "events.csv").is_file()
+
+
+def test_path_without_suffix_is_not_a_bundled_name(corridor_scenario, capsys):
+    """Only a bare name is looked up among the bundled scenarios; a path to
+    `corridor.scenario` that drops the suffix is neither."""
+    source = str(corridor_scenario.with_suffix(""))
+    assert main(["run", source, "--out", str(corridor_scenario.parent / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "neither a scenario file nor a bundled scenario" in err and source in err
+
+
 def test_export_field_to_directory_is_config_error(corridor_scenario, tmp_path, capsys):
     assert main(["export-field", str(corridor_scenario), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -8,7 +8,7 @@ from mesoped.floorfield import (DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField,
                                 Stuck, compute_field, field_to_csv,
                                 greedy_descent)
 from mesoped.layout import (BOTTOM, DIR_VECTORS, LEFT, RIGHT, TOP, LayoutGrid,
-                            moves_of, parse_layout)
+                            moves_of, parse_layout, validate_grid)
 from mesoped.scenario import (apply_sink_multipliers, bundled_scenarios,
                               load_scenario)
 from oracle import field_to_csv as field_to_csv_oracle
@@ -114,6 +114,46 @@ def test_matches_value_iteration_on_random_grids(gamma, random_grids):
         assert np.array_equal(field.values, value_iteration(grid, gamma)), k
         assert_bellman_fixed_point(field, grid)
         assert_csv_matches_oracle(field)
+
+
+# Each symmetry of the grid: the wall bits it exchanges, and what it does
+# to a (rows, cols) array.
+SYMMETRIES = {
+    "mirror-lr": (((LEFT, RIGHT),), np.fliplr),
+    "mirror-ud": (((TOP, BOTTOM),), np.flipud),
+    "transpose": (((TOP, LEFT), (BOTTOM, RIGHT)), np.transpose),
+}
+
+
+def transformed(grid: LayoutGrid, name: str) -> LayoutGrid:
+    """`grid` mirrored or transposed: walls, sinks and sources alike."""
+    pairs, on_array = SYMMETRIES[name]
+    walls = on_array(np.array(grid.walls))
+    swapped = walls.copy()
+    for a, b in pairs:
+        swapped &= ~(a | b)
+        swapped |= np.where(walls & a, b, 0) | np.where(walls & b, a, 0)
+    # Where each cell lands: read off the image of the flat cell indices.
+    image = on_array(np.arange(grid.rows * grid.cols).reshape(grid.rows, grid.cols))
+    lands = {i: divmod(k, image.shape[1]) for k, i in enumerate(image.ravel().tolist())}
+    out = bare_grid(swapped.tolist(),
+                    sinks=[(lands[grid.index(cell)], w) for cell, w in grid.sinks],
+                    sources=[lands[grid.index(cell)] for cell in grid.sources],
+                    cell_size=grid.cell_size_m)
+    validate_grid(out)
+    return out
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.8, 0.95])
+def test_field_is_equivariant_under_mirrors_and_transpose(gamma, random_grids):
+    """The field of a mirrored or transposed layout is the mirrored or
+    transposed field, bit for bit. (The engine is not equivariant: it draws
+    ties in compass order.)"""
+    for k, grid in enumerate(random_grids):
+        values = compute_field(grid, gamma).values
+        for name, (_, on_array) in SYMMETRIES.items():
+            image = compute_field(transformed(grid, name), gamma).values
+            assert np.array_equal(image.view(np.int64), on_array(values).view(np.int64)), (k, name)
 
 
 def test_sink_value_is_base_times_weight():

@@ -1,0 +1,54 @@
+"""The package's import graph: module-level imports only, no cycles, and a
+bare `import mesoped` that leaves the command-line module unloaded."""
+
+import ast
+import subprocess
+import sys
+from graphlib import TopologicalSorter
+from pathlib import Path
+
+import mesoped
+
+SOURCES = sorted(Path(mesoped.__file__).parent.glob("*.py"))
+# Each module imports only modules before it here.
+LAYERS = ("layout", "floorfield", "engine", "scenario", "metrics", "cli")
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def test_imports_sit_at_module_level():
+    nested = []
+    for path in SOURCES:
+        for scope in ast.walk(ast.parse(path.read_text())):
+            if isinstance(scope, SCOPES):
+                nested += [f"{path.name}:{node.lineno}" for node in ast.walk(scope)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested, f"imports inside a function or class: {nested}"
+
+
+def relative_imports(path: Path) -> set[str]:
+    """The sibling modules `path` imports with `from .x import ...` or
+    `from . import x`."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_relative_import_graph_is_acyclic():
+    graph = {path.stem: relative_imports(path) for path in SOURCES}
+    TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+    for module, imported in graph.items():
+        if module != "__init__":
+            later = LAYERS[LAYERS.index(module):]
+            assert not imported & set(later), f"{module} imports {imported & set(later)}"
+
+
+def test_import_mesoped_leaves_cli_unloaded():
+    code = "import sys, mesoped; print('mesoped.cli' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=Path(mesoped.__file__).parents[1])
+    assert out.stdout.strip() == "False"

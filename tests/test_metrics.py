@@ -13,13 +13,13 @@ import pytest
 
 import oracle
 from gridgen import random_schedule
-from mesoped import engine, scenario
+from mesoped import engine, metrics
 from mesoped.engine import (MESO_TABLE, MICRO_TABLE, EventLog, Simulation, SpawnEntry,
                             events_to_csv)
 from mesoped.floorfield import compute_field
 from mesoped.layout import parse_layout
-from mesoped.metrics import (RunMetrics, SweepPoint, comparison_csv,
-                             metrics_csv, summarize, sweep)
+from mesoped.metrics import (RunMetrics, comparison_csv, metrics_csv, summarize,
+                             sweep)
 from mesoped.scenario import build_runtime, bundled_scenarios, load_scenario
 
 CORRIDOR_EVENTS = [
@@ -231,14 +231,14 @@ def test_seed_sequences_are_distinct_and_stable(monkeypatch):
     the population and the run index; sweeping again replays the same runs."""
     config = load_scenario("compare_10x15")
     runtime = build_runtime(config)
-    make_simulation = scenario.make_simulation
+    make_simulation = metrics.make_simulation
     sims = []
 
     def recording(*args, **kwargs):
         sims.append(make_simulation(*args, **kwargs))
         return sims[-1]
 
-    monkeypatch.setattr(scenario, "make_simulation", recording)
+    monkeypatch.setattr(metrics, "make_simulation", recording)
     for seed in (config.seed, config.seed, config.seed + 1):
         sweep(replace(config, seed=seed), [20], 3, runtime)
     logs = [bytes(events_to_csv(sim.state.log)) for sim in sims]
@@ -256,31 +256,38 @@ def test_sweep_is_deterministic():
     a = sweep(config, [1, 3], 2, build_runtime(config))
     b = sweep(config, [1, 3], 2, build_runtime(config))
     assert a == b
-    assert [p.population for p in a] == [1, 3]
+    assert [p.n_agents for p in a] == [1, 3]
     assert all(p.completed for p in a)
     assert a[0].avg_travel_time_s == 14.5
 
 
-def test_metrics_csv_layout():
+@pytest.mark.parametrize("counts, row", [
+    ({(0, 2): 2}, "2,2.5,2.0,2,true"),
+    ({(0, 2): 0.5, (1, 0): 0.1 + 0.2, (2, 2): 2.0},
+     "2,2.5,2.0,0.5,0.30000000000000004,2.0,true"),
+], ids=["run", "seed-mean"])
+def test_metrics_csv_layout(counts, row):
+    """A run's int count and a seed mean's float count both print as `str`."""
     m = RunMetrics(n_agents=2, avg_travel_time_s=2.5, avg_distance_m=2.0,
-                   per_exit_counts={(0, 2): 2}, completed=True)
-    text = metrics_csv([(2, m)], sinks=[(0, 2)])
+                   per_exit_counts=counts, completed=True)
+    sinks = list(counts)
+    text = metrics_csv([m], sinks=sinks)
     assert text == ("population,avg_travel_time_s,avg_distance_m,"
-                    "exit_0_2_count,completed\n"
-                    "2,2.5,2.0,2,true\n")
+                    + "".join(f"exit_{r}_{c}_count," for r, c in sinks)
+                    + f"completed\n{row}\n")
 
 
 def test_metrics_csv_handles_missing_values():
     m = RunMetrics(n_agents=1, avg_travel_time_s=None, avg_distance_m=None,
                    per_exit_counts={}, completed=False)
-    text = metrics_csv([(1, m)], sinks=[(0, 2)])
+    text = metrics_csv([m], sinks=[(0, 2)])
     assert text.splitlines()[1] == "1,,,0,false"
 
 
 def test_comparison_csv_pairs_rows():
-    a = SweepPoint(1, 14.5, 14.0, {}, True)
-    b = SweepPoint(1, 15.0, 14.5, {}, True)
-    text = comparison_csv([1], [a], [b])
+    a = RunMetrics(1, 14.5, 14.0, {}, True)
+    b = RunMetrics(1, 15.0, 14.5, {}, True)
+    text = comparison_csv([a], [b])
     lines = text.splitlines()
     assert lines[0].startswith("population,meso_avg_travel_time_s")
     assert lines[1] == "1,14.5,14.0,true,15.0,14.5,true"

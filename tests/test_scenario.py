@@ -53,7 +53,6 @@ def test_parse_full_scenario(corridor_dir):
     cfg = parse_scenario(FULL_TEXT, "demo", corridor_dir)
     assert cfg.name == "demo"
     assert cfg.layout_path == (corridor_dir / "corridor.layout").resolve()
-    assert cfg.mode == "micro"
     assert cfg.dt_s == 0.25
     assert cfg.max_steps == 400
     assert cfg.seed == 7
@@ -61,12 +60,12 @@ def test_parse_full_scenario(corridor_dir):
     assert cfg.base_reward == 50.0
     assert cfg.sink_multipliers == (((0, 2), 2.5),)
     assert cfg.schedule == (SpawnEntry((0, 0), 3, 0), SpawnEntry((0, 0), 2, 10))
-    assert cfg.table is None
+    assert cfg.table == MICRO_TABLE
 
 
 def test_parse_defaults(corridor_dir):
     cfg = parse_scenario("[layout]\npath = corridor.layout\n", "d", corridor_dir)
-    assert cfg.mode == "meso"
+    assert cfg.table == MESO_TABLE
     assert cfg.dt_s == 0.5
     assert cfg.max_steps == 1000
     assert cfg.seed == 0
@@ -77,10 +76,11 @@ def test_parse_defaults(corridor_dir):
 
 
 def test_parse_custom_table(corridor_dir):
-    text = ("[layout]\npath = corridor.layout\n"
+    """A [table] section replaces the table that `mode` would pick."""
+    text = ("[run]\nmode = micro\n[layout]\npath = corridor.layout\n"
             "[table]\n0 = 1.0 1.0\n1 = 0.5 0.5\n2 = 0.0 0.0\n")
     cfg = parse_scenario(text, "d", corridor_dir)
-    assert cfg.table is not None
+    assert cfg.table not in (MESO_TABLE, MICRO_TABLE)
     assert cfg.table.capacity == 2
     assert cfg.table.speed(1) == 0.5
 
