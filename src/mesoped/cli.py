@@ -62,15 +62,29 @@ def _with_seed(config: ScenarioConfig, seed: int | None) -> ScenarioConfig:
     return config if seed is None else replace(config, seed=seed)
 
 
-def _out_dir(out: str | None, default_name: str) -> Path:
-    """The output directory, checked before any work: it, or else its nearest
-    existing ancestor, must be a writable directory. Nothing is created yet,
-    so a command that fails later leaves nothing behind."""
-    path = Path(out) if out else Path(os.environ.get(OUT_ENV, "out")) / default_name
+def _require_writable(path: Path, name: str) -> None:
+    """Raise unless `path`, or else its nearest existing ancestor, is a
+    writable directory; `name` says in the message what would be written."""
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
-        raise ConfigError(f"cannot write to output directory {path}: "
-                          f"{existing} is not a writable directory")
+        raise ConfigError(f"cannot write {name}: {existing} is not a writable directory")
+
+
+def _out_dir(out: str | None, default_name: str) -> Path:
+    """The output directory, checked before any work. Nothing is created yet,
+    so a command that fails later leaves nothing behind."""
+    path = Path(out) if out else Path(os.environ.get(OUT_ENV, "out")) / default_name
+    _require_writable(path, f"to output directory {path}")
+    return path
+
+
+def _out_file(out: str) -> Path:
+    """The output file, checked before any work like `_out_dir`; an existing
+    directory is not a file to write."""
+    path = Path(out)
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    _require_writable(path.parent, str(path))
     return path
 
 
@@ -123,8 +137,8 @@ def cmd_run(args) -> int:
 
 def cmd_export_field(args) -> int:
     config = load_scenario(args.scenario)
+    out = _out_file(args.out)
     runtime = build_runtime(config)
-    out = Path(args.out)
     _write(out, field_to_csv(runtime.field))
     print(f"{config.name}: field {runtime.grid.rows}x{runtime.grid.cols} -> {out}")
     return 0

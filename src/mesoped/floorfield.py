@@ -43,13 +43,20 @@ class FloorField:
     rounds: int
 
     @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct values, one per bit pattern in ascending bit order,
+        and each cell's index into them, shaped like `values`."""
+        values = np.asarray(self.values, dtype=np.float64)
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        return bits.view(np.float64), inverse.reshape(values.shape)
+
+    @cached_property
     def flat(self) -> list[float]:
         """The values in row-major order, one shared float per distinct bit
         pattern: the step loop reads them without making a float each time."""
-        values = np.asarray(self.values, dtype=np.float64)
-        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        distinct = bits.view(np.float64).tolist()
-        return [distinct[k] for k in inverse.ravel().tolist()]
+        distinct, index = self.distinct
+        distinct = distinct.tolist()
+        return [distinct[k] for k in index.ravel().tolist()]
 
 
 def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
@@ -64,7 +71,10 @@ def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     n = grid.rows * grid.cols
-    nbr = grid.neighbours
+    # Direction-major: gathering a cell set's neighbours with `take` along
+    # axis 1 and reducing over axis 0 reads each direction contiguously,
+    # several times faster than indexing rows of the (n, 8) table.
+    nbr = grid.neighbours.T
     # One extra slot holding 0: a -1 entry of the move table indexes it.
     values = np.zeros(n + 1)
     free = np.ones(n + 1, dtype=bool)
@@ -79,13 +89,13 @@ def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
     rounds = 0
     while risen.size:
         rounds += 1
-        near = nbr[risen].ravel()
-        near = near[free[near]]
+        near = nbr.take(risen, axis=1).ravel()
+        near = near[free.take(near)]
         order = np.arange(near.size)
         slot[near] = order
-        cells = near[slot[near] == order]
-        new = gamma * values[nbr[cells]].max(axis=1)
-        up = new > values[cells]
+        cells = near[slot.take(near) == order]
+        new = gamma * values.take(nbr.take(cells, axis=1)).max(axis=0)
+        up = new > values.take(cells)
         risen = cells[up]
         values[risen] = new[up]
     return FloorField(values=values[:n].reshape(grid.rows, grid.cols),
@@ -134,8 +144,7 @@ def field_to_csv(field: FloorField) -> str:
     gamma^hops), so each distinct bit pattern is formatted once; the text of
     a value depends only on its bits, -0.0 and subnormals included.
     """
-    values = np.asarray(field.values, dtype=np.float64)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    cells = text[inverse.reshape(values.shape)].tolist()
+    distinct, index = field.distinct
+    text = np.array([repr(v) for v in distinct.tolist()], dtype=object)
+    cells = text[index].tolist()
     return "".join([",".join(row) + "\n" for row in cells])

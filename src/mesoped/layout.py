@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -72,6 +73,11 @@ def side_open(code: int, side: int) -> bool:
     return not code & side
 
 
+def _window(size: int, step: int) -> slice:
+    """The positions along an axis of `size` that stay on it after `step`."""
+    return slice(max(-step, 0), size - max(step, 0))
+
+
 @dataclass(frozen=True)
 class LayoutGrid:
     """Immutable layout: wall codes plus sink weights and source cells.
@@ -103,31 +109,40 @@ class LayoutGrid:
         return frozenset(self.sources)
 
     @cached_property
+    def wall_codes(self) -> np.ndarray:
+        """Read-only (rows, cols) uint8 array of the wall codes."""
+        codes = np.frombuffer(bytes(chain.from_iterable(self.walls)), dtype=np.uint8)
+        return codes.reshape(self.rows, self.cols)
+
+    @cached_property
     def neighbours(self) -> np.ndarray:
         """Read-only (rows*cols, 8) table: the flat index of each move's
         destination in DIRECTIONS order, or -1 where the move is not permitted.
 
         This is the one definition of move permission. On a grid that passes
         `validate_grid` it is symmetric: j is a neighbour of i iff i is one of j.
+        The table is the transpose of a C-contiguous (8, rows*cols) array, one
+        direction per row, so `neighbours.T.take(cells, axis=1)` gathers a
+        cell set's neighbours with each direction contiguous.
         """
         rows, cols = self.rows, self.cols
-        walls = np.array(self.walls, dtype=np.int64)
-        r, c = np.indices((rows, cols))
-        table = np.full((rows, cols, len(DIRECTIONS)), -1, dtype=np.int64)
+        walls = self.wall_codes
+        flat = np.arange(rows * cols).reshape(rows, cols)
+        table = np.full((len(DIRECTIONS), rows * cols), -1, dtype=np.intp)
         for k, d in enumerate(DIRECTIONS):
             dr, dc = DIR_VECTORS[d]
-            nr, nc = r + dr, c + dc
-            ok = (nr >= 0) & (nr < rows) & (nc >= 0) & (nc < cols)
+            # `here`: the cells with a cell next to them in direction d;
+            # `there`: those next cells.
+            here = (_window(rows, dr), _window(cols, dc))
+            there = (_window(rows, -dr), _window(cols, -dc))
             if d in _SIDE_OF:
-                ok &= (walls & _SIDE_OF[d]) == 0
+                ok = (walls[here] & _SIDE_OF[d]) == 0
             else:
                 (s1, s2), (t1, t2) = _DIAG_SIDES[d]
-                dest = walls[nr.clip(0, rows - 1), nc.clip(0, cols - 1)]
-                ok &= ((walls & (s1 | s2)) == 0) & ((dest & (t1 | t2)) == 0)
-            table[..., k] = np.where(ok, nr * cols + nc, -1)
-        table = table.reshape(rows * cols, len(DIRECTIONS))
+                ok = ((walls[here] & (s1 | s2)) == 0) & ((walls[there] & (t1 | t2)) == 0)
+            np.copyto(table[k].reshape(rows, cols)[here], flat[there], where=ok)
         table.flags.writeable = False
-        return table
+        return table.T
 
     @cached_property
     def move_masks(self) -> bytes:
@@ -165,7 +180,7 @@ def find_edge_conflicts(walls) -> list[tuple[Cell, Cell]]:
     Pairs come in row-major order of their first cell, its east edge before
     its south edge.
     """
-    w = np.asarray(walls, dtype=np.int64)
+    w = np.asarray(walls)
     cols = w.shape[1]
     east_r, east_c = np.nonzero(((w[:, :-1] & RIGHT) > 0) != ((w[:, 1:] & LEFT) > 0))
     south_r, south_c = np.nonzero(((w[:-1] & BOTTOM) > 0) != ((w[1:] & TOP) > 0))
@@ -181,7 +196,7 @@ def find_edge_conflicts(walls) -> list[tuple[Cell, Cell]]:
 
 def validate_grid(grid: LayoutGrid) -> None:
     """Raise on edge conflicts, missing sinks/sources, or an open perimeter."""
-    conflicts = find_edge_conflicts(grid.walls)
+    conflicts = find_edge_conflicts(grid.wall_codes)
     if conflicts:
         (a, b) = conflicts[0]
         raise ConsistencyError(f"shared edge between {a} and {b} disagrees")

@@ -213,6 +213,10 @@ def load_scenario(source: str | Path) -> ScenarioConfig:
 
 def apply_sink_multipliers(grid: LayoutGrid,
                            multipliers: tuple[tuple[Cell, float], ...]) -> LayoutGrid:
+    """The grid with its sink weights multiplied; the same grid, whose
+    cached tables are then reused, when there are no multipliers."""
+    if not multipliers:
+        return grid
     weights = dict(grid.sinks)
     for cell, factor in multipliers:
         if cell not in weights:
@@ -266,7 +270,8 @@ def build_runtime(config: ScenarioConfig) -> Runtime:
     values = field.values.ravel()
     tiny = np.flatnonzero((values > 0.0) & (values < sys.float_info.min))
     if tiny.size:
-        best = np.append(values, 0.0)[grid.neighbours[tiny]].max(axis=1)
+        nbr = grid.neighbours.T
+        best = np.append(values, 0.0).take(nbr.take(tiny, axis=1)).max(axis=0)
         for i in tiny[values[tiny] >= best].tolist():
             cell = divmod(i, grid.cols)
             if cell not in grid.sink_set:

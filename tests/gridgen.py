@@ -147,6 +147,32 @@ def open_hall(size: int, exit_width: int = 4) -> LayoutGrid:
     return grid
 
 
+def walled_hall(size: int) -> LayoutGrid:
+    """Closed size x size hall (size >= 20) cut by three interior wall
+    segments, with exits of weight 1 and 2.5 on the east wall and of weight 7
+    on the north wall: frontiers are wide, and each exit is the best one for
+    a region of the hall at gamma 0.5 and at 0.9."""
+    walls = _closed_room(size, size)
+    third = size // 3
+    for c in range(third // 2, 2 * third):        # below row `third`
+        _close(walls, (third, c), (1, 0))
+    for r in range(third + 1, size - 3):          # east of column `third`
+        _close(walls, (r, third), (0, 1))
+    for r in range(3, 2 * third):                 # east of column 2 * `third`
+        _close(walls, (r, 2 * third), (0, 1))
+    sinks = []
+    for cells, side, weight in (
+            ([(r, size - 1) for r in range(size - 8, size - 5)], RIGHT, 1.0),
+            ([(r, size - 1) for r in range(2, 5)], RIGHT, 2.5),
+            ([(0, c) for c in range(6, 9)], TOP, 7.0)):
+        for r, c in cells:
+            walls[r][c] &= ~side
+            sinks.append(((r, c), weight))
+    grid = _grid_from(size, size, walls, sinks, [(size // 2, 0)])
+    validate_grid(grid)
+    return grid
+
+
 def random_schedule(rng: np.random.Generator, grid: LayoutGrid,
                     max_count: int = 8, max_release: int = 10
                     ) -> tuple[SpawnEntry, ...]:

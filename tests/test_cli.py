@@ -221,6 +221,25 @@ def test_export_field_to_directory_is_config_error(corridor_scenario, tmp_path, 
     assert err.startswith("error:") and str(tmp_path) in err
 
 
+@pytest.mark.parametrize("target", ["below_file", "directory"])
+def test_export_field_checks_out_before_solving(corridor_scenario, tmp_path, capsys,
+                                                monkeypatch, target):
+    """A doomed --out fails before the layout is parsed or the field solved."""
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "f.csv" if target == "below_file" else tmp_path / "fields"
+    if target == "directory":
+        out.mkdir()
+
+    def build_runtime(config):
+        raise AssertionError("build_runtime was called")
+    monkeypatch.setattr("mesoped.cli.build_runtime", build_runtime)
+    assert main(["export-field", str(corridor_scenario), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_run_out_is_existing_file_is_config_error(corridor_scenario, tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("not a directory\n")

@@ -1,9 +1,11 @@
 """The exact field solve against its value-iteration oracle, and descent."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gridgen import corridor_layout, open_hall, random_grid
+from gridgen import corridor_layout, open_hall, random_grid, walled_hall
 from mesoped.floorfield import (DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField,
                                 Stuck, compute_field, field_to_csv,
                                 greedy_descent)
@@ -105,6 +107,23 @@ def test_matches_value_iteration_on_halls(size):
     field = assert_matches_oracle(grid, gamma=0.9)
     assert (field.values > 0).all()
     assert_bellman_fixed_point(field, grid)
+    # A round per hop, from the exits on the east wall to the west wall, and
+    # one more that raises nothing.
+    assert field.rounds == size
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.9])
+def test_matches_value_iteration_on_walled_hall(gamma):
+    """Wide frontiers that meet across interior walls, from exits of three
+    weights on two walls."""
+    grid = walled_hall(60)
+    field = assert_matches_oracle(grid, gamma=gamma)
+    assert (field.values > 0).all()
+    assert_bellman_fixed_point(field, grid)
+    for weight in {w for _, w in grid.sinks}:
+        alone = replace(grid, sinks=tuple(s for s in grid.sinks if s[1] == weight))
+        owned = compute_field(alone, gamma).values == field.values
+        assert owned.sum() > 500, weight
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.8, 0.9])

@@ -310,6 +310,22 @@ def test_neighbour_table_is_symmetric(random_grids):
         assert edges == {(j, i) for i, j in edges}, k
 
 
+def test_neighbour_table_is_direction_major_and_read_only(random_grids):
+    """The table is the transpose of a C-contiguous direction-major array that
+    owns its memory; no view of it can be written, and neither can the wall
+    codes it is built from."""
+    for k, grid in enumerate(bundled_layouts() + random_grids[:20]):
+        table = grid.neighbours
+        assert table.dtype == np.intp and table.T.flags.c_contiguous, k
+        assert table.base is not None and table.base.flags.owndata, k
+        before = table.copy()
+        for view in (table, table.T, table.base, grid.wall_codes):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0] = 3
+        assert np.array_equal(table, before), k
+        assert grid.wall_codes.tolist() == [list(row) for row in grid.walls], k
+
+
 def test_serialize_round_trips_random_grids():
     for seed in range(8):
         grid = random_grid(np.random.default_rng(seed), max_rows=12, max_cols=12)
