@@ -107,7 +107,7 @@ def cmd_run(args) -> int:
         raise ConfigError(f"--steps must be non-negative, got {max_steps}")
     out_dir = _out_dir(args.out, f"{config.name}-seed{config.seed}")
     runtime = build_runtime(config)
-    sim = make_simulation(runtime, config)
+    sim = make_simulation(runtime)
 
     snapshots: list[str] = []
 
@@ -149,7 +149,7 @@ def cmd_sweep(args) -> int:
     populations = parse_populations(args.pop)
     out_dir = _out_dir(args.out, f"{config.name}-sweep")
     runtime = build_runtime(config)
-    points = sweep(config, populations, args.seeds, runtime)
+    points = sweep(runtime, populations, args.seeds)
     sinks = [cell for cell, _ in runtime.grid.sinks]
     _write(out_dir / "metrics.csv", metrics_csv(points, sinks))
     print(f"{config.name}: {len(points)} population points x {args.seeds} seeds -> {out_dir}")
@@ -164,8 +164,8 @@ def cmd_compare(args) -> int:
     meso_runtime = build_runtime(meso_config)
     micro_runtime = build_runtime(micro_config)
     check_refinement(meso_runtime.grid, micro_runtime.grid)
-    meso_points = sweep(meso_config, populations, args.seeds, meso_runtime)
-    micro_points = sweep(micro_config, populations, args.seeds, micro_runtime)
+    meso_points = sweep(meso_runtime, populations, args.seeds)
+    micro_points = sweep(micro_runtime, populations, args.seeds)
     _write(out_dir / "comparison.csv", comparison_csv(meso_points, micro_points))
     print(f"{meso_config.name} vs {micro_config.name}: {len(populations)} population "
           f"points x {args.seeds} seeds -> {out_dir}")

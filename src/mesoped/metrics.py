@@ -14,7 +14,7 @@ import numpy as np
 
 from .engine import EXIT, MOVE, SPAWN, EventLog
 from .layout import Cell
-from .scenario import ConfigError, Runtime, ScenarioConfig, make_simulation
+from .scenario import ConfigError, Runtime, make_simulation
 
 
 def _fmean(xs) -> float:
@@ -96,13 +96,13 @@ def run_metrics(sim) -> RunMetrics:
     return replace(summarize(sim.state.log, sim.grid.cell_size_m), completed=sim.completed)
 
 
-def sweep(config: ScenarioConfig, populations: list[int], seeds_per_point: int,
-          runtime: Runtime) -> list[RunMetrics]:
+def sweep(runtime: Runtime, populations: list[int], seeds_per_point: int) -> list[RunMetrics]:
     """Average metrics across seeded repeats for each population size.
 
-    Every run reuses the layout and navigation field of `runtime`, built
-    from `config`; only the spawn schedule and the generator change.
+    Every run reuses the layout and navigation field of `runtime`; only the
+    spawn schedule and the generator change.
     """
+    config = runtime.config
     if seeds_per_point < 1:
         raise ConfigError(f"seeds per population must be at least 1, got {seeds_per_point}")
     points = []
@@ -111,7 +111,7 @@ def sweep(config: ScenarioConfig, populations: list[int], seeds_per_point: int,
         for run_i in range(seeds_per_point):
             # A distinct, reproducible stream per (scenario seed, population, run).
             seed = np.random.SeedSequence([config.seed, population, run_i])
-            sim = make_simulation(runtime, config, seed=seed, population=population)
+            sim = make_simulation(runtime, seed=seed, population=population)
             sim.run(config.max_steps)
             metrics.append(run_metrics(sim))
         travels = [m.avg_travel_time_s for m in metrics if m.avg_travel_time_s is not None]

@@ -11,7 +11,6 @@ import configparser
 import math
 import sys
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -50,14 +49,56 @@ def redistribute(schedule: tuple[SpawnEntry, ...], population: int) -> tuple[Spa
     return tuple(SpawnEntry(e.cell, q + (k < r), e.release_step) for k, e in enumerate(schedule))
 
 
-def _parse_cell(key: str, where: str) -> Cell:
-    parts = [p.strip() for p in key.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"{where}: expected 'row,col', got {key!r}")
+# A bound a number must meet: how messages name it, and the test.
+POSITIVE = ("positive", lambda v: v > 0)
+NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
+
+# The scalar keys: section, key (the ScenarioConfig field it sets), type and
+# bound. A key left out keeps the field's default.
+KEYS = (
+    ("run", "dt_s", float, POSITIVE),
+    ("run", "max_steps", int, NON_NEGATIVE),
+    ("run", "seed", int, NON_NEGATIVE),
+    ("field", "gamma", float, ("in (0, 1)", lambda v: 0 < v < 1)),
+    ("field", "base_reward", float, POSITIVE),
+)
+# Every key of [run], [layout] and [field]; [sinks] and [spawn] are keyed by
+# cell and [table] by density.
+KNOWN_KEYS = {("run", "mode"), ("layout", "path"), *((s, k) for s, k, _, _ in KEYS)}
+SECTIONS = ("run", "layout", "field", "sinks", "spawn", "table")
+MODE_TABLES = {"meso": MESO_TABLE, "micro": MICRO_TABLE}
+
+SCENARIOS_DIR = Path(__file__).parent / "scenarios"
+
+
+def _number(raw: str, cast, bound: tuple, where: str):
+    """`raw` as a finite `cast` that meets `bound`; `where` names the key."""
     try:
-        return int(parts[0]), int(parts[1])
+        value = cast(raw)
     except ValueError:
-        raise ConfigError(f"{where}: expected integer coordinates, got {key!r}") from None
+        raise ConfigError(f"{where} = {raw!r} is not a {cast.__name__}") from None
+    if cast is float and not math.isfinite(value):
+        raise ConfigError(f"{where} = {raw!r} is not a finite number")
+    if not bound[1](value):
+        raise ConfigError(f"{where} must be {bound[0]}, got {value!r}")
+    return value
+
+
+def _cells(parser: configparser.ConfigParser, section: str, name: str):
+    """(key, cell, value) for each key of a cell-keyed section; two keys
+    naming one cell, such as `8,29` and `8, 29`, are rejected."""
+    seen: dict[Cell, str] = {}
+    for key, raw in parser.items(section) if parser.has_section(section) else ():
+        try:
+            row, col = map(int, key.split(","))
+        except ValueError:
+            raise ConfigError(f"{name}: [{section}] {key}: expected integer 'row,col', "
+                              f"got {key!r}") from None
+        cell = row, col
+        if cell in seen:
+            raise ConfigError(f"{name}: [{section}] {seen[cell]} and {key} name the same cell {cell}")
+        seen[cell] = key
+        yield key, cell, raw
 
 
 def _parse_spawn_terms(value: str, where: str) -> list[tuple[int, int]]:
@@ -82,28 +123,22 @@ def _parse_spawn_terms(value: str, where: str) -> list[tuple[int, int]]:
 
 
 def parse_scenario(text: str, name: str, base_dir: Path) -> ScenarioConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    # With no default section, a [DEFAULT] header is an unknown section
+    # rather than keys configparser copies into every section.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
+                                       default_section="")
     try:
         parser.read_string(text, source=name)
     except configparser.Error as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
-    known = {"run", "layout", "field", "sinks", "spawn", "table"}
     for section in parser.sections():
-        if section not in known:
+        if section not in SECTIONS:
             raise ConfigError(f"{name}: unknown section [{section}]")
-
-    def get(section: str, key: str, cast, default):
-        if not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key)
-        try:
-            value = cast(raw)
-        except ValueError:
-            raise ConfigError(f"{name}: [{section}] {key} = {raw!r} is not a {cast.__name__}") from None
-        if cast is float and not math.isfinite(value):
-            raise ConfigError(f"{name}: [{section}] {key} = {raw!r} is not a finite number")
-        return value
+        if section in ("run", "layout", "field"):
+            for key in parser.options(section):
+                if (section, key) not in KNOWN_KEYS:
+                    raise ConfigError(f"{name}: unknown key [{section}] {key}")
 
     if not parser.has_option("layout", "path"):
         raise ConfigError(f"{name}: missing [layout] path")
@@ -113,50 +148,14 @@ def parse_scenario(text: str, name: str, base_dir: Path) -> ScenarioConfig:
     except ValueError as exc:  # an embedded NUL byte
         raise ConfigError(f"{name}: [layout] path = {raw_path!r}: {exc}") from None
 
-    mode = get("run", "mode", str, "meso").strip().lower()
-    if mode not in ("meso", "micro"):
-        raise ConfigError(f"{name}: mode must be 'meso' or 'micro', got {mode!r}")
-    dt_s = get("run", "dt_s", float, 0.5)
-    max_steps = get("run", "max_steps", int, 1000)
-    seed = get("run", "seed", int, 0)
-    if dt_s <= 0:
-        raise ConfigError(f"{name}: dt_s must be positive")
-    if max_steps < 0:
-        raise ConfigError(f"{name}: max_steps must be non-negative")
-    if seed < 0:
-        raise ConfigError(f"{name}: [run] seed must be non-negative, got {seed}")
+    values = {key: _number(parser.get(section, key), cast, bound, f"{name}: [{section}] {key}")
+              for section, key, cast, bound in KEYS if parser.has_option(section, key)}
 
-    gamma = get("field", "gamma", float, DEFAULT_GAMMA)
-    base_reward = get("field", "base_reward", float, DEFAULT_BASE_REWARD)
-    for key in ("epsilon", "max_sweeps"):
-        if parser.has_option("field", key):
-            raise ConfigError(f"{name}: [field] {key} is no longer accepted: "
-                              "the field is solved exactly, with no stop threshold")
-    if not 0 < gamma < 1:
-        raise ConfigError(f"{name}: gamma must be in (0, 1), got {gamma}")
-    if base_reward <= 0:
-        raise ConfigError(f"{name}: base_reward must be positive")
-
-    multipliers = []
-    if parser.has_section("sinks"):
-        for key, raw in parser.items("sinks"):
-            cell = _parse_cell(key, f"{name}: [sinks] {key}")
-            try:
-                factor = float(raw)
-            except ValueError:
-                raise ConfigError(f"{name}: [sinks] {key} = {raw!r} is not a float") from None
-            if not 0 < factor < math.inf:
-                raise ConfigError(f"{name}: [sinks] {key}: multiplier must be positive and finite")
-            multipliers.append((cell, factor))
-
-    schedule = []
-    if parser.has_section("spawn"):
-        for key, raw in parser.items("spawn"):
-            cell = _parse_cell(key, f"{name}: [spawn] {key}")
-            for count, step in _parse_spawn_terms(raw, f"{name}: [spawn] {key}"):
-                schedule.append(SpawnEntry(cell=cell, count=count, release_step=step))
-
-    table = MICRO_TABLE if mode == "micro" else MESO_TABLE
+    if parser.has_option("run", "mode"):
+        mode = parser.get("run", "mode").strip().lower()
+        if mode not in MODE_TABLES:
+            raise ConfigError(f"{name}: [run] mode must be 'meso' or 'micro', got {mode!r}")
+        values["table"] = MODE_TABLES[mode]
     if parser.has_section("table"):
         rows = []
         for key, raw in parser.items("table"):
@@ -170,21 +169,21 @@ def parse_scenario(text: str, name: str, base_dir: Path) -> ScenarioConfig:
                 ) from None
         rows.sort()
         try:
-            table = SpeedDensityTable(tuple(rows))
+            values["table"] = SpeedDensityTable(tuple(rows))
         except ValueError as exc:
             raise ConfigError(f"{name}: [table]: {exc}") from None
 
-    return ScenarioConfig(
-        name=name, layout_path=layout_path, dt_s=dt_s,
-        max_steps=max_steps, seed=seed, gamma=gamma, base_reward=base_reward,
-        sink_multipliers=tuple(multipliers), schedule=tuple(schedule), table=table,
-    )
+    multipliers = tuple((cell, _number(raw, float, POSITIVE, f"{name}: [sinks] {key}"))
+                        for key, cell, raw in _cells(parser, "sinks", name))
+    schedule = tuple(SpawnEntry(cell=cell, count=count, release_step=step)
+                     for key, cell, raw in _cells(parser, "spawn", name)
+                     for count, step in _parse_spawn_terms(raw, f"{name}: [spawn] {key}"))
+    return ScenarioConfig(name=name, layout_path=layout_path, sink_multipliers=multipliers,
+                          schedule=schedule, **values)
 
 
 def bundled_scenarios() -> list[str]:
-    root = resources.files("mesoped") / "scenarios"
-    return sorted(p.name[:-len(".scenario")] for p in root.iterdir()
-                  if p.name.endswith(".scenario"))
+    return sorted(p.stem for p in SCENARIOS_DIR.glob("*.scenario"))
 
 
 def load_scenario(source: str | Path) -> ScenarioConfig:
@@ -202,13 +201,12 @@ def load_scenario(source: str | Path) -> ScenarioConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
         return parse_scenario(text, path.stem, path.parent)
-    root = resources.files("mesoped") / "scenarios"
-    candidate = root / f"{path.name}.scenario"
+    candidate = SCENARIOS_DIR / f"{path.name}.scenario"
     if path.name != str(source) or not candidate.is_file():
         raise ConfigError(
             f"{source!r} is neither a scenario file nor a bundled scenario "
             f"(bundled: {', '.join(bundled_scenarios())})")
-    return parse_scenario(candidate.read_text(), str(source), Path(str(root)))
+    return parse_scenario(candidate.read_text(), str(source), SCENARIOS_DIR)
 
 
 def apply_sink_multipliers(grid: LayoutGrid,
@@ -227,11 +225,12 @@ def apply_sink_multipliers(grid: LayoutGrid,
 
 @dataclass(frozen=True)
 class Runtime:
-    """Everything reusable across runs of one scenario."""
+    """A scenario with its grid (multipliers applied) and solved field:
+    everything reusable across runs of it."""
 
+    config: ScenarioConfig
     grid: LayoutGrid
     field: FloorField
-    table: SpeedDensityTable
 
     # perfbench/tracer.py reads this; it stays until the tracer reads field.rounds.
     @property
@@ -279,15 +278,16 @@ def build_runtime(config: ScenarioConfig) -> Runtime:
                     f"{config.name}: cell {cell} lies on a plateau of the navigation "
                     f"field at {values[i]!r}, with no higher neighbour (too far from "
                     f"every sink at gamma {config.gamma})")
-    return Runtime(grid=grid, field=field, table=config.table)
+    return Runtime(config=config, grid=grid, field=field)
 
 
-def make_simulation(runtime: Runtime, config: ScenarioConfig,
-                    seed: int | np.random.SeedSequence | None = None,
+def make_simulation(runtime: Runtime, seed: int | np.random.SeedSequence | None = None,
                     population: int | None = None) -> Simulation:
+    """A run of the runtime's scenario, with the seed or the population
+    (spread by `redistribute`) overridden when given."""
+    config = runtime.config
     schedule = config.schedule
     if population is not None:
         schedule = redistribute(schedule, population)
-    return Simulation(runtime.grid, runtime.field, runtime.table, schedule,
+    return Simulation(runtime.grid, runtime.field, config.table, schedule,
                       dt=config.dt_s, seed=config.seed if seed is None else seed)
-

@@ -67,7 +67,7 @@ def test_criterion_3_sink_weight_scaling():
     for name, seed in (("cinema_b", 123), ("compare_10x15", 123)):
         config = load_scenario(name)
         runtime = build_runtime(config)
-        base = Simulation(runtime.grid, runtime.field, runtime.table,
+        base = Simulation(runtime.grid, runtime.field, runtime.config.table,
                           config.schedule, dt=config.dt_s, seed=seed)
         base.run(config.max_steps)
         assert base.completed
@@ -79,7 +79,7 @@ def test_criterion_3_sink_weight_scaling():
                                          base_reward=config.base_reward)
             np.testing.assert_allclose(scaled_field.values,
                                        runtime.field.values * c, rtol=1e-6)
-            rerun = Simulation(scaled_grid, scaled_field, runtime.table,
+            rerun = Simulation(scaled_grid, scaled_field, runtime.config.table,
                                config.schedule, dt=config.dt_s, seed=seed)
             rerun.run(config.max_steps)
             assert rerun.events == base.events, f"{name}: c={c} changed a move"
@@ -90,7 +90,7 @@ def _cinema_shares(name):
     runtime = build_runtime(config)
     shares, pluralities = [], []
     for seed in range(10):
-        sim = make_simulation(runtime, config, seed=seed)
+        sim = make_simulation(runtime, seed=seed)
         sim.run(config.max_steps)
         m = summarize(sim.state.log, runtime.grid.cell_size_m)
         assert m.completed, f"{name} seed {seed} did not finish"
@@ -128,8 +128,8 @@ def test_criterion_6_resolution_comparison():
     populations = list(range(1, 51))
     meso_config = load_scenario("compare_10x15")
     micro_config = load_scenario("compare_10x15_micro")
-    meso = sweep(meso_config, populations, 10, build_runtime(meso_config))
-    micro = sweep(micro_config, populations, 10, build_runtime(micro_config))
+    meso = sweep(build_runtime(meso_config), populations, 10)
+    micro = sweep(build_runtime(micro_config), populations, 10)
     assert all(p.completed for p in meso)
     assert all(p.completed for p in micro)
     assert abs(meso[0].avg_travel_time_s - micro[0].avg_travel_time_s) <= 0.5 + 1e-9

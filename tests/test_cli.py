@@ -14,8 +14,8 @@ from mesoped.cli import (DimensionMismatch, check_refinement, main,
 from mesoped.engine import Simulation
 from mesoped.floorfield import field_to_csv
 from mesoped.layout import parse_layout
-from mesoped.scenario import (ConfigError, build_runtime, bundled_scenarios,
-                              load_scenario)
+from mesoped.scenario import (SCENARIOS_DIR, ConfigError, build_runtime,
+                              bundled_scenarios, load_scenario)
 
 CORRIDOR_LAYOUT = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
 CORRIDOR_SCENARIO = """
@@ -168,11 +168,36 @@ def test_run_unknown_scenario_is_config_error(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("key", ["epsilon = 1e-9", "max_sweeps = 500"])
-def test_run_removed_field_key_is_config_error(corridor_scenario, key, capsys):
-    corridor_scenario.write_text(CORRIDOR_SCENARIO + f"\n[field]\n{key}\n")
+@pytest.mark.parametrize("section,key", [
+    pytest.param(section, key, id=key) for section, key in [
+        ("field", "epsilon = 1e-9"), ("field", "max_sweeps = 500"),
+        ("field", "gama = 0.3"), ("run", "max_step = 1"), ("DEFAULT", "max_steps = 5")]])
+def test_run_removed_field_key_is_config_error(corridor_scenario, section, key, capsys):
+    """Removed and misspelled keys, and a [DEFAULT] section that configparser
+    would copy into every section, stop the run instead of being ignored."""
+    header = f"[{section}]\n"
+    text = (CORRIDOR_SCENARIO.replace(header, header + key + "\n") if header in CORRIDOR_SCENARIO
+            else CORRIDOR_SCENARIO + f"\n{header}{key}\n")
+    corridor_scenario.write_text(text)
     assert main(["run", str(corridor_scenario)]) == 2
-    assert f"[field] {key.split()[0]}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ("[DEFAULT]" if section == "DEFAULT" else f"[{section}] {key.split()[0]}") in err
+
+
+def test_run_cell_named_twice_is_config_error(tmp_path, capsys):
+    """cinema_a's main exit (8,29) written a second time as `8, 29` would
+    have its multiplier applied twice, a weight of 10 x 3 x 3."""
+    text = (SCENARIOS_DIR / "cinema_a.scenario").read_text()
+    text = text.replace("8,29 = 3.0\n", "8,29 = 3.0\n8, 29 = 3.0\n")
+    assert "8, 29 = 3.0" in text
+    (tmp_path / "cinema.layout").write_text((SCENARIOS_DIR / "cinema.layout").read_text())
+    path = tmp_path / "cinema_a.scenario"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[sinks] 8,29 and 8, 29" in err
+    assert not out.exists()
 
 
 def test_export_field(corridor_scenario, tmp_path):

@@ -505,7 +505,7 @@ def test_step_matches_reference_loop_on_bundled_scenarios(name):
     config = load_scenario(name)
     runtime = build_runtime(config)
     assert_matches_reference(
-        lambda cls: cls(runtime.grid, runtime.field, runtime.table, config.schedule,
+        lambda cls: cls(runtime.grid, runtime.field, runtime.config.table, config.schedule,
                         dt=config.dt_s, seed=config.seed),
         max_steps=config.max_steps)
 

@@ -1,7 +1,6 @@
 """Wall codes, move permissions, parsing, validation, and serialization."""
 
 import math
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from mesoped.layout import (BOTTOM, DIR_VECTORS, DIRECTIONS, LEFT, RIGHT, TOP,
                             LayoutError, LayoutGrid, OutOfBounds, ParseError,
                             find_edge_conflicts, moves_of, parse_layout,
                             serialize_layout, side_open, validate_grid)
+from mesoped.scenario import SCENARIOS_DIR
 
 CLOSED_1X3 = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
 
@@ -281,9 +281,7 @@ def test_moves_are_symmetric_and_in_bounds():
 
 
 def bundled_layouts():
-    root = resources.files("mesoped") / "scenarios"
-    return [parse_layout(p.read_text()) for p in sorted(root.iterdir(), key=lambda p: p.name)
-            if p.name.endswith(".layout")]
+    return [parse_layout(p.read_text()) for p in sorted(SCENARIOS_DIR.glob("*.layout"))]
 
 
 def test_neighbour_table_agrees_with_moves_of(random_grids):

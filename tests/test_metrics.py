@@ -166,7 +166,7 @@ def test_log_outputs_match_oracle_on_bundled_scenarios(name):
     config = load_scenario(name)
     runtime = build_runtime(config)
     for dt in (config.dt_s, 0.3):
-        sim = Simulation(runtime.grid, runtime.field, runtime.table, config.schedule,
+        sim = Simulation(runtime.grid, runtime.field, runtime.config.table, config.schedule,
                          dt=dt, seed=config.seed)
         sim.run(config.max_steps)
         assert_log_outputs_match_oracle(sim, runtime.grid.cell_size_m)
@@ -240,21 +240,21 @@ def test_seed_sequences_are_distinct_and_stable(monkeypatch):
 
     monkeypatch.setattr(metrics, "make_simulation", recording)
     for seed in (config.seed, config.seed, config.seed + 1):
-        sweep(replace(config, seed=seed), [20], 3, runtime)
+        sweep(replace(runtime, config=replace(config, seed=seed)), [20], 3)
     logs = [bytes(events_to_csv(sim.state.log)) for sim in sims]
     assert len(set(logs[:3])) == 3, "runs of one population must differ"
     assert logs[3:6] == logs[:3], "the same seed must replay the same runs"
     assert not set(logs[6:]) & set(logs[:3]), "another seed must give other runs"
     seed = np.random.SeedSequence([config.seed, 20, 1])
-    direct = make_simulation(runtime, config, seed=seed, population=20)
+    direct = make_simulation(runtime, seed=seed, population=20)
     direct.run(config.max_steps)
     assert events_to_csv(direct.state.log) == logs[1]
 
 
 def test_sweep_is_deterministic():
     config = load_scenario("compare_10x15")
-    a = sweep(config, [1, 3], 2, build_runtime(config))
-    b = sweep(config, [1, 3], 2, build_runtime(config))
+    a = sweep(build_runtime(config), [1, 3], 2)
+    b = sweep(build_runtime(config), [1, 3], 2)
     assert a == b
     assert [p.n_agents for p in a] == [1, 3]
     assert all(p.completed for p in a)

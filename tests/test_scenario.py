@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -103,9 +104,22 @@ def test_parse_custom_table(corridor_dir):
     ("[layout]\npath = corridor.layout\n[table]\n0 = 1.0\n", "[table]"),
     ("[run]\nseed = -1\n[layout]\npath = corridor.layout\n", "[run] seed"),
     ("[layout]\npath = a\x00b\n", "bad: [layout] path"),   # NUL: no such file name
+    # Misspelled keys, and keys configparser would copy into every section.
+    ("[run]\nmax_step = 1\n[layout]\npath = corridor.layout\n", "unknown key [run] max_step"),
+    ("[field]\ngama = 0.3\n[layout]\npath = corridor.layout\n", "unknown key [field] gama"),
+    ("[layout]\npath = corridor.layout\nmode = micro\n", "unknown key [layout] mode"),
+    ("[DEFAULT]\nmax_steps = 5\n[layout]\npath = corridor.layout\n",
+     "unknown section [DEFAULT]"),
+    ("[DEFAULT]\nmax_steps = 5\n[layout]\npath = corridor.layout\n[spawn]\n0,0 = 1@0\n",
+     "unknown section [DEFAULT]"),
+    # One cell under two spellings.
+    ("[layout]\npath = corridor.layout\n[sinks]\n0,2 = 2\n0, 2 = 3\n",
+     "[sinks] 0,2 and 0, 2 name the same cell (0, 2)"),
+    ("[layout]\npath = corridor.layout\n[spawn]\n0,0 = 1@0\n00,0 = 2@0\n",
+     "[spawn] 0,0 and 00,0 name the same cell (0, 0)"),
 ])
 def test_parse_rejects_bad_configs(corridor_dir, text, needle):
-    with pytest.raises(ConfigError, match="(?i)" + needle.replace("[", r"\[")):
+    with pytest.raises(ConfigError, match="(?i)" + re.escape(needle)):
         parse_scenario(text, "bad", corridor_dir)
 
 
@@ -193,8 +207,8 @@ def test_bundled_scenarios_all_build():
 def test_bundled_modes_pick_tables():
     meso = build_runtime(load_scenario("compare_10x15"))
     micro = build_runtime(load_scenario("compare_10x15_micro"))
-    assert meso.table == MESO_TABLE
-    assert micro.table == MICRO_TABLE
+    assert meso.config.table == MESO_TABLE
+    assert micro.config.table == MICRO_TABLE
     assert micro.grid.cell_size_m == 0.5
 
 
@@ -272,7 +286,7 @@ def test_parse_rejects_non_finite_numbers(corridor_dir, text, needle):
 def test_simulate_corridor_end_to_end(corridor_dir):
     text = "[layout]\npath = corridor.layout\n[spawn]\n0,0 = 1@0\n"
     cfg = parse_scenario(text, "demo", corridor_dir)
-    sim = make_simulation(build_runtime(cfg), cfg)
+    sim = make_simulation(build_runtime(cfg))
     sim.run(cfg.max_steps)
     assert sim.completed
     assert sim.events[-1] == (5, 2.5, 0, "exit", 0, 2)
@@ -280,13 +294,14 @@ def test_simulate_corridor_end_to_end(corridor_dir):
 
 # The keys each section knows, plus some it does not.
 SECTION_KEYS = {
-    "run": ["mode", "dt_s", "max_steps", "seed", "x"],
-    "layout": ["path"],
-    "field": ["gamma", "base_reward", "epsilon", "max_sweeps"],
+    "run": ["mode", "dt_s", "max_steps", "seed", "x", "max_step"],
+    "layout": ["path", "paths"],
+    "field": ["gamma", "base_reward", "epsilon", "max_sweeps", "gama"],
     "sinks": ["0,2", "0", "x,y"],
     "spawn": ["0,0", "1"],
     "table": ["0", "1", "x"],
     "junk": ["x"],
+    "DEFAULT": ["max_steps", "0,0"],
 }
 # Values near the edges of each key: signs, non-finite and huge numbers,
 # spawn terms and table rows.
