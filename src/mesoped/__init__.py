@@ -9,7 +9,7 @@ from .layout import (
 from .floorfield import FloorField, Stuck, compute_field, field_to_csv, greedy_descent
 from .engine import (
     MESO_TABLE, MICRO_TABLE, OutOfRange, Simulation, SpawnEntry,
-    SpeedDensityTable, events_to_csv, render_snapshot,
+    SpeedDensityTable, events_csv_blocks, render_snapshot,
 )
 from .scenario import (
     ConfigError, ScenarioConfig, Runtime, build_runtime, bundled_scenarios,

@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
-from .engine import events_to_csv, render_snapshot
+from .engine import events_csv_blocks, render_snapshot
 from .floorfield import field_to_csv
 from .layout import LayoutError
 from .metrics import comparison_csv, metrics_csv, run_metrics, sweep
@@ -88,14 +89,12 @@ def _out_file(out: str) -> Path:
     return path
 
 
-def _write(path: Path, data: str | bytes | bytearray) -> None:
-    """Write text, or bytes-like data as they are."""
+def _write(path: Path, chunks: Iterable[bytes | bytearray]) -> None:
+    """Write the chunks one after another, as they come."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        if isinstance(data, str):
-            path.write_text(data)
-        else:
-            path.write_bytes(data)
+        with path.open("wb") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
@@ -118,11 +117,11 @@ def cmd_run(args) -> int:
     sim.run(max_steps, on_step=on_step if args.snapshots else None)
 
     sinks = [cell for cell, _ in runtime.grid.sinks]
-    _write(out_dir / "events.csv", events_to_csv(sim.state.log))
-    _write(out_dir / "metrics.csv", metrics_csv([run_metrics(sim)], sinks))
-    _write(out_dir / "field.csv", field_to_csv(runtime.field))
+    _write(out_dir / "events.csv", events_csv_blocks(sim.state.log))
+    _write(out_dir / "metrics.csv", [metrics_csv([run_metrics(sim)], sinks).encode()])
+    _write(out_dir / "field.csv", [field_to_csv(runtime.field).encode()])
     if args.snapshots:
-        _write(out_dir / "snapshots.txt", "\n".join(snapshots))
+        _write(out_dir / "snapshots.txt", ["\n".join(snapshots).encode()])
 
     print(f"{config.name}: spawned {sim.state.spawned}, "
           f"exited {sim.state.spawned - len(sim.state.present)}, "
@@ -139,7 +138,7 @@ def cmd_export_field(args) -> int:
     config = load_scenario(args.scenario)
     out = _out_file(args.out)
     runtime = build_runtime(config)
-    _write(out, field_to_csv(runtime.field))
+    _write(out, [field_to_csv(runtime.field).encode()])
     print(f"{config.name}: field {runtime.grid.rows}x{runtime.grid.cols} -> {out}")
     return 0
 
@@ -151,7 +150,7 @@ def cmd_sweep(args) -> int:
     runtime = build_runtime(config)
     points = sweep(runtime, populations, args.seeds)
     sinks = [cell for cell, _ in runtime.grid.sinks]
-    _write(out_dir / "metrics.csv", metrics_csv(points, sinks))
+    _write(out_dir / "metrics.csv", [metrics_csv(points, sinks).encode()])
     print(f"{config.name}: {len(points)} population points x {args.seeds} seeds -> {out_dir}")
     return 0 if all(p.completed for p in points) else 3
 
@@ -166,7 +165,7 @@ def cmd_compare(args) -> int:
     check_refinement(meso_runtime.grid, micro_runtime.grid)
     meso_points = sweep(meso_runtime, populations, args.seeds)
     micro_points = sweep(micro_runtime, populations, args.seeds)
-    _write(out_dir / "comparison.csv", comparison_csv(meso_points, micro_points))
+    _write(out_dir / "comparison.csv", [comparison_csv(meso_points, micro_points).encode()])
     print(f"{meso_config.name} vs {micro_config.name}: {len(populations)} population "
           f"points x {args.seeds} seeds -> {out_dir}")
     ok = all(p.completed for p in meso_points) and all(p.completed for p in micro_points)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -403,62 +403,48 @@ CSV_HEADER = b"step,clock_s,agent_id,event,row,col\n"
 CSV_BLOCK_EVENTS = 1 << 14
 
 
-def _byte_table(pieces: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
-    """The pieces as a fixed-width array, NUL-padded (numpy's `S` dtype), and
-    their lengths."""
-    table = np.array(pieces, dtype=bytes)
-    return table, np.fromiter(map(len, pieces), np.intp, len(pieces))
-
-
-def events_to_csv(log: EventLog) -> bytearray:
-    """The log as CSV bytes, one line per event, built in numpy.
+def events_csv_blocks(log: EventLog) -> Iterator[bytes | bytearray]:
+    """The log as CSV, built in numpy: the header, then the lines of each
+    block of `CSV_BLOCK_EVENTS` events, so memory does not grow with the log.
 
     A line is five pieces, each looked up in a small table: `step,clock,`
     (one entry per step that has events), the agent id, `,kind,`, `row,` and
-    `col\n`. Each block of events gathers its pieces into one fixed-width row
-    of bytes per event; the NUL padding is dropped and the rest copied into
-    one buffer whose size is summed from the table lengths beforehand. The
-    bytes equal the per-event f-string writer kept in `tests/oracle.py`.
+    `col\n`. A block gathers its pieces into one fixed-width row of bytes per
+    event and drops the NUL padding. The bytes equal the per-event f-string
+    writer kept in `tests/oracle.py`. The log cannot grow until the last
+    block is drawn: numpy holds its columns' buffers.
     """
+    yield CSV_HEADER
     n = len(log.kinds)
     if not n:
-        return bytearray(CSV_HEADER)
-    counts = np.diff(log.bounds())
-    steps = np.flatnonzero(counts)
+        return
+    starts = np.frombuffer(log.starts, dtype=np.intc)
+    steps = np.flatnonzero(np.diff(starts, append=n))
+    first = starts[steps]  # each step's first event, for the steps that have one
     agents = np.frombuffer(log.agents, dtype=np.intc)
     kinds = np.frombuffer(log.kinds, dtype=np.uint8)
     cells = np.frombuffer(log.cells, dtype=np.intc)
     cols = log.cols
-    rows = int(cells.max()) // cols + 1
-    step_text, step_len = _byte_table([b"%d,%r," % (s, s * log.dt) for s in steps.tolist()])
-    agent_text, agent_len = _byte_table([b"%d" % a for a in range(int(agents.max()) + 1)])
-    kind_text, kind_len = _byte_table([b",%s," % name.encode() for name in KINDS])
-    row_text, row_len = _byte_table([b"%d," % r for r in range(rows)])
-    col_text, col_len = _byte_table([b"%d\n" % c for c in range(cols)])
-    size = (len(CSV_HEADER) + step_len @ counts[steps]
-            + np.bincount(agents) @ agent_len
-            + np.bincount(kinds, minlength=len(KINDS)) @ kind_len
-            + np.bincount(cells, minlength=rows * cols) @ (row_len[:, None] + col_len).ravel())
-    step_of = np.repeat(np.arange(len(steps), dtype=np.intc), counts[steps])
-
-    tables = (step_text, agent_text, kind_text, row_text, col_text)
+    # Fixed-width, NUL-padded tables (numpy's `S` dtype).
+    tables = [np.array(pieces, dtype=bytes) for pieces in (
+        [b"%d,%r," % (s, s * log.dt) for s in steps.tolist()],
+        [b"%d" % a for a in range(int(agents.max()) + 1)],
+        [b",%s," % name.encode() for name in KINDS],
+        [b"%d," % r for r in range(int(cells.max()) // cols + 1)],
+        [b"%d\n" % c for c in range(cols)],
+    )]
     line = np.dtype([(f"f{k}", t.dtype) for k, t in enumerate(tables)])
     raw = bytearray(CSV_BLOCK_EVENTS * line.itemsize)
     block = np.frombuffer(raw, line)
-    out = bytearray(int(size))
-    out[:len(CSV_HEADER)] = CSV_HEADER
-    pos = len(CSV_HEADER)
     for lo in range(0, n, CSV_BLOCK_EVENTS):
         hi = min(lo + CSV_BLOCK_EVENTS, n)
         block[hi - lo:] = np.zeros((), line)  # a short last block leaves only NULs behind
+        step_of = np.searchsorted(first, np.arange(lo, hi), side="right") - 1
         r, c = np.divmod(cells[lo:hi], cols)
         for name, table, keys in zip(line.names, tables,
-                                     (step_of[lo:hi], agents[lo:hi], kinds[lo:hi], r, c)):
+                                     (step_of, agents[lo:hi], kinds[lo:hi], r, c)):
             block[name][:hi - lo] = table.take(keys)
-        text = raw.translate(None, b"\0")
-        out[pos:pos + len(text)] = text
-        pos += len(text)
-    return out
+        yield raw.translate(None, b"\0")
 
 
 def render_snapshot(grid: LayoutGrid, density: list[int]) -> str:

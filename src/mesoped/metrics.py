@@ -48,11 +48,11 @@ def summarize(log: EventLog, cell_size_m: float) -> RunMetrics:
     (a hop is diagonal when both row and column change), so every average is
     the same float the event-by-event sums give.
     """
-    bounds = log.bounds()
+    n = len(log.kinds)
+    starts = np.frombuffer(log.starts, dtype=np.intc)
     kinds = np.frombuffer(log.kinds, dtype=np.uint8)
     agents = np.frombuffer(log.agents, dtype=np.intc)
     cells = np.frombuffer(log.cells, dtype=np.intc)
-    steps = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
     is_spawn = kinds == SPAWN
     spawns = np.flatnonzero(is_spawn)
     exits = np.flatnonzero(kinds == EXIT)
@@ -61,24 +61,32 @@ def summarize(log: EventLog, cell_size_m: float) -> RunMetrics:
         return RunMetrics(n_agents=n_agents, avg_travel_time_s=None, avg_distance_m=None,
                           per_exit_counts={}, completed=n_agents == 0)
     size = int(agents.max()) + 1
+    # The step of event k is the last step whose first event is at k or before.
     spawn_step = np.zeros(size, dtype=np.int64)
-    spawn_step[agents[spawns]] = steps[spawns]
+    spawn_step[agents[spawns]] = np.searchsorted(starts, spawns, side="right") - 1
     exit_agents = agents[exits]
-    travel = steps[exits] * log.dt - spawn_step[exit_agents] * log.dt
+    exit_step = np.searchsorted(starts, exits, side="right") - 1
+    travel = exit_step * log.dt - spawn_step[exit_agents] * log.dt
 
-    # Each agent's cells in the order it reached them, spawn cell first. A
-    # hop is diagonal when both the row and the column change.
-    walk = np.flatnonzero(is_spawn | (kinds == MOVE))
-    # Keys agent * len(kinds) + index are unique, so this is the stable order.
-    walk = walk[np.argsort(agents[walk].astype(np.int64) * len(kinds) + walk)]
-    who = agents[walk]
-    rows, cols = np.divmod(cells[walk], log.cols)
-    hop = who[1:] == who[:-1]
+    # Each agent's cells in the order it reached them, spawn cell first: the
+    # spawns and moves sorted in place by the unique key agent * n + index,
+    # which gives the stable order. Each temporary is freed once used, so the
+    # peak stays near 20 bytes an event.
+    key = np.flatnonzero(is_spawn | (kinds == MOVE))
+    del is_spawn
+    key += np.multiply(agents[key], n, dtype=np.int64)
+    key.sort()
+    rows, cols = np.divmod(cells[key % n], log.cols)
+    key //= n  # now each event's agent, an int64 that bincount takes as it is
+    # A hop is diagonal when both the row and the column change.
     diagonal = (rows[1:] != rows[:-1]) & (cols[1:] != cols[:-1])
+    del rows, cols
     hop_len = np.where(diagonal, cell_size_m * math.sqrt(2.0), cell_size_m)
+    hop_len[key[1:] != key[:-1]] = 0.0  # an agent's first cell is no hop
     # bincount adds the weights one by one in input order, so each agent's
-    # distance is a running total of its hops in the order it made them.
-    distance = np.bincount(who[1:][hop], weights=hop_len[hop], minlength=size)
+    # distance is a running total of its hops in the order it made them;
+    # adding 0.0 changes no total.
+    distance = np.bincount(key[1:], weights=hop_len, minlength=size)
 
     exit_rows, exit_cols = np.divmod(cells[exits], log.cols)
     return RunMetrics(

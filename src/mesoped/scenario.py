@@ -157,7 +157,7 @@ def parse_scenario(text: str, name: str, base_dir: Path) -> ScenarioConfig:
             raise ConfigError(f"{name}: [run] mode must be 'meso' or 'micro', got {mode!r}")
         values["table"] = MODE_TABLES[mode]
     if parser.has_section("table"):
-        rows = []
+        rows, seen = [], {}
         for key, raw in parser.items("table"):
             try:
                 density = int(key)
@@ -167,6 +167,10 @@ def parse_scenario(text: str, name: str, base_dir: Path) -> ScenarioConfig:
                 raise ConfigError(
                     f"{name}: [table] rows must be 'DENSITY = SPEED PROB', got {key} = {raw!r}"
                 ) from None
+            if density in seen:
+                raise ConfigError(f"{name}: [table] {seen[density]} and {key} name the "
+                                  f"same density {density}")
+            seen[density] = key
         rows.sort()
         try:
             values["table"] = SpeedDensityTable(tuple(rows))
@@ -203,9 +207,11 @@ def load_scenario(source: str | Path) -> ScenarioConfig:
         return parse_scenario(text, path.stem, path.parent)
     candidate = SCENARIOS_DIR / f"{path.name}.scenario"
     if path.name != str(source) or not candidate.is_file():
-        raise ConfigError(
-            f"{source!r} is neither a scenario file nor a bundled scenario "
-            f"(bundled: {', '.join(bundled_scenarios())})")
+        bundled = (f"bundled: {', '.join(bundled_scenarios())}" if SCENARIOS_DIR.is_dir() else
+                   f"bundled scenarios are not installed as files: {SCENARIOS_DIR} "
+                   "is not a directory")
+        raise ConfigError(f"{source!r} is neither a scenario file nor a bundled scenario "
+                          f"({bundled})")
     return parse_scenario(candidate.read_text(), str(source), SCENARIOS_DIR)
 
 

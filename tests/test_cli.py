@@ -3,19 +3,22 @@
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
 
 import mesoped
+import oracle
 from gridgen import corridor_layout
+from mesoped import engine
 from mesoped.cli import (DimensionMismatch, check_refinement, main,
                          parse_populations)
 from mesoped.engine import Simulation
 from mesoped.floorfield import field_to_csv
 from mesoped.layout import parse_layout
 from mesoped.scenario import (SCENARIOS_DIR, ConfigError, build_runtime,
-                              bundled_scenarios, load_scenario)
+                              bundled_scenarios, load_scenario, make_simulation)
 
 CORRIDOR_LAYOUT = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
 CORRIDOR_SCENARIO = """
@@ -160,6 +163,28 @@ def test_run_twice_is_byte_identical(corridor_scenario, tmp_path):
     assert main(["run", str(corridor_scenario), "--out", str(out_b)]) == 0
     for name in ("events.csv", "metrics.csv", "field.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_run_streams_events_csv_in_blocks(tmp_path, monkeypatch):
+    """With blocks of 7 events, `run` writes cinema_a's `events.csv` as
+    hundreds of chunks, the last one short; the file is still the per-event
+    writer's text."""
+    monkeypatch.setattr(engine, "CSV_BLOCK_EVENTS", 7)
+    config = load_scenario("cinema_a")
+    sim = make_simulation(build_runtime(config))
+    sim.run(config.max_steps)
+    assert len(sim.state.log.kinds) % 7
+    assert len(list(engine.events_csv_blocks(sim.state.log))) > 100
+    assert main(["run", "cinema_a", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "events.csv").read_bytes() == oracle.events_to_csv(sim.events).encode()
+
+
+def test_run_events_csv_is_a_directory_is_config_error(corridor_scenario, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "events.csv").mkdir(parents=True)
+    assert main(["run", str(corridor_scenario), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out / "events.csv") in err
 
 
 def test_run_unknown_scenario_is_config_error(capsys):
@@ -519,3 +544,22 @@ def test_python_m_cli_runs_without_runtime_warning(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert out.read_text() == field_to_csv(build_runtime(load_scenario("escalator_stair")).field)
+
+
+def test_zip_imported_package_says_scenarios_are_not_files(tmp_path):
+    """A zip-imported mesoped has no scenarios directory to list; the error
+    says so instead of listing no bundled scenario."""
+    package = Path(mesoped.__file__).resolve().parent
+    archive = tmp_path / "mesoped.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in package.rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(package.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "mesoped.cli", "run", "cinema_a", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(archive)},
+        cwd=tmp_path, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert "not installed as files" in done.stderr and str(archive) in done.stderr
+    assert "(bundled: )" not in done.stderr
+    assert not (tmp_path / "out").exists()

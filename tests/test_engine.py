@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from gridgen import random_grid, random_schedule
 from mesoped.engine import (DIAMETER_FACTOR, EXIT, MESO_TABLE, MICRO_TABLE,
                             SPAWN, OutOfRange, Simulation, SpawnEntry,
-                            SpeedDensityTable, bounded_draw, events_to_csv,
+                            SpeedDensityTable, bounded_draw, events_csv_blocks,
                             render_snapshot)
 from mesoped.floorfield import compute_field
 from mesoped.layout import parse_layout
@@ -327,7 +327,7 @@ def test_corridor_csv_golden():
     sim = Simulation(grid, field, MESO_TABLE,
                      schedule=(SpawnEntry((0, 0), 1),), dt=0.5, seed=0)
     sim.run(max_steps=100)
-    assert events_to_csv(sim.state.log) == (
+    assert b"".join(events_csv_blocks(sim.state.log)) == (
         b"step,clock_s,agent_id,event,row,col\n"
         b"0,0.0,0,spawn,0,0\n"
         b"2,1.0,0,move,0,1\n"
@@ -444,7 +444,8 @@ def test_same_seed_reproduces_event_log():
         return sim
 
     assert run(11).events == run(11).events
-    assert events_to_csv(run(7).state.log) == events_to_csv(run(7).state.log)
+    assert (b"".join(events_csv_blocks(run(7).state.log))
+            == b"".join(events_csv_blocks(run(7).state.log)))
 
 
 def test_random_runs_conserve_agents_and_respect_capacity():
@@ -564,4 +565,4 @@ def test_step_matches_reference_loop_under_fuzzing(run):
         sim.step()
         ref.step()
     assert ref.state.log.starts == log.starts
-    assert events_to_csv(log) == oracle.events_to_csv(ref.events).encode()
+    assert b"".join(events_csv_blocks(log)) == oracle.events_to_csv(ref.events).encode()

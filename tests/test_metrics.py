@@ -1,10 +1,13 @@
 """Event-log summaries, population sweeps, and metrics CSV output.
 
-`summarize` and `events_to_csv` read the log's columns; on real runs they
+`summarize` and `events_csv_blocks` read the log's columns; on real runs they
 must equal, exactly, the event-by-event versions in `oracle.py`.
 """
 
 import math
+import os
+import tracemalloc
+from array import array
 from dataclasses import replace
 from statistics import fmean
 
@@ -14,8 +17,8 @@ import pytest
 import oracle
 from gridgen import random_schedule
 from mesoped import engine, metrics
-from mesoped.engine import (MESO_TABLE, MICRO_TABLE, EventLog, Simulation, SpawnEntry,
-                            events_to_csv)
+from mesoped.engine import (EXIT, MESO_TABLE, MICRO_TABLE, MOVE, SPAWN, EventLog, Simulation,
+                            SpawnEntry, events_csv_blocks)
 from mesoped.floorfield import compute_field
 from mesoped.layout import parse_layout
 from mesoped.metrics import (RunMetrics, comparison_csv, metrics_csv, summarize,
@@ -145,10 +148,10 @@ def test_event_log_rejects_an_earlier_step():
 
 
 def assert_log_outputs_match_oracle(sim, cell_size_m):
-    """Column-reading `summarize`/`events_to_csv` equal the event-by-event ones."""
+    """Column-reading `summarize`/`events_csv_blocks` equal the event-by-event ones."""
     events = sim.events
     assert summarize(sim.state.log, cell_size_m) == oracle.summarize(events, cell_size_m)
-    assert events_to_csv(sim.state.log) == oracle.events_to_csv(events).encode()
+    assert b"".join(events_csv_blocks(sim.state.log)) == oracle.events_to_csv(events).encode()
 
 
 @pytest.mark.parametrize("table", [MESO_TABLE, MICRO_TABLE], ids=["meso", "micro"])
@@ -173,11 +176,11 @@ def test_log_outputs_match_oracle_on_bundled_scenarios(name):
 
 
 def assert_csv_matches_oracle(log):
-    assert events_to_csv(log) == oracle.events_to_csv(list(log)).encode()
+    assert b"".join(events_csv_blocks(log)) == oracle.events_to_csv(list(log)).encode()
 
 
 def test_events_csv_of_an_empty_log_is_the_header():
-    assert events_to_csv(EventLog(0.5, 3)) == b"step,clock_s,agent_id,event,row,col\n"
+    assert list(events_csv_blocks(EventLog(0.5, 3))) == [b"step,clock_s,agent_id,event,row,col\n"]
     log = EventLog(0.5, 3)
     log.open_step(40)
     assert_csv_matches_oracle(log)
@@ -202,7 +205,8 @@ def test_events_csv_clocks_are_reprs(dt):
     events = [(s, s % 5, ("spawn", "move", "stay", "exit")[s % 4], 0, s % 3)
               for s in range(0, 400, 3)]
     assert_csv_matches_oracle(log_of(events, dt=dt))
-    assert b"\n3,0.30000000000000004,3," in events_to_csv(log_of(events, dt=0.1))
+    text = b"".join(events_csv_blocks(log_of(events, dt=0.1)))
+    assert b"\n3,0.30000000000000004,3," in text
 
 
 def test_events_csv_skips_thousands_of_empty_steps():
@@ -223,7 +227,68 @@ def test_events_csv_spans_many_blocks():
     """A log several formatting blocks long, whose last block is short."""
     n = 3 * engine.CSV_BLOCK_EVENTS + 17
     events = [(k // 50, k % 777, ("move", "stay")[k % 2], k % 9, k % 31) for k in range(n)]
-    assert_csv_matches_oracle(log_of(events, dt=0.1, cols=31))
+    log = log_of(events, dt=0.1, cols=31)
+    assert len(list(events_csv_blocks(log))) == 1 + 4  # the header, then each block
+    assert_csv_matches_oracle(log)
+
+
+def walking_log(agents, moves, cols=40):
+    """A complete run's log built straight into the columns: every agent
+    spawns at step 0, moves once a step, diagonally every other step, and
+    exits the step after its last move. Step s holds each agent's s-th event
+    in agent order."""
+    steps = moves + 2
+    step, agent = np.divmod(np.arange(agents * steps), agents)
+    kind = np.where(step == 0, SPAWN, np.where(step == steps - 1, EXIT, MOVE))
+    at = np.minimum(step, steps - 2)  # an exit is logged at the last cell
+    cells = (agent + at // 2) % 50 * cols + at % cols
+    log = EventLog(0.5, cols)
+    log.starts = array("i", range(0, len(step), agents))
+    log.agents = array("i", agent.astype(np.intc).tobytes())
+    log.kinds = bytearray(kind.astype(np.uint8).tobytes())
+    log.cells = array("i", cells.astype(np.intc).tobytes())
+    return log
+
+
+def traced_peak(fn) -> int:
+    """The most memory traced at once while `fn()` runs, after one warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_events_csv_memory_does_not_grow_with_the_log():
+    """Writing an 8-block log the way the CLI does peaks no higher than
+    writing a 1-block one, up to a fixed slack well below one block's text
+    (~330 kB). The slack covers wider lines, not more of them: the longer
+    log's steps and clocks take 2 more bytes each, in the block's
+    fixed-width rows and in its text (about 65 kB)."""
+    def drain(log):
+        with open(os.devnull, "wb") as fh:
+            fh.writelines(events_csv_blocks(log))
+
+    one, eight = walking_log(1024, 14), walking_log(1024, 126)
+    assert len(one.kinds) == engine.CSV_BLOCK_EVENTS
+    assert len(eight.kinds) == 8 * engine.CSV_BLOCK_EVENTS
+    assert traced_peak(lambda: drain(eight)) - traced_peak(lambda: drain(one)) <= 128 * 1024
+
+
+def test_summarize_memory_is_a_few_bytes_per_event():
+    """The peak over the log's own columns stays near one int64 sort key per
+    event plus a float hop length, not several per-event arrays."""
+    small = walking_log(7, 5)
+    assert summarize(small, 1.0) == oracle.summarize(list(small), 1.0)
+    assert_csv_matches_oracle(small)
+    log = walking_log(1500, 98)
+    n = len(log.kinds)
+    assert n == 150_000
+    m = summarize(log, 1.0)
+    assert m.n_agents == 1500 and m.completed and m.avg_travel_time_s == 99 * 0.5
+    assert traced_peak(lambda: summarize(log, 1.0)) <= 24 * n
 
 
 def test_seed_sequences_are_distinct_and_stable(monkeypatch):
@@ -241,14 +306,14 @@ def test_seed_sequences_are_distinct_and_stable(monkeypatch):
     monkeypatch.setattr(metrics, "make_simulation", recording)
     for seed in (config.seed, config.seed, config.seed + 1):
         sweep(replace(runtime, config=replace(config, seed=seed)), [20], 3)
-    logs = [bytes(events_to_csv(sim.state.log)) for sim in sims]
+    logs = [b"".join(events_csv_blocks(sim.state.log)) for sim in sims]
     assert len(set(logs[:3])) == 3, "runs of one population must differ"
     assert logs[3:6] == logs[:3], "the same seed must replay the same runs"
     assert not set(logs[6:]) & set(logs[:3]), "another seed must give other runs"
     seed = np.random.SeedSequence([config.seed, 20, 1])
     direct = make_simulation(runtime, seed=seed, population=20)
     direct.run(config.max_steps)
-    assert events_to_csv(direct.state.log) == logs[1]
+    assert b"".join(events_csv_blocks(direct.state.log)) == logs[1]
 
 
 def test_sweep_is_deterministic():

@@ -117,6 +117,9 @@ def test_parse_custom_table(corridor_dir):
      "[sinks] 0,2 and 0, 2 name the same cell (0, 2)"),
     ("[layout]\npath = corridor.layout\n[spawn]\n0,0 = 1@0\n00,0 = 2@0\n",
      "[spawn] 0,0 and 00,0 name the same cell (0, 0)"),
+    # One density under two spellings.
+    ("[layout]\npath = corridor.layout\n[table]\n0 = 1 1\n1 = 0.5 0.5\n01 = 0.4 0.4\n2 = 0 0\n",
+     "[table] 1 and 01 name the same density 1"),
 ])
 def test_parse_rejects_bad_configs(corridor_dir, text, needle):
     with pytest.raises(ConfigError, match="(?i)" + re.escape(needle)):
