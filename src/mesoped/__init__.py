@@ -4,12 +4,12 @@ density-coupled discrete-time movement engine."""
 
 from .layout import (
     BoundaryError, ConsistencyError, EmptyError, LayoutError, LayoutGrid,
-    ParseError, moves_of, parse_layout, serialize_layout, validate_grid,
+    ParseError, moves_of, parse_layout, render_snapshot, serialize_layout, validate_grid,
 )
 from .floorfield import FloorField, Stuck, compute_field, field_to_csv, greedy_descent
 from .engine import (
     MESO_TABLE, MICRO_TABLE, OutOfRange, Simulation, SpawnEntry,
-    SpeedDensityTable, events_csv_blocks, render_snapshot,
+    SpeedDensityTable, events_csv_blocks,
 )
 from .scenario import (
     ConfigError, ScenarioConfig, Runtime, build_runtime, bundled_scenarios,

@@ -9,14 +9,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from pathlib import Path
 
-from .engine import events_csv_blocks, render_snapshot
+from .engine import EventLog, events_csv_blocks
 from .floorfield import field_to_csv
-from .layout import LayoutError
-from .metrics import comparison_csv, metrics_csv, run_metrics, sweep
+from .layout import LayoutError, LayoutGrid, render_snapshot
+from .metrics import comparison_csv, metrics_csv, occupancy, run_metrics, sweep
 from .scenario import (ConfigError, ScenarioConfig, build_runtime,
                        load_scenario, make_simulation)
 
@@ -99,6 +99,15 @@ def _write(path: Path, chunks: Iterable[bytes | bytearray]) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
+def snapshot_pictures(grid: LayoutGrid, log: EventLog) -> Iterator[bytes]:
+    """`snapshots.txt` replayed from the log, one chunk per logged step: a
+    `# step s clock t` header over the step's picture, with a blank line
+    between pictures."""
+    for s, density in occupancy(log, grid.rows * grid.cols):
+        gap = "\n" if s else ""
+        yield f"{gap}# step {s} clock {s * log.dt!r}\n{render_snapshot(grid, density)}".encode()
+
+
 def cmd_run(args) -> int:
     config = _with_seed(load_scenario(args.scenario), args.seed)
     max_steps = config.max_steps if args.steps is None else args.steps
@@ -107,21 +116,14 @@ def cmd_run(args) -> int:
     out_dir = _out_dir(args.out, f"{config.name}-seed{config.seed}")
     runtime = build_runtime(config)
     sim = make_simulation(runtime)
-
-    snapshots: list[str] = []
-
-    def on_step(s) -> None:
-        snapshots.append(f"# step {s.state.step_index} clock {s.state.clock!r}\n"
-                         + render_snapshot(s.grid, s.state.density))
-
-    sim.run(max_steps, on_step=on_step if args.snapshots else None)
+    sim.run(max_steps)
 
     sinks = [cell for cell, _ in runtime.grid.sinks]
     _write(out_dir / "events.csv", events_csv_blocks(sim.state.log))
     _write(out_dir / "metrics.csv", [metrics_csv([run_metrics(sim)], sinks).encode()])
     _write(out_dir / "field.csv", [field_to_csv(runtime.field).encode()])
     if args.snapshots:
-        _write(out_dir / "snapshots.txt", ["\n".join(snapshots).encode()])
+        _write(out_dir / "snapshots.txt", snapshot_pictures(runtime.grid, sim.state.log))
 
     print(f"{config.name}: spawned {sim.state.spawned}, "
           f"exited {sim.state.spawned - len(sim.state.present)}, "
@@ -129,9 +131,7 @@ def cmd_run(args) -> int:
     if sim.state.pending_count > 0:
         print(f"warning: {sim.state.pending_count} scheduled agents never spawned "
               "within the step limit", file=sys.stderr)
-    if not sim.completed:
-        return 3
-    return 0
+    return 0 if sim.completed else 3
 
 
 def cmd_export_field(args) -> int:

@@ -15,21 +15,18 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, pairwise
 
 import numpy as np
 
-from .layout import Cell, LayoutGrid, TOP, RIGHT, BOTTOM, LEFT, side_open
+from .layout import Cell, LayoutGrid
 from .floorfield import FloorField
 
 # Mean of the inscribed and circumscribed circle diameters of a square cell.
 DIAMETER_FACTOR = (1.0 + math.sqrt(2.0)) / 2.0
 
-EVENT_SPAWN = "spawn"
-EVENT_MOVE = "move"
-EVENT_STAY = "stay"
-EVENT_EXIT = "exit"
 # Event kind codes as stored in `EventLog.kinds`: the index into KINDS.
-KINDS = (EVENT_SPAWN, EVENT_MOVE, EVENT_STAY, EVENT_EXIT)
+KINDS = ("spawn", "move", "stay", "exit")
 SPAWN, MOVE, STAY, EXIT = range(len(KINDS))
 
 
@@ -148,27 +145,24 @@ class EventLog:
         while len(self.starts) <= step:
             self.starts.append(len(self.kinds))
 
-    def append(self, step: int, agent: int, kind: str, at: int) -> None:
-        """Log agent `agent` doing `kind` (one of KINDS) at flat cell `at`."""
-        self.open_step(step)
+    def append(self, agent: int, kind: int, at: int) -> None:
+        """Log agent `agent` doing `kind` (a code: SPAWN, MOVE, STAY or EXIT)
+        at flat cell `at`, in the step that `open_step` opened last."""
         self.agents.append(agent)
-        self.kinds.append(KINDS.index(kind))
+        self.kinds.append(kind)
         self.cells.append(at)
 
-    def bounds(self) -> list[int]:
-        """Event index bounds of every step: step s owns `[b[s], b[s + 1])`."""
-        bounds = self.starts.tolist()
-        bounds.append(len(self.kinds))
-        return bounds
+    def spans(self) -> Iterator[tuple[int, int]]:
+        """Each logged step's event index range `(lo, hi)`, in step order."""
+        return pairwise(chain(self.starts, (len(self.kinds),)))
 
     def __iter__(self):
         """Each event as a `(step, clock, agent, kind, row, col)` tuple."""
-        bounds, cols = self.bounds(), self.cols
-        for step in range(len(bounds) - 1):
+        for step, (lo, hi) in enumerate(self.spans()):
             clock = step * self.dt
-            for k in range(bounds[step], bounds[step + 1]):
+            for k in range(lo, hi):
                 yield (step, clock, self.agents[k], KINDS[self.kinds[k]],
-                       *divmod(self.cells[k], cols))
+                       *divmod(self.cells[k], self.cols))
 
 
 def bounded_draw(rng: np.random.Generator) -> Callable[[int], int]:
@@ -288,7 +282,7 @@ class Simulation:
                 present.append(aid)
                 density[idx] += 1
                 entry[1] -= 1
-                state.log.append(state.step_index, aid, EVENT_SPAWN, idx)
+                state.log.append(aid, SPAWN, idx)
         state.pending = [entry for entry in state.pending if entry[1]]
 
     def step(self) -> SimulationState:
@@ -315,7 +309,7 @@ class Simulation:
             present = state.present
             for aid in arrived:
                 density[at[aid]] -= 1
-                log.append(step_i, aid, EVENT_EXIT, at[aid])
+                log.append(aid, EXIT, at[aid])
                 del present[bisect_left(present, aid)]
             arrived.clear()
 
@@ -374,16 +368,12 @@ class Simulation:
             log_cell(dest)
         return state
 
-    def run(self, max_steps: int, on_step=None):
+    def run(self, max_steps: int) -> SimulationState:
         """Step until everyone has exited or `max_steps` intervals elapse."""
-        if on_step is not None:
-            on_step(self)
         for _ in range(max_steps):
             if self.completed:
                 break
             self.step()
-            if on_step is not None:
-                on_step(self)
         return self.state
 
     # perfbench/tracer.py counts from this; it stays until the tracer reads state.log.
@@ -445,32 +435,3 @@ def events_csv_blocks(log: EventLog) -> Iterator[bytes | bytearray]:
                                      (step_of, agents[lo:hi], kinds[lo:hi], r, c)):
             block[name][:hi - lo] = table.take(keys)
         yield raw.translate(None, b"\0")
-
-
-def render_snapshot(grid: LayoutGrid, density: list[int]) -> str:
-    """ASCII picture of walls and per-cell occupancy digits."""
-    rows, cols = grid.rows, grid.cols
-    canvas = []
-    for r in range(rows):
-        top_line = []
-        mid_line = []
-        for c in range(cols):
-            code = grid.walls[r][c]
-            top_line.append("+")
-            top_line.append("  " if side_open(code, TOP) else "--")
-            mid_line.append(" " if side_open(code, LEFT) else "|")
-            occ = density[r * cols + c]
-            mid_line.append(f"{min(occ, 9)} " if occ else " .")
-        top_line.append("+")
-        last = grid.walls[r][cols - 1]
-        mid_line.append(" " if side_open(last, RIGHT) else "|")
-        canvas.append("".join(top_line))
-        canvas.append("".join(mid_line))
-    bottom = []
-    for c in range(cols):
-        code = grid.walls[rows - 1][c]
-        bottom.append("+")
-        bottom.append("  " if side_open(code, BOTTOM) else "--")
-    bottom.append("+")
-    canvas.append("".join(bottom))
-    return "\n".join(canvas) + "\n"

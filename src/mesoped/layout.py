@@ -322,3 +322,20 @@ def serialize_layout(grid: LayoutGrid) -> str:
     for r, c in grid.sources:
         out.append(f"source {r} {c}")
     return "\n".join(out) + "\n"
+
+
+def render_snapshot(grid: LayoutGrid, density: list[int]) -> str:
+    """ASCII picture of the walls and of a count per flat cell, capped at 9."""
+    def edge(codes: tuple[int, ...], side: int) -> str:
+        return "".join("+  " if side_open(code, side) else "+--" for code in codes) + "+"
+
+    lines = []
+    for r, codes in enumerate(grid.walls):
+        counts = density[r * grid.cols:(r + 1) * grid.cols]
+        lines.append(edge(codes, TOP))
+        lines.append("".join((" " if side_open(code, LEFT) else "|")
+                             + (f"{min(occ, 9)} " if occ else " .")
+                             for code, occ in zip(codes, counts))
+                     + (" " if side_open(codes[-1], RIGHT) else "|"))
+    lines.append(edge(grid.walls[-1], BOTTOM))
+    return "\n".join(lines) + "\n"

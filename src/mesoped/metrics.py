@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import EXIT, MOVE, SPAWN, EventLog
+from .engine import EXIT, MOVE, SPAWN, STAY, EventLog
 from .layout import Cell
 from .scenario import ConfigError, Runtime, make_simulation
 
@@ -96,6 +97,26 @@ def summarize(log: EventLog, cell_size_m: float) -> RunMetrics:
         per_exit_counts=dict(Counter(zip(exit_rows.tolist(), exit_cols.tolist()))),
         completed=len(exits) == n_agents,
     )
+
+
+def occupancy(log: EventLog, n_cells: int) -> Iterator[tuple[int, list[int]]]:
+    """Each logged step s, step 0 included, with the count of agents in each
+    flat cell after its events: a spawn adds 1 at its cell, a move moves 1
+    from the agent's previous cell to its new one, an exit takes 1 from its
+    cell. One list is updated in place and yielded each step; copy it to keep it.
+    """
+    density = [0] * n_cells
+    at: dict[int, int] = {}  # each agent's cell
+    for s, (lo, hi) in enumerate(log.spans()):
+        for agent, kind, cell in zip(log.agents[lo:hi], log.kinds[lo:hi], log.cells[lo:hi]):
+            if kind == MOVE:
+                density[at[agent]] -= 1
+            if kind == EXIT:
+                density[cell] -= 1
+            elif kind != STAY:
+                density[cell] += 1
+                at[agent] = cell
+        yield s, density
 
 
 def run_metrics(sim) -> RunMetrics:

@@ -21,12 +21,13 @@ Step loop: the engine's movement rule written agent by agent over
 `DIR_VECTORS` and the table's lookup methods. `ReferenceSimulation` runs it
 in place of `mesoped.engine.Simulation`, whose flat step loop over agent
 columns must match its event logs and densities exactly. It logs through
-`EventLog.append`, one event at a time.
+`EventLog.append(agent, kind, at)`, one event code at a time, into the step
+that `EventLog.open_step` opened.
 
 Event log outputs: `summarize` and `events_to_csv` walk the log as
 `(step, clock, agent, kind, row, col)` tuples (`Simulation.events`), one
 event at a time with dicts and f-strings. `mesoped.metrics.summarize` and
-`mesoped.engine.events_to_csv`, which read the log's columns, must equal
+`mesoped.engine.events_csv_blocks`, which read the log's columns, must equal
 them exactly.
 
 Field CSV: `field_to_csv` formats every cell with its own `repr`;
@@ -43,8 +44,8 @@ from statistics import fmean
 
 import numpy as np
 
-from mesoped.engine import (DIAMETER_FACTOR, EVENT_EXIT, EVENT_MOVE, EVENT_SPAWN,
-                            EVENT_STAY, EventLog, SpawnEntry, SpeedDensityTable)
+from mesoped.engine import (DIAMETER_FACTOR, EXIT, MOVE, SPAWN, STAY, EventLog,
+                            SpawnEntry, SpeedDensityTable)
 from mesoped.floorfield import DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField
 from mesoped.layout import (BOTTOM, DIR_VECTORS, LEFT, ORTHOGONAL, RIGHT, TOP,
                             LayoutGrid, moves_of)
@@ -215,7 +216,7 @@ def spawn_pass(state: ReferenceState, grid: LayoutGrid, table: SpeedDensityTable
             state.agents[agent.id] = agent
             state.density[idx] += 1
             entry[1] -= 1
-            state.log.append(state.step_index, agent.id, EVENT_SPAWN, idx)
+            state.log.append(agent.id, SPAWN, idx)
 
 
 def reference_step(state: ReferenceState, grid: LayoutGrid, field: FloorField,
@@ -234,7 +235,7 @@ def reference_step(state: ReferenceState, grid: LayoutGrid, field: FloorField,
         agent = state.agents.pop(aid)
         state.density[grid.index(agent.cell)] -= 1
         state.exited.append(agent)
-        state.log.append(state.step_index, aid, EVENT_EXIT, grid.index(agent.cell))
+        state.log.append(aid, EXIT, grid.index(agent.cell))
 
     ids = sorted(state.agents)
     if len(ids) > 1:
@@ -246,7 +247,7 @@ def reference_step(state: ReferenceState, grid: LayoutGrid, field: FloorField,
         scores = score_candidates(agent, state, grid, field, table)
         name = choose_move(scores, state.rng)
         if name is None:
-            state.log.append(state.step_index, aid, EVENT_STAY, grid.index(agent.cell))
+            state.log.append(aid, STAY, grid.index(agent.cell))
             continue
         dr, dc = DIR_VECTORS[name]
         old = agent.cell
@@ -256,7 +257,7 @@ def reference_step(state: ReferenceState, grid: LayoutGrid, field: FloorField,
         agent.cell = new
         agent.at = grid.index(new)
         agent.t_in = clock
-        state.log.append(state.step_index, aid, EVENT_MOVE, grid.index(new))
+        state.log.append(aid, MOVE, grid.index(new))
     return state
 
 
@@ -276,15 +277,11 @@ class ReferenceSimulation:
     def step(self) -> ReferenceState:
         return reference_step(self.state, self.grid, self.field, self.table, self.dt)
 
-    def run(self, max_steps: int, on_step=None) -> ReferenceState:
-        if on_step is not None:
-            on_step(self)
+    def run(self, max_steps: int) -> ReferenceState:
         for _ in range(max_steps):
             if self.completed:
                 break
             self.step()
-            if on_step is not None:
-                on_step(self)
         return self.state
 
     @property
@@ -306,15 +303,15 @@ def summarize(events, cell_size_m: float) -> RunMetrics:
     dist_done: list[float] = []
     exits: Counter[tuple[int, int]] = Counter()
     for _, clock, aid, kind, r, c in events:
-        if kind == EVENT_SPAWN:
+        if kind == "spawn":
             spawn_clock[aid] = clock
             position[aid] = (r, c)
             distance[aid] = 0.0
-        elif kind == EVENT_MOVE:
+        elif kind == "move":
             pr, pc = position[aid]
             distance[aid] += diag if (r != pr and c != pc) else cell_size_m
             position[aid] = (r, c)
-        elif kind == EVENT_EXIT:
+        elif kind == "exit":
             travel.append(clock - spawn_clock[aid])
             dist_done.append(distance[aid])
             exits[(r, c)] += 1

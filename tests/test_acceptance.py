@@ -152,8 +152,7 @@ def test_criterion_7_conservation_and_capacity():
         field = compute_field(grid)
         sim = Simulation(grid, field, table, schedule, dt=0.5, seed=seed)
 
-        def check(s):
-            state = s.state
+        def check(state):
             kinds = state.log.kinds
             assert kinds.count(SPAWN) == len(state.present) + kinds.count(EXIT), \
                 f"seed {seed} step {state.step_index}: headcount drifted"
@@ -165,7 +164,11 @@ def test_criterion_7_conservation_and_capacity():
             assert recount == state.density, \
                 f"seed {seed} step {state.step_index}: density desynced"
 
-        sim.run(max_steps=300, on_step=check)
+        check(sim.state)
+        for _ in range(300):
+            if sim.completed:
+                break
+            check(sim.step())
         assert sim.state.spawned == sum(e.count for e in schedule) or \
             sim.state.pending_count > 0
 

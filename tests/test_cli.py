@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, exit codes, and error reporting."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -73,6 +74,45 @@ def test_run_snapshots_flag(corridor_scenario, tmp_path):
     assert "# step 0 clock 0.0" in art
     assert "# step 5 clock 2.5" in art
     assert "+" in art and "1" in art
+
+
+def stepped_snapshots(config, max_steps):
+    """`snapshots.txt` drawn from live state: step a `Simulation` and picture
+    `state.density` before the first step and after each one, with a blank
+    line between pictures."""
+    sim = make_simulation(build_runtime(config))
+    pictures = []
+    while True:
+        state = sim.state
+        pictures.append(f"# step {state.step_index} clock {state.clock!r}\n"
+                        + mesoped.render_snapshot(sim.grid, state.density))
+        if sim.completed or state.step_index == max_steps:
+            return "\n".join(pictures).encode()
+        sim.step()
+
+
+@pytest.mark.parametrize("name, steps", [(name, None) for name in bundled_scenarios()]
+                         + [("cinema_a", 7), ("cinema_a", 0)])
+def test_run_snapshots_equal_the_stepped_live_density(name, steps, tmp_path):
+    """Each bundled scenario at its own seed, and cinema_a cut at 7 steps
+    (agents still inside) and at 0 (one picture)."""
+    config = load_scenario(name)
+    argv = ["run", name, "--snapshots", "--out", str(tmp_path)]
+    if steps is not None:
+        argv += ["--steps", str(steps)]
+    assert main(argv) == (0 if steps is None else 3)
+    expected = stepped_snapshots(config, config.max_steps if steps is None else steps)
+    assert (tmp_path / "snapshots.txt").read_bytes() == expected
+    if steps is not None:
+        assert expected.count(b"# step ") == steps + 1
+
+
+def test_run_snapshots_digest_is_pinned(tmp_path):
+    """cinema_b at seed 5, as recorded before snapshots were replayed from
+    the log, so the reference above and the writer cannot drift together."""
+    assert main(["run", "cinema_b", "--seed", "5", "--snapshots", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "snapshots.txt").read_bytes()).hexdigest()
+    assert digest == "b2d00bde976203ba6f4469459548fcebf3acd11a1ffdaafdf458e355a3ce4f95"
 
 
 def test_run_step_limit_reports_incomplete(corridor_scenario, tmp_path, capsys):

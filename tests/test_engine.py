@@ -15,11 +15,10 @@ from hypothesis import given, settings, strategies as st
 from gridgen import random_grid, random_schedule
 from mesoped.engine import (DIAMETER_FACTOR, EXIT, MESO_TABLE, MICRO_TABLE,
                             SPAWN, OutOfRange, Simulation, SpawnEntry,
-                            SpeedDensityTable, bounded_draw, events_csv_blocks,
-                            render_snapshot)
+                            SpeedDensityTable, bounded_draw, events_csv_blocks)
 from mesoped.floorfield import compute_field
-from mesoped.layout import parse_layout
-from mesoped.metrics import summarize
+from mesoped.layout import parse_layout, render_snapshot
+from mesoped.metrics import occupancy, summarize
 from mesoped.scenario import build_runtime, bundled_scenarios, load_scenario
 import oracle
 from oracle import ReferenceSimulation
@@ -457,8 +456,7 @@ def test_random_runs_conserve_agents_and_respect_capacity():
         sim = Simulation(grid, field, MESO_TABLE, schedule=schedule,
                          dt=0.5, seed=seed)
 
-        def check(s):
-            state = s.state
+        def check(state):
             exits = state.log.kinds.count(EXIT)
             assert state.log.kinds.count(SPAWN) == state.spawned == len(state.present) + exits
             assert max(state.density) <= MESO_TABLE.capacity
@@ -467,7 +465,11 @@ def test_random_runs_conserve_agents_and_respect_capacity():
                 recount[state.at[a]] += 1
             assert recount == state.density
 
-        sim.run(max_steps=800, on_step=check)
+        check(sim.state)
+        for _ in range(800):
+            if sim.completed:
+                break
+            check(sim.step())
         assert sim.completed, f"seed {seed} left agents stranded"
 
 
@@ -486,8 +488,11 @@ def assert_matches_reference(make, max_steps):
     runs = []
     for cls in (Simulation, ReferenceSimulation):
         sim = make(cls)
-        densities = []
-        sim.run(max_steps, on_step=lambda s: densities.append(list(s.state.density)))
+        densities = [list(sim.state.density)]
+        for _ in range(max_steps):
+            if sim.completed:
+                break
+            densities.append(list(sim.step().density))
         runs.append((sim.events, densities))
     assert runs[0] == runs[1]
 
@@ -537,13 +542,15 @@ def fuzzed_runs(draw):
 def test_step_matches_reference_loop_under_fuzzing(run):
     """Stepped side by side, the flat loop and the reference loop log the
     same events and hold the same densities after every step, and the
-    headcount counted from the log and the capacity hold throughout."""
+    headcount counted from the log and the capacity hold throughout. The
+    log's replay (`occupancy`) gives the live density of every step."""
     grid, schedule, table, dt, seed = run
     field = compute_field(grid)
     sim = Simulation(grid, field, table, schedule, dt=dt, seed=seed)
     ref = ReferenceSimulation(grid, field, table, schedule, dt=dt, seed=seed)
     scheduled = sum(e.count for e in schedule)
     seen = 0
+    live = [list(sim.state.density)]
     for _ in range(600):
         log, state = sim.state.log, sim.state
         assert ref.state.log.kinds[seen:] == log.kinds[seen:]
@@ -564,5 +571,8 @@ def test_step_matches_reference_loop_under_fuzzing(run):
             break
         sim.step()
         ref.step()
+        live.append(list(state.density))
     assert ref.state.log.starts == log.starts
+    replayed = [list(density) for _, density in occupancy(log, grid.rows * grid.cols)]
+    assert replayed == live and len(live) == state.step_index + 1
     assert b"".join(events_csv_blocks(log)) == oracle.events_to_csv(ref.events).encode()

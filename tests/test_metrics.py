@@ -17,10 +17,11 @@ import pytest
 import oracle
 from gridgen import random_schedule
 from mesoped import engine, metrics
-from mesoped.engine import (EXIT, MESO_TABLE, MICRO_TABLE, MOVE, SPAWN, EventLog, Simulation,
-                            SpawnEntry, events_csv_blocks)
+from mesoped.cli import snapshot_pictures
+from mesoped.engine import (EXIT, KINDS, MESO_TABLE, MICRO_TABLE, MOVE, SPAWN, EventLog,
+                            Simulation, SpawnEntry, events_csv_blocks)
 from mesoped.floorfield import compute_field
-from mesoped.layout import parse_layout
+from mesoped.layout import LayoutGrid, parse_layout, render_snapshot
 from mesoped.metrics import (RunMetrics, comparison_csv, metrics_csv, summarize,
                              sweep)
 from mesoped.scenario import build_runtime, bundled_scenarios, load_scenario
@@ -37,7 +38,8 @@ def log_of(events, dt=0.5, cols=3):
     """An event log of (step, agent, kind, row, col) events; clock = step x dt."""
     log = EventLog(dt, cols)
     for step, agent, kind, r, c in events:
-        log.append(step, agent, kind, r * cols + c)
+        log.open_step(step)
+        log.append(agent, KINDS.index(kind), r * cols + c)
     return log
 
 
@@ -144,7 +146,7 @@ def test_summarize_sums_each_walk_in_hop_order():
 def test_event_log_rejects_an_earlier_step():
     log = log_of(CORRIDOR_EVENTS)
     with pytest.raises(ValueError, match="step 4"):
-        log.append(4, 0, "stay", 2)
+        log.open_step(4)
 
 
 def assert_log_outputs_match_oracle(sim, cell_size_m):
@@ -275,6 +277,24 @@ def test_events_csv_memory_does_not_grow_with_the_log():
     assert len(one.kinds) == engine.CSV_BLOCK_EVENTS
     assert len(eight.kinds) == 8 * engine.CSV_BLOCK_EVENTS
     assert traced_peak(lambda: drain(eight)) - traced_peak(lambda: drain(one)) <= 128 * 1024
+
+
+def test_snapshots_memory_does_not_grow_with_the_log():
+    """Writing `snapshots.txt` for a 128-step log the way the CLI does peaks
+    no higher than for a 16-step one, up to a few pictures (about 12 kB
+    each): the replay updates one density list in place, and each step's
+    picture is written before the next is drawn."""
+    grid = LayoutGrid(rows=50, cols=40, cell_size_m=1.0, walls=((0,) * 40,) * 50,
+                      sinks=(), sources=())
+
+    def drain(log):
+        with open(os.devnull, "wb") as fh:
+            fh.writelines(snapshot_pictures(grid, log))
+
+    short, long = walking_log(1024, 14), walking_log(1024, 126)
+    assert 8 * len(short.starts) == len(long.starts) == 128
+    picture = len(render_snapshot(grid, [0] * (grid.rows * grid.cols)))
+    assert traced_peak(lambda: drain(long)) - traced_peak(lambda: drain(short)) <= 3 * picture
 
 
 def test_summarize_memory_is_a_few_bytes_per_event():
