@@ -6,10 +6,9 @@ from .layout import (
     BoundaryError, ConsistencyError, EmptyError, LayoutError, LayoutGrid,
     ParseError, moves_of, parse_layout, render_snapshot, serialize_layout, validate_grid,
 )
-from .floorfield import FloorField, Stuck, compute_field, field_to_csv, greedy_descent
+from .floorfield import FloorField, compute_field, field_to_csv
 from .engine import (
-    MESO_TABLE, MICRO_TABLE, OutOfRange, Simulation, SpawnEntry,
-    SpeedDensityTable, events_csv_blocks,
+    MESO_TABLE, MICRO_TABLE, Simulation, SpawnEntry, SpeedDensityTable, events_csv_blocks,
 )
 from .scenario import (
     ConfigError, ScenarioConfig, Runtime, build_runtime, bundled_scenarios,

@@ -16,7 +16,7 @@ from pathlib import Path
 from .engine import EventLog, events_csv_blocks
 from .floorfield import field_to_csv
 from .layout import LayoutError, LayoutGrid, render_snapshot
-from .metrics import comparison_csv, metrics_csv, occupancy, run_metrics, sweep
+from .metrics import check_sweep, comparison_csv, metrics_csv, occupancy, run_metrics, sweep
 from .scenario import (ConfigError, ScenarioConfig, build_runtime,
                        load_scenario, make_simulation)
 
@@ -146,6 +146,7 @@ def cmd_export_field(args) -> int:
 def cmd_sweep(args) -> int:
     config = _with_seed(load_scenario(args.scenario), args.seed)
     populations = parse_populations(args.pop)
+    check_sweep(config, args.seeds)
     out_dir = _out_dir(args.out, f"{config.name}-sweep")
     runtime = build_runtime(config)
     points = sweep(runtime, populations, args.seeds)
@@ -159,6 +160,8 @@ def cmd_compare(args) -> int:
     meso_config = load_scenario(args.meso)
     micro_config = load_scenario(args.micro)
     populations = parse_populations(args.pop)
+    check_sweep(meso_config, args.seeds)
+    check_sweep(micro_config, args.seeds)
     out_dir = _out_dir(args.out, f"{meso_config.name}-vs-{micro_config.name}")
     meso_runtime = build_runtime(meso_config)
     micro_runtime = build_runtime(micro_config)

@@ -30,87 +30,51 @@ KINDS = ("spawn", "move", "stay", "exit")
 SPAWN, MOVE, STAY, EXIT = range(len(KINDS))
 
 
-class OutOfRange(Exception):
-    """Speed-density lookup outside the table's density range."""
-
-
 @dataclass(frozen=True)
 class SpeedDensityTable:
-    """Lookup rows of (density, speed m/s, entry probability).
+    """Walking speed (m/s) and entry probability by density: `speeds[d]` and
+    `probs[d]` for a cell already holding d agents.
 
-    Densities count the agents already in the cell being evaluated. Both
-    columns must be non-increasing and the final row must have entry
-    probability zero, so a cell fills up before it jams solid.
+    Both columns must be non-increasing and the final entry probability zero,
+    so a cell fills up before it jams solid.
     """
 
-    entries: tuple[tuple[int, float, float], ...]
+    speeds: tuple[float, ...]
+    probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.entries:
+        if len(self.speeds) != len(self.probs):
+            raise ValueError(f"{len(self.speeds)} speeds but {len(self.probs)} entry probabilities")
+        if not self.speeds:
             raise ValueError("speed-density table is empty")
-        for k, (d, u, p) in enumerate(self.entries):
-            if d != k:
-                raise ValueError(f"densities must run 0..{len(self.entries) - 1}, got {d}")
+        for d, (u, p) in enumerate(zip(self.speeds, self.probs)):
             if not 0 <= u < math.inf:
                 raise ValueError(f"speed {u} at density {d} is not a finite non-negative number")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"entry probability {p} at density {d} outside [0, 1]")
-        speeds = [u for _, u, _ in self.entries]
-        probs = [p for _, _, p in self.entries]
-        if any(a < b for a, b in zip(speeds, speeds[1:])):
-            raise ValueError("speed must be non-increasing in density")
-        if any(a < b for a, b in zip(probs, probs[1:])):
-            raise ValueError("entry probability must be non-increasing in density")
-        if probs[-1] != 0.0:
+        for column, name in ((self.speeds, "speed"), (self.probs, "entry probability")):
+            if any(a < b for a, b in pairwise(column)):
+                raise ValueError(f"{name} must be non-increasing in density")
+        if self.probs[-1] != 0.0:
             raise ValueError("entry probability must be 0 at the final row")
-        if probs[0] <= 0.0:
+        if self.probs[0] <= 0.0:
             raise ValueError("entry probability at density 0 must be positive")
-        for d, u, _ in self.entries[:self.capacity]:
-            if u == 0.0:
-                raise ValueError(f"speed 0 at density {d}, which a cell can reach, "
-                                 "would hold its agents in place forever")
-
-    @cached_property
-    def speeds(self) -> tuple[float, ...]:
-        """Walking speed (m/s) by density: the table's second column."""
-        return tuple(u for _, u, _ in self.entries)
-
-    @cached_property
-    def probs(self) -> tuple[float, ...]:
-        """Entry probability by density: the table's third column."""
-        return tuple(p for _, _, p in self.entries)
+        if 0.0 in self.speeds[:self.capacity]:
+            raise ValueError(f"speed 0 at density {self.speeds.index(0.0)}, which a cell can "
+                             "reach, would hold its agents in place forever")
 
     @cached_property
     def capacity(self) -> int:
         """Max occupancy a cell can reach: last enterable density plus one."""
-        return max(d for d, _, p in self.entries if p > 0.0) + 1
-
-    def speed(self, density: int) -> float:
-        if not 0 <= density < len(self.entries):
-            raise OutOfRange(f"density {density} outside table range")
-        return self.speeds[density]
-
-    def entry_probability(self, density: int) -> float:
-        if not 0 <= density < len(self.entries):
-            raise OutOfRange(f"density {density} outside table range")
-        return self.probs[density]
+        return max(d for d, p in enumerate(self.probs) if p > 0.0) + 1
 
 
-MESO_TABLE = SpeedDensityTable((
-    (0, 1.44, 1.0),
-    (1, 1.12, 0.8),
-    (2, 0.84, 0.6),
-    (3, 0.56, 0.4),
-    (4, 0.28, 0.2),
-    (5, 0.00, 0.0),
-))
+MESO_TABLE = SpeedDensityTable(speeds=(1.44, 1.12, 0.84, 0.56, 0.28, 0.00),
+                               probs=(1.0, 0.8, 0.6, 0.4, 0.2, 0.0))
 
 # Half-meter cells hold a single agent; blocking, not slowdown, carries the
 # congestion effect.
-MICRO_TABLE = SpeedDensityTable((
-    (0, 1.44, 1.0),
-    (1, 0.00, 0.0),
-))
+MICRO_TABLE = SpeedDensityTable(speeds=(1.44, 0.00), probs=(1.0, 0.0))
 
 
 @dataclass(frozen=True)

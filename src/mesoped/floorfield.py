@@ -20,26 +20,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .layout import Cell, LayoutGrid, ORTHOGONAL, DIR_VECTORS, moves_of
+from .layout import LayoutGrid
 
 DEFAULT_GAMMA = 0.8
 DEFAULT_BASE_REWARD = 100.0
 
 
-class Stuck(Exception):
-    """Greedy descent reached a local maximum: the field is not a valid guide."""
-
-
 @dataclass(frozen=True)
 class FloorField:
-    """Per-cell navigation values plus the parameters that produced them.
-
-    `rounds` counts the frontier rounds the solve took.
-    """
+    """Per-cell navigation values, and the frontier rounds the solve took."""
 
     values: np.ndarray
-    gamma: float
-    base_reward: float
     rounds: int
 
     @cached_property
@@ -98,43 +89,7 @@ def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
         up = new > values.take(cells)
         risen = cells[up]
         values[risen] = new[up]
-    return FloorField(values=values[:n].reshape(grid.rows, grid.cols),
-                      gamma=gamma, base_reward=base_reward, rounds=rounds)
-
-
-def greedy_descent(field: FloorField, grid: LayoutGrid, start: Cell) -> list[Cell]:
-    """Follow the steepest field increase from `start` to a sink.
-
-    Ties prefer orthogonal moves, then first in compass order; this mirrors
-    the engine's preference except that the engine randomizes the final tie.
-    Raises Stuck at a local maximum or when no sink is reached within
-    rows*cols moves.
-    """
-    if not grid.in_bounds(start):
-        raise Stuck(f"start {start} outside grid")
-    sinks = grid.sink_set
-    path = [start]
-    cell = start
-    for _ in range(grid.rows * grid.cols):
-        if cell in sinks:
-            return path
-        best_name = None
-        best_cell = None
-        best_val = -np.inf
-        r, c = cell
-        for name in moves_of(grid, cell):
-            dr, dc = DIR_VECTORS[name]
-            nxt = (r + dr, c + dc)
-            val = float(field.values[nxt])
-            if val > best_val or (val == best_val
-                                  and name in ORTHOGONAL
-                                  and best_name not in ORTHOGONAL):
-                best_name, best_cell, best_val = name, nxt, val
-        if best_cell is None or best_val <= field.values[cell]:
-            raise Stuck(f"no ascent from {cell}")
-        cell = best_cell
-        path.append(cell)
-    raise Stuck(f"no sink within {grid.rows * grid.cols} moves from {start}")
+    return FloorField(values=values[:n].reshape(grid.rows, grid.cols), rounds=rounds)
 
 
 def field_to_csv(field: FloorField) -> str:

@@ -160,6 +160,19 @@ class LayoutGrid:
                            for moves in _MOVES_BY_MASK) for orth in (True, False))
 
     @cached_property
+    def snapshot_frame(self) -> str:
+        """`render_snapshot`'s picture of the walls, with a `%s` for each count."""
+        def edge(codes: tuple[int, ...], side: int) -> str:
+            return "".join("+  " if side_open(code, side) else "+--" for code in codes) + "+\n"
+
+        def cells(codes: tuple[int, ...]) -> str:
+            return ("".join(" %s" if side_open(code, LEFT) else "|%s" for code in codes)
+                    + (" \n" if side_open(codes[-1], RIGHT) else "|\n"))
+
+        rows = [edge(codes, TOP) + cells(codes) for codes in self.walls]
+        return "".join(rows) + edge(self.walls[-1], BOTTOM)
+
+    @cached_property
     def sink_flags(self) -> bytes:
         """One byte per cell in row-major order: 1 on a sink, else 0."""
         flags = np.zeros(self.rows * self.cols, dtype=np.uint8)
@@ -324,18 +337,10 @@ def serialize_layout(grid: LayoutGrid) -> str:
     return "\n".join(out) + "\n"
 
 
+# A count of 0 to 9 as `render_snapshot` draws it: "." for none.
+_COUNTS = (" .", *(f"{k} " for k in range(1, 10)))
+
+
 def render_snapshot(grid: LayoutGrid, density: list[int]) -> str:
     """ASCII picture of the walls and of a count per flat cell, capped at 9."""
-    def edge(codes: tuple[int, ...], side: int) -> str:
-        return "".join("+  " if side_open(code, side) else "+--" for code in codes) + "+"
-
-    lines = []
-    for r, codes in enumerate(grid.walls):
-        counts = density[r * grid.cols:(r + 1) * grid.cols]
-        lines.append(edge(codes, TOP))
-        lines.append("".join((" " if side_open(code, LEFT) else "|")
-                             + (f"{min(occ, 9)} " if occ else " .")
-                             for code, occ in zip(codes, counts))
-                     + (" " if side_open(codes[-1], RIGHT) else "|"))
-    lines.append(edge(grid.walls[-1], BOTTOM))
-    return "\n".join(lines) + "\n"
+    return grid.snapshot_frame % tuple([_COUNTS[occ] if occ < 10 else "9 " for occ in density])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import EXIT, MOVE, SPAWN, STAY, EventLog
 from .layout import Cell
-from .scenario import ConfigError, Runtime, make_simulation
+from .scenario import ConfigError, Runtime, ScenarioConfig, make_simulation
 
 
 def _fmean(xs) -> float:
@@ -125,6 +125,15 @@ def run_metrics(sim) -> RunMetrics:
     return replace(summarize(sim.state.log, sim.grid.cell_size_m), completed=sim.completed)
 
 
+def check_sweep(config: ScenarioConfig, seeds_per_point: int) -> None:
+    """Raise unless `config` can be swept at `seeds_per_point` seeds a
+    population; it needs no runtime, so it can run before the field solve."""
+    if seeds_per_point < 1:
+        raise ConfigError(f"seeds per population must be at least 1, got {seeds_per_point}")
+    if not config.schedule:
+        raise ConfigError(f"{config.name}: cannot sweep populations: [spawn] is empty")
+
+
 def sweep(runtime: Runtime, populations: list[int], seeds_per_point: int) -> list[RunMetrics]:
     """Average metrics across seeded repeats for each population size.
 
@@ -132,8 +141,7 @@ def sweep(runtime: Runtime, populations: list[int], seeds_per_point: int) -> lis
     spawn schedule and the generator change.
     """
     config = runtime.config
-    if seeds_per_point < 1:
-        raise ConfigError(f"seeds per population must be at least 1, got {seeds_per_point}")
+    check_sweep(config, seeds_per_point)
     points = []
     for population in populations:
         metrics = []
@@ -184,11 +192,9 @@ def comparison_csv(meso: list[RunMetrics], micro: list[RunMetrics]) -> str:
               "micro_avg_travel_time_s,micro_avg_distance_m,micro_completed")
     lines = [header]
     for a, b in zip(meso, micro):
-        lines.append(",".join([
-            str(a.n_agents),
-            _fmt(a.avg_travel_time_s), _fmt(a.avg_distance_m),
-            "true" if a.completed else "false",
-            _fmt(b.avg_travel_time_s), _fmt(b.avg_distance_m),
-            "true" if b.completed else "false",
-        ]))
+        cells = [str(a.n_agents)]
+        for m in (a, b):
+            cells += [_fmt(m.avg_travel_time_s), _fmt(m.avg_distance_m),
+                      "true" if m.completed else "false"]
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

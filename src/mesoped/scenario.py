@@ -157,12 +157,12 @@ def parse_scenario(text: str, name: str, base_dir: Path) -> ScenarioConfig:
             raise ConfigError(f"{name}: [run] mode must be 'meso' or 'micro', got {mode!r}")
         values["table"] = MODE_TABLES[mode]
     if parser.has_section("table"):
-        rows, seen = [], {}
+        rows, seen = {}, {}
         for key, raw in parser.items("table"):
             try:
                 density = int(key)
                 speed_s, prob_s = raw.split()
-                rows.append((density, float(speed_s), float(prob_s)))
+                rows[density] = float(speed_s), float(prob_s)
             except ValueError:
                 raise ConfigError(
                     f"{name}: [table] rows must be 'DENSITY = SPEED PROB', got {key} = {raw!r}"
@@ -171,9 +171,12 @@ def parse_scenario(text: str, name: str, base_dir: Path) -> ScenarioConfig:
                 raise ConfigError(f"{name}: [table] {seen[density]} and {key} name the "
                                   f"same density {density}")
             seen[density] = key
-        rows.sort()
+        if sorted(rows) != list(range(len(rows))):
+            raise ConfigError(f"{name}: [table] densities must run 0..{len(rows) - 1}, "
+                              f"got {', '.join(map(str, sorted(rows)))}")
+        speeds, probs = (tuple(rows[d][k] for d in range(len(rows))) for k in (0, 1))
         try:
-            values["table"] = SpeedDensityTable(tuple(rows))
+            values["table"] = SpeedDensityTable(speeds, probs)
         except ValueError as exc:
             raise ConfigError(f"{name}: [table]: {exc}") from None
 

@@ -7,10 +7,12 @@ a sink earn a reward, base_reward times the sink's weight, and they end the
 walk, so sink rows hold only their self loop. The sweeps run until no entry
 changes; the diagonal Q(i, i) is the navigation field. It costs one sweep
 over every move per hop of grid diameter, so it serves only as the oracle
-that `mesoped.floorfield.compute_field` must match bit for bit.
+that `mesoped.floorfield.compute_field` must match bit for bit. The same
+update run as learning, `q_learning`, over epsilon-greedy walks on small
+rooms, reaches the same diagonal.
 
 Hop distances: `distance_field`, a breadth-first search over `moves_of`,
-is the shortest-path reference that greedy descent of the field must
+is the shortest-path reference that `greedy_descent` of the field must
 follow (criterion 2), and the connectivity check of `gridgen.random_grid`.
 
 Edge conflicts: a cell-by-cell scan that `mesoped.layout.find_edge_conflicts`
@@ -18,7 +20,7 @@ must match, pair for pair and in order.
 
 Step loop: the engine's movement rule written agent by agent over
 `Agent` objects kept in a dict, through `Cell` tuples, `moves_of`,
-`DIR_VECTORS` and the table's lookup methods. `ReferenceSimulation` runs it
+`DIR_VECTORS` and the table's columns. `ReferenceSimulation` runs it
 in place of `mesoped.engine.Simulation`, whose flat step loop over agent
 columns must match its event logs and densities exactly. It logs through
 `EventLog.append(agent, kind, at)`, one event code at a time, into the step
@@ -38,6 +40,7 @@ must equal its text exactly.
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from statistics import fmean
@@ -52,12 +55,18 @@ from mesoped.layout import (BOTTOM, DIR_VECTORS, LEFT, ORTHOGONAL, RIGHT, TOP,
 from mesoped.metrics import RunMetrics
 
 
-def value_iteration(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
-                    base_reward: float = DEFAULT_BASE_REWARD) -> np.ndarray:
-    """The rows x cols field at the fixed point of synchronous value iteration."""
+def q_entries(grid: LayoutGrid, base_reward: float = DEFAULT_BASE_REWARD):
+    """The Q-table's entries in CSR form over flat cells.
+
+    Cell i owns entries `indptr[i]` to `indptr[i + 1]`: a self loop plus,
+    off a sink, its permitted moves, sorted by destination `dst`. An entry
+    into a sink pays base_reward times the sink's weight (`rewards`) and ends
+    the walk; every other entry pays 0 and bootstraps. `diag[i]` is the
+    position of Q(i, i).
+    """
     cols = grid.cols
     sink_w = {grid.index(cell): w for cell, w in grid.sinks}
-    indptr, indices, diag = [0], [], []
+    indptr, dst, diag = [0], [], []
     for r in range(grid.rows):
         for c in range(cols):
             i = r * cols + c
@@ -66,20 +75,73 @@ def value_iteration(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
                 row += [(r + dr) * cols + c + dc
                         for dr, dc in (DIR_VECTORS[d] for d in moves_of(grid, (r, c)))]
             row.sort()
-            diag.append(len(indices) + row.index(i))
-            indices += row
-            indptr.append(len(indices))
-    dst = np.array(indices, dtype=np.int64)
-    rewards = np.array([base_reward * sink_w[j] if j in sink_w else 0.0 for j in indices])
-    bootstrap = np.array([j not in sink_w for j in indices], dtype=bool)
-    q = rewards.copy()
+            diag.append(len(dst) + row.index(i))
+            dst += row
+            indptr.append(len(dst))
+    rewards = np.array([base_reward * sink_w[j] if j in sink_w else 0.0 for j in dst])
+    bootstrap = np.array([j not in sink_w for j in dst], dtype=bool)
+    return indptr, np.array(dst, dtype=np.int64), diag, rewards, bootstrap
+
+
+def bellman_sweep(q: np.ndarray, entries, gamma: float) -> np.ndarray:
+    """One synchronous sweep of Q(i, j) = R(i, j) + gamma * max_k Q(j, k)
+    over the entries of `q_entries`."""
+    indptr, dst, _, rewards, bootstrap = entries
+    v = np.maximum.reduceat(q, indptr[:-1])
+    new = rewards.copy()
+    new[bootstrap] += gamma * v[dst[bootstrap]]
+    return new
+
+
+def value_iteration(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
+                    base_reward: float = DEFAULT_BASE_REWARD) -> np.ndarray:
+    """The rows x cols field at the fixed point of synchronous value iteration."""
+    entries = _, _, diag, q, _ = q_entries(grid, base_reward)
     while True:
-        v = np.maximum.reduceat(q, indptr[:-1])
-        new = rewards.copy()
-        new[bootstrap] += gamma * v[dst[bootstrap]]
+        new = bellman_sweep(q, entries, gamma)
         if np.array_equal(new, q):
-            return q[diag].reshape(grid.rows, cols)
+            return q[diag].reshape(grid.rows, grid.cols)
         q = new
+
+
+def q_learning(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
+               base_reward: float = DEFAULT_BASE_REWARD, epsilon: float = 0.3,
+               seed: int = 0, max_episodes: int = 100_000) -> np.ndarray:
+    """The rows x cols field learned by episodic asynchronous Q-learning
+    (Watkins & Dayan 1992) with learning rate 1.
+
+    Q starts at 0, except that a sink's self loop holds its reward: no walk
+    leaves a sink, so none learns it. Each episode starts at a random
+    non-sink cell and walks epsilon-greedily (ties drawn at random),
+    replacing Q(i, j) by R(i, j) + gamma * max_k Q(j, k) for the entry it
+    takes, until it enters a sink. Learning stops once one synchronous sweep
+    over every entry changes nothing: Q is then a fixed point, and since it
+    rose from below, the one value iteration reaches. Every cell must reach
+    a sink, as on `gridgen.random_grid` rooms, or a walk may never end.
+    """
+    entries = indptr, dst, diag, rewards, bootstrap = q_entries(grid, base_reward)
+    # The walk reads one entry at a time, which Python lists do fastest.
+    dst, rewards, bootstrap = dst.tolist(), rewards.tolist(), bootstrap.tolist()
+    q = [0.0 if boot else reward for reward, boot in zip(rewards, bootstrap)]
+    rng = random.Random(seed)
+    starts = [i for i in range(grid.rows * grid.cols) if bootstrap[diag[i]]]
+    for _ in range(max_episodes):
+        i = rng.choice(starts)
+        while True:
+            lo, hi = indptr[i], indptr[i + 1]
+            if rng.random() < epsilon:
+                k = rng.randrange(lo, hi)
+            else:
+                best = max(q[lo:hi])
+                k = rng.choice([k for k in range(lo, hi) if q[k] == best])
+            if not bootstrap[k]:
+                q[k] = rewards[k]
+                break
+            i = dst[k]
+            q[k] = rewards[k] + gamma * max(q[indptr[i]:indptr[i + 1]])
+        if np.array_equal(bellman_sweep(np.array(q), entries, gamma), q):
+            return np.array(q)[diag].reshape(grid.rows, grid.cols)
+    raise RuntimeError(f"Q-learning found no fixed point in {max_episodes} episodes")
 
 
 def distance_field(grid: LayoutGrid) -> np.ndarray:
@@ -104,6 +166,45 @@ def distance_field(grid: LayoutGrid) -> np.ndarray:
                 dist[nxt] = d
                 queue.append(nxt)
     return dist
+
+
+class Stuck(Exception):
+    """Greedy descent reached a local maximum: the field is not a valid guide."""
+
+
+def greedy_descent(field: FloorField, grid: LayoutGrid,
+                   start: tuple[int, int]) -> list[tuple[int, int]]:
+    """Follow the steepest field increase from `start` to a sink.
+
+    Ties prefer orthogonal moves, then first in compass order; this mirrors
+    the engine's preference except that the engine randomizes the final tie.
+    Raises Stuck at a local maximum or when no sink is reached within
+    rows*cols moves.
+    """
+    if not grid.in_bounds(start):
+        raise Stuck(f"start {start} outside grid")
+    path = [start]
+    cell = start
+    for _ in range(grid.rows * grid.cols):
+        if cell in grid.sink_set:
+            return path
+        best_name = None
+        best_cell = None
+        best_val = -np.inf
+        r, c = cell
+        for name in moves_of(grid, cell):
+            dr, dc = DIR_VECTORS[name]
+            nxt = (r + dr, c + dc)
+            val = float(field.values[nxt])
+            if val > best_val or (val == best_val
+                                  and name in ORTHOGONAL
+                                  and best_name not in ORTHOGONAL):
+                best_name, best_cell, best_val = name, nxt, val
+        if best_cell is None or best_val <= field.values[cell]:
+            raise Stuck(f"no ascent from {cell}")
+        cell = best_cell
+        path.append(cell)
+    raise Stuck(f"no sink within {grid.rows * grid.cols} moves from {start}")
 
 
 def edge_conflicts(walls) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -162,7 +263,7 @@ def dwell_elapsed(agent: Agent, state: ReferenceState, grid: LayoutGrid,
     cell; a zero speed means the agent can never finish this step.
     """
     others = state.density[grid.index(agent.cell)] - 1
-    u = table.speed(others)
+    u = table.speeds[others]
     if u <= 0.0:
         return False
     diameter_m = grid.cell_size_m * DIAMETER_FACTOR
@@ -177,7 +278,7 @@ def score_candidates(agent: Agent, state: ReferenceState, grid: LayoutGrid,
     for name in moves_of(grid, agent.cell):
         dr, dc = DIR_VECTORS[name]
         nxt = (r + dr, c + dc)
-        p = table.entry_probability(state.density[grid.index(nxt)])
+        p = table.probs[state.density[grid.index(nxt)]]
         scores.append((name, p * float(field.values[nxt])))
     return scores
 

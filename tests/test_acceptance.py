@@ -12,26 +12,27 @@ from scipy import stats
 from gridgen import random_grid, random_schedule
 from mesoped.cli import main
 from mesoped.engine import EXIT, MESO_TABLE, MICRO_TABLE, SPAWN, Simulation
-from mesoped.floorfield import compute_field, greedy_descent
+from mesoped.floorfield import compute_field
 from mesoped.metrics import summarize, sweep
 from mesoped.layout import DIR_VECTORS, moves_of
 from mesoped.scenario import build_runtime, load_scenario, make_simulation
-from oracle import distance_field
+from oracle import distance_field, greedy_descent
 
 # The four main-exit cells of the cinema hall; everything else is a side exit.
 CINEMA_MAIN = {(8, 29), (9, 29), (10, 29), (11, 29)}
 
 
 def test_criterion_1_speed_density_table():
-    """All six density rows, exactly; capacity follows from the zero row."""
+    """All six density rows, exactly, and no seventh; capacity follows from
+    the zero row."""
     expect = [(0, 1.44, 1.0), (1, 1.12, 0.8), (2, 0.84, 0.6),
               (3, 0.56, 0.4), (4, 0.28, 0.2), (5, 0.00, 0.0)]
+    assert len(MESO_TABLE.speeds) == len(MESO_TABLE.probs) == 6
     for density, speed, prob in expect:
-        assert MESO_TABLE.speed(density) == speed
-        assert MESO_TABLE.entry_probability(density) == prob
+        assert MESO_TABLE.speeds[density] == speed
+        assert MESO_TABLE.probs[density] == prob
     assert MESO_TABLE.capacity == 5
-    assert MICRO_TABLE.speed(0) == 1.44 and MICRO_TABLE.entry_probability(0) == 1.0
-    assert MICRO_TABLE.speed(1) == 0.0 and MICRO_TABLE.entry_probability(1) == 0.0
+    assert MICRO_TABLE.speeds == (1.44, 0.0) and MICRO_TABLE.probs == (1.0, 0.0)
     assert MICRO_TABLE.capacity == 1
 
 

@@ -12,7 +12,7 @@ import pytest
 import mesoped
 import oracle
 from gridgen import corridor_layout
-from mesoped import engine
+from mesoped import cli, engine, metrics
 from mesoped.cli import (DimensionMismatch, check_refinement, main,
                          parse_populations)
 from mesoped.engine import Simulation
@@ -409,6 +409,35 @@ def test_seeds_below_one_is_usage_error(argv, capsys):
     assert "seeds per population must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["compare", "compare_10x15", "{no_spawn}", "--pop", "1..50", "--seeds", "2"],
+     "no_spawn: cannot sweep populations: [spawn] is empty"),
+    (["compare", "compare_10x15", "compare_10x15_micro", "--pop", "1..50", "--seeds", "0"],
+     "seeds per population must be at least 1"),
+    (["sweep", "{no_spawn}", "--pop", "1,2", "--seeds", "2"],
+     "no_spawn: cannot sweep populations: [spawn] is empty"),
+    (["sweep", "compare_10x15", "--pop", "1", "--seeds", "-1"],
+     "seeds per population must be at least 1"),
+], ids=["compare_no_spawn", "compare_seeds", "sweep_no_spawn", "sweep_seeds"])
+def test_sweep_checks_fail_before_any_field_or_run(tmp_path, capsys, monkeypatch, argv, needle):
+    """A sweep that cannot run stops before it solves a field: a compare
+    with a spawnless second scenario used to run the whole first sweep."""
+    micro = SCENARIOS_DIR / "compare_10x15_micro.scenario"
+    no_spawn = tmp_path / "no_spawn.scenario"
+    no_spawn.write_text(micro.read_text().split("[spawn]")[0].replace(
+        "room_10x15_micro.layout", str(SCENARIOS_DIR / "room_10x15_micro.layout")))
+    calls = []
+    monkeypatch.setattr(cli, "build_runtime", lambda *a: calls.append("build_runtime"))
+    monkeypatch.setattr(metrics, "make_simulation", lambda *a, **k: calls.append("run"))
+    out = tmp_path / "out"
+    argv = [arg.format(no_spawn=no_spawn) for arg in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("pop", ["", " ", ","])
 def test_empty_population_spec_is_usage_error(pop, tmp_path, capsys):
     out = tmp_path / "sweep"
@@ -490,6 +519,21 @@ def test_run_table_with_zero_speed_below_capacity_is_config_error(tmp_path, caps
     assert main(["run", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "[table]" in err and "density 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows,needle", [
+    ("1 = 1.0 1.0\n2 = 0.5 0.0\n", "densities must run 0..1, got 1, 2"),
+    ("0 = 1.0 1.0\n2 = 0.5 0.0\n", "densities must run 0..1, got 0, 2"),
+], ids=["not_from_0", "gap"])
+def test_run_table_densities_not_0_to_n_is_config_error(tmp_path, capsys, rows, needle):
+    (tmp_path / "corridor.layout").write_text(CORRIDOR_LAYOUT)
+    path = tmp_path / "gappy.scenario"
+    path.write_text("[layout]\npath = corridor.layout\n[spawn]\n0,0 = 1@0\n[table]\n" + rows)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"[table] {needle}" in err
     assert not out.exists()
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridgen import random_grid, random_schedule
 from mesoped.engine import (DIAMETER_FACTOR, EXIT, MESO_TABLE, MICRO_TABLE,
-                            SPAWN, OutOfRange, Simulation, SpawnEntry,
+                            SPAWN, Simulation, SpawnEntry,
                             SpeedDensityTable, bounded_draw, events_csv_blocks)
 from mesoped.floorfield import compute_field
 from mesoped.layout import parse_layout, render_snapshot
@@ -66,45 +66,39 @@ def first_move(sim, max_steps=50):
 def test_meso_table_rows():
     expect = [(0, 1.44, 1.0), (1, 1.12, 0.8), (2, 0.84, 0.6),
               (3, 0.56, 0.4), (4, 0.28, 0.2), (5, 0.00, 0.0)]
+    assert len(MESO_TABLE.speeds) == len(MESO_TABLE.probs) == len(expect)
     for d, speed, prob in expect:
-        assert MESO_TABLE.speed(d) == speed
-        assert MESO_TABLE.entry_probability(d) == prob
+        assert MESO_TABLE.speeds[d] == speed
+        assert MESO_TABLE.probs[d] == prob
     assert MESO_TABLE.capacity == 5
 
 
 def test_micro_table_rows():
-    assert MICRO_TABLE.speed(0) == 1.44
-    assert MICRO_TABLE.entry_probability(0) == 1.0
-    assert MICRO_TABLE.speed(1) == 0.0
-    assert MICRO_TABLE.entry_probability(1) == 0.0
+    assert MICRO_TABLE.speeds == (1.44, 0.0)
+    assert MICRO_TABLE.probs == (1.0, 0.0)
     assert MICRO_TABLE.capacity == 1
 
 
-def test_table_lookup_out_of_range():
-    with pytest.raises(OutOfRange):
-        MESO_TABLE.speed(6)
-    with pytest.raises(OutOfRange):
-        MESO_TABLE.entry_probability(-1)
-
-
+# Each case: the speeds, then the entry probabilities. Densities that do not
+# run 0..n-1 can only come from a [table] section; test_scenario rejects them.
 @pytest.mark.parametrize("entries", [
-    (),                                              # empty
-    ((1, 1.0, 1.0), (2, 0.5, 0.0)),                  # must start at density 0
-    ((0, 1.0, 1.0), (2, 0.5, 0.0)),                  # gap in densities
-    ((0, 1.0, 1.0), (1, -0.5, 0.0)),                 # negative speed
-    ((0, 1.0, 1.0), (1, 0.5, 1.5)),                  # probability above 1
-    ((0, 1.0, 0.5), (1, 1.2, 0.0)),                  # speed increases
-    ((0, 1.0, 0.5), (1, 0.5, 0.8)),                  # probability increases
-    ((0, 1.0, 1.0), (1, 0.5, 0.2)),                  # final probability not 0
-    ((0, 1.0, 0.0), (1, 0.5, 0.0)),                  # nothing can ever enter
-    ((0, 1.0, 1.0), (1, math.nan, 0.0)),             # NaN speed
-    ((0, math.inf, 1.0), (1, 0.5, 0.0)),             # infinite speed
-    ((0, 0.0, 1.0), (1, 0.0, 0.0)),                  # a lone agent never moves
-    ((0, 1.0, 1.0), (1, 0.0, 0.5), (2, 0.0, 0.0)),   # two agents freeze in a cell
+    ((), ()),                                        # empty
+    ((1.0, 0.5), (1.0,)),                            # a speed with no probability
+    ((1.0,), (1.0, 0.0)),                            # a probability with no speed
+    ((1.0, -0.5), (1.0, 0.0)),                       # negative speed
+    ((1.0, 0.5), (1.0, 1.5)),                        # probability above 1
+    ((1.0, 1.2), (0.5, 0.0)),                        # speed increases
+    ((1.0, 0.5), (0.5, 0.8)),                        # probability increases
+    ((1.0, 0.5), (1.0, 0.2)),                        # final probability not 0
+    ((1.0, 0.5), (0.0, 0.0)),                        # nothing can ever enter
+    ((1.0, math.nan), (1.0, 0.0)),                   # NaN speed
+    ((math.inf, 0.5), (1.0, 0.0)),                   # infinite speed
+    ((0.0, 0.0), (1.0, 0.0)),                        # a lone agent never moves
+    ((1.0, 0.0, 0.0), (1.0, 0.5, 0.0)),              # two agents freeze in a cell
 ])
 def test_table_validation_rejects(entries):
     with pytest.raises(ValueError):
-        SpeedDensityTable(entries)
+        SpeedDensityTable(*entries)
 
 
 def test_cell_geometry_diameter():
@@ -170,7 +164,7 @@ def test_score_is_entry_probability_times_navigation():
                          dt=0.5, seed=0)
         place(sim.state, grid, (0, 3), t_in=NEVER)
         assert first_move(sim) == (2, dest), west_weight
-    assert MESO_TABLE.entry_probability(1) == 0.8
+    assert MESO_TABLE.probs[1] == 0.8
 
 
 def test_score_full_cell_is_zero():
@@ -480,6 +474,9 @@ def test_render_snapshot_shows_occupancy():
     art = render_snapshot(grid, sim.state.density)
     assert "2" in art and "." in art
     assert "+" in art and "-" in art and "|" in art
+    # Open sides are blank, and a count above 9 is drawn as 9.
+    room = parse_layout("2 2 1.0\n9 12\n3 6\nsink 0 1 1\nsink 1 1 1\nsource 1 0\n")
+    assert render_snapshot(room, [10, 0, 1, 9]) == "+--+--+\n|9   .|\n+  +  +\n|1  9 |\n+--+--+\n"
 
 
 def assert_matches_reference(make, max_steps):

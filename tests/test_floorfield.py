@@ -1,4 +1,5 @@
-"""The exact field solve against its value-iteration oracle, and descent."""
+"""The exact field solve against its value-iteration and Q-learning oracles,
+and greedy descent of the field."""
 
 from dataclasses import replace
 
@@ -7,14 +8,13 @@ import pytest
 
 from gridgen import corridor_layout, open_hall, random_grid, walled_hall
 from mesoped.floorfield import (DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField,
-                                Stuck, compute_field, field_to_csv,
-                                greedy_descent)
+                                compute_field, field_to_csv)
 from mesoped.layout import (BOTTOM, DIR_VECTORS, LEFT, RIGHT, TOP, LayoutGrid,
                             moves_of, parse_layout, validate_grid)
 from mesoped.scenario import (apply_sink_multipliers, bundled_scenarios,
                               load_scenario)
 from oracle import field_to_csv as field_to_csv_oracle
-from oracle import distance_field, value_iteration
+from oracle import Stuck, distance_field, greedy_descent, q_learning, value_iteration
 
 CORRIDOR_1X3 = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
 
@@ -35,10 +35,10 @@ def assert_csv_matches_oracle(field):
     assert field_to_csv(field) == field_to_csv_oracle(field)
 
 
-def assert_bellman_fixed_point(field, grid):
+def assert_bellman_fixed_point(field, grid, gamma):
     """Every reached non-sink cell is exactly gamma times its best neighbour."""
     values = field.values.ravel()
-    best = field.gamma * np.append(values, 0.0)[grid.neighbours].max(axis=1)
+    best = gamma * np.append(values, 0.0)[grid.neighbours].max(axis=1)
     free = values > 0
     free[[grid.index(cell) for cell, _ in grid.sinks]] = False
     assert np.array_equal(values[free], best[free])
@@ -57,7 +57,6 @@ def test_rewards_scale_with_weight_and_base():
     grid = parse_layout("1 3 1.0\n11 10 14\nsink 0 2 2.5\nsource 0 0\n")
     field = assert_matches_oracle(grid, base_reward=40.0)
     assert field.values.tolist() == [[64.0, 80.0, 100.0]]
-    assert field.base_reward == 40.0
 
 
 def test_rewards_isolated_cells_have_self_loops_only():
@@ -97,7 +96,7 @@ def test_matches_value_iteration_on_bundled_scenarios():
         grid = apply_sink_multipliers(parse_layout(config.layout_path.read_text()),
                                       config.sink_multipliers)
         field = assert_matches_oracle(grid, config.gamma, config.base_reward)
-        assert_bellman_fixed_point(field, grid)
+        assert_bellman_fixed_point(field, grid, config.gamma)
         assert_csv_matches_oracle(field)
 
 
@@ -106,7 +105,7 @@ def test_matches_value_iteration_on_halls(size):
     grid = open_hall(size)
     field = assert_matches_oracle(grid, gamma=0.9)
     assert (field.values > 0).all()
-    assert_bellman_fixed_point(field, grid)
+    assert_bellman_fixed_point(field, grid, 0.9)
     # A round per hop, from the exits on the east wall to the west wall, and
     # one more that raises nothing.
     assert field.rounds == size
@@ -119,7 +118,7 @@ def test_matches_value_iteration_on_walled_hall(gamma):
     grid = walled_hall(60)
     field = assert_matches_oracle(grid, gamma=gamma)
     assert (field.values > 0).all()
-    assert_bellman_fixed_point(field, grid)
+    assert_bellman_fixed_point(field, grid, gamma)
     for weight in {w for _, w in grid.sinks}:
         alone = replace(grid, sinks=tuple(s for s in grid.sinks if s[1] == weight))
         owned = compute_field(alone, gamma).values == field.values
@@ -131,8 +130,19 @@ def test_matches_value_iteration_on_random_grids(gamma, random_grids):
     for k, grid in enumerate(random_grids):
         field = compute_field(grid, gamma)
         assert np.array_equal(field.values, value_iteration(grid, gamma)), k
-        assert_bellman_fixed_point(field, grid)
+        assert_bellman_fixed_point(field, grid, gamma)
         assert_csv_matches_oracle(field)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.8, 0.95])
+def test_matches_q_learning_on_random_rooms(gamma):
+    """The paper's algorithm run as learning: epsilon-greedy episodes with
+    learning rate 1 reach the field bit for bit."""
+    for seed in range(5):
+        grid = random_grid(np.random.default_rng(300 + seed), max_rows=8, max_cols=8)
+        learned = q_learning(grid, gamma, seed=seed)
+        values = compute_field(grid, gamma).values
+        assert np.array_equal(learned.view(np.int64), values.view(np.int64)), seed
 
 
 # Each symmetry of the grid: the wall bits it exchanges, and what it does
@@ -302,8 +312,7 @@ def test_field_csv_matches_oracle_on_halls(size):
 
 
 def bare_field(values):
-    return FloorField(values=np.asarray(values, dtype=np.float64), gamma=DEFAULT_GAMMA,
-                      base_reward=DEFAULT_BASE_REWARD, rounds=0)
+    return FloorField(values=np.asarray(values, dtype=np.float64), rounds=0)
 
 
 def test_field_csv_matches_oracle_on_distinct_values():

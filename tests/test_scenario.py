@@ -83,7 +83,8 @@ def test_parse_custom_table(corridor_dir):
     cfg = parse_scenario(text, "d", corridor_dir)
     assert cfg.table not in (MESO_TABLE, MICRO_TABLE)
     assert cfg.table.capacity == 2
-    assert cfg.table.speed(1) == 0.5
+    assert cfg.table.speeds == (1.0, 0.5, 0.0)
+    assert cfg.table.probs == (1.0, 0.5, 0.0)
 
 
 @pytest.mark.parametrize("text,needle", [
@@ -120,6 +121,11 @@ def test_parse_custom_table(corridor_dir):
     # One density under two spellings.
     ("[layout]\npath = corridor.layout\n[table]\n0 = 1 1\n1 = 0.5 0.5\n01 = 0.4 0.4\n2 = 0 0\n",
      "[table] 1 and 01 name the same density 1"),
+    # Densities that must run 0..n-1: from 0, and with no gap.
+    ("[layout]\npath = corridor.layout\n[table]\n1 = 1 1\n2 = 0.5 0\n",
+     "[table] densities must run 0..1, got 1, 2"),
+    ("[layout]\npath = corridor.layout\n[table]\n0 = 1 1\n2 = 0.5 0\n",
+     "[table] densities must run 0..1, got 0, 2"),
 ])
 def test_parse_rejects_bad_configs(corridor_dir, text, needle):
     with pytest.raises(ConfigError, match="(?i)" + re.escape(needle)):
