@@ -1,7 +1,8 @@
 """Command-line front end: run scenarios, export fields, sweep populations.
 
-Exit codes: 0 on a completed run, 2 on configuration or usage errors, 3 when
-agents or scheduled spawns were still waiting at the step limit.
+Exit codes: 0 on a completed run, 2 on configuration or usage errors or when
+the step kernel cannot be compiled, 3 when agents or scheduled spawns were
+still waiting at the step limit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from pathlib import Path
 
-from .engine import EventLog, events_csv_blocks
+from .engine import EventLog, KernelBuildError, events_csv_blocks
 from .floorfield import field_to_csv
 from .layout import LayoutError, LayoutGrid, render_snapshot
 from .metrics import check_sweep, comparison_csv, metrics_csv, occupancy, run_metrics, sweep
@@ -217,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, LayoutError) as exc:
+    except (ConfigError, LayoutError, KernelBuildError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,13 +9,19 @@ sink is absorbed at the start of the following step.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import shlex
+import subprocess
+import sysconfig
 from array import array
-from bisect import bisect_left
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, pairwise
+from pathlib import Path
 
 import numpy as np
 
@@ -99,7 +105,7 @@ class EventLog:
         self.cols = cols
         self.starts = array("i", [0])
         self.agents = array("i")
-        self.kinds = bytearray()
+        self.kinds = array("B")
         self.cells = array("i")
 
     def open_step(self, step: int) -> None:
@@ -129,34 +135,92 @@ class EventLog:
                        *divmod(self.cells[k], self.cols))
 
 
-def bounded_draw(rng: np.random.Generator) -> Callable[[int], int]:
-    """A function `draw(n)` equal to `int(rng.integers(n))` for 1 <= n <= 2**32:
-    the same value from the same bit-generator calls, without the cost of a
-    numpy call.
+class KernelBuildError(Exception):
+    """The C step kernel could not be compiled."""
 
-    It is the method numpy itself uses for such bounds (Lemire 2019, "Fast
-    Random Integer Generation in an Interval"): multiply a 32-bit draw by n,
-    keep the high word, and draw again while the low word is below
-    (2**32 - n) % n. The 32-bit draws come straight from the bit generator's
-    `ctypes.next_uint32`; `tests/test_engine.py` checks the result against
-    `Generator.integers`, so a change in numpy fails there by name.
-    """
+
+KERNEL_SOURCE = Path(__file__).with_name("step.c")
+# -ffp-contract=off keeps `a * b` and `a + b` two roundings, as in Python;
+# -ffast-math would let the compiler reorder them.
+CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# When the kernel runs out of room in a run, the log and agent columns double,
+# but by at most this many items, so that a run's spare room stays bounded.
+LOG_HEADROOM = 1 << 14
+
+
+def bitgen(rng: np.random.Generator) -> tuple[int, int]:
+    """The addresses of `rng`'s `next_uint32` function and of its state, for
+    the kernel's draws; `rng` must outlive their use."""
     handle = rng.bit_generator.ctypes
-    next_uint32, state = handle.next_uint32, handle.state
+    return ctypes.cast(handle.next_uint32, ctypes.c_void_p).value, handle.state_address
 
-    def draw(n: int) -> int:
-        if n == 1:
-            return 0  # numpy draws nothing for a single choice
-        m = next_uint32(state) * n
-        if m & 0xFFFFFFFF < n:
-            threshold = (0x100000000 - n) % n
-            while m & 0xFFFFFFFF < threshold:
-                m = next_uint32(state) * n
-        return m >> 32
 
-    # `state` is a raw pointer into the generator, which must outlive `draw`.
-    draw.rng = rng
-    return draw
+class _Run(ctypes.Structure):
+    """`struct run` of step.c: the run's tables, its state and its log, as addresses and counts."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in (
+        "nbr", "values", "sink", "probs", "dwell", "next", "bitgen", "density", "at", "t_in",
+        "present", "arrived", "order", "pending", "starts", "log_agents", "log_kinds",
+        "log_cells")] + [(name, ctypes.c_int64) for name in (
+        "cells", "capacity", "steps", "step", "agents", "agent_room", "n_present", "n_arrived",
+        "n_pending", "n_starts", "starts_room", "events", "event_room", "need_agents",
+        "need_events")] + [("dt", ctypes.c_double)]
+
+
+def compiler() -> list[str]:
+    """The C compiler command: `$CC`, else the one Python was built with."""
+    return shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
+
+
+def kernel_path() -> Path:
+    """Where the library built from `step.c` lives: next to the source, or in
+    `$XDG_CACHE_HOME/mesoped` (default `~/.cache/mesoped`) when the package
+    directory is not writable. Its name is keyed by the sha256 of the
+    source and the flags."""
+    key = hashlib.sha256(b"\0".join([KERNEL_SOURCE.read_bytes(), *map(str.encode, CFLAGS)]))
+    name = f"_step-{key.hexdigest()[:16]}.so"
+    if os.access(KERNEL_SOURCE.parent, os.W_OK):
+        return KERNEL_SOURCE.parent / name
+    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "mesoped" / name
+
+
+def _build_kernel(path: Path) -> None:
+    """Compile `step.c` into `path` under a temporary name, then rename it
+    into place, so that concurrent builds do not collide."""
+    cc = compiler()
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        subprocess.run([*cc, *CFLAGS, "-o", str(tmp), str(KERNEL_SOURCE)],
+                       check=True, capture_output=True, text=True)
+        os.replace(tmp, path)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        reason = " ".join((getattr(exc, "stderr", "") or str(exc)).split())
+        raise KernelBuildError(f"cannot compile {KERNEL_SOURCE} with C compiler "
+                               f"{shlex.join(cc)!r} (set CC to choose one): {reason}") from None
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+@cache
+def kernel() -> ctypes.CDLL:
+    """The step kernel, built on first use unless a build is cached."""
+    path = kernel_path()
+    if not path.exists():
+        _build_kernel(path)
+    lib = ctypes.CDLL(str(path))
+    lib.run.argtypes, lib.run.restype = [ctypes.POINTER(_Run), ctypes.c_int], ctypes.c_int
+    # each draw's last two arguments are the addresses that `bitgen` returns
+    lib.shuffle.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+    lib.shuffle.restype = None
+    lib.draw.argtypes = [ctypes.c_uint64, ctypes.c_void_p, ctypes.c_void_p]
+    lib.draw.restype = ctypes.c_uint64
+    return lib
+
+
+def _extend(col: array, by: int) -> None:
+    """Append `by` zero items to an `array` column."""
+    col.frombytes(bytes(by * col.itemsize))
 
 
 class SimulationState:
@@ -177,15 +241,10 @@ class SimulationState:
         self.t_in: list[float] = []
         self.present: list[int] = []
         self.log = EventLog(dt, grid.cols)
-        # mutable [flat cell, remaining, release_step] work list, unspent entries only
+        # [flat cell, remaining, release_step] of each unspent entry
         self.pending = [[grid.index(e.cell), e.count, e.release_step] for e in schedule]
-        # per-step work list: ids that moved onto a sink this step, to exit next step
+        # ids that moved onto a sink this step, to exit next step
         self.arrived: list[int] = []
-
-    @cached_property
-    def draw(self) -> Callable[[int], int]:
-        """`int(self.rng.integers(n))` by `bounded_draw`, built on a run's first tie."""
-        return bounded_draw(self.rng)
 
     @property
     def spawned(self) -> int:
@@ -199,12 +258,14 @@ class SimulationState:
 class Simulation:
     """Owns one run: layout, field, table, schedule, state, and the event log.
 
-    The step loop reads lookup tables cached on the layout and the field,
-    built once per runtime: each cell's move mask (`LayoutGrid.move_masks`)
-    selects its orthogonal and its diagonal flat move offsets (the two tables
-    of `LayoutGrid.move_offsets`), sink flags (`LayoutGrid.sink_flags`) and
-    field values (`FloorField.flat`) are indexed by flat cell, and entry
-    probabilities and dwell times by density.
+    The steps themselves are made by the C kernel in `step.c` (`kernel()`),
+    compiled at the first `Simulation` of a process unless a build is
+    cached. It reads the layout's direction-major neighbour table
+    (`LayoutGrid.neighbours.T`) and sink flags, the field values, and the
+    table's entry probabilities and dwell times by density. The state lives
+    in `SimulationState`'s lists between calls; each `run` or `step` copies
+    it into flat arrays, makes its steps in one kernel call (re-entered only
+    to grow the log), and copies it back.
     """
 
     def __init__(self, grid: LayoutGrid, field: FloorField,
@@ -215,129 +276,97 @@ class Simulation:
         for entry in schedule:
             if entry.cell not in grid.source_set or entry.cell in grid.sink_set:
                 raise ValueError(f"spawn cell {entry.cell} is not a layout source, or is a sink")
-            if entry.count < 0 or entry.release_step < 0:
+            if not (0 <= entry.count < 2**63 and 0 <= entry.release_step < 2**63):
                 raise ValueError(f"bad spawn entry {entry}")
+        if np.shape(field.values) != (grid.rows, grid.cols):
+            raise ValueError(f"field of shape {np.shape(field.values)} on a "
+                             f"{grid.rows}x{grid.cols} grid")
         self.grid = grid
         self.field = field
         self.table = table
         self.dt = dt = float(dt)
-        # Time to cross a cell for each count of other occupants; None where
+        self._kernel = kernel()
+        self.state = SimulationState(grid, np.random.default_rng(seed), schedule, dt)
+        # Time to cross a cell for each count of other occupants; inf where
         # the speed is 0 and the agent cannot leave.
         diameter = grid.cell_size_m * DIAMETER_FACTOR
-        self._dwell = tuple(diameter / u if u > 0.0 else None for u in table.speeds)
-        self.state = SimulationState(grid, np.random.default_rng(seed), schedule, dt)
-        # release step 0 is "present when the clock starts"
-        self._spawn()
+        self._inputs = inputs = (
+            grid.neighbours.T, np.ascontiguousarray(field.values, dtype=np.float64),
+            # a cell as full as the table is long takes no one, as at its last row
+            np.frombuffer(grid.sink_flags, dtype=np.uint8), np.array([*table.probs, 0.0]),
+            np.array([diameter / u if u > 0.0 else math.inf for u in table.speeds]))
+        self._run = _Run(*(a.ctypes.data for a in inputs), *bitgen(self.state.rng),
+                         cells=grid.rows * grid.cols, capacity=table.capacity, dt=dt)
+        # Step 0 is the release of the agents due when the clock starts, alone.
+        self.state.step_index = -1
+        self._advance(1, until_done=False)
 
-    def _spawn(self) -> None:
-        """Release due agents into their source cells while there is room,
-        then drop the schedule entries that are spent."""
-        state = self.state
-        capacity = self.table.capacity
-        density, at, t_in, present = state.density, state.at, state.t_in, state.present
-        for entry in state.pending:
-            idx, _, release = entry
-            if release > state.step_index:
-                continue
-            while entry[1] > 0 and density[idx] < capacity:
-                aid = len(at)
-                at.append(idx)
-                t_in.append(state.clock)
-                present.append(aid)
-                density[idx] += 1
-                entry[1] -= 1
-                state.log.append(aid, SPAWN, idx)
-        state.pending = [entry for entry in state.pending if entry[1]]
+    def _advance(self, steps: int, until_done: bool) -> None:
+        """Make up to `steps` steps in the kernel, stopping once the run is
+        complete when `until_done`, then copy the state back."""
+        state, log, r = self.state, self.state.log, self._run
+        if max(state.density) > len(self.table.probs):
+            raise ValueError("a cell holds more agents than the speed-density table has rows")
+        density = array("i", state.density)
+        # at, t_in, present, arrived and the shuffle's order, each with room for every agent
+        agent_cols = (array("i", state.at), array("d", state.t_in), array("i", state.present),
+                      array("i", state.arrived), array("i", state.present))
+        for col in agent_cols[2:]:
+            _extend(col, len(state.at) - len(col))
+        pending = array("q", chain.from_iterable(state.pending))
+        log_cols = (log.agents, log.kinds, log.cells)
+        r.steps, r.step = max(0, min(steps, 2**63 - 1)), state.step_index
+        r.agents = r.agent_room = len(state.at)
+        r.n_present, r.n_arrived = len(state.present), len(state.arrived)
+        r.n_pending = len(state.pending)
+        r.events = r.event_room = len(log.kinds)
+        r.n_starts = r.starts_room = len(log.starts)
+        r.density, r.pending = density.buffer_info()[0], pending.buffer_info()[0]
+        while True:
+            for name, col in zip(("at", "t_in", "present", "arrived", "order", "starts",
+                                  "log_agents", "log_kinds", "log_cells"),
+                                 (*agent_cols, log.starts, *log_cols)):
+                setattr(r, name, col.buffer_info()[0])
+            if not self._kernel.run(r, until_done):
+                break
+            # Room for the next step at least; else the columns double, up to
+            # a block of LOG_HEADROOM items, but no further than the steps left need.
+            for cols, room, used, need in ((log_cols, "event_room", r.events, r.need_events),
+                                           (agent_cols, "agent_room", r.agents, r.need_agents),
+                                           ((log.starts,), "starts_room", r.n_starts, 1)):
+                if getattr(r, room) - used < need:
+                    by = max(need, min(LOG_HEADROOM, used, r.steps * need))
+                    for col in cols:
+                        _extend(col, by)
+                    setattr(r, room, getattr(r, room) + by)
+        for col, n in ((log.starts, r.n_starts), *((col, r.events) for col in log_cols)):
+            del col[n:]
+        for name, col, n in zip(("at", "t_in", "present", "arrived"), agent_cols,
+                                (r.agents, r.agents, r.n_present, r.n_arrived)):
+            del col[n:]
+            getattr(state, name)[:] = col
+        state.density[:] = density
+        state.pending = [pending[k:k + 3].tolist() for k in range(0, 3 * r.n_pending, 3)]
+        state.step_index = r.step
+        state.clock = r.step * self.dt
 
     def step(self) -> SimulationState:
         """Advance one interval: spawn, absorb last step's sink arrivals, move the rest.
 
-        Each agent whose dwell time has elapsed scores every permitted move as
-        entry probability times navigation value, at densities that include
-        moves made earlier in the step, and takes the best one. It stays when
+        The agents inside are visited in a shuffled order. Each one whose
+        dwell time has elapsed scores every permitted move as entry
+        probability times navigation value, at densities that include moves
+        made earlier in the step, and takes the best one. It stays when
         nothing scores above zero. Orthogonal moves are scored first, and a
         diagonal must beat them; a tie left is broken with the run's generator.
+        The step is made even when nobody is inside or waiting.
         """
-        state = self.state
-        state.step_index += 1
-        step_i = state.step_index
-        clock = state.clock = step_i * self.dt
-        log = state.log
-        log.open_step(step_i)
-        if state.pending:
-            self._spawn()
-
-        at, t_in, density, arrived = state.at, state.t_in, state.density, state.arrived
-        if arrived:
-            arrived.sort()
-            present = state.present
-            for aid in arrived:
-                density[at[aid]] -= 1
-                log.append(aid, EXIT, at[aid])
-                del present[bisect_left(present, aid)]
-            arrived.clear()
-
-        # Shuffling a copy makes the same draws as `permutation(len(ids))` and
-        # leaves the ids in the order that permutation would give them.
-        ids = state.present[:]
-        if len(ids) > 1:
-            state.rng.shuffle(ids)
-        masks, (orth_moves, diag_moves) = self.grid.move_masks, self.grid.move_offsets
-        values, probs, dwell = self.field.flat, self.table.probs, self._dwell
-        is_sink = self.grid.sink_flags
-        log_agent, log_kind, log_cell = log.agents.append, log.kinds.append, log.cells.append
-        for aid in ids:
-            i = at[aid]
-            wait = dwell[density[i] - 1]
-            if wait is None or clock < t_in[aid] + wait:
-                continue
-            mask = masks[i]
-            best = 0.0
-            ties = None
-            for offset in orth_moves[mask]:
-                j = i + offset
-                score = probs[density[j]] * values[j]
-                if score > best:
-                    best, dest, ties = score, j, None
-                elif score == best and best > 0.0:
-                    if ties is None:
-                        ties = [dest]
-                    ties.append(j)
-            # A diagonal move ties only where diagonals alone hold the best score.
-            orth_best = best
-            for offset in diag_moves[mask]:
-                j = i + offset
-                score = probs[density[j]] * values[j]
-                if score > best:
-                    best, dest, ties = score, j, None
-                elif score == best and best > orth_best:
-                    if ties is None:
-                        ties = [dest]
-                    ties.append(j)
-            if best <= 0.0:
-                log_agent(aid)
-                log_kind(STAY)
-                log_cell(i)
-                continue
-            if ties is not None:
-                dest = ties[state.draw(len(ties))]
-            if is_sink[dest]:
-                arrived.append(aid)
-            density[i] -= 1
-            density[dest] += 1
-            at[aid] = dest
-            t_in[aid] = clock
-            log_agent(aid)
-            log_kind(MOVE)
-            log_cell(dest)
-        return state
+        self._advance(1, until_done=False)
+        return self.state
 
     def run(self, max_steps: int) -> SimulationState:
         """Step until everyone has exited or `max_steps` intervals elapse."""
-        for _ in range(max_steps):
-            if self.completed:
-                break
-            self.step()
+        self._advance(max_steps, until_done=True)
         return self.state
 
     # perfbench/tracer.py counts from this; it stays until the tracer reads state.log.

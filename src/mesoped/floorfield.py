@@ -41,14 +41,6 @@ class FloorField:
         bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
         return bits.view(np.float64), inverse.reshape(values.shape)
 
-    @cached_property
-    def flat(self) -> list[float]:
-        """The values in row-major order, one shared float per distinct bit
-        pattern: the step loop reads them without making a float each time."""
-        distinct, index = self.distinct
-        distinct = distinct.tolist()
-        return [distinct[k] for k in index.ravel().tolist()]
-
 
 def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
                   base_reward: float = DEFAULT_BASE_REWARD) -> FloorField:

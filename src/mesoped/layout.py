@@ -152,14 +152,6 @@ class LayoutGrid:
         return bits.sum(axis=1, dtype=np.uint8).tobytes()
 
     @cached_property
-    def move_offsets(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """Two tables over the 256 move masks: the flat index offsets of each
-        mask's orthogonal moves, and of its diagonal moves, in DIRECTIONS order."""
-        offsets = {d: DIR_VECTORS[d][0] * self.cols + DIR_VECTORS[d][1] for d in DIRECTIONS}
-        return tuple(tuple(tuple(offsets[d] for d in moves if (d in ORTHOGONAL) == orth)
-                           for moves in _MOVES_BY_MASK) for orth in (True, False))
-
-    @cached_property
     def snapshot_frame(self) -> str:
         """`render_snapshot`'s picture of the walls, with a `%s` for each count."""
         def edge(codes: tuple[int, ...], side: int) -> str:

@@ -114,8 +114,9 @@ def _parse_spawn_terms(value: str, where: str) -> list[tuple[int, int]]:
             step = int(step_s.strip()) if sep else 0
         except ValueError:
             raise ConfigError(f"{where}: bad spawn term {term!r}, expected COUNT@STEP") from None
-        if count < 0 or step < 0:
-            raise ConfigError(f"{where}: spawn counts and steps must be non-negative")
+        if not (0 <= count < 2**63 and 0 <= step < 2**63):
+            raise ConfigError(f"{where}: spawn counts and steps must be non-negative "
+                              "and below 2**63")
         out.append((count, step))
     if not out:
         raise ConfigError(f"{where}: empty spawn value")

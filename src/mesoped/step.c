@@ -1,0 +1,193 @@
+/* The step loop of mesoped.engine.Simulation: spawns, the exits of the last
+ * step's sink arrivals, the shuffle and the move pass, step after step in
+ * one call. Plain C for ctypes; engine.py compiles it and owns every buffer.
+ *
+ * Random numbers come straight from numpy's bit generator, through the
+ * function pointer and state of `bit_generator.ctypes`, drawn as numpy's own
+ * `Generator.shuffle` and `Generator.integers` draw them. Build with
+ * -ffp-contract=off and never -ffast-math, so that `t_in + wait` and
+ * `probs[d] * values[j]` round as Python's doubles do.
+ */
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+typedef uint32_t (*next_uint32_fn)(void *state);
+
+enum { SPAWN, MOVE, STAY, EXIT };  /* event codes, in the order of engine.KINDS */
+
+/* engine._Run mirrors this layout: the pointers, then the counts, then dt. */
+struct run {
+    const intptr_t *nbr;   /* (8, cells): destination of move k from cell i, or -1 */
+    const double *values;  /* navigation value by cell */
+    const uint8_t *sink;   /* 1 on a sink */
+    const double *probs;   /* entry probability by density */
+    const double *dwell;   /* time to cross a cell by count of other occupants; inf when stuck */
+    next_uint32_fn next;
+    void *bitgen;
+    int32_t *density, *at;
+    double *t_in;
+    int32_t *present, *arrived, *order;  /* ids inside (ascending), on a sink, shuffled */
+    int64_t *pending;                    /* (cell, remaining, release step) per unspent entry */
+    int32_t *starts, *log_agents;
+    uint8_t *log_kinds;
+    int32_t *log_cells;
+    int64_t cells, capacity, steps, step, agents, agent_room, n_present, n_arrived, n_pending;
+    int64_t n_starts, starts_room, events, event_room, need_agents, need_events;
+    double dt;
+};
+
+/* numpy's random_interval(max) for max < 2**32: a masked rejection. */
+static uint32_t interval(uint32_t max, next_uint32_fn next, void *state)
+{
+    uint32_t mask = max, value;
+    mask |= mask >> 1; mask |= mask >> 2; mask |= mask >> 4; mask |= mask >> 8; mask |= mask >> 16;
+    while ((value = next(state) & mask) > max)
+        ;
+    return value;
+}
+
+/* `Generator.shuffle` of a list of n items: swap i with random_interval(i), from the end down. */
+void shuffle(int32_t *ids, int64_t n, next_uint32_fn next, void *state)
+{
+    for (int64_t i = n - 1; i > 0; i--) {
+        int64_t j = interval((uint32_t)i, next, state);
+        int32_t t = ids[i];
+        ids[i] = ids[j];
+        ids[j] = t;
+    }
+}
+
+/* `int(Generator.integers(n))` for 1 <= n <= 2**32, by Lemire's method as numpy does it. */
+uint64_t draw(uint64_t n, next_uint32_fn next, void *state)
+{
+    if (n == 1)
+        return 0;
+    uint64_t m = (uint64_t)next(state) * n;
+    if ((uint32_t)m < n) {
+        uint64_t threshold = (0x100000000ULL - n) % n;
+        while ((uint32_t)m < threshold)
+            m = (uint64_t)next(state) * n;
+    }
+    return m >> 32;
+}
+
+static void record(struct run *r, int32_t agent, uint8_t kind, int32_t cell)
+{
+    r->log_agents[r->events] = agent;
+    r->log_kinds[r->events] = kind;
+    r->log_cells[r->events++] = cell;
+}
+
+static int by_id(const void *a, const void *b)
+{
+    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Scores orthogonal moves first; a diagonal must beat them, and a tie left is drawn. */
+static void move(struct run *r, int32_t a, double clock)
+{
+    const int64_t n = r->cells;
+    int32_t i = r->at[a], *density = r->density;
+    if (clock < r->t_in[a] + r->dwell[density[i] - 1])
+        return;
+    double best = 0.0, floor = 0.0;
+    intptr_t dest = -1, ties[8];
+    int nt = 0;
+    for (int k = 0; k < 8; k++) {
+        int dir = k < 4 ? 2 * k : 2 * k - 7;  /* N, E, S, W, then NE, SE, SW, NW */
+        if (k == 4)
+            floor = best;  /* a diagonal ties only above the orthogonal best */
+        intptr_t j = r->nbr[dir * n + i];
+        if (j < 0)
+            continue;
+        double score = r->probs[density[j]] * r->values[j];
+        if (score > best) {
+            best = score, dest = j, nt = 0;
+        } else if (score == best && best > floor) {
+            if (nt == 0)
+                ties[nt++] = dest;
+            ties[nt++] = j;
+        }
+    }
+    if (best <= 0.0) {
+        record(r, a, STAY, i);
+        return;
+    }
+    if (nt)
+        dest = ties[draw(nt, r->next, r->bitgen)];
+    if (r->sink[dest])
+        r->arrived[r->n_arrived++] = a;
+    density[i]--;
+    density[dest]++;
+    r->at[a] = (int32_t)dest;
+    r->t_in[a] = clock;
+    record(r, a, MOVE, (int32_t)dest);
+}
+
+/* Makes up to r->steps steps, stopping early once nobody is inside or waiting
+ * when `until_done`. Step 0 is the release at clock 0 alone. Returns 1, with
+ * the step not begun, when a buffer lacks room for the next step (the need is
+ * in need_agents and need_events), else 0. */
+int run(struct run *r, int until_done)
+{
+    while (r->steps > 0 && !(until_done && r->n_present == 0 && r->n_pending == 0)) {
+        int64_t s = r->step + 1, spawns = 0, *p = r->pending, kept = 0;
+        for (int64_t k = 0; k < r->n_pending; k++)
+            if (p[3 * k + 2] <= s)
+                spawns += p[3 * k + 1] < r->capacity ? p[3 * k + 1] : r->capacity;
+        /* Each spawn, each exit and at most one move or stay per agent inside is logged. */
+        r->need_agents = spawns;
+        r->need_events = r->n_present + 2 * spawns;
+        if (r->agents + spawns > r->agent_room || r->events + r->need_events > r->event_room
+            || s >= r->starts_room)
+            return 1;
+        r->step = s;
+        r->steps--;
+        double clock = (double)s * r->dt;
+        while (r->n_starts <= s)
+            r->starts[r->n_starts++] = (int32_t)r->events;
+
+        for (int64_t k = 0; k < r->n_pending; k++, p += 3) {
+            while (p[2] <= s && p[1] > 0 && r->density[p[0]] < r->capacity) {
+                int32_t a = (int32_t)r->agents++;
+                r->at[a] = (int32_t)p[0];
+                r->t_in[a] = clock;
+                r->present[r->n_present++] = a;
+                r->density[p[0]]++;
+                p[1]--;
+                record(r, a, SPAWN, (int32_t)p[0]);
+            }
+            if (p[1])
+                memmove(r->pending + 3 * kept++, p, 3 * sizeof *p);
+        }
+        r->n_pending = kept;
+        if (s == 0)
+            continue;
+
+        if (r->n_arrived) {
+            qsort(r->arrived, (size_t)r->n_arrived, sizeof *r->arrived, by_id);
+            int64_t k = 0;
+            kept = 0;
+            for (int64_t m = 0; m < r->n_arrived; m++) {
+                int32_t a = r->arrived[m];
+                r->density[r->at[a]]--;
+                record(r, a, EXIT, r->at[a]);
+            }
+            for (int64_t m = 0; m < r->n_present; m++) {  /* both lists ascend */
+                if (k < r->n_arrived && r->present[m] == r->arrived[k])
+                    k++;
+                else
+                    r->present[kept++] = r->present[m];
+            }
+            r->n_present = kept;
+            r->n_arrived = 0;
+        }
+        memcpy(r->order, r->present, (size_t)r->n_present * sizeof *r->order);
+        shuffle(r->order, r->n_present, r->next, r->bitgen);
+        for (int64_t m = 0; m < r->n_present; m++)
+            move(r, r->order[m], clock);
+    }
+    return 0;
+}

@@ -21,8 +21,8 @@ must match, pair for pair and in order.
 Step loop: the engine's movement rule written agent by agent over
 `Agent` objects kept in a dict, through `Cell` tuples, `moves_of`,
 `DIR_VECTORS` and the table's columns. `ReferenceSimulation` runs it
-in place of `mesoped.engine.Simulation`, whose flat step loop over agent
-columns must match its event logs and densities exactly. It logs through
+in place of `mesoped.engine.Simulation`, whose C step kernel (`step.c`)
+must match its event logs and densities exactly. It logs through
 `EventLog.append(agent, kind, at)`, one event code at a time, into the step
 that `EventLog.open_step` opened.
 

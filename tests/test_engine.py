@@ -1,11 +1,12 @@
 """Speed-density tables, dwell timing, move choice, and the step loop.
 
 Dwell, scoring and tie rules are checked through `Simulation.step`; the
-flat step loop must also reproduce the reference loop in `oracle.py`
-event for event.
+C step kernel must also reproduce the reference loop in `oracle.py`
+event for event, and its two draws must equal numpy's.
 """
 
 import math
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridgen import random_grid, random_schedule
+from mesoped import engine
 from mesoped.engine import (DIAMETER_FACTOR, EXIT, MESO_TABLE, MICRO_TABLE,
                             SPAWN, Simulation, SpawnEntry,
-                            SpeedDensityTable, bounded_draw, events_csv_blocks)
+                            SpeedDensityTable, bitgen, events_csv_blocks, kernel)
 from mesoped.floorfield import compute_field
 from mesoped.layout import parse_layout, render_snapshot
 from mesoped.metrics import occupancy, summarize
@@ -249,29 +251,50 @@ def test_diagonals_only_tie_draws():
     assert picks == {(0, 1), (2, 1)}
 
 
+def c_shuffle(rng, items):
+    """`items` shuffled by the kernel's `shuffle`, drawing from `rng`."""
+    ids = array("i", items)
+    kernel().shuffle(ids.buffer_info()[0], len(ids), *bitgen(rng))
+    return ids.tolist()
+
+
+def test_c_shuffle_equals_generator_shuffle():
+    """On twin generators the kernel's shuffle orders a list as
+    `Generator.shuffle` does and leaves the same generator state, at every
+    length up to 300 and at each 2**k and 2**k + 1 up to 65,537, where the
+    rejection mask of numpy's `random_interval` widens."""
+    lengths = sorted({*range(301), *(2**k + d for k in range(17) for d in (0, 1))})
+    for seed in range(3):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in lengths:
+            items = list(range(n))
+            theirs.shuffle(items)
+            assert c_shuffle(ours, range(n)) == items, f"seed {seed}, length {n}"
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 @pytest.mark.parametrize("sizes", [
     range(1, 9),
     [2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 2, 2**32 - 1, 2**32],
 ], ids=["ties", "near-2**32"])
-def test_bounded_draw_equals_generator_integers(sizes):
-    """On twin generators `bounded_draw` gives `int(Generator.integers(n))`,
-    draw for draw, interleaved with list shuffles as in the step loop, and
-    leaves the same generator state. Bounds just above 2**31 reject nearly
-    half their 32-bit draws; 2**32 - 1 rejects almost none."""
+def test_c_draw_equals_generator_integers(sizes):
+    """On twin generators the kernel's tie draw gives
+    `int(Generator.integers(n))`, draw for draw, interleaved with list
+    shuffles as in the step loop, and leaves the same generator state.
+    Bounds just above 2**31 reject nearly half their 32-bit draws;
+    2**32 - 1 rejects almost none."""
+    draw = kernel().draw
     plan = np.random.default_rng(2024)
     for seed in range(10):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        draw = bounded_draw(ours)
         for _ in range(400):
             if plan.random() < 0.2:
-                a = list(range(int(plan.integers(2, 40))))
-                b = a[:]
-                ours.shuffle(a)
-                theirs.shuffle(b)
-                assert a == b
+                items = list(range(int(plan.integers(2, 40))))
+                theirs.shuffle(items)
+                assert c_shuffle(ours, range(len(items))) == items
             else:
                 n = int(plan.choice(sizes))
-                assert draw(n) == int(theirs.integers(n)), f"seed {seed}, n {n}"
+                assert draw(n, *bitgen(ours)) == int(theirs.integers(n)), f"seed {seed}, n {n}"
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
@@ -573,3 +596,56 @@ def test_step_matches_reference_loop_under_fuzzing(run):
     replayed = [list(density) for _, density in occupancy(log, grid.rows * grid.cols)]
     assert replayed == live and len(live) == state.step_index + 1
     assert b"".join(events_csv_blocks(log)) == oracle.events_to_csv(ref.events).encode()
+
+
+class CountingKernel:
+    """The kernel, counting the calls of its `run`."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, 0
+
+    def run(self, *args):
+        self.calls += 1
+        return self.lib.run(*args)
+
+
+def run_state(sim):
+    """Everything a run leaves: the log's columns, the agents, the schedule
+    and the generator."""
+    state, log = sim.state, sim.state.log
+    return (log.starts, log.agents, log.kinds, log.cells, state.at, state.t_in, state.present,
+            state.arrived, state.density, state.pending, state.step_index, state.clock,
+            state.rng.bit_generator.state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzzed_runs(), st.integers(1, 8), st.integers(0, 80))
+def test_log_headroom_reentry_and_stepping_equal_one_call(run, headroom, steps):
+    """With the log's headroom cut to a few events, the kernel returns to
+    Python to grow the columns many times in one `run`, and the run still
+    leaves what a single call leaves; `run(n)` leaves what n calls of
+    `step()` leave, up to the step where the run completes."""
+    grid, schedule, table, dt, seed = run
+    field = compute_field(grid)
+
+    def make():
+        return Simulation(grid, field, table, schedule, dt=dt, seed=seed)
+
+    whole = make()
+    whole.run(600)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "LOG_HEADROOM", headroom)
+        parts = make()
+        parts._kernel = counting = CountingKernel(parts._kernel)
+        parts.run(600)
+    assert run_state(parts) == run_state(whole)
+    # A return grows the log by the next step's need, at most twice the
+    # agents scheduled, or by the headroom, so it returned at least this often.
+    grown = len(whole.state.log.kinds) - len(make().state.log.kinds)
+    assert counting.calls > grown / (2 * sum(e.count for e in schedule) + headroom)
+
+    short, stepped = make(), make()
+    short.run(steps)
+    for _ in range(min(steps, whole.state.step_index)):
+        stepped.step()
+    assert run_state(short) == run_state(stepped)
