@@ -224,27 +224,32 @@ def _extend(col: array, by: int) -> None:
 
 
 class SimulationState:
-    """Mutable per-run state: clock, agent columns, density, pending spawns, event log.
+    """Mutable per-run state: agent columns, density, pending spawns, event log.
 
-    Agent ids count up from 0 in spawn order and index the columns: `at[a]` is
-    agent a's flat cell and `t_in[a]` the clock at which it entered it.
+    Every column is an `array` that the kernel reads and writes in place.
+    Agent ids count up from 0 in spawn order and index the columns: `at[a]`
+    is agent a's flat cell and `t_in[a]` the clock at which it entered it.
     `present` holds the ids still inside, ascending; the rest is in the log.
     """
 
     def __init__(self, grid: LayoutGrid, rng: np.random.Generator,
                  schedule: tuple[SpawnEntry, ...], dt: float) -> None:
-        self.clock = 0.0
         self.step_index = 0
         self.rng = rng
-        self.density = [0] * (grid.rows * grid.cols)
-        self.at: list[int] = []
-        self.t_in: list[float] = []
-        self.present: list[int] = []
+        self.density = array("i", [0]) * (grid.rows * grid.cols)
+        self.at = array("i")
+        self.t_in = array("d")
+        self.present = array("i")
         self.log = EventLog(dt, grid.cols)
-        # [flat cell, remaining, release_step] of each unspent entry
-        self.pending = [[grid.index(e.cell), e.count, e.release_step] for e in schedule]
+        # flat cell, remaining, release_step of each unspent entry, one after another
+        self.pending = array("q", chain.from_iterable(
+            (grid.index(e.cell), e.count, e.release_step) for e in schedule))
         # ids that moved onto a sink this step, to exit next step
-        self.arrived: list[int] = []
+        self.arrived = array("i")
+
+    @property
+    def clock(self) -> float:
+        return self.step_index * self.log.dt
 
     @property
     def spawned(self) -> int:
@@ -252,7 +257,7 @@ class SimulationState:
 
     @property
     def pending_count(self) -> int:
-        return sum(rem for _, rem, _ in self.pending)
+        return sum(self.pending[1::3])
 
 
 class Simulation:
@@ -262,10 +267,11 @@ class Simulation:
     compiled at the first `Simulation` of a process unless a build is
     cached. It reads the layout's direction-major neighbour table
     (`LayoutGrid.neighbours.T`) and sink flags, the field values, and the
-    table's entry probabilities and dwell times by density. The state lives
-    in `SimulationState`'s lists between calls; each `run` or `step` copies
-    it into flat arrays, makes its steps in one kernel call (re-entered only
-    to grow the log), and copies it back.
+    table's entry probabilities and dwell times by density. It reads and
+    writes `SimulationState`'s `array` columns in place: each `run` or `step`
+    gives the agent columns room, makes its steps in one kernel call
+    (re-entered only to grow the log or the agents), and cuts off the room
+    left over.
     """
 
     def __init__(self, grid: LayoutGrid, field: FloorField,
@@ -284,9 +290,9 @@ class Simulation:
         self.grid = grid
         self.field = field
         self.table = table
-        self.dt = dt = float(dt)
         self._kernel = kernel()
-        self.state = SimulationState(grid, np.random.default_rng(seed), schedule, dt)
+        self.state = SimulationState(grid, np.random.default_rng(seed), schedule, float(dt))
+        self._order = array("i")  # the kernel's scratch column for each step's shuffle
         # Time to cross a cell for each count of other occupants; inf where
         # the speed is 0 and the agent cannot leave.
         diameter = grid.cell_size_m * DIAMETER_FACTOR
@@ -303,25 +309,23 @@ class Simulation:
 
     def _advance(self, steps: int, until_done: bool) -> None:
         """Make up to `steps` steps in the kernel, stopping once the run is
-        complete when `until_done`, then copy the state back."""
+        complete when `until_done`; the kernel writes the state's columns."""
         state, log, r = self.state, self.state.log, self._run
-        if max(state.density) > len(self.table.probs):
+        # numpy's max on a passing view; the builtin's is a Python loop over the cells
+        if np.frombuffer(state.density, dtype=np.intc).max() > len(self.table.probs):
             raise ValueError("a cell holds more agents than the speed-density table has rows")
-        density = array("i", state.density)
+        r.n_present, r.n_arrived = len(state.present), len(state.arrived)
+        r.n_pending = len(state.pending) // 3
         # at, t_in, present, arrived and the shuffle's order, each with room for every agent
-        agent_cols = (array("i", state.at), array("d", state.t_in), array("i", state.present),
-                      array("i", state.arrived), array("i", state.present))
+        agent_cols = (state.at, state.t_in, state.present, state.arrived, self._order)
         for col in agent_cols[2:]:
             _extend(col, len(state.at) - len(col))
-        pending = array("q", chain.from_iterable(state.pending))
         log_cols = (log.agents, log.kinds, log.cells)
         r.steps, r.step = max(0, min(steps, 2**63 - 1)), state.step_index
         r.agents = r.agent_room = len(state.at)
-        r.n_present, r.n_arrived = len(state.present), len(state.arrived)
-        r.n_pending = len(state.pending)
         r.events = r.event_room = len(log.kinds)
         r.n_starts = r.starts_room = len(log.starts)
-        r.density, r.pending = density.buffer_info()[0], pending.buffer_info()[0]
+        r.density, r.pending = state.density.buffer_info()[0], state.pending.buffer_info()[0]
         while True:
             for name, col in zip(("at", "t_in", "present", "arrived", "order", "starts",
                                   "log_agents", "log_kinds", "log_cells"),
@@ -339,16 +343,11 @@ class Simulation:
                     for col in cols:
                         _extend(col, by)
                     setattr(r, room, getattr(r, room) + by)
-        for col, n in ((log.starts, r.n_starts), *((col, r.events) for col in log_cols)):
+        for col, n in zip((log.starts, *log_cols, *agent_cols, state.pending),
+                          (r.n_starts, r.events, r.events, r.events, r.agents, r.agents,
+                           r.n_present, r.n_arrived, 0, 3 * r.n_pending)):
             del col[n:]
-        for name, col, n in zip(("at", "t_in", "present", "arrived"), agent_cols,
-                                (r.agents, r.agents, r.n_present, r.n_arrived)):
-            del col[n:]
-            getattr(state, name)[:] = col
-        state.density[:] = density
-        state.pending = [pending[k:k + 3].tolist() for k in range(0, 3 * r.n_pending, 3)]
         state.step_index = r.step
-        state.clock = r.step * self.dt
 
     def step(self) -> SimulationState:
         """Advance one interval: spawn, absorb last step's sink arrivals, move the rest.

@@ -162,7 +162,7 @@ def test_criterion_7_conservation_and_capacity():
             recount = [0] * (grid.rows * grid.cols)
             for agent in state.present:
                 recount[state.at[agent]] += 1
-            assert recount == state.density, \
+            assert recount == state.density.tolist(), \
                 f"seed {seed} step {state.step_index}: density desynced"
 
         check(sim.state)

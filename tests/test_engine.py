@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridgen import random_grid, random_schedule
+from gridgen import open_hall, random_grid, random_schedule
 from mesoped import engine
 from mesoped.engine import (DIAMETER_FACTOR, EXIT, MESO_TABLE, MICRO_TABLE,
                             SPAWN, Simulation, SpawnEntry,
@@ -331,7 +331,7 @@ def test_corridor_single_agent_event_log():
         (5, 2.5, 0, "exit", 0, 2),
     ]
     assert sim.completed
-    assert sim.state.present == [] and sim.state.at == [grid.index((0, 2))]
+    assert sim.state.present.tolist() == [] and sim.state.at.tolist() == [grid.index((0, 2))]
     m = summarize(sim.state.log, grid.cell_size_m)
     assert m.per_exit_counts == {(0, 2): 1}
     assert m.avg_travel_time_s == 2.5
@@ -443,7 +443,7 @@ def test_absorption_happens_before_movement():
     state = sim.state
     place(state, grid, (0, 2), t_in=0.0)
     sim.step()
-    assert state.present == []
+    assert state.present.tolist() == []
     assert state.density[grid.index((0, 2))] == 0
     assert sim.events == [(1, 0.5, 0, "exit", 0, 2)]
 
@@ -480,7 +480,7 @@ def test_random_runs_conserve_agents_and_respect_capacity():
             recount = [0] * (grid.rows * grid.cols)
             for a in state.present:
                 recount[state.at[a]] += 1
-            assert recount == state.density
+            assert recount == state.density.tolist()
 
         check(sim.state)
         for _ in range(800):
@@ -576,7 +576,7 @@ def test_step_matches_reference_loop_under_fuzzing(run):
         assert ref.state.log.kinds[seen:] == log.kinds[seen:]
         assert ref.state.log.agents[seen:] == log.agents[seen:]
         assert ref.state.log.cells[seen:] == log.cells[seen:]
-        assert ref.state.density == state.density
+        assert ref.state.density == state.density.tolist()
         seen = len(log.kinds)
         spawns, exits = log.kinds.count(SPAWN), log.kinds.count(EXIT)
         assert spawns == state.spawned == len(state.present) + exits
@@ -585,7 +585,7 @@ def test_step_matches_reference_loop_under_fuzzing(run):
         recount = [0] * (grid.rows * grid.cols)
         for a in state.present:
             recount[state.at[a]] += 1
-        assert recount == state.density
+        assert recount == state.density.tolist()
         assert sim.completed == ref.completed
         if sim.completed:
             break
@@ -649,3 +649,44 @@ def test_log_headroom_reentry_and_stepping_equal_one_call(run, headroom, steps):
     for _ in range(min(steps, whole.state.step_index)):
         stepped.step()
     assert run_state(short) == run_state(stepped)
+
+
+def test_overfull_cell_is_rejected_before_the_kernel_runs():
+    """A cell holding more agents than the table has rows would send the
+    kernel past the ends of its entry-probability and dwell columns."""
+    grid, field = corridor()
+    sim = Simulation(grid, field, MESO_TABLE, schedule=(), dt=0.5, seed=0)
+    for _ in range(len(MESO_TABLE.probs) + 1):
+        place(sim.state, grid, (0, 0))
+    before = run_state(sim)
+    with pytest.raises(ValueError, match="more agents than the speed-density table has rows"):
+        sim.step()
+    assert run_state(sim) == before
+    # With the cell back within the table, the run steps on.
+    state = sim.state
+    state.density[grid.index((0, 0))] -= 1
+    for col in (state.at, state.t_in, state.present):
+        col.pop()
+    sim.step()
+    assert state.step_index == 1 and state.present.tolist() == list(range(6))
+
+
+def test_stepping_a_hall_by_hand_equals_one_run():
+    """The kernel writes the state's own columns, with no copy per call, and
+    stepping a 100x100 hall to the end leaves what one `run` leaves."""
+    grid = open_hall(100)
+    field = compute_field(grid)
+    schedule = (SpawnEntry(grid.sources[0], 200),)
+
+    def make():
+        return Simulation(grid, field, MESO_TABLE, schedule, dt=0.5, seed=4)
+
+    whole, stepped = make(), make()
+    whole.run(10_000)
+    assert whole.completed
+    stepped.step()
+    assert stepped._run.density == stepped.state.density.buffer_info()[0]
+    for _ in range(whole.state.step_index - 1):
+        stepped.step()
+    assert stepped.completed
+    assert run_state(stepped) == run_state(whole)
