@@ -10,14 +10,15 @@ sink is absorbed at the start of the following step.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import math
+import operator
 import os
 import shlex
 import subprocess
 import sysconfig
+import zlib
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, pairwise
@@ -148,18 +149,105 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 LOG_HEADROOM = 1 << 14
 
 
-def bitgen(rng: np.random.Generator) -> tuple[int, int]:
-    """The addresses of `rng`'s `next_uint32` function and of its state, for
-    the kernel's draws; `rng` must outlive their use."""
-    handle = rng.bit_generator.ctypes
-    return ctypes.cast(handle.next_uint32, ctypes.c_void_p).value, handle.state_address
+# numpy's SeedSequence: the entropy words are hashed into a pool of four
+# 32-bit words (INIT_A, MULT_A, MIX_MULT_L, MIX_MULT_R), which is hashed out
+# into the generator's seed words (INIT_B, MULT_B).
+INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+POOL_SIZE = 4
+MASK32, MASK128 = 2**32 - 1, 2**128 - 1
+# numpy's PCG64 multiplier, also in step.c.
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def entropy_words(seed: int | Sequence[int] | None) -> list[int]:
+    """The 32-bit words that numpy's `SeedSequence(seed)` takes as entropy:
+    an int's words from the lowest up (0 is one word), the words of a list's,
+    tuple's or range's ints one int after another, and for None an int of
+    128 bits from `os.urandom`."""
+    if seed is None:
+        seed = int.from_bytes(os.urandom(16), "little")
+    if hasattr(seed, "generate_state"):
+        raise TypeError(f"seed SeedSequence(entropy={seed.entropy!r}) is not an int or a "
+                        f"sequence of ints: pass its entropy, {seed.entropy!r}, as the seed")
+    words = []
+    for n in seed if isinstance(seed, (list, tuple, range)) else (seed,):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise TypeError(f"seed {seed!r} is not an int or a sequence of ints") from None
+        if n < 0:
+            raise ValueError(f"seed {seed!r} holds a negative int")
+        words += [n >> k & MASK32 for k in range(0, max(n.bit_length(), 1), 32)]
+    return words
+
+
+def seed_words(entropy: list[int]) -> list[int]:
+    """numpy's `SeedSequence(entropy).generate_state(4, np.uint64)`: the four
+    64-bit words that PCG64 is seeded from."""
+    mult = INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal mult
+        value ^= mult
+        mult = mult * MULT_A & MASK32
+        value = value * mult & MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (MIX_MULT_L * x - MIX_MULT_R * y) & MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(POOL_SIZE)]
+    for src in range(POOL_SIZE):
+        for dst in range(POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[POOL_SIZE:]:
+        for dst in range(POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, mult = [], INIT_B
+    for i in range(8):
+        value = pool[i % POOL_SIZE] ^ mult
+        mult = mult * MULT_B & MASK32
+        value = value * mult & MASK32
+        out.append(value ^ value >> 16)
+    return [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
+
+
+class PCG64(ctypes.Structure):
+    """`struct pcg64` of step.c: numpy's PCG64, whose state the kernel's
+    draws advance. `PCG64.from_seed(seed)` is in the state that
+    `numpy.random.default_rng(seed)` starts in, for an int or a sequence of
+    ints, and `state` reads as that generator's `bit_generator.state`."""
+
+    _fields_ = [(name, ctypes.c_uint64) for name in (
+        "state_hi", "state_lo", "inc_hi", "inc_lo")] + [
+        ("has_uint32", ctypes.c_int), ("uinteger", ctypes.c_uint32)]
+
+    @classmethod
+    def from_seed(cls, seed: int | Sequence[int] | None) -> PCG64:
+        # numpy's pcg64_set_seed, then srandom: a step from 0, initstate
+        # added, and one more step
+        w = seed_words(entropy_words(seed))
+        initstate, initseq = w[0] << 64 | w[1], w[2] << 64 | w[3]
+        inc = (initseq << 1 | 1) & MASK128
+        state = ((inc + initstate) * PCG_MULT + inc) & MASK128
+        return cls(*divmod(state, 2**64), *divmod(inc, 2**64))
+
+    @property
+    def state(self) -> dict:
+        return {"bit_generator": "PCG64",
+                "state": {"state": self.state_hi << 64 | self.state_lo,
+                          "inc": self.inc_hi << 64 | self.inc_lo},
+                "has_uint32": self.has_uint32, "uinteger": self.uinteger}
 
 
 class _Run(ctypes.Structure):
     """`struct run` of step.c: the run's tables, its state and its log, as addresses and counts."""
 
     _fields_ = [(name, ctypes.c_void_p) for name in (
-        "nbr", "values", "sink", "probs", "dwell", "next", "bitgen", "density", "at", "t_in",
+        "nbr", "values", "sink", "probs", "dwell", "rng", "density", "at", "t_in",
         "present", "arrived", "order", "pending", "starts", "log_agents", "log_kinds",
         "log_cells")] + [(name, ctypes.c_int64) for name in (
         "cells", "capacity", "steps", "step", "agents", "agent_room", "n_present", "n_arrived",
@@ -175,10 +263,10 @@ def compiler() -> list[str]:
 def kernel_path() -> Path:
     """Where the library built from `step.c` lives: next to the source, or in
     `$XDG_CACHE_HOME/mesoped` (default `~/.cache/mesoped`) when the package
-    directory is not writable. Its name is keyed by the sha256 of the
+    directory is not writable. Its name is keyed by the CRC-32 of the
     source and the flags."""
-    key = hashlib.sha256(b"\0".join([KERNEL_SOURCE.read_bytes(), *map(str.encode, CFLAGS)]))
-    name = f"_step-{key.hexdigest()[:16]}.so"
+    key = zlib.crc32(b"\0".join([KERNEL_SOURCE.read_bytes(), *map(str.encode, CFLAGS)]))
+    name = f"_step-{key:08x}.so"
     if os.access(KERNEL_SOURCE.parent, os.W_OK):
         return KERNEL_SOURCE.parent / name
     return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "mesoped" / name
@@ -210,10 +298,9 @@ def kernel() -> ctypes.CDLL:
         _build_kernel(path)
     lib = ctypes.CDLL(str(path))
     lib.run.argtypes, lib.run.restype = [ctypes.POINTER(_Run), ctypes.c_int], ctypes.c_int
-    # each draw's last two arguments are the addresses that `bitgen` returns
-    lib.shuffle.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+    lib.shuffle.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.POINTER(PCG64)]
     lib.shuffle.restype = None
-    lib.draw.argtypes = [ctypes.c_uint64, ctypes.c_void_p, ctypes.c_void_p]
+    lib.draw.argtypes = [ctypes.c_uint64, ctypes.POINTER(PCG64)]
     lib.draw.restype = ctypes.c_uint64
     return lib
 
@@ -232,7 +319,7 @@ class SimulationState:
     `present` holds the ids still inside, ascending; the rest is in the log.
     """
 
-    def __init__(self, grid: LayoutGrid, rng: np.random.Generator,
+    def __init__(self, grid: LayoutGrid, rng: PCG64,
                  schedule: tuple[SpawnEntry, ...], dt: float) -> None:
         self.step_index = 0
         self.rng = rng
@@ -276,7 +363,7 @@ class Simulation:
 
     def __init__(self, grid: LayoutGrid, field: FloorField,
                  table: SpeedDensityTable, schedule: tuple[SpawnEntry, ...] = (),
-                 dt: float = 0.5, seed: int | np.random.SeedSequence | None = 0) -> None:
+                 dt: float = 0.5, seed: int | Sequence[int] | None = 0) -> None:
         if not 0 < dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {dt}")
         for entry in schedule:
@@ -291,7 +378,7 @@ class Simulation:
         self.field = field
         self.table = table
         self._kernel = kernel()
-        self.state = SimulationState(grid, np.random.default_rng(seed), schedule, float(dt))
+        self.state = SimulationState(grid, PCG64.from_seed(seed), schedule, float(dt))
         self._order = array("i")  # the kernel's scratch column for each step's shuffle
         # Time to cross a cell for each count of other occupants; inf where
         # the speed is 0 and the agent cannot leave.
@@ -301,7 +388,7 @@ class Simulation:
             # a cell as full as the table is long takes no one, as at its last row
             np.frombuffer(grid.sink_flags, dtype=np.uint8), np.array([*table.probs, 0.0]),
             np.array([diameter / u if u > 0.0 else math.inf for u in table.speeds]))
-        self._run = _Run(*(a.ctypes.data for a in inputs), *bitgen(self.state.rng),
+        self._run = _Run(*(a.ctypes.data for a in inputs), ctypes.addressof(self.state.rng),
                          cells=grid.rows * grid.cols, capacity=table.capacity, dt=dt)
         # Step 0 is the release of the agents due when the clock starts, alone.
         self.state.step_index = -1
@@ -311,16 +398,20 @@ class Simulation:
         """Make up to `steps` steps in the kernel, stopping once the run is
         complete when `until_done`; the kernel writes the state's columns."""
         state, log, r = self.state, self.state.log, self._run
+        agent_cols = (state.at, state.t_in, state.present, state.arrived, self._order)
+        log_cols = (log.agents, log.kinds, log.cells)
+        # A column that holds a buffer export cannot be resized: this empty
+        # cut raises BufferError for it now, before the kernel changes anything.
+        for col in (*agent_cols, *log_cols, log.starts, state.pending):
+            del col[len(col):]
         # numpy's max on a passing view; the builtin's is a Python loop over the cells
         if np.frombuffer(state.density, dtype=np.intc).max() > len(self.table.probs):
             raise ValueError("a cell holds more agents than the speed-density table has rows")
         r.n_present, r.n_arrived = len(state.present), len(state.arrived)
         r.n_pending = len(state.pending) // 3
         # at, t_in, present, arrived and the shuffle's order, each with room for every agent
-        agent_cols = (state.at, state.t_in, state.present, state.arrived, self._order)
         for col in agent_cols[2:]:
             _extend(col, len(state.at) - len(col))
-        log_cols = (log.agents, log.kinds, log.cells)
         r.steps, r.step = max(0, min(steps, 2**63 - 1)), state.step_index
         r.agents = r.agent_room = len(state.at)
         r.events = r.event_room = len(log.kinds)

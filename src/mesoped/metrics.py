@@ -147,8 +147,8 @@ def sweep(runtime: Runtime, populations: list[int], seeds_per_point: int) -> lis
         metrics = []
         for run_i in range(seeds_per_point):
             # A distinct, reproducible stream per (scenario seed, population, run).
-            seed = np.random.SeedSequence([config.seed, population, run_i])
-            sim = make_simulation(runtime, seed=seed, population=population)
+            sim = make_simulation(runtime, seed=(config.seed, population, run_i),
+                                  population=population)
             sim.run(config.max_steps)
             metrics.append(run_metrics(sim))
         travels = [m.avg_travel_time_s for m in metrics if m.avg_travel_time_s is not None]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -291,7 +292,7 @@ def build_runtime(config: ScenarioConfig) -> Runtime:
     return Runtime(config=config, grid=grid, field=field)
 
 
-def make_simulation(runtime: Runtime, seed: int | np.random.SeedSequence | None = None,
+def make_simulation(runtime: Runtime, seed: int | Sequence[int] | None = None,
                     population: int | None = None) -> Simulation:
     """A run of the runtime's scenario, with the seed or the population
     (spread by `redistribute`) overridden when given."""

@@ -2,9 +2,9 @@
  * step's sink arrivals, the shuffle and the move pass, step after step in
  * one call. Plain C for ctypes; engine.py compiles it and owns every buffer.
  *
- * Random numbers come straight from numpy's bit generator, through the
- * function pointer and state of `bit_generator.ctypes`, drawn as numpy's own
- * `Generator.shuffle` and `Generator.integers` draw them. Build with
+ * Random numbers come from the run's own PCG64, numpy's PCG64 step for step,
+ * drawn as numpy's own `Generator.shuffle` and `Generator.integers` draw
+ * them; engine.PCG64 seeds it as numpy's `SeedSequence` would. Build with
  * -ffp-contract=off and never -ffast-math, so that `t_in + wait` and
  * `probs[d] * values[j]` round as Python's doubles do.
  */
@@ -12,7 +12,49 @@
 #include <stdlib.h>
 #include <string.h>
 
-typedef uint32_t (*next_uint32_fn)(void *state);
+/* numpy's PCG64: a 128-bit LCG with XSL-RR output, handing out each 64-bit
+ * output as two 32-bit draws, low half first. engine.PCG64 mirrors this layout. */
+struct pcg64 {
+    uint64_t state_hi, state_lo, inc_hi, inc_lo;
+    int has_uint32;
+    uint32_t uinteger;  /* the buffered high half, when has_uint32 */
+};
+
+#define PCG_MULT_HI 0x2360ed051fc65da4ULL  /* the multiplier 0x2360ed051fc65da44385df649fccf645 */
+#define PCG_MULT_LO 0x4385df649fccf645ULL
+
+/* The high 64 bits of the 128-bit product a * b. */
+static uint64_t mulhi(uint64_t a, uint64_t b)
+{
+    uint64_t a0 = (uint32_t)a, a1 = a >> 32, b0 = (uint32_t)b, b1 = b >> 32;
+    uint64_t mid = a1 * b0 + (a0 * b0 >> 32);
+    return a1 * b1 + (mid >> 32) + ((a0 * b1 + (uint32_t)mid) >> 32);
+}
+
+/* Steps state to state * mult + inc (mod 2**128), then returns rotr64(hi ^ lo, state >> 122). */
+static uint64_t next64(struct pcg64 *g)
+{
+    uint64_t lo = g->state_lo * PCG_MULT_LO;
+    uint64_t hi = mulhi(g->state_lo, PCG_MULT_LO) + g->state_hi * PCG_MULT_LO
+                  + g->state_lo * PCG_MULT_HI;
+    g->state_lo = lo + g->inc_lo;
+    g->state_hi = hi + g->inc_hi + (g->state_lo < lo);
+    uint64_t x = g->state_hi ^ g->state_lo;
+    unsigned rot = (unsigned)(g->state_hi >> 58);
+    return (x >> rot) | (x << (-rot & 63));
+}
+
+static uint32_t next32(struct pcg64 *g)
+{
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return g->uinteger;
+    }
+    uint64_t x = next64(g);
+    g->has_uint32 = 1;
+    g->uinteger = (uint32_t)(x >> 32);
+    return (uint32_t)x;
+}
 
 enum { SPAWN, MOVE, STAY, EXIT };  /* event codes, in the order of engine.KINDS */
 
@@ -23,8 +65,7 @@ struct run {
     const uint8_t *sink;   /* 1 on a sink */
     const double *probs;   /* entry probability by density */
     const double *dwell;   /* time to cross a cell by count of other occupants; inf when stuck */
-    next_uint32_fn next;
-    void *bitgen;
+    struct pcg64 *rng;
     int32_t *density, *at;
     double *t_in;
     int32_t *present, *arrived, *order;  /* ids inside (ascending), on a sink, shuffled */
@@ -38,20 +79,20 @@ struct run {
 };
 
 /* numpy's random_interval(max) for max < 2**32: a masked rejection. */
-static uint32_t interval(uint32_t max, next_uint32_fn next, void *state)
+static uint32_t interval(uint32_t max, struct pcg64 *rng)
 {
     uint32_t mask = max, value;
     mask |= mask >> 1; mask |= mask >> 2; mask |= mask >> 4; mask |= mask >> 8; mask |= mask >> 16;
-    while ((value = next(state) & mask) > max)
+    while ((value = next32(rng) & mask) > max)
         ;
     return value;
 }
 
 /* `Generator.shuffle` of a list of n items: swap i with random_interval(i), from the end down. */
-void shuffle(int32_t *ids, int64_t n, next_uint32_fn next, void *state)
+void shuffle(int32_t *ids, int64_t n, struct pcg64 *rng)
 {
     for (int64_t i = n - 1; i > 0; i--) {
-        int64_t j = interval((uint32_t)i, next, state);
+        int64_t j = interval((uint32_t)i, rng);
         int32_t t = ids[i];
         ids[i] = ids[j];
         ids[j] = t;
@@ -59,15 +100,15 @@ void shuffle(int32_t *ids, int64_t n, next_uint32_fn next, void *state)
 }
 
 /* `int(Generator.integers(n))` for 1 <= n <= 2**32, by Lemire's method as numpy does it. */
-uint64_t draw(uint64_t n, next_uint32_fn next, void *state)
+uint64_t draw(uint64_t n, struct pcg64 *rng)
 {
     if (n == 1)
         return 0;
-    uint64_t m = (uint64_t)next(state) * n;
+    uint64_t m = (uint64_t)next32(rng) * n;
     if ((uint32_t)m < n) {
         uint64_t threshold = (0x100000000ULL - n) % n;
         while ((uint32_t)m < threshold)
-            m = (uint64_t)next(state) * n;
+            m = (uint64_t)next32(rng) * n;
     }
     return m >> 32;
 }
@@ -116,7 +157,7 @@ static void move(struct run *r, int32_t a, double clock)
         return;
     }
     if (nt)
-        dest = ties[draw(nt, r->next, r->bitgen)];
+        dest = ties[draw(nt, r->rng)];
     if (r->sink[dest])
         r->arrived[r->n_arrived++] = a;
     density[i]--;
@@ -185,7 +226,7 @@ int run(struct run *r, int until_done)
             r->n_arrived = 0;
         }
         memcpy(r->order, r->present, (size_t)r->n_present * sizeof *r->order);
-        shuffle(r->order, r->n_present, r->next, r->bitgen);
+        shuffle(r->order, r->n_present, r->rng);
         for (int64_t m = 0; m < r->n_present; m++)
             move(r, r->order[m], clock);
     }

@@ -6,6 +6,7 @@ event for event, and its two draws must equal numpy's.
 """
 
 import math
+import re
 from array import array
 from dataclasses import replace
 
@@ -16,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 from gridgen import open_hall, random_grid, random_schedule
 from mesoped import engine
 from mesoped.engine import (DIAMETER_FACTOR, EXIT, MESO_TABLE, MICRO_TABLE,
-                            SPAWN, Simulation, SpawnEntry,
-                            SpeedDensityTable, bitgen, events_csv_blocks, kernel)
+                            PCG64, SPAWN, Simulation, SpawnEntry,
+                            SpeedDensityTable, events_csv_blocks, kernel)
 from mesoped.floorfield import compute_field
 from mesoped.layout import parse_layout, render_snapshot
 from mesoped.metrics import occupancy, summarize
@@ -224,9 +225,9 @@ def rng_draws_by_step(sim, max_steps=10):
     for _ in range(max_steps):
         if sim.completed:
             break
-        before = sim.state.rng.bit_generator.state
+        before = sim.state.rng.state
         sim.step()
-        drew.append(sim.state.rng.bit_generator.state != before)
+        drew.append(sim.state.rng.state != before)
     return drew
 
 
@@ -254,7 +255,7 @@ def test_diagonals_only_tie_draws():
 def c_shuffle(rng, items):
     """`items` shuffled by the kernel's `shuffle`, drawing from `rng`."""
     ids = array("i", items)
-    kernel().shuffle(ids.buffer_info()[0], len(ids), *bitgen(rng))
+    kernel().shuffle(ids.buffer_info()[0], len(ids), rng)
     return ids.tolist()
 
 
@@ -265,12 +266,45 @@ def test_c_shuffle_equals_generator_shuffle():
     rejection mask of numpy's `random_interval` widens."""
     lengths = sorted({*range(301), *(2**k + d for k in range(17) for d in (0, 1))})
     for seed in range(3):
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        ours, theirs = PCG64.from_seed(seed), np.random.default_rng(seed)
         for n in lengths:
             items = list(range(n))
             theirs.shuffle(items)
             assert c_shuffle(ours, range(n)) == items, f"seed {seed}, length {n}"
-        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**40, 2**128 - 1,
+                                  (1, 20, 0), (2**40, 1, 2), [7, 50, 9], [1, 2, 3, 4, 5, 6],
+                                  range(3), [], np.int64(7)])
+def test_seeded_generator_equals_default_rng(seed):
+    """The run's generator starts in the state `default_rng(seed)` starts in,
+    for each int and sequence of ints numpy takes, and draws numpy's PCG64
+    outputs: each 64-bit word as two 32-bit draws, low half first."""
+    ours, theirs = PCG64.from_seed(seed), np.random.default_rng(seed)
+    assert ours.state == theirs.bit_generator.state
+    draws = [kernel().draw(2**32, ours) for _ in range(100)]
+    words = theirs.bit_generator.random_raw(50).tolist()
+    assert draws == [w >> k & 0xFFFFFFFF for w in words for k in (0, 32)]
+    assert ours.state["state"] == theirs.bit_generator.state["state"]
+
+
+@pytest.mark.parametrize("seed, error, named", [
+    (-1, ValueError, "-1"),
+    ((3, -2), ValueError, "(3, -2)"),
+    (1.5, TypeError, "1.5"),
+    ([1, 2.0], TypeError, "[1, 2.0]"),
+    ("7", TypeError, "'7'"),
+    (b"\x07", TypeError, "b'\\x07'"),
+    (np.random.SeedSequence(1234), TypeError, "pass its entropy, 1234, as the seed"),
+], ids=["negative", "negative-item", "float", "float-item", "str", "bytes", "SeedSequence"])
+def test_bad_seed_is_rejected_by_name(seed, error, named):
+    with pytest.raises(error, match=re.escape(named)):
+        lone_agent(seed=seed)
+
+
+def test_unseeded_runs_draw_fresh_entropy():
+    assert lone_agent(seed=None).state.rng.state != lone_agent(seed=None).state.rng.state
 
 
 @pytest.mark.parametrize("sizes", [
@@ -286,7 +320,7 @@ def test_c_draw_equals_generator_integers(sizes):
     draw = kernel().draw
     plan = np.random.default_rng(2024)
     for seed in range(10):
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        ours, theirs = PCG64.from_seed(seed), np.random.default_rng(seed)
         for _ in range(400):
             if plan.random() < 0.2:
                 items = list(range(int(plan.integers(2, 40))))
@@ -294,8 +328,8 @@ def test_c_draw_equals_generator_integers(sizes):
                 assert c_shuffle(ours, range(len(items))) == items
             else:
                 n = int(plan.choice(sizes))
-                assert draw(n, *bitgen(ours)) == int(theirs.integers(n)), f"seed {seed}, n {n}"
-        assert ours.bit_generator.state == theirs.bit_generator.state
+                assert draw(n, ours) == int(theirs.integers(n)), f"seed {seed}, n {n}"
+        assert ours.state == theirs.bit_generator.state
 
 
 def test_sink_arrivals_exit_next_step_in_ascending_id_order():
@@ -610,12 +644,13 @@ class CountingKernel:
 
 
 def run_state(sim):
-    """Everything a run leaves: the log's columns, the agents, the schedule
-    and the generator."""
+    """Everything a run leaves, copied: the log's columns, the agents, the
+    schedule and the generator."""
     state, log = sim.state, sim.state.log
-    return (log.starts, log.agents, log.kinds, log.cells, state.at, state.t_in, state.present,
-            state.arrived, state.density, state.pending, state.step_index, state.clock,
-            state.rng.bit_generator.state)
+    return (*(col[:] for col in (log.starts, log.agents, log.kinds, log.cells, state.at,
+                                 state.t_in, state.present, state.arrived, state.density,
+                                 state.pending)),
+            state.step_index, state.clock, state.rng.state)
 
 
 @settings(max_examples=60, deadline=None)
@@ -669,6 +704,40 @@ def test_overfull_cell_is_rejected_before_the_kernel_runs():
         col.pop()
     sim.step()
     assert state.step_index == 1 and state.present.tolist() == list(range(6))
+
+
+@pytest.mark.parametrize("column", ["at", "t_in", "present", "arrived", "pending",
+                                    "log.starts", "log.agents", "log.kinds", "log.cells"])
+def test_held_column_view_fails_a_step_before_it_begins(column):
+    """A numpy view of a column the kernel resizes holds a buffer export:
+    `step()` raises BufferError before the kernel draws or writes anything,
+    and once the view is dropped the run goes on as an undisturbed one. A
+    view of `density`, which is never resized, may be held across a step."""
+    grid = open_hall(6)
+    field = compute_field(grid)
+    schedule = (SpawnEntry(grid.sources[0], 12), SpawnEntry(grid.sources[0], 5, 3))
+
+    def make():
+        sim = Simulation(grid, field, MESO_TABLE, schedule, dt=0.5, seed=7)
+        sim.run(2)
+        return sim
+
+    held, undisturbed = make(), make()
+    owner = held.state.log if column.startswith("log.") else held.state
+    view = np.frombuffer(getattr(owner, column.removeprefix("log.")), dtype=np.uint8)
+    before = run_state(held)
+    with pytest.raises(BufferError):
+        held.step()
+    assert run_state(held) == before
+    del view
+    density = np.frombuffer(held.state.density, dtype=np.intc)
+    held.step()
+    undisturbed.step()
+    assert density.sum() == sum(undisturbed.state.density)
+    del density
+    held.run(600)
+    undisturbed.run(600)
+    assert held.completed and run_state(held) == run_state(undisturbed)
 
 
 def test_stepping_a_hall_by_hand_equals_one_run():

@@ -1,5 +1,6 @@
-"""The package's import graph: module-level imports only, no cycles, and a
-bare `import mesoped` that leaves the command-line module unloaded."""
+"""The package's import graph: module-level imports only, no cycles, a
+bare `import mesoped` that leaves the command-line module unloaded, and
+commands that load neither `numpy.random` nor OpenSSL."""
 
 import ast
 import subprocess
@@ -52,3 +53,21 @@ def test_import_mesoped_leaves_cli_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=Path(mesoped.__file__).parents[1])
     assert out.stdout.strip() == "False"
+
+
+# The run's generator is the kernel's own; nothing a command does needs numpy's.
+UNLOADED = ("numpy.random", "secrets", "hashlib", "_hashlib")
+
+
+def test_commands_leave_numpy_random_and_openssl_unloaded(tmp_path):
+    code = (
+        "import sys\n"
+        "from mesoped.cli import main\n"
+        f"assert main(['run', 'cinema_a', '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        "assert main(['compare', 'compare_10x15', 'compare_10x15_micro', '--pop', '1..3',\n"
+        f"             '--seeds', '2', '--out', {str(tmp_path / 'compare')!r}]) == 0\n"
+        f"print(*[m for m in {UNLOADED!r} if m in sys.modules])\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=Path(mesoped.__file__).parents[1])
+    assert out.stdout.splitlines()[-1] == ""
+    assert (tmp_path / "compare" / "comparison.csv").is_file()

@@ -73,6 +73,23 @@ def test_second_simulation_does_not_recompile(package, monkeypatch):
     assert first.events == second.events == third.events
 
 
+def test_library_name_is_keyed_by_the_source(package, monkeypatch):
+    """The same source keeps its library name across `cache_clear()`; a
+    one-byte edit names a new library, built by one more compiler call."""
+    calls = compiler_runs(monkeypatch)
+    corridor_run()
+    name = engine.kernel_path().name
+    engine.kernel.cache_clear()
+    assert engine.kernel_path().name == name
+    source = engine.KERNEL_SOURCE
+    source.write_bytes(source.read_bytes() + b"\n")
+    engine.kernel.cache_clear()
+    corridor_run()
+    assert engine.kernel_path().name != name and len(calls) == 2
+    assert sorted(p.name for p in package.glob("_step-*.so")) == \
+        sorted([name, engine.kernel_path().name])
+
+
 def test_read_only_package_directory_builds_in_xdg_cache(package, tmp_path, monkeypatch):
     # root ignores mode bits, so writes are also denied through os.access
     access = os.access
