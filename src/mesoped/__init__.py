@@ -4,7 +4,7 @@ density-coupled discrete-time movement engine."""
 
 from .layout import (
     BoundaryError, ConsistencyError, EmptyError, LayoutError, LayoutGrid,
-    ParseError, moves_of, parse_layout, render_snapshot, serialize_layout, validate_grid,
+    ParseError, parse_layout, render_snapshot, serialize_layout, validate_grid,
 )
 from .floorfield import FloorField, compute_field, field_to_csv
 from .engine import (

@@ -95,10 +95,10 @@ class EventLog:
     """A run's events in order, as flat columns.
 
     Event k is agent `agents[k]` doing `KINDS[kinds[k]]` at flat cell
-    `cells[k]` (row * cols + col). Events are logged step by step:
-    `starts[s]` is the index of the first event of step s or later, so step
-    s owns events `starts[s]` up to `starts[s + 1]` (or the end). No clock is
-    stored, because the clock of step s is always `s * dt`.
+    `cells[k]` (row * cols + col). The step kernel alone writes the columns,
+    step by step: `starts[s]` is the index of the first event of step s or
+    later, so step s owns events `starts[s]` up to `starts[s + 1]` (or the
+    end). No clock is stored, because the clock of step s is always `s * dt`.
     """
 
     def __init__(self, dt: float, cols: int) -> None:
@@ -108,20 +108,6 @@ class EventLog:
         self.agents = array("i")
         self.kinds = array("B")
         self.cells = array("i")
-
-    def open_step(self, step: int) -> None:
-        """Make `step` the step that events appended from now on belong to."""
-        if step < len(self.starts) - 1:
-            raise ValueError(f"step {step} comes before logged step {len(self.starts) - 1}")
-        while len(self.starts) <= step:
-            self.starts.append(len(self.kinds))
-
-    def append(self, agent: int, kind: int, at: int) -> None:
-        """Log agent `agent` doing `kind` (a code: SPAWN, MOVE, STAY or EXIT)
-        at flat cell `at`, in the step that `open_step` opened last."""
-        self.agents.append(agent)
-        self.kinds.append(kind)
-        self.cells.append(at)
 
     def spans(self) -> Iterator[tuple[int, int]]:
         """Each logged step's event index range `(lo, hi)`, in step order."""
@@ -264,8 +250,10 @@ def kernel_path() -> Path:
     """Where the library built from `step.c` lives: next to the source, or in
     `$XDG_CACHE_HOME/mesoped` (default `~/.cache/mesoped`) when the package
     directory is not writable. Its name is keyed by the CRC-32 of the
-    source and the flags."""
-    key = zlib.crc32(b"\0".join([KERNEL_SOURCE.read_bytes(), *map(str.encode, CFLAGS)]))
+    source, the flags and `$CC` as set, so that no compiler's build is
+    loaded for another's."""
+    cc = os.environ.get("CC") or ""
+    key = zlib.crc32(b"\0".join([KERNEL_SOURCE.read_bytes(), *map(str.encode, (*CFLAGS, cc))]))
     name = f"_step-{key:08x}.so"
     if os.access(KERNEL_SOURCE.parent, os.W_OK):
         return KERNEL_SOURCE.parent / name

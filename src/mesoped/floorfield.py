@@ -16,7 +16,6 @@ about 1,080 hops at gamma 0.5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -32,14 +31,6 @@ class FloorField:
 
     values: np.ndarray
     rounds: int
-
-    @cached_property
-    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct values, one per bit pattern in ascending bit order,
-        and each cell's index into them, shaped like `values`."""
-        values = np.asarray(self.values, dtype=np.float64)
-        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        return bits.view(np.float64), inverse.reshape(values.shape)
 
 
 def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
@@ -87,11 +78,12 @@ def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
 def field_to_csv(field: FloorField) -> str:
     """Full-precision CSV, one line per grid row.
 
-    A solved field holds few distinct values (base reward x weight x
-    gamma^hops), so each distinct bit pattern is formatted once; the text of
-    a value depends only on its bits, -0.0 and subnormals included.
+    A solved field holds few values (base reward x weight x gamma^hops), so
+    each bit pattern is formatted once (`np.unique` over the bits); the text
+    of a value depends only on its bits, -0.0 and subnormals included.
     """
-    distinct, index = field.distinct
-    text = np.array([repr(v) for v in distinct.tolist()], dtype=object)
-    cells = text[index].tolist()
+    values = np.asarray(field.values, dtype=np.float64)
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    cells = text[index.reshape(values.shape)].tolist()
     return "".join([",".join(row) + "\n" for row in cells])

@@ -22,7 +22,6 @@ TOP, RIGHT, BOTTOM, LEFT = 8, 4, 2, 1
 SIDE_NAMES = {TOP: "top", RIGHT: "right", BOTTOM: "bottom", LEFT: "left"}
 
 DIRECTIONS = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
-ORTHOGONAL = frozenset(("N", "E", "S", "W"))
 DIR_VECTORS = {
     "N": (-1, 0), "NE": (-1, 1), "E": (0, 1), "SE": (1, 1),
     "S": (1, 0), "SW": (1, -1), "W": (0, -1), "NW": (-1, -1),
@@ -40,9 +39,6 @@ _DIAG_SIDES = {
 }
 # The canonical spelling of each wall code, as `serialize_layout` writes it.
 _WALL_CODES = {str(code): code for code in range(16)}
-# Move names for each 8-bit permission mask, bit k standing for DIRECTIONS[k].
-_MOVES_BY_MASK = tuple(tuple(d for k, d in enumerate(DIRECTIONS) if mask >> k & 1)
-                       for mask in range(1 << len(DIRECTIONS)))
 
 
 class LayoutError(Exception):
@@ -63,10 +59,6 @@ class BoundaryError(LayoutError):
 
 class EmptyError(LayoutError):
     """Layout defines no sinks or no sources."""
-
-
-class OutOfBounds(LayoutError):
-    pass
 
 
 def side_open(code: int, side: int) -> bool:
@@ -92,10 +84,6 @@ class LayoutGrid:
     walls: tuple[tuple[int, ...], ...]
     sinks: tuple[tuple[Cell, float], ...]
     sources: tuple[Cell, ...]
-
-    def in_bounds(self, cell: Cell) -> bool:
-        r, c = cell
-        return 0 <= r < self.rows and 0 <= c < self.cols
 
     def index(self, cell: Cell) -> int:
         return cell[0] * self.cols + cell[1]
@@ -145,13 +133,6 @@ class LayoutGrid:
         return table.T
 
     @cached_property
-    def move_masks(self) -> bytes:
-        """Each cell's permitted moves as an 8-bit mask, bit k for DIRECTIONS[k],
-        read from `neighbours`; one byte per cell in row-major order."""
-        bits = (self.neighbours >= 0) << np.arange(len(DIRECTIONS), dtype=np.uint8)
-        return bits.sum(axis=1, dtype=np.uint8).tobytes()
-
-    @cached_property
     def snapshot_frame(self) -> str:
         """`render_snapshot`'s picture of the walls, with a `%s` for each count."""
         def edge(codes: tuple[int, ...], side: int) -> str:
@@ -170,13 +151,6 @@ class LayoutGrid:
         flags = np.zeros(self.rows * self.cols, dtype=np.uint8)
         flags[[self.index(cell) for cell, _ in self.sinks]] = 1
         return flags.tobytes()
-
-
-def moves_of(grid: LayoutGrid, cell: Cell) -> tuple[str, ...]:
-    """Permitted move directions out of `cell`, in fixed compass order."""
-    if not grid.in_bounds(cell):
-        raise OutOfBounds(f"cell {cell} outside {grid.rows}x{grid.cols} grid")
-    return _MOVES_BY_MASK[grid.move_masks[grid.index(cell)]]
 
 
 def find_edge_conflicts(walls) -> list[tuple[Cell, Cell]]:

@@ -146,7 +146,7 @@ def sweep(runtime: Runtime, populations: list[int], seeds_per_point: int) -> lis
     for population in populations:
         metrics = []
         for run_i in range(seeds_per_point):
-            # A distinct, reproducible stream per (scenario seed, population, run).
+            # Its own reproducible stream per (scenario seed, population, run).
             sim = make_simulation(runtime, seed=(config.seed, population, run_i),
                                   population=population)
             sim.run(config.max_steps)

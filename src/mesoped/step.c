@@ -225,6 +225,8 @@ int run(struct run *r, int until_done)
             r->n_present = kept;
             r->n_arrived = 0;
         }
+        if (r->n_present == 0)  /* an empty column may be NULL, which memcpy must not get */
+            continue;
         memcpy(r->order, r->present, (size_t)r->n_present * sizeof *r->order);
         shuffle(r->order, r->n_present, r->rng);
         for (int64_t m = 0; m < r->n_present; m++)

@@ -11,6 +11,9 @@ that `mesoped.floorfield.compute_field` must match bit for bit. The same
 update run as learning, `q_learning`, over epsilon-greedy walks on small
 rooms, reaches the same diagonal.
 
+Move permission: `moves_of` names, in compass order, the moves out of a
+cell that `LayoutGrid.neighbours`, the package's one definition, permits.
+
 Hop distances: `distance_field`, a breadth-first search over `moves_of`,
 is the shortest-path reference that `greedy_descent` of the field must
 follow (criterion 2), and the connectivity check of `gridgen.random_grid`.
@@ -22,9 +25,8 @@ Step loop: the engine's movement rule written agent by agent over
 `Agent` objects kept in a dict, through `Cell` tuples, `moves_of`,
 `DIR_VECTORS` and the table's columns. `ReferenceSimulation` runs it
 in place of `mesoped.engine.Simulation`, whose C step kernel (`step.c`)
-must match its event logs and densities exactly. It logs through
-`EventLog.append(agent, kind, at)`, one event code at a time, into the step
-that `EventLog.open_step` opened.
+must match its event logs and densities exactly. It fills an `EventLog`'s
+columns through `log_events`, which the tests' hand-made logs use too.
 
 Event log outputs: `summarize` and `events_to_csv` walk the log as
 `(step, clock, agent, kind, row, col)` tuples (`Simulation.events`), one
@@ -50,9 +52,30 @@ import numpy as np
 from mesoped.engine import (DIAMETER_FACTOR, EXIT, MOVE, SPAWN, STAY, EventLog,
                             SpawnEntry, SpeedDensityTable)
 from mesoped.floorfield import DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField
-from mesoped.layout import (BOTTOM, DIR_VECTORS, LEFT, ORTHOGONAL, RIGHT, TOP,
-                            LayoutGrid, moves_of)
+from mesoped.layout import BOTTOM, DIR_VECTORS, DIRECTIONS, LEFT, RIGHT, TOP, LayoutGrid
 from mesoped.metrics import RunMetrics
+
+ORTHOGONAL = frozenset(("N", "E", "S", "W"))
+
+
+def moves_of(grid: LayoutGrid, cell: tuple[int, int]) -> tuple[str, ...]:
+    """The directions of the moves out of an in-grid `cell` that
+    `grid.neighbours` permits, in DIRECTIONS order."""
+    row = grid.neighbours[grid.index(cell)].tolist()
+    return tuple(d for d, j in zip(DIRECTIONS, row) if j >= 0)
+
+
+def log_events(log: EventLog, step: int, *events: tuple[int, int, int]) -> EventLog:
+    """Open step `step` of `log`, and the steps before it not yet opened, then
+    log each `(agent, kind code, flat cell)` event into it."""
+    assert step >= len(log.starts) - 1, f"step {step} comes before step {len(log.starts) - 1}"
+    while len(log.starts) <= step:
+        log.starts.append(len(log.kinds))
+    for agent, kind, at in events:
+        log.agents.append(agent)
+        log.kinds.append(kind)
+        log.cells.append(at)
+    return log
 
 
 def q_entries(grid: LayoutGrid, base_reward: float = DEFAULT_BASE_REWARD):
@@ -181,7 +204,7 @@ def greedy_descent(field: FloorField, grid: LayoutGrid,
     Raises Stuck at a local maximum or when no sink is reached within
     rows*cols moves.
     """
-    if not grid.in_bounds(start):
+    if not (0 <= start[0] < grid.rows and 0 <= start[1] < grid.cols):
         raise Stuck(f"start {start} outside grid")
     path = [start]
     cell = start
@@ -317,7 +340,7 @@ def spawn_pass(state: ReferenceState, grid: LayoutGrid, table: SpeedDensityTable
             state.agents[agent.id] = agent
             state.density[idx] += 1
             entry[1] -= 1
-            state.log.append(agent.id, SPAWN, idx)
+            log_events(state.log, state.step_index, (agent.id, SPAWN, idx))
 
 
 def reference_step(state: ReferenceState, grid: LayoutGrid, field: FloorField,
@@ -326,7 +349,7 @@ def reference_step(state: ReferenceState, grid: LayoutGrid, field: FloorField,
     state.step_index += 1
     state.clock = state.step_index * dt
     clock = state.clock
-    state.log.open_step(state.step_index)
+    log_events(state.log, state.step_index)
 
     spawn_pass(state, grid, table)
 
@@ -336,7 +359,7 @@ def reference_step(state: ReferenceState, grid: LayoutGrid, field: FloorField,
         agent = state.agents.pop(aid)
         state.density[grid.index(agent.cell)] -= 1
         state.exited.append(agent)
-        state.log.append(aid, EXIT, grid.index(agent.cell))
+        log_events(state.log, state.step_index, (aid, EXIT, grid.index(agent.cell)))
 
     ids = sorted(state.agents)
     if len(ids) > 1:
@@ -348,7 +371,7 @@ def reference_step(state: ReferenceState, grid: LayoutGrid, field: FloorField,
         scores = score_candidates(agent, state, grid, field, table)
         name = choose_move(scores, state.rng)
         if name is None:
-            state.log.append(aid, STAY, grid.index(agent.cell))
+            log_events(state.log, state.step_index, (aid, STAY, grid.index(agent.cell)))
             continue
         dr, dc = DIR_VECTORS[name]
         old = agent.cell
@@ -358,7 +381,7 @@ def reference_step(state: ReferenceState, grid: LayoutGrid, field: FloorField,
         agent.cell = new
         agent.at = grid.index(new)
         agent.t_in = clock
-        state.log.append(aid, MOVE, grid.index(new))
+        log_events(state.log, state.step_index, (aid, MOVE, grid.index(new)))
     return state
 
 

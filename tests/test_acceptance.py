@@ -14,9 +14,9 @@ from mesoped.cli import main
 from mesoped.engine import EXIT, MESO_TABLE, MICRO_TABLE, SPAWN, Simulation
 from mesoped.floorfield import compute_field
 from mesoped.metrics import summarize, sweep
-from mesoped.layout import DIR_VECTORS, moves_of
+from mesoped.layout import DIR_VECTORS
 from mesoped.scenario import build_runtime, load_scenario, make_simulation
-from oracle import distance_field, greedy_descent
+from oracle import distance_field, greedy_descent, moves_of
 
 # The four main-exit cells of the cinema hall; everything else is a side exit.
 CINEMA_MAIN = {(8, 29), (9, 29), (10, 29), (11, 29)}

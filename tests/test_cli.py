@@ -1,23 +1,30 @@
 """Command-line behavior: artifacts, exit codes, and error reporting."""
 
+import contextlib
+import dataclasses
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mesoped
 import oracle
-from gridgen import corridor_layout
+from gridgen import corridor_layout, random_grid
 from mesoped import cli, engine, metrics
 from mesoped.cli import (DimensionMismatch, check_refinement, main,
                          parse_populations)
 from mesoped.engine import Simulation
 from mesoped.floorfield import field_to_csv
-from mesoped.layout import parse_layout
+from mesoped.layout import parse_layout, serialize_layout
 from mesoped.scenario import (SCENARIOS_DIR, ConfigError, build_runtime,
                               bundled_scenarios, load_scenario, make_simulation)
 
@@ -347,6 +354,69 @@ def test_sweep_writes_one_row_per_population(corridor_scenario, tmp_path):
     lines = (out / "metrics.csv").read_text().splitlines()
     assert len(lines) == 3
     assert lines[1].startswith("1,") and lines[2].startswith("2,")
+
+
+@st.composite
+def cli_cases(draw):
+    """A small random layout, scenario text whose spawns are on its sources,
+    and `run`/`sweep` flags, some of them out of range."""
+    grid = random_grid(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                       max_rows=8, max_cols=8)
+    grid = dataclasses.replace(grid, cell_size_m=draw(st.sampled_from([0.5, 1.0, 2.5])))
+    terms = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 8)), min_size=1, max_size=3)
+    spawn = "".join(f"{r},{c} = " + ", ".join(f"{n}@{s}" for n, s in draw(terms)) + "\n"
+                    for r, c in grid.sources)
+    sinks = "".join(f"{r},{c} = {draw(st.sampled_from([0.5, 1, 3]))}\n"
+                    for (r, c), _ in grid.sinks if draw(st.booleans()))
+    scenario = (f"[run]\nmode = {draw(st.sampled_from(['meso', 'micro']))}\n"
+                f"dt_s = {draw(st.sampled_from([0.3, 0.5, 1.0]))}\n"
+                f"max_steps = {draw(st.integers(0, 80))}\nseed = {draw(st.integers(0, 2**32))}\n"
+                f"[layout]\npath = room.layout\n"
+                f"[field]\ngamma = {draw(st.sampled_from([0.5, 0.8, 0.95]))}\n"
+                f"[sinks]\n{sinks}[spawn]\n{spawn}")
+    steps = draw(st.one_of(st.none(), st.integers(-1, 80)))
+    seed = draw(st.one_of(st.none(), st.integers(-1, 2**40)))
+    seed_flags = [] if seed is None else ["--seed", str(seed)]
+    run_flags = ([] if steps is None else ["--steps", str(steps)]) + seed_flags
+    pop = draw(st.sampled_from(["0", "3", "1,4", "2..4", "4..2", "x", "-1"]))
+    sweep_flags = [f"--pop={pop}", f"--seeds={draw(st.integers(0, 3))}", *seed_flags]
+    return grid, scenario, run_flags, sweep_flags
+
+
+def read_events(path: Path) -> list[tuple]:
+    """`events.csv` as `(step, clock, agent, kind, row, col)` tuples."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return [(int(s), float(t), int(a), kind, int(r), int(c)) for s, t, a, kind, r, c in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_cases())
+def test_commands_through_main_agree_with_their_artifacts(case):
+    """`run`, `sweep` and `export-field` return 0, 2 or 3 and never raise;
+    `run`'s metrics are the oracle's summary of its `events.csv`, its
+    `field.csv` is `export-field`'s file, and 3 comes exactly with a row
+    that says `completed=false`."""
+    grid, scenario, run_flags, sweep_flags = case
+    sinks = [cell for cell, _ in grid.sinks]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        tmp = Path(tmp)
+        (tmp / "room.layout").write_text(serialize_layout(grid))
+        path = tmp / "room.scenario"
+        path.write_text(scenario)
+        code = main(["run", str(path), "--out", str(tmp / "run"), *run_flags])
+        assert code in (0, 2, 3)
+        if code != 2:
+            ref = oracle.summarize(read_events(tmp / "run" / "events.csv"), grid.cell_size_m)
+            assert (tmp / "run" / "metrics.csv").read_text() == metrics.metrics_csv(
+                [dataclasses.replace(ref, completed=code == 0)], sinks)
+            assert main(["export-field", str(path), "--out", str(tmp / "field.csv")]) == 0
+            assert (tmp / "field.csv").read_bytes() == (tmp / "run" / "field.csv").read_bytes()
+        code = main(["sweep", str(path), "--out", str(tmp / "sweep"), *sweep_flags])
+        assert code in (0, 2, 3)
+        if code != 2:
+            rows = (tmp / "sweep" / "metrics.csv").read_text().splitlines()[1:]
+            assert (code == 3) == any(row.endswith(",false") for row in rows)
 
 
 def test_compare_bundled_pair(tmp_path):

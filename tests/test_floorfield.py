@@ -10,11 +10,12 @@ from gridgen import corridor_layout, open_hall, random_grid, walled_hall
 from mesoped.floorfield import (DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField,
                                 compute_field, field_to_csv)
 from mesoped.layout import (BOTTOM, DIR_VECTORS, LEFT, RIGHT, TOP, LayoutGrid,
-                            moves_of, parse_layout, validate_grid)
+                            parse_layout, validate_grid)
 from mesoped.scenario import (apply_sink_multipliers, bundled_scenarios,
                               load_scenario)
 from oracle import field_to_csv as field_to_csv_oracle
-from oracle import Stuck, distance_field, greedy_descent, q_learning, value_iteration
+from oracle import (Stuck, distance_field, greedy_descent, moves_of, q_learning,
+                    value_iteration)
 
 CORRIDOR_1X3 = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
 

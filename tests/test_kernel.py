@@ -7,6 +7,7 @@ directory, so it starts with no build and leaves the real one alone.
 """
 
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -88,6 +89,27 @@ def test_library_name_is_keyed_by_the_source(package, monkeypatch):
     assert engine.kernel_path().name != name and len(calls) == 2
     assert sorted(p.name for p in package.glob("_step-*.so")) == \
         sorted([name, engine.kernel_path().name])
+
+
+def test_library_name_is_keyed_by_the_compiler(package, monkeypatch):
+    """`$CC` as set is part of the library name: another compiler command
+    names a new library, built by one more compiler call, and the same
+    command loads its own build again without compiling."""
+    calls = compiler_runs(monkeypatch)
+    cc = shlex.join(engine.compiler())
+    monkeypatch.setenv("CC", cc)
+    corridor_run()
+    name = engine.kernel_path().name
+    monkeypatch.setenv("CC", f"{cc} -g")
+    engine.kernel.cache_clear()
+    corridor_run()
+    assert engine.kernel_path().name != name and len(calls) == 2
+    for command, built in ((f"{cc} -g", engine.kernel_path().name), (cc, name)):
+        monkeypatch.setenv("CC", command)
+        engine.kernel.cache_clear()
+        corridor_run()
+        assert engine.kernel_path().name == built and len(calls) == 2
+    assert len(list(package.glob("_step-*.so"))) == 2
 
 
 def test_read_only_package_directory_builds_in_xdg_cache(package, tmp_path, monkeypatch):

@@ -38,8 +38,7 @@ def log_of(events, dt=0.5, cols=3):
     """An event log of (step, agent, kind, row, col) events; clock = step x dt."""
     log = EventLog(dt, cols)
     for step, agent, kind, r, c in events:
-        log.open_step(step)
-        log.append(agent, KINDS.index(kind), r * cols + c)
+        oracle.log_events(log, step, (agent, KINDS.index(kind), r * cols + c))
     return log
 
 
@@ -143,12 +142,6 @@ def test_summarize_sums_each_walk_in_hop_order():
     assert summarize(log_of(events[:-1], cols=20), 1.0).avg_distance_m == sums[1]
 
 
-def test_event_log_rejects_an_earlier_step():
-    log = log_of(CORRIDOR_EVENTS)
-    with pytest.raises(ValueError, match="step 4"):
-        log.open_step(4)
-
-
 def assert_log_outputs_match_oracle(sim, cell_size_m):
     """Column-reading `summarize`/`events_csv_blocks` equal the event-by-event ones."""
     events = sim.events
@@ -183,9 +176,7 @@ def assert_csv_matches_oracle(log):
 
 def test_events_csv_of_an_empty_log_is_the_header():
     assert list(events_csv_blocks(EventLog(0.5, 3))) == [b"step,clock_s,agent_id,event,row,col\n"]
-    log = EventLog(0.5, 3)
-    log.open_step(40)
-    assert_csv_matches_oracle(log)
+    assert_csv_matches_oracle(oracle.log_events(EventLog(0.5, 3), 40))
 
 
 def test_events_csv_agent_ids_cross_digit_widths():
