@@ -4,7 +4,7 @@ Agents dwell in a cell until the clock covers the cell diameter at the
 density-dependent walking speed, then hop to the permitted neighbor with the
 highest product of entry probability and navigation value. All decisions in
 a step happen at the step's end-of-interval clock; an agent standing on a
-sink is absorbed at the start of the following step.
+sink exits at the start of the following step.
 """
 
 from __future__ import annotations
@@ -234,11 +234,11 @@ class _Run(ctypes.Structure):
 
     _fields_ = [(name, ctypes.c_void_p) for name in (
         "nbr", "values", "sink", "probs", "dwell", "rng", "density", "at", "t_in",
-        "present", "arrived", "order", "pending", "starts", "log_agents", "log_kinds",
+        "present", "order", "pending", "starts", "log_agents", "log_kinds",
         "log_cells")] + [(name, ctypes.c_int64) for name in (
-        "cells", "capacity", "steps", "step", "agents", "agent_room", "n_present", "n_arrived",
-        "n_pending", "n_starts", "starts_room", "events", "event_room", "need_agents",
-        "need_events")] + [("dt", ctypes.c_double)]
+        "cells", "capacity", "steps", "step", "agents", "agent_room", "n_present", "n_pending",
+        "starts_room", "events", "event_room", "need_agents", "need_events")] + [
+        ("dt", ctypes.c_double)]
 
 
 def compiler() -> list[str]:
@@ -305,6 +305,7 @@ class SimulationState:
     Agent ids count up from 0 in spawn order and index the columns: `at[a]`
     is agent a's flat cell and `t_in[a]` the clock at which it entered it.
     `present` holds the ids still inside, ascending; the rest is in the log.
+    An agent inside that stands on a sink exits at the start of the next step.
     """
 
     def __init__(self, grid: LayoutGrid, rng: PCG64,
@@ -319,8 +320,6 @@ class SimulationState:
         # flat cell, remaining, release_step of each unspent entry, one after another
         self.pending = array("q", chain.from_iterable(
             (grid.index(e.cell), e.count, e.release_step) for e in schedule))
-        # ids that moved onto a sink this step, to exit next step
-        self.arrived = array("i")
 
     @property
     def clock(self) -> float:
@@ -346,7 +345,7 @@ class Simulation:
     writes `SimulationState`'s `array` columns in place: each `run` or `step`
     gives the agent columns room, makes its steps in one kernel call
     (re-entered only to grow the log or the agents), and cuts off the room
-    left over.
+    left over. The room is the columns' length; the kernel keeps no count of it.
     """
 
     def __init__(self, grid: LayoutGrid, field: FloorField,
@@ -386,7 +385,7 @@ class Simulation:
         """Make up to `steps` steps in the kernel, stopping once the run is
         complete when `until_done`; the kernel writes the state's columns."""
         state, log, r = self.state, self.state.log, self._run
-        agent_cols = (state.at, state.t_in, state.present, state.arrived, self._order)
+        agent_cols = (state.at, state.t_in, state.present, self._order)
         log_cols = (log.agents, log.kinds, log.cells)
         # A column that holds a buffer export cannot be resized: this empty
         # cut raises BufferError for it now, before the kernel changes anything.
@@ -395,18 +394,16 @@ class Simulation:
         # numpy's max on a passing view; the builtin's is a Python loop over the cells
         if np.frombuffer(state.density, dtype=np.intc).max() > len(self.table.probs):
             raise ValueError("a cell holds more agents than the speed-density table has rows")
-        r.n_present, r.n_arrived = len(state.present), len(state.arrived)
-        r.n_pending = len(state.pending) // 3
-        # at, t_in, present, arrived and the shuffle's order, each with room for every agent
+        r.n_present, r.n_pending = len(state.present), len(state.pending) // 3
+        # at, t_in, present and the shuffle's order, each with room for every agent
         for col in agent_cols[2:]:
             _extend(col, len(state.at) - len(col))
         r.steps, r.step = max(0, min(steps, 2**63 - 1)), state.step_index
-        r.agents = r.agent_room = len(state.at)
-        r.events = r.event_room = len(log.kinds)
-        r.n_starts = r.starts_room = len(log.starts)
+        r.agents, r.events = len(state.at), len(log.kinds)
         r.density, r.pending = state.density.buffer_info()[0], state.pending.buffer_info()[0]
         while True:
-            for name, col in zip(("at", "t_in", "present", "arrived", "order", "starts",
+            r.agent_room, r.event_room, r.starts_room = len(state.at), len(log.kinds), len(log.starts)
+            for name, col in zip(("at", "t_in", "present", "order", "starts",
                                   "log_agents", "log_kinds", "log_cells"),
                                  (*agent_cols, log.starts, *log_cols)):
                 setattr(r, name, col.buffer_info()[0])
@@ -414,22 +411,21 @@ class Simulation:
                 break
             # Room for the next step at least; else the columns double, up to
             # a block of LOG_HEADROOM items, but no further than the steps left need.
-            for cols, room, used, need in ((log_cols, "event_room", r.events, r.need_events),
-                                           (agent_cols, "agent_room", r.agents, r.need_agents),
-                                           ((log.starts,), "starts_room", r.n_starts, 1)):
-                if getattr(r, room) - used < need:
+            for cols, used, need in ((log_cols, r.events, r.need_events),
+                                     (agent_cols, r.agents, r.need_agents),
+                                     ((log.starts,), r.step + 1, 1)):
+                if len(cols[0]) - used < need:
                     by = max(need, min(LOG_HEADROOM, used, r.steps * need))
                     for col in cols:
                         _extend(col, by)
-                    setattr(r, room, getattr(r, room) + by)
         for col, n in zip((log.starts, *log_cols, *agent_cols, state.pending),
-                          (r.n_starts, r.events, r.events, r.events, r.agents, r.agents,
-                           r.n_present, r.n_arrived, 0, 3 * r.n_pending)):
+                          (r.step + 1, r.events, r.events, r.events, r.agents, r.agents,
+                           r.n_present, 0, 3 * r.n_pending)):
             del col[n:]
         state.step_index = r.step
 
     def step(self) -> SimulationState:
-        """Advance one interval: spawn, absorb last step's sink arrivals, move the rest.
+        """Advance one interval: spawn, exit the agents on a sink, move the rest.
 
         The agents inside are visited in a shuffled order. Each one whose
         dwell time has elapsed scores every permitted move as entry

@@ -1,6 +1,6 @@
-/* The step loop of mesoped.engine.Simulation: spawns, the exits of the last
- * step's sink arrivals, the shuffle and the move pass, step after step in
- * one call. Plain C for ctypes; engine.py compiles it and owns every buffer.
+/* The step loop of mesoped.engine.Simulation: spawns, the exits of the agents
+ * standing on a sink, the shuffle and the move pass, step after step in one
+ * call. Plain C for ctypes; engine.py compiles it and owns every buffer.
  *
  * Random numbers come from the run's own PCG64, numpy's PCG64 step for step,
  * drawn as numpy's own `Generator.shuffle` and `Generator.integers` draw
@@ -9,7 +9,6 @@
  * `probs[d] * values[j]` round as Python's doubles do.
  */
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 /* numpy's PCG64: a 128-bit LCG with XSL-RR output, handing out each 64-bit
@@ -68,13 +67,13 @@ struct run {
     struct pcg64 *rng;
     int32_t *density, *at;
     double *t_in;
-    int32_t *present, *arrived, *order;  /* ids inside (ascending), on a sink, shuffled */
-    int64_t *pending;                    /* (cell, remaining, release step) per unspent entry */
+    int32_t *present, *order;  /* ids inside (ascending), and the same shuffled */
+    int64_t *pending;          /* (cell, remaining, release step) per unspent entry */
     int32_t *starts, *log_agents;
     uint8_t *log_kinds;
     int32_t *log_cells;
-    int64_t cells, capacity, steps, step, agents, agent_room, n_present, n_arrived, n_pending;
-    int64_t n_starts, starts_room, events, event_room, need_agents, need_events;
+    int64_t cells, capacity, steps, step, agents, agent_room, n_present, n_pending;
+    int64_t starts_room, events, event_room, need_agents, need_events;
     double dt;
 };
 
@@ -120,12 +119,6 @@ static void record(struct run *r, int32_t agent, uint8_t kind, int32_t cell)
     r->log_cells[r->events++] = cell;
 }
 
-static int by_id(const void *a, const void *b)
-{
-    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
-    return (x > y) - (x < y);
-}
-
 /* Scores orthogonal moves first; a diagonal must beat them, and a tie left is drawn. */
 static void move(struct run *r, int32_t a, double clock)
 {
@@ -158,8 +151,6 @@ static void move(struct run *r, int32_t a, double clock)
     }
     if (nt)
         dest = ties[draw(nt, r->rng)];
-    if (r->sink[dest])
-        r->arrived[r->n_arrived++] = a;
     density[i]--;
     density[dest]++;
     r->at[a] = (int32_t)dest;
@@ -187,8 +178,7 @@ int run(struct run *r, int until_done)
         r->step = s;
         r->steps--;
         double clock = (double)s * r->dt;
-        while (r->n_starts <= s)
-            r->starts[r->n_starts++] = (int32_t)r->events;
+        r->starts[s] = (int32_t)r->events;
 
         for (int64_t k = 0; k < r->n_pending; k++, p += 3) {
             while (p[2] <= s && p[1] > 0 && r->density[p[0]] < r->capacity) {
@@ -207,27 +197,20 @@ int run(struct run *r, int until_done)
         if (s == 0)
             continue;
 
-        if (r->n_arrived) {
-            qsort(r->arrived, (size_t)r->n_arrived, sizeof *r->arrived, by_id);
-            int64_t k = 0;
-            kept = 0;
-            for (int64_t m = 0; m < r->n_arrived; m++) {
-                int32_t a = r->arrived[m];
+        /* No spawn cell is a sink, so an agent on a sink moved there last step:
+         * it exits now, in id order, and the rest stay to move. */
+        kept = 0;
+        for (int64_t m = 0; m < r->n_present; m++) {
+            int32_t a = r->present[m];
+            if (r->sink[r->at[a]]) {
                 r->density[r->at[a]]--;
                 record(r, a, EXIT, r->at[a]);
+            } else {
+                r->present[kept] = r->order[kept] = a;
+                kept++;
             }
-            for (int64_t m = 0; m < r->n_present; m++) {  /* both lists ascend */
-                if (k < r->n_arrived && r->present[m] == r->arrived[k])
-                    k++;
-                else
-                    r->present[kept++] = r->present[m];
-            }
-            r->n_present = kept;
-            r->n_arrived = 0;
         }
-        if (r->n_present == 0)  /* an empty column may be NULL, which memcpy must not get */
-            continue;
-        memcpy(r->order, r->present, (size_t)r->n_present * sizeof *r->order);
+        r->n_present = kept;
         shuffle(r->order, r->n_present, r->rng);
         for (int64_t m = 0; m < r->n_present; m++)
             move(r, r->order[m], clock);

@@ -684,20 +684,49 @@ def test_run_nul_in_layout_path_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def package_env() -> dict:
+    """The environment with this checkout's mesoped first on `PYTHONPATH`."""
+    src = Path(mesoped.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def test_python_m_cli_runs_without_runtime_warning(tmp_path):
     """`python -m mesoped.cli` must not import `mesoped.cli` twice: runpy warns
     when the package's `__init__` has already imported it."""
-    src = Path(mesoped.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     out = tmp_path / "field.csv"
     done = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "mesoped.cli",
          "export-field", "escalator_stair", "--out", str(out)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        capture_output=True, text=True, env=package_env(), cwd=tmp_path, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert out.read_text() == field_to_csv(build_runtime(load_scenario("escalator_stair")).field)
+
+
+# `main` with Python's stdout and stderr redirected, as a benchmark that runs
+# commands in its own process does; it exits 1 if a command does not return 0.
+IN_PROCESS_COMMANDS = """
+import contextlib, io, sys
+from mesoped.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["run", "cinema_a", "--snapshots", "--out", "run"]),
+             main(["compare", "compare_10x15", "compare_10x15_micro",
+                   "--pop", "1,5", "--seeds", "2", "--out", "cmp"])]
+sys.exit(codes != [0, 0] or "->" not in out.getvalue())
+"""
+
+
+def test_in_process_commands_write_nothing_past_python_streams(tmp_path):
+    """Through `main` with `sys.stdout` and `sys.stderr` redirected, `run
+    --snapshots` and `compare` write nothing to the process's own stdout
+    and stderr, up to and including interpreter exit under `-X dev`: output
+    from C or from shutdown would land after a caller's last line."""
+    done = subprocess.run([sys.executable, "-X", "dev", "-c", IN_PROCESS_COMMANDS],
+                          capture_output=True, env=package_env(), cwd=tmp_path, timeout=300)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert (tmp_path / "run" / "snapshots.txt").stat().st_size > 0
+    assert (tmp_path / "cmp" / "comparison.csv").read_text().count("\n") == 3
 
 
 def test_zip_imported_package_says_scenarios_are_not_files(tmp_path):

@@ -48,8 +48,6 @@ def lone_agent(text=CORRIDOR_1X3, dt=0.5, seed=0, source=(0, 0)):
 def place(state, grid, cell, t_in=0.0):
     """Put a new agent, the next id in spawn order, in `cell` as if it had
     entered at `t_in`, without logging a spawn; on a sink it is due to exit."""
-    if cell in grid.sink_set:
-        state.arrived.append(state.spawned)
     state.present.append(state.spawned)
     state.at.append(grid.index(cell))
     state.t_in.append(t_in)
@@ -648,8 +646,7 @@ def run_state(sim):
     schedule and the generator."""
     state, log = sim.state, sim.state.log
     return (*(col[:] for col in (log.starts, log.agents, log.kinds, log.cells, state.at,
-                                 state.t_in, state.present, state.arrived, state.density,
-                                 state.pending)),
+                                 state.t_in, state.present, state.density, state.pending)),
             state.step_index, state.clock, state.rng.state)
 
 
@@ -706,7 +703,7 @@ def test_overfull_cell_is_rejected_before_the_kernel_runs():
     assert state.step_index == 1 and state.present.tolist() == list(range(6))
 
 
-@pytest.mark.parametrize("column", ["at", "t_in", "present", "arrived", "pending",
+@pytest.mark.parametrize("column", ["at", "t_in", "present", "pending",
                                     "log.starts", "log.agents", "log.kinds", "log.cells"])
 def test_held_column_view_fails_a_step_before_it_begins(column):
     """A numpy view of a column the kernel resizes holds a buffer export:

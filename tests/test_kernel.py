@@ -6,7 +6,9 @@ a field export runs. Each test points `KERNEL_SOURCE` at a copy in its own
 directory, so it starts with no build and leaves the real one alone.
 """
 
+import ctypes
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -159,3 +161,28 @@ def test_kernel_compiles_without_warnings(tmp_path):
                            "-o", str(tmp_path / "step.so"), str(engine.KERNEL_SOURCE)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# ctypes type of each `struct run` member type in step.c; any pointer is c_void_p.
+C_TYPES = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+
+
+def struct_members(source: str, name: str) -> list[tuple[str, type]]:
+    """The members of `struct name { ... };` in C source, in order, each as
+    its name and ctypes type."""
+    body = re.search(rf"struct {name} {{(.*?)\n}};", source, re.S).group(1)
+    members = []
+    for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+        base, declarators = re.fullmatch(r"\s*(?:const\s+)?(struct \w+|\w+)\s+(.*)",
+                                         decl, re.S).groups()
+        for member in map(str.strip, declarators.split(",")):
+            members.append((member.lstrip("*"),
+                            ctypes.c_void_p if member.startswith("*") else C_TYPES[base]))
+    return members
+
+
+def test_run_struct_mirrors_match():
+    """`engine._Run` lists `struct run`'s members in step.c's order with
+    matching types; a mismatch would have the kernel read the wrong fields."""
+    members = struct_members(engine.KERNEL_SOURCE.read_text(), "run")
+    assert members == list(engine._Run._fields_)
