@@ -1,8 +1,9 @@
 """Command-line front end: run scenarios, export fields, sweep populations.
 
 Exit codes: 0 on a completed run, 2 on configuration or usage errors or when
-the step kernel cannot be compiled, 3 when agents or scheduled spawns were
-still waiting at the step limit.
+the C kernel cannot be compiled (every command needs it, `export-field`
+included, since the field is solved in it), 3 when agents or scheduled
+spawns were still waiting at the step limit.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from pathlib import Path
 
-from .engine import EventLog, KernelBuildError, events_csv_blocks
+from .engine import EventLog, events_csv_blocks
 from .floorfield import field_to_csv
+from .kernel import KernelBuildError
 from .layout import LayoutError, LayoutGrid, render_snapshot
 from .metrics import check_sweep, comparison_csv, metrics_csv, occupancy, run_metrics, sweep
 from .scenario import (ConfigError, ScenarioConfig, build_runtime,

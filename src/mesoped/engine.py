@@ -13,21 +13,17 @@ import ctypes
 import math
 import operator
 import os
-import shlex
-import subprocess
-import sysconfig
-import zlib
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain, pairwise
-from pathlib import Path
 
 import numpy as np
 
-from .layout import Cell, LayoutGrid
 from .floorfield import FloorField
+from .kernel import kernel
+from .layout import Cell, LayoutGrid
 
 # Mean of the inscribed and circumscribed circle diameters of a square cell.
 DIAMETER_FACTOR = (1.0 + math.sqrt(2.0)) / 2.0
@@ -122,14 +118,6 @@ class EventLog:
                        *divmod(self.cells[k], self.cols))
 
 
-class KernelBuildError(Exception):
-    """The C step kernel could not be compiled."""
-
-
-KERNEL_SOURCE = Path(__file__).with_name("step.c")
-# -ffp-contract=off keeps `a * b` and `a + b` two roundings, as in Python;
-# -ffast-math would let the compiler reorder them.
-CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # When the kernel runs out of room in a run, the log and agent columns double,
 # but by at most this many items, so that a run's spare room stays bounded.
 LOG_HEADROOM = 1 << 14
@@ -241,58 +229,6 @@ class _Run(ctypes.Structure):
         ("dt", ctypes.c_double)]
 
 
-def compiler() -> list[str]:
-    """The C compiler command: `$CC`, else the one Python was built with."""
-    return shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
-
-
-def kernel_path() -> Path:
-    """Where the library built from `step.c` lives: next to the source, or in
-    `$XDG_CACHE_HOME/mesoped` (default `~/.cache/mesoped`) when the package
-    directory is not writable. Its name is keyed by the CRC-32 of the
-    source, the flags and `$CC` as set, so that no compiler's build is
-    loaded for another's."""
-    cc = os.environ.get("CC") or ""
-    key = zlib.crc32(b"\0".join([KERNEL_SOURCE.read_bytes(), *map(str.encode, (*CFLAGS, cc))]))
-    name = f"_step-{key:08x}.so"
-    if os.access(KERNEL_SOURCE.parent, os.W_OK):
-        return KERNEL_SOURCE.parent / name
-    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "mesoped" / name
-
-
-def _build_kernel(path: Path) -> None:
-    """Compile `step.c` into `path` under a temporary name, then rename it
-    into place, so that concurrent builds do not collide."""
-    cc = compiler()
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        subprocess.run([*cc, *CFLAGS, "-o", str(tmp), str(KERNEL_SOURCE)],
-                       check=True, capture_output=True, text=True)
-        os.replace(tmp, path)
-    except (OSError, subprocess.CalledProcessError) as exc:
-        reason = " ".join((getattr(exc, "stderr", "") or str(exc)).split())
-        raise KernelBuildError(f"cannot compile {KERNEL_SOURCE} with C compiler "
-                               f"{shlex.join(cc)!r} (set CC to choose one): {reason}") from None
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-@cache
-def kernel() -> ctypes.CDLL:
-    """The step kernel, built on first use unless a build is cached."""
-    path = kernel_path()
-    if not path.exists():
-        _build_kernel(path)
-    lib = ctypes.CDLL(str(path))
-    lib.run.argtypes, lib.run.restype = [ctypes.POINTER(_Run), ctypes.c_int], ctypes.c_int
-    lib.shuffle.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.POINTER(PCG64)]
-    lib.shuffle.restype = None
-    lib.draw.argtypes = [ctypes.c_uint64, ctypes.POINTER(PCG64)]
-    lib.draw.restype = ctypes.c_uint64
-    return lib
-
-
 def _extend(col: array, by: int) -> None:
     """Append `by` zero items to an `array` column."""
     col.frombytes(bytes(by * col.itemsize))
@@ -337,15 +273,16 @@ class SimulationState:
 class Simulation:
     """Owns one run: layout, field, table, schedule, state, and the event log.
 
-    The steps themselves are made by the C kernel in `step.c` (`kernel()`),
-    compiled at the first `Simulation` of a process unless a build is
-    cached. It reads the layout's direction-major neighbour table
-    (`LayoutGrid.neighbours.T`) and sink flags, the field values, and the
-    table's entry probabilities and dwell times by density. It reads and
-    writes `SimulationState`'s `array` columns in place: each `run` or `step`
-    gives the agent columns room, makes its steps in one kernel call
-    (re-entered only to grow the log or the agents), and cuts off the room
-    left over. The room is the columns' length; the kernel keeps no count of it.
+    The steps themselves are made by the C kernel in `step.c`
+    (`mesoped.kernel.kernel()`), whose first use in a process, usually the
+    field solve, compiles it unless a build is cached. It reads the layout's
+    direction-major neighbour table (`LayoutGrid.neighbours.T`) and sink
+    flags, the field values, and the table's entry probabilities and dwell
+    times by density. It reads and writes `SimulationState`'s `array`
+    columns in place: each `run` or `step` gives the agent columns room,
+    makes its steps in one kernel call (re-entered only to grow the log or
+    the agents), and cuts off the room left over. The room is the columns'
+    length; the kernel keeps no count of it.
     """
 
     def __init__(self, grid: LayoutGrid, field: FloorField,
@@ -407,7 +344,7 @@ class Simulation:
                                   "log_agents", "log_kinds", "log_cells"),
                                  (*agent_cols, log.starts, *log_cols)):
                 setattr(r, name, col.buffer_info()[0])
-            if not self._kernel.run(r, until_done):
+            if not self._kernel.run(ctypes.byref(r), until_done):
                 break
             # Room for the next step at least; else the columns double, up to
             # a block of LOG_HEADROOM items, but no further than the steps left need.

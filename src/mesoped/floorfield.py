@@ -7,19 +7,23 @@ fixed point a sink holds its reward and every other cell holds gamma times
 its best neighbour, F(i) = gamma * max_{j in moves(i)} F(j): the same single
 multiply value iteration performs, so the values are bit-identical to value
 iteration run until nothing changes (the tests keep that solver as the
-oracle). Cells with no path to a sink hold 0. Doubles bound the reach: with
-base reward 100 the values bottom out at the smallest subnormals after about
-3,350 hops at gamma 0.8 (the field is flat beyond), and round to 0 after
-about 1,080 hops at gamma 0.5.
+oracle). The solve runs in the compiled kernel (`step.c`). Cells with no
+path to a sink hold 0. Doubles bound the reach: with base reward 100 the
+values bottom out at the smallest subnormals after about 3,350 hops at
+gamma 0.8 (the field is flat beyond), and round to 0 after about 1,080
+hops at gamma 0.5.
 """
 
 from __future__ import annotations
 
+import ctypes
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import LayoutGrid
+from .kernel import kernel
+from .layout import Cell, LayoutGrid
 
 DEFAULT_GAMMA = 0.8
 DEFAULT_BASE_REWARD = 100.0
@@ -27,52 +31,43 @@ DEFAULT_BASE_REWARD = 100.0
 
 @dataclass(frozen=True)
 class FloorField:
-    """Per-cell navigation values, and the frontier rounds the solve took."""
+    """Per-cell navigation values (a read-only (rows, cols) float64 array),
+    the frontier rounds the solve took, and `plateau`: the first non-sink
+    cell in row-major order whose value is positive, subnormal and no lower
+    than its best neighbour's, where agents find no ascent, or None."""
 
     values: np.ndarray
     rounds: int
+    plateau: Cell | None = None
 
 
 def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
                   base_reward: float = DEFAULT_BASE_REWARD) -> FloorField:
-    """Solve the field exactly by relaxing a frontier outward from the sinks.
+    """Solve the field exactly by relaxing a frontier outward from the sinks,
+    in one call of the kernel's `solve` (step.c).
 
     Each round recomputes only the non-sink cells next to a cell that rose
-    in the previous round, and keeps a new value where it is larger; the
-    solve ends when a round raises nothing. Looking only at the neighbours
-    of risen cells relies on the move table being symmetric.
+    in the previous round, all from the values before the round, and keeps
+    a new value where it is larger; the solve ends when a round raises
+    nothing. Looking only at the neighbours of risen cells relies on the
+    move table being symmetric.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     n = grid.rows * grid.cols
-    # Direction-major: gathering a cell set's neighbours with `take` along
-    # axis 1 and reducing over axis 0 reads each direction contiguously,
-    # several times faster than indexing rows of the (n, 8) table.
-    nbr = grid.neighbours.T
-    # One extra slot holding 0: a -1 entry of the move table indexes it.
-    values = np.zeros(n + 1)
-    free = np.ones(n + 1, dtype=bool)
-    free[n] = False
-    sinks = np.array([grid.index(cell) for cell, _ in grid.sinks], dtype=np.int64)
-    values[sinks] = [base_reward * w for _, w in grid.sinks]
-    free[sinks] = False
-    # Dedupes a round's neighbours: each cell keeps the one position whose
-    # write to slot[cell] lasted.
-    slot = np.zeros(n + 1, dtype=np.int64)
-    risen = sinks
-    rounds = 0
-    while risen.size:
-        rounds += 1
-        near = nbr.take(risen, axis=1).ravel()
-        near = near[free.take(near)]
-        order = np.arange(near.size)
-        slot[near] = order
-        cells = near[slot.take(near) == order]
-        new = gamma * values.take(nbr.take(cells, axis=1)).max(axis=0)
-        up = new > values.take(cells)
-        risen = cells[up]
-        values[risen] = new[up]
-    return FloorField(values=values[:n].reshape(grid.rows, grid.cols), rounds=rounds)
+    values = array("d", [0.0]) * n
+    for cell, weight in grid.sinks:
+        values[grid.index(cell)] = base_reward * weight
+    work = array("i", [0]) * (3 * n)  # round marks, risen cells, a round's cells
+    new = array("d", [0.0]) * n  # a round's new values
+    plateau = ctypes.c_int64()
+    rounds = kernel().solve(grid.neighbours.T.ctypes.data, grid.sink_flags, n, gamma,
+                            values.buffer_info()[0], work.buffer_info()[0],
+                            new.buffer_info()[0], ctypes.byref(plateau))
+    view = np.frombuffer(values).reshape(grid.rows, grid.cols)
+    view.flags.writeable = False
+    return FloorField(values=view, rounds=rounds,
+                      plateau=None if plateau.value < 0 else divmod(plateau.value, grid.cols))
 
 
 def field_to_csv(field: FloorField) -> str:

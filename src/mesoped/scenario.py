@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import configparser
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from .engine import MESO_TABLE, MICRO_TABLE, Simulation, SpawnEntry, SpeedDensityTable
 from .floorfield import DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField, compute_field
@@ -274,21 +271,12 @@ def build_runtime(config: ScenarioConfig) -> Runtime:
             raise ConfigError(
                 f"{config.name}: source {cell} has navigation value 0, so its agents "
                 f"cannot find a sink (walled off, or too far at gamma {config.gamma})")
-    # A non-sink cell no lower than its best neighbour is a plateau where
-    # agents find no ascent. With gamma < 1 that only happens once repeated
-    # gamma * x sticks at subnormal values, so only those cells are checked.
-    values = field.values.ravel()
-    tiny = np.flatnonzero((values > 0.0) & (values < sys.float_info.min))
-    if tiny.size:
-        nbr = grid.neighbours.T
-        best = np.append(values, 0.0).take(nbr.take(tiny, axis=1)).max(axis=0)
-        for i in tiny[values[tiny] >= best].tolist():
-            cell = divmod(i, grid.cols)
-            if cell not in grid.sink_set:
-                raise ConfigError(
-                    f"{config.name}: cell {cell} lies on a plateau of the navigation "
-                    f"field at {values[i]!r}, with no higher neighbour (too far from "
-                    f"every sink at gamma {config.gamma})")
+    # The solve reports the first cell where repeated gamma * x stuck at subnormals.
+    if field.plateau is not None:
+        raise ConfigError(
+            f"{config.name}: cell {field.plateau} lies on a plateau of the navigation "
+            f"field at {field.values[field.plateau]!r}, with no higher neighbour (too far "
+            f"from every sink at gamma {config.gamma})")
     return Runtime(config=config, grid=grid, field=field)
 
 

@@ -1,15 +1,87 @@
-/* The step loop of mesoped.engine.Simulation: spawns, the exits of the agents
- * standing on a sink, the shuffle and the move pass, step after step in one
- * call. Plain C for ctypes; engine.py compiles it and owns every buffer.
+/* mesoped's compiled kernel, plain C for ctypes; mesoped.kernel compiles it,
+ * and its callers own every buffer. It holds two things:
  *
- * Random numbers come from the run's own PCG64, numpy's PCG64 step for step,
- * drawn as numpy's own `Generator.shuffle` and `Generator.integers` draw
- * them; engine.PCG64 seeds it as numpy's `SeedSequence` would. Build with
- * -ffp-contract=off and never -ffast-math, so that `t_in + wait` and
- * `probs[d] * values[j]` round as Python's doubles do.
+ * `solve`, the navigation-field solve of mesoped.floorfield.compute_field:
+ * synchronous frontier rounds outward from the sinks, each cell's update one
+ * `gamma * max` of its neighbours' values, so the values are value
+ * iteration's bit for bit and the rounds are the frontier solve's.
+ *
+ * `run`, the step loop of mesoped.engine.Simulation: spawns, the exits of the
+ * agents standing on a sink, the shuffle and the move pass, step after step
+ * in one call. Random numbers come from the run's own PCG64, numpy's PCG64
+ * step for step, drawn as numpy's own `Generator.shuffle` and
+ * `Generator.integers` draw them; engine.PCG64 seeds it as numpy's
+ * `SeedSequence` would.
+ *
+ * Build with -ffp-contract=off and never -ffast-math, so that `gamma * m`,
+ * `t_in + wait` and `probs[d] * values[j]` round as Python's doubles do.
  */
+#include <float.h>
 #include <stdint.h>
 #include <string.h>
+
+/* The highest value among the destinations of cell i's permitted moves in
+ * the direction-major table `nbr`, or 0 when it has none. Every value is at
+ * least +0.0 and none is NaN, so this equals the oracle's numpy max with a 0
+ * for each missing move. */
+static double best_neighbour(const intptr_t *nbr, int64_t cells, const double *values, int64_t i)
+{
+    double best = 0.0;
+    for (int d = 0; d < 8; d++) {
+        intptr_t j = nbr[d * cells + i];
+        if (j >= 0 && values[j] > best)
+            best = values[j];
+    }
+    return best;
+}
+
+/* Solves the field in place: on entry `values` holds each sink's reward and 0
+ * elsewhere; on return each non-sink cell that reaches a sink holds gamma
+ * times its best neighbour. Each round gathers the non-sink neighbours of the
+ * cells that rose in the round before (the sinks, at first), each one once,
+ * computes every one's `gamma * max` from the values before the round, then
+ * keeps those that are higher. Returns the rounds, the last of which raises
+ * nothing. `work` is scratch for 3 * cells int32 (round marks, risen cells,
+ * the round's cells) and `next` for cells doubles; `mark` must start at 0.
+ * *plateau is the first non-sink cell, in flat order, whose value is
+ * positive, subnormal and no lower than its best neighbour's, or -1. */
+int64_t solve(const intptr_t *nbr, const uint8_t *sink, int64_t cells, double gamma,
+              double *values, int32_t *work, double *next, int64_t *plateau)
+{
+    int32_t *mark = work, *risen = work + cells, *near = work + 2 * cells;
+    int64_t n_risen = 0, rounds = 0;
+    for (int64_t i = 0; i < cells; i++)
+        if (sink[i])
+            risen[n_risen++] = (int32_t)i;
+    while (n_risen) {
+        int64_t n_near = 0;
+        rounds++;
+        for (int64_t k = 0; k < n_risen; k++)
+            for (int d = 0; d < 8; d++) {
+                intptr_t j = nbr[d * cells + risen[k]];
+                if (j >= 0 && !sink[j] && mark[j] != rounds) {
+                    mark[j] = (int32_t)rounds;
+                    near[n_near++] = (int32_t)j;
+                }
+            }
+        for (int64_t k = 0; k < n_near; k++)
+            next[k] = gamma * best_neighbour(nbr, cells, values, near[k]);
+        n_risen = 0;
+        for (int64_t k = 0; k < n_near; k++)
+            if (next[k] > values[near[k]]) {
+                values[near[k]] = next[k];
+                risen[n_risen++] = near[k];
+            }
+    }
+    *plateau = -1;
+    for (int64_t i = 0; i < cells; i++)
+        if (!sink[i] && values[i] > 0.0 && values[i] < DBL_MIN
+            && values[i] >= best_neighbour(nbr, cells, values, i)) {
+            *plateau = i;
+            break;
+        }
+    return rounds;
+}
 
 /* numpy's PCG64: a 128-bit LCG with XSL-RR output, handing out each 64-bit
  * output as two 32-bit draws, low half first. engine.PCG64 mirrors this layout. */

@@ -9,7 +9,9 @@ changes; the diagonal Q(i, i) is the navigation field. It costs one sweep
 over every move per hop of grid diameter, so it serves only as the oracle
 that `mesoped.floorfield.compute_field` must match bit for bit. The same
 update run as learning, `q_learning`, over epsilon-greedy walks on small
-rooms, reaches the same diagonal.
+rooms, reaches the same diagonal. `frontier_field` is the frontier solve
+in numpy, round for round as the kernel's `solve` makes it, and
+`plateau_cell` the scan for a subnormal plateau that `solve` must match.
 
 Move permission: `moves_of` names, in compass order, the moves out of a
 cell that `LayoutGrid.neighbours`, the package's one definition, permits.
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from statistics import fmean
@@ -165,6 +168,61 @@ def q_learning(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
         if np.array_equal(bellman_sweep(np.array(q), entries, gamma), q):
             return np.array(q)[diag].reshape(grid.rows, grid.cols)
     raise RuntimeError(f"Q-learning found no fixed point in {max_episodes} episodes")
+
+
+def frontier_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
+                   base_reward: float = DEFAULT_BASE_REWARD) -> FloorField:
+    """The frontier solve in numpy: the reference for the kernel's `solve`,
+    its values, its rounds and its plateau cell.
+
+    Each round recomputes only the non-sink cells next to a cell that rose
+    in the previous round, and keeps a new value where it is larger; the
+    solve ends when a round raises nothing.
+    """
+    n = grid.rows * grid.cols
+    # Direction-major: gathering a cell set's neighbours with `take` along
+    # axis 1 and reducing over axis 0 reads each direction contiguously.
+    nbr = grid.neighbours.T
+    # One extra slot holding 0: a -1 entry of the move table indexes it.
+    values = np.zeros(n + 1)
+    free = np.ones(n + 1, dtype=bool)
+    free[n] = False
+    sinks = np.array([grid.index(cell) for cell, _ in grid.sinks], dtype=np.int64)
+    values[sinks] = [base_reward * w for _, w in grid.sinks]
+    free[sinks] = False
+    # Dedupes a round's neighbours: each cell keeps the one position whose
+    # write to slot[cell] lasted.
+    slot = np.zeros(n + 1, dtype=np.int64)
+    risen = sinks
+    rounds = 0
+    while risen.size:
+        rounds += 1
+        near = nbr.take(risen, axis=1).ravel()
+        near = near[free.take(near)]
+        order = np.arange(near.size)
+        slot[near] = order
+        cells = near[slot.take(near) == order]
+        new = gamma * values.take(nbr.take(cells, axis=1)).max(axis=0)
+        up = new > values.take(cells)
+        risen = cells[up]
+        values[risen] = new[up]
+    values = values[:n].reshape(grid.rows, grid.cols)
+    return FloorField(values=values, rounds=rounds, plateau=plateau_cell(grid, values))
+
+
+def plateau_cell(grid: LayoutGrid, values: np.ndarray) -> tuple[int, int] | None:
+    """The first non-sink cell, in row-major order, whose value is positive,
+    subnormal and no lower than its best neighbour's; None if there is none.
+    With gamma < 1 only subnormal values can stick, so only those are checked."""
+    values = values.ravel()
+    tiny = np.flatnonzero((values > 0.0) & (values < sys.float_info.min))
+    if tiny.size:
+        best = np.append(values, 0.0).take(grid.neighbours.T.take(tiny, axis=1)).max(axis=0)
+        for i in tiny[values[tiny] >= best].tolist():
+            cell = divmod(i, grid.cols)
+            if cell not in grid.sink_set:
+                return cell
+    return None
 
 
 def distance_field(grid: LayoutGrid) -> np.ndarray:

@@ -5,6 +5,7 @@ C step kernel must also reproduce the reference loop in `oracle.py`
 event for event, and its two draws must equal numpy's.
 """
 
+import ctypes
 import math
 import re
 from array import array
@@ -18,8 +19,9 @@ from gridgen import open_hall, random_grid, random_schedule
 from mesoped import engine
 from mesoped.engine import (DIAMETER_FACTOR, EXIT, MESO_TABLE, MICRO_TABLE,
                             PCG64, SPAWN, Simulation, SpawnEntry,
-                            SpeedDensityTable, events_csv_blocks, kernel)
+                            SpeedDensityTable, events_csv_blocks)
 from mesoped.floorfield import compute_field
+from mesoped.kernel import kernel
 from mesoped.layout import parse_layout, render_snapshot
 from mesoped.metrics import occupancy, summarize
 from mesoped.scenario import build_runtime, bundled_scenarios, load_scenario
@@ -253,7 +255,7 @@ def test_diagonals_only_tie_draws():
 def c_shuffle(rng, items):
     """`items` shuffled by the kernel's `shuffle`, drawing from `rng`."""
     ids = array("i", items)
-    kernel().shuffle(ids.buffer_info()[0], len(ids), rng)
+    kernel().shuffle(ids.buffer_info()[0], len(ids), ctypes.byref(rng))
     return ids.tolist()
 
 
@@ -281,7 +283,7 @@ def test_seeded_generator_equals_default_rng(seed):
     outputs: each 64-bit word as two 32-bit draws, low half first."""
     ours, theirs = PCG64.from_seed(seed), np.random.default_rng(seed)
     assert ours.state == theirs.bit_generator.state
-    draws = [kernel().draw(2**32, ours) for _ in range(100)]
+    draws = [kernel().draw(2**32, ctypes.byref(ours)) for _ in range(100)]
     words = theirs.bit_generator.random_raw(50).tolist()
     assert draws == [w >> k & 0xFFFFFFFF for w in words for k in (0, 32)]
     assert ours.state["state"] == theirs.bit_generator.state["state"]
@@ -326,7 +328,7 @@ def test_c_draw_equals_generator_integers(sizes):
                 assert c_shuffle(ours, range(len(items))) == items
             else:
                 n = int(plan.choice(sizes))
-                assert draw(n, ours) == int(theirs.integers(n)), f"seed {seed}, n {n}"
+                assert draw(n, ctypes.byref(ours)) == int(theirs.integers(n)), f"seed {seed}, n {n}"
         assert ours.state == theirs.bit_generator.state
 
 

@@ -1,21 +1,23 @@
-"""The exact field solve against its value-iteration and Q-learning oracles,
-and greedy descent of the field."""
+"""The exact field solve against its value-iteration, numpy frontier and
+Q-learning oracles, and greedy descent of the field."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridgen import corridor_layout, open_hall, random_grid, walled_hall
 from mesoped.floorfield import (DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField,
                                 compute_field, field_to_csv)
 from mesoped.layout import (BOTTOM, DIR_VECTORS, LEFT, RIGHT, TOP, LayoutGrid,
                             parse_layout, validate_grid)
-from mesoped.scenario import (apply_sink_multipliers, bundled_scenarios,
-                              load_scenario)
+from mesoped.scenario import (ConfigError, ScenarioConfig, apply_sink_multipliers,
+                              build_runtime, bundled_scenarios, load_scenario)
 from oracle import field_to_csv as field_to_csv_oracle
-from oracle import (Stuck, distance_field, greedy_descent, moves_of, q_learning,
-                    value_iteration)
+from oracle import (Stuck, distance_field, frontier_field, greedy_descent, moves_of,
+                    q_learning, value_iteration)
 
 CORRIDOR_1X3 = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
 
@@ -133,6 +135,58 @@ def test_matches_value_iteration_on_random_grids(gamma, random_grids):
         assert np.array_equal(field.values, value_iteration(grid, gamma)), k
         assert_bellman_fixed_point(field, grid, gamma)
         assert_csv_matches_oracle(field)
+
+
+def assert_same_solve(grid, gamma, base_reward=DEFAULT_BASE_REWARD):
+    """The kernel's solve equals the numpy frontier solve bit for bit, with
+    the same rounds and plateau cell, and equals value iteration."""
+    field = compute_field(grid, gamma, base_reward)
+    reference = frontier_field(grid, gamma, base_reward)
+    bits = field.values.view(np.int64)
+    assert np.array_equal(bits, reference.values.view(np.int64))
+    assert (field.rounds, field.plateau) == (reference.rounds, reference.plateau)
+    assert np.array_equal(bits, value_iteration(grid, gamma, base_reward).view(np.int64))
+    return field
+
+
+@st.composite
+def solve_cases(draw):
+    """A random room, gamma, and drawn sink rewards: either base reward 100
+    times weights from 0.01 to 1,000, or base reward 1 times weights of 1 to
+    64 subnormal steps, whose field rounds to 0 within a few hops at gamma
+    0.5 and sticks on a plateau at 0.8 and 0.95."""
+    grid = random_grid(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                       wall_density=draw(st.sampled_from([0.0, 0.25, 0.5])))
+    base_reward, weight = draw(st.sampled_from([
+        (DEFAULT_BASE_REWARD, st.floats(0.01, 1e3)),
+        (1.0, st.integers(1, 64).map(lambda k: k * 5e-324))]))
+    weights = draw(st.lists(weight, min_size=len(grid.sinks), max_size=len(grid.sinks)))
+    grid = replace(grid, sinks=tuple((cell, w) for (cell, _), w in zip(grid.sinks, weights)))
+    return grid, draw(st.sampled_from([0.5, 0.8, 0.95])), base_reward
+
+
+@settings(max_examples=60, deadline=None)
+@given(solve_cases())
+def test_solve_matches_numpy_frontier_rounds(case):
+    assert_same_solve(*case)
+
+
+@pytest.mark.parametrize("gamma,length,far", [(0.5, 1200, 0.0), (0.8, 3500, 1e-323)])
+def test_long_corridor_solve_and_plateau_match_the_oracles(tmp_path, gamma, length, far):
+    """At gamma 0.5 the far end of the corridor rounds to 0 and no plateau
+    forms; at gamma 0.8 the values stick at 1e-323, and set-up names the
+    plateau cell the numpy scan finds first."""
+    text = corridor_layout(length)
+    field = assert_same_solve(parse_layout(text), gamma)
+    assert field.values[0, 0] == far
+    (tmp_path / "long.layout").write_text(text)
+    config = ScenarioConfig(name="long", layout_path=tmp_path / "long.layout", gamma=gamma)
+    if field.plateau is None:
+        with pytest.raises(ConfigError, match=r"source \(0, 0\) has navigation value 0"):
+            build_runtime(config)
+    else:
+        with pytest.raises(ConfigError, match=re.escape(f"cell {field.plateau} lies on a plateau")):
+            build_runtime(config)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.8, 0.95])

@@ -12,7 +12,7 @@ import mesoped
 
 SOURCES = sorted(Path(mesoped.__file__).parent.glob("*.py"))
 # Each module imports only modules before it here.
-LAYERS = ("layout", "floorfield", "engine", "scenario", "metrics", "cli")
+LAYERS = ("kernel", "layout", "floorfield", "engine", "scenario", "metrics", "cli")
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 

@@ -1,9 +1,11 @@
-"""Building and caching the C step kernel (`mesoped.engine.kernel`).
+"""Building and caching the C kernel (`mesoped.kernel.kernel`).
 
-The library is compiled at the first `Simulation` of a process, kept next to
-`step.c` or in `$XDG_CACHE_HOME/mesoped`, and never compiled while set-up or
-a field export runs. Each test points `KERNEL_SOURCE` at a copy in its own
-directory, so it starts with no build and leaves the real one alone.
+The library is compiled at the first use of the kernel in a process, which
+is the first field solve of set-up or of a field export, and kept next to
+`step.c` or in `$XDG_CACHE_HOME/mesoped`. Every command needs it, so a
+missing compiler fails set-up and `export-field` as it fails `run`. Each
+test points `KERNEL_SOURCE` at a copy in its own directory, so it starts
+with no build and leaves the real one alone.
 """
 
 import ctypes
@@ -18,10 +20,10 @@ from pathlib import Path
 import pytest
 
 import mesoped
-from mesoped import engine
-from mesoped.cli import main
+from mesoped import engine, kernel
 from mesoped.engine import MESO_TABLE, Simulation, SpawnEntry
 from mesoped.floorfield import compute_field
+from mesoped.kernel import KernelBuildError
 from mesoped.layout import parse_layout
 from mesoped.scenario import build_runtime, load_scenario
 
@@ -35,15 +37,15 @@ def package(tmp_path, monkeypatch):
     `kernel()` forgets its loaded library before and after the test."""
     directory = tmp_path / "package"
     directory.mkdir()
-    monkeypatch.setattr(engine, "KERNEL_SOURCE",
-                        Path(shutil.copy(engine.KERNEL_SOURCE, directory)))
-    engine.kernel.cache_clear()
+    monkeypatch.setattr(kernel, "KERNEL_SOURCE",
+                        Path(shutil.copy(kernel.KERNEL_SOURCE, directory)))
+    kernel.kernel.cache_clear()
     yield directory
-    engine.kernel.cache_clear()
+    kernel.kernel.cache_clear()
 
 
 def compiler_runs(monkeypatch) -> list:
-    """Each `subprocess.run` call the engine makes from now on."""
+    """Each `subprocess.run` call the kernel's build makes from now on."""
     calls = []
     run = subprocess.run
 
@@ -51,7 +53,7 @@ def compiler_runs(monkeypatch) -> list:
         calls.append(args)
         return run(*args, **kwargs)
 
-    monkeypatch.setattr(engine.subprocess, "run", counting)
+    monkeypatch.setattr(kernel.subprocess, "run", counting)
     return calls
 
 
@@ -67,12 +69,12 @@ def test_second_simulation_does_not_recompile(package, monkeypatch):
     calls = compiler_runs(monkeypatch)
     first, second = corridor_run(), corridor_run()
     assert len(calls) == 1
-    engine.kernel.cache_clear()  # as in a new process: the build on disk is loaded
+    kernel.kernel.cache_clear()  # as in a new process: the build on disk is loaded
     third = corridor_run()
     assert len(calls) == 1
     # the build sits next to its source, and no temporary file is left
     assert sorted(p.name for p in package.iterdir()) == sorted(["step.c",
-                                                                engine.kernel_path().name])
+                                                                kernel.kernel_path().name])
     assert first.events == second.events == third.events
 
 
@@ -81,16 +83,16 @@ def test_library_name_is_keyed_by_the_source(package, monkeypatch):
     one-byte edit names a new library, built by one more compiler call."""
     calls = compiler_runs(monkeypatch)
     corridor_run()
-    name = engine.kernel_path().name
-    engine.kernel.cache_clear()
-    assert engine.kernel_path().name == name
-    source = engine.KERNEL_SOURCE
+    name = kernel.kernel_path().name
+    kernel.kernel.cache_clear()
+    assert kernel.kernel_path().name == name
+    source = kernel.KERNEL_SOURCE
     source.write_bytes(source.read_bytes() + b"\n")
-    engine.kernel.cache_clear()
+    kernel.kernel.cache_clear()
     corridor_run()
-    assert engine.kernel_path().name != name and len(calls) == 2
+    assert kernel.kernel_path().name != name and len(calls) == 2
     assert sorted(p.name for p in package.glob("_step-*.so")) == \
-        sorted([name, engine.kernel_path().name])
+        sorted([name, kernel.kernel_path().name])
 
 
 def test_library_name_is_keyed_by_the_compiler(package, monkeypatch):
@@ -98,19 +100,19 @@ def test_library_name_is_keyed_by_the_compiler(package, monkeypatch):
     names a new library, built by one more compiler call, and the same
     command loads its own build again without compiling."""
     calls = compiler_runs(monkeypatch)
-    cc = shlex.join(engine.compiler())
+    cc = shlex.join(kernel.compiler())
     monkeypatch.setenv("CC", cc)
     corridor_run()
-    name = engine.kernel_path().name
+    name = kernel.kernel_path().name
     monkeypatch.setenv("CC", f"{cc} -g")
-    engine.kernel.cache_clear()
+    kernel.kernel.cache_clear()
     corridor_run()
-    assert engine.kernel_path().name != name and len(calls) == 2
-    for command, built in ((f"{cc} -g", engine.kernel_path().name), (cc, name)):
+    assert kernel.kernel_path().name != name and len(calls) == 2
+    for command, built in ((f"{cc} -g", kernel.kernel_path().name), (cc, name)):
         monkeypatch.setenv("CC", command)
-        engine.kernel.cache_clear()
+        kernel.kernel.cache_clear()
         corridor_run()
-        assert engine.kernel_path().name == built and len(calls) == 2
+        assert kernel.kernel_path().name == built and len(calls) == 2
     assert len(list(package.glob("_step-*.so"))) == 2
 
 
@@ -127,38 +129,52 @@ def test_read_only_package_directory_builds_in_xdg_cache(package, tmp_path, monk
         package.chmod(0o755)
     assert [p.name for p in package.iterdir()] == ["step.c"]
     assert [p.name for p in (tmp_path / "cache" / "mesoped").iterdir()] == \
-        [engine.kernel_path().name]
+        [kernel.kernel_path().name]
 
 
-def test_missing_compiler_spares_set_up_and_field_export(package, tmp_path, monkeypatch):
+def cli_without_compiler(tmp_path, *argv: str) -> subprocess.CompletedProcess:
+    """`python -m mesoped.cli *argv` in a fresh interpreter over a copy of
+    the package with no build, and with `CC` naming no compiler."""
+    shutil.copytree(Path(mesoped.__file__).parent, tmp_path / "mesoped",
+                    ignore=shutil.ignore_patterns("_step-*", "__pycache__"))
+    env = dict(os.environ, CC=MISSING_CC, PYTHONPATH=str(tmp_path))
+    return subprocess.run([sys.executable, "-m", "mesoped.cli", *argv],
+                          env=env, capture_output=True, text=True, cwd=tmp_path)
+
+
+def assert_one_error_line(proc: subprocess.CompletedProcess) -> None:
+    """Exit 2 with one `error:` line naming the compiler and `step.c`, and no traceback."""
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert MISSING_CC in lines[0] and "step.c" in lines[0]
+
+
+def test_missing_compiler_fails_set_up_and_field_export(package, tmp_path, monkeypatch):
+    """The field is solved in the kernel, so set-up raises `KernelBuildError`
+    and `export-field` exits 2 with one `error:` line; neither writes a file."""
     monkeypatch.setenv("CC", MISSING_CC)
-    runtime = build_runtime(load_scenario("cinema_a"))
-    assert runtime.field.values.max() > 0
-    assert main(["export-field", "cinema_a", "--out", str(tmp_path / "field.csv")]) == 0
-    assert (tmp_path / "field.csv").read_bytes()
+    with pytest.raises(KernelBuildError, match=MISSING_CC):
+        build_runtime(load_scenario("cinema_a"))
     assert [p.name for p in package.iterdir()] == ["step.c"]
+    assert_one_error_line(cli_without_compiler(
+        tmp_path, "export-field", "cinema_a", "--out", str(tmp_path / "field.csv")))
+    assert not (tmp_path / "field.csv").exists()
+    assert [p.name for p in (tmp_path / "mesoped").glob("_step-*")] == []
 
 
 def test_missing_compiler_fails_run_with_one_error_line(tmp_path):
     """In a fresh interpreter over a copy of the package with no build, `run`
     exits 2 with one `error:` line naming the compiler, and no traceback."""
-    shutil.copytree(Path(mesoped.__file__).parent, tmp_path / "mesoped",
-                    ignore=shutil.ignore_patterns("_step-*", "__pycache__"))
-    env = dict(os.environ, CC=MISSING_CC, PYTHONPATH=str(tmp_path))
-    proc = subprocess.run([sys.executable, "-m", "mesoped.cli", "run", "cinema_a",
-                           "--out", str(tmp_path / "run")],
-                          env=env, capture_output=True, text=True, cwd=tmp_path)
-    assert proc.returncode == 2, proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
-    assert MISSING_CC in lines[0] and "step.c" in lines[0]
+    assert_one_error_line(cli_without_compiler(
+        tmp_path, "run", "cinema_a", "--out", str(tmp_path / "run")))
     assert not (tmp_path / "run").exists()
     assert [p.name for p in (tmp_path / "mesoped").glob("_step-*")] == []
 
 
 def test_kernel_compiles_without_warnings(tmp_path):
-    proc = subprocess.run([*engine.compiler(), *engine.CFLAGS, "-Wall", "-Wextra", "-Werror",
-                           "-o", str(tmp_path / "step.so"), str(engine.KERNEL_SOURCE)],
+    proc = subprocess.run([*kernel.compiler(), *kernel.CFLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "step.so"), str(kernel.KERNEL_SOURCE)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -184,5 +200,5 @@ def struct_members(source: str, name: str) -> list[tuple[str, type]]:
 def test_run_struct_mirrors_match():
     """`engine._Run` lists `struct run`'s members in step.c's order with
     matching types; a mismatch would have the kernel read the wrong fields."""
-    members = struct_members(engine.KERNEL_SOURCE.read_text(), "run")
+    members = struct_members(kernel.KERNEL_SOURCE.read_text(), "run")
     assert members == list(engine._Run._fields_)
