@@ -229,11 +229,6 @@ class _Run(ctypes.Structure):
         ("dt", ctypes.c_double)]
 
 
-def _extend(col: array, by: int) -> None:
-    """Append `by` zero items to an `array` column."""
-    col.frombytes(bytes(by * col.itemsize))
-
-
 class SimulationState:
     """Mutable per-run state: agent columns, density, pending spawns, event log.
 
@@ -334,7 +329,7 @@ class Simulation:
         r.n_present, r.n_pending = len(state.present), len(state.pending) // 3
         # at, t_in, present and the shuffle's order, each with room for every agent
         for col in agent_cols[2:]:
-            _extend(col, len(state.at) - len(col))
+            col.frombytes(bytes((len(state.at) - len(col)) * col.itemsize))
         r.steps, r.step = max(0, min(steps, 2**63 - 1)), state.step_index
         r.agents, r.events = len(state.at), len(log.kinds)
         r.density, r.pending = state.density.buffer_info()[0], state.pending.buffer_info()[0]
@@ -354,7 +349,7 @@ class Simulation:
                 if len(cols[0]) - used < need:
                     by = max(need, min(LOG_HEADROOM, used, r.steps * need))
                     for col in cols:
-                        _extend(col, by)
+                        col.frombytes(bytes(by * col.itemsize))
         for col, n in zip((log.starts, *log_cols, *agent_cols, state.pending),
                           (r.step + 1, r.events, r.events, r.events, r.agents, r.agents,
                            r.n_present, 0, 3 * r.n_pending)):

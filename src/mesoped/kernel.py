@@ -1,6 +1,6 @@
-"""The compiled kernel: `step.c`, which holds the field solve and the step
-loop, built once, cached, and loaded through ctypes with every function's
-signature. Structures are passed by `ctypes.byref` (`engine._Run`, `engine.PCG64`).
+"""The compiled kernel `step.c` (the field solve, the step loop and the log
+walk of `metrics.summarize`), built once, cached, and loaded through ctypes
+with every function's signature; structures go by `ctypes.byref` (`engine._Run`, `engine.PCG64`).
 """
 
 from __future__ import annotations
@@ -69,9 +69,11 @@ def kernel() -> ctypes.CDLL:
     if not path.exists():
         _build_kernel(path)
     lib = ctypes.CDLL(str(path))
-    p, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.solve.argtypes, lib.solve.restype = [p, p, i64, ctypes.c_double, p, p, p, p], i64
+    p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    lib.solve.argtypes, lib.solve.restype = [p, p, i64, f64, p, p, p, p], i64
     lib.run.argtypes, lib.run.restype = [p, ctypes.c_int], ctypes.c_int
     lib.shuffle.argtypes, lib.shuffle.restype = [p, i64, p], None
     lib.draw.argtypes, lib.draw.restype = [ctypes.c_uint64, p], ctypes.c_uint64
+    lib.summarize.argtypes = [p, i64, p, p, p, i64, i64, f64, f64, f64, i64, p, p, p, p, p, p]
+    lib.summarize.restype = ctypes.c_int
     return lib

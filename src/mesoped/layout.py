@@ -251,10 +251,8 @@ def parse_layout(text: str) -> LayoutGrid:
         except KeyError:  # a spelling such as "07" or "+3", or a bad token
             walls.append(tuple(_parse_wall_code(tok, no) for tok in tokens))
 
-    sinks: list[tuple[Cell, float]] = []
-    sources: list[Cell] = []
-    seen_sinks: set[Cell] = set()
-    seen_sources: set[Cell] = set()
+    sinks: dict[Cell, float] = {}
+    sources: dict[Cell, None] = {}
     for no, ln in lines[1 + rows:]:
         tokens = ln.split()
         kind = tokens[0]
@@ -266,18 +264,16 @@ def parse_layout(text: str) -> LayoutGrid:
                 weight = float(tokens[3])
                 if not 0 < weight < math.inf:
                     raise ValueError(f"sink weight must be positive and finite, got {weight}")
-                if cell in seen_sinks:
+                if cell in sinks:
                     raise ValueError(f"duplicate sink {cell}")
-                seen_sinks.add(cell)
-                sinks.append((cell, weight))
+                sinks[cell] = weight
             elif kind == "source":
                 if len(tokens) != 3:
                     raise ValueError("expected 'source r c'")
                 cell = (int(tokens[1]), int(tokens[2]))
-                if cell in seen_sources:
+                if cell in sources:
                     raise ValueError(f"duplicate source {cell}")
-                seen_sources.add(cell)
-                sources.append(cell)
+                sources[cell] = None
             else:
                 raise ValueError(f"unknown directive {kind!r}")
         except ValueError as exc:
@@ -286,7 +282,7 @@ def parse_layout(text: str) -> LayoutGrid:
             raise ParseError(f"line {no}: cell {cell} outside {rows}x{cols} grid")
 
     grid = LayoutGrid(rows=rows, cols=cols, cell_size_m=cell_size,
-                      walls=tuple(walls), sinks=tuple(sinks), sources=tuple(sources))
+                      walls=tuple(walls), sinks=tuple(sinks.items()), sources=tuple(sources))
     validate_grid(grid)
     return grid
 

@@ -7,20 +7,21 @@ be re-audited without replaying it.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .engine import EXIT, MOVE, SPAWN, STAY, EventLog
+from .kernel import kernel
 from .layout import Cell
 from .scenario import ConfigError, Runtime, ScenarioConfig, make_simulation
 
 
-def _fmean(xs) -> float:
-    """The float mean, as `statistics.fmean` computes it: `fsum(xs) / len(xs)`."""
-    return math.fsum(xs) / len(xs)
+def _fmean(xs) -> float | None:
+    """The float mean, as `statistics.fmean` computes it: `fsum(xs) / len(xs)`,
+    or None for no values."""
+    return math.fsum(xs) / len(xs) if xs else None
 
 
 @dataclass(frozen=True)
@@ -47,55 +48,28 @@ def summarize(log: EventLog, cell_size_m: float) -> RunMetrics:
     spawned). A travel time is the exit clock minus the spawn clock, and a
     walked distance is the sum of the agent's hops in the order it made them
     (a hop is diagonal when both row and column change), so every average is
-    the same float the event-by-event sums give.
+    the same float the event-by-event sums give, from one walk of the log in
+    the kernel. A malformed log raises ValueError, naming the fault.
     """
-    n = len(log.kinds)
-    starts = np.frombuffer(log.starts, dtype=np.intc)
-    kinds = np.frombuffer(log.kinds, dtype=np.uint8)
-    agents = np.frombuffer(log.agents, dtype=np.intc)
-    cells = np.frombuffer(log.cells, dtype=np.intc)
-    is_spawn = kinds == SPAWN
-    spawns = np.flatnonzero(is_spawn)
-    exits = np.flatnonzero(kinds == EXIT)
-    n_agents = len(spawns)
-    if not len(exits):
-        return RunMetrics(n_agents=n_agents, avg_travel_time_s=None, avg_distance_m=None,
-                          per_exit_counts={}, completed=n_agents == 0)
-    size = int(agents.max()) + 1
-    # The step of event k is the last step whose first event is at k or before.
-    spawn_step = np.zeros(size, dtype=np.int64)
-    spawn_step[agents[spawns]] = np.searchsorted(starts, spawns, side="right") - 1
-    exit_agents = agents[exits]
-    exit_step = np.searchsorted(starts, exits, side="right") - 1
-    travel = exit_step * log.dt - spawn_step[exit_agents] * log.dt
-
-    # Each agent's cells in the order it reached them, spawn cell first: the
-    # spawns and moves sorted in place by the unique key agent * n + index,
-    # which gives the stable order. Each temporary is freed once used, so the
-    # peak stays near 20 bytes an event.
-    key = np.flatnonzero(is_spawn | (kinds == MOVE))
-    del is_spawn
-    key += np.multiply(agents[key], n, dtype=np.int64)
-    key.sort()
-    rows, cols = np.divmod(cells[key % n], log.cols)
-    key //= n  # now each event's agent, an int64 that bincount takes as it is
-    # A hop is diagonal when both the row and the column change.
-    diagonal = (rows[1:] != rows[:-1]) & (cols[1:] != cols[:-1])
-    del rows, cols
-    hop_len = np.where(diagonal, cell_size_m * math.sqrt(2.0), cell_size_m)
-    hop_len[key[1:] != key[:-1]] = 0.0  # an agent's first cell is no hop
-    # bincount adds the weights one by one in input order, so each agent's
-    # distance is a running total of its hops in the order it made them;
-    # adding 0.0 changes no total.
-    distance = np.bincount(key[1:], weights=hop_len, minlength=size)
-
-    exit_rows, exit_cols = np.divmod(cells[exits], log.cols)
+    kinds = bytes(log.kinds)
+    if {len(log.agents), len(log.cells)} != {len(kinds)}:
+        raise ValueError("the event log's agent, kind and cell columns differ in length")
+    n_agents, n_exits = kinds.count(SPAWN), kinds.count(EXIT)
+    # per agent: spawn step (-1: not yet), cell, distance; per exit: travel time, distance, cell
+    cols = (array("q", [-1]) * n_agents, array("i", [0]) * n_agents, array("d", [0.0]) * n_agents,
+            array("d", [0.0]) * n_exits, array("d", [0.0]) * n_exits, array("i", [0]) * n_exits)
+    if kernel().summarize(log.starts.buffer_info()[0], len(log.starts), log.agents.buffer_info()[0],
+                          kinds, log.cells.buffer_info()[0], len(kinds), log.cols, log.dt,
+                          cell_size_m, cell_size_m * math.sqrt(2.0), n_agents,
+                          *(col.buffer_info()[0] for col in cols)) < 0:
+        raise ValueError("the event log holds an event of an agent id that has not spawned")
+    travel, distance, exit_cells = cols[3:]
     return RunMetrics(
         n_agents=n_agents,
-        avg_travel_time_s=_fmean(travel.tolist()),
-        avg_distance_m=_fmean(distance[exit_agents].tolist()),
-        per_exit_counts=dict(Counter(zip(exit_rows.tolist(), exit_cols.tolist()))),
-        completed=len(exits) == n_agents,
+        avg_travel_time_s=_fmean(travel),
+        avg_distance_m=_fmean(distance),
+        per_exit_counts={divmod(c, log.cols): k for c, k in Counter(exit_cells).items()},
+        completed=n_exits == n_agents,
     )
 
 
@@ -157,8 +131,8 @@ def sweep(runtime: Runtime, populations: list[int], seeds_per_point: int) -> lis
                   for cell, _ in runtime.grid.sinks}
         points.append(RunMetrics(
             n_agents=population,
-            avg_travel_time_s=_fmean(travels) if travels else None,
-            avg_distance_m=_fmean(dists) if dists else None,
+            avg_travel_time_s=_fmean(travels),
+            avg_distance_m=_fmean(dists),
             per_exit_counts=counts,
             completed=all(m.completed for m in metrics),
         ))

@@ -275,7 +275,7 @@ def build_runtime(config: ScenarioConfig) -> Runtime:
     if field.plateau is not None:
         raise ConfigError(
             f"{config.name}: cell {field.plateau} lies on a plateau of the navigation "
-            f"field at {field.values[field.plateau]!r}, with no higher neighbour (too far "
+            f"field at {float(field.values[field.plateau])!r}, with no higher neighbour (too far "
             f"from every sink at gamma {config.gamma})")
     return Runtime(config=config, grid=grid, field=field)
 

@@ -1,5 +1,5 @@
 /* mesoped's compiled kernel, plain C for ctypes; mesoped.kernel compiles it,
- * and its callers own every buffer. It holds two things:
+ * and its callers own every buffer. It holds three things:
  *
  * `solve`, the navigation-field solve of mesoped.floorfield.compute_field:
  * synchronous frontier rounds outward from the sinks, each cell's update one
@@ -13,8 +13,10 @@
  * `Generator.integers` draw them; engine.PCG64 seeds it as numpy's
  * `SeedSequence` would.
  *
+ * `summarize`, the one walk of an event log behind mesoped.metrics.summarize.
+ *
  * Build with -ffp-contract=off and never -ffast-math, so that `gamma * m`,
- * `t_in + wait` and `probs[d] * values[j]` round as Python's doubles do.
+ * `t_in + wait`, `probs[d] * values[j]` and `s * dt - spawn * dt` round as Python's do.
  */
 #include <float.h>
 #include <stdint.h>
@@ -286,6 +288,36 @@ int run(struct run *r, int until_done)
         shuffle(r->order, r->n_present, r->rng);
         for (int64_t m = 0; m < r->n_present; m++)
             move(r, r->order[m], clock);
+    }
+    return 0;
+}
+
+/* Walks an event log in order; event k is in the last step starting at k or
+ * before, step s at clock s * dt. Keeps each agent's spawn step (-1: not yet),
+ * cell and distance, to which a move adds `diagonal` when row and column both
+ * change, else `side`. Writes each exit's travel time, distance and cell.
+ * Returns -1 for an event of an agent outside 0 .. spawns - 1 or not yet spawned, else 0. */
+int summarize(const int32_t *starts, int64_t steps, const int32_t *agents, const uint8_t *kinds,
+              const int32_t *cells, int64_t events, int64_t cols, double dt, double side,
+              double diagonal, int64_t spawns, int64_t *spawn_step, int32_t *at, double *walked,
+              double *travel, double *distance, int32_t *exit_cells)
+{
+    for (int64_t k = 0, s = 0, n_exits = 0; k < events; k++) {
+        while (s + 1 < steps && starts[s + 1] <= k)
+            s++;
+        int32_t a = agents[k], c = cells[k];
+        if (a < 0 || a >= spawns || (kinds[k] != SPAWN && spawn_step[a] < 0))
+            return -1;
+        if (kinds[k] == SPAWN) {
+            spawn_step[a] = s, at[a] = c, walked[a] = 0.0;
+        } else if (kinds[k] == MOVE) {
+            walked[a] += c / cols != at[a] / cols && c % cols != at[a] % cols ? diagonal : side;
+            at[a] = c;
+        } else if (kinds[k] == EXIT) {
+            travel[n_exits] = (double)s * dt - (double)spawn_step[a] * dt;
+            distance[n_exits] = walked[a];
+            exit_cells[n_exits++] = c;
+        }
     }
     return 0;
 }

@@ -179,22 +179,27 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# ctypes type of each `struct run` member type in step.c; any pointer is c_void_p.
-C_TYPES = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+# The ctypes type of each C type in step.c's structs and exported functions;
+# any pointer is c_void_p.
+C_TYPES = {"int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64, "uint32_t": ctypes.c_uint32,
+           "int": ctypes.c_int, "double": ctypes.c_double}
+
+
+def declared(decl: str) -> list[tuple[str, type]]:
+    """The names that one C declaration such as `const int32_t *a, b`
+    declares, in order, each with its ctypes type."""
+    base, declarators = re.fullmatch(r"\s*(?:const\s+)?(struct \w+|\w+)\s+(.*)",
+                                     decl, re.S).groups()
+    return [(d.lstrip("*"), ctypes.c_void_p if d.startswith("*") else C_TYPES[base])
+            for d in map(str.strip, declarators.split(","))]
 
 
 def struct_members(source: str, name: str) -> list[tuple[str, type]]:
     """The members of `struct name { ... };` in C source, in order, each as
     its name and ctypes type."""
     body = re.search(rf"struct {name} {{(.*?)\n}};", source, re.S).group(1)
-    members = []
-    for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
-        base, declarators = re.fullmatch(r"\s*(?:const\s+)?(struct \w+|\w+)\s+(.*)",
-                                         decl, re.S).groups()
-        for member in map(str.strip, declarators.split(",")):
-            members.append((member.lstrip("*"),
-                            ctypes.c_void_p if member.startswith("*") else C_TYPES[base]))
-    return members
+    decls = re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]
+    return [member for decl in decls for member in declared(decl)]
 
 
 def test_run_struct_mirrors_match():
@@ -202,3 +207,32 @@ def test_run_struct_mirrors_match():
     matching types; a mismatch would have the kernel read the wrong fields."""
     members = struct_members(kernel.KERNEL_SOURCE.read_text(), "run")
     assert members == list(engine._Run._fields_)
+
+
+def test_pcg64_struct_mirrors_match():
+    """`engine.PCG64` lists `struct pcg64`'s members in step.c's order with
+    matching types, so the kernel's draws advance the state Python seeded."""
+    members = struct_members(kernel.KERNEL_SOURCE.read_text(), "pcg64")
+    assert members == list(engine.PCG64._fields_)
+
+
+def test_event_codes_match_kinds():
+    """step.c's event codes are `engine.KINDS` in order: the kernel logs
+    them and `metrics.summarize` and the CSV writer read them."""
+    names = re.search(r"enum \{([^}]*)\}", kernel.KERNEL_SOURCE.read_text()).group(1)
+    assert [name.strip() for name in names.split(",")] == [k.upper() for k in engine.KINDS]
+
+
+def test_kernel_declares_every_exported_signature():
+    """`kernel()` gives each function that step.c defines without `static`
+    the argument and result types of its definition. Without them ctypes
+    would pass an int64_t or a double argument as a C int."""
+    source = kernel.KERNEL_SOURCE.read_text()
+    defined = re.findall(r"^(?!static\b)(\w+) (\w+)\(([^)]*)\)\s*\{", source, re.M)
+    assert {name for _, name, _ in defined} == {"solve", "run", "shuffle", "draw", "summarize"}
+    lib = kernel.kernel()
+    for result, name, params in defined:
+        function = getattr(lib, name)
+        assert list(function.argtypes or ()) == [t for param in params.split(",")
+                                                 for _, t in declared(param)], name
+        assert function.restype == (None if result == "void" else C_TYPES[result]), name

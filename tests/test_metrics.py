@@ -111,6 +111,23 @@ def test_summarize_travel_time_is_a_difference_of_clocks():
     assert m.avg_travel_time_s != (3 - 1) * 0.1
 
 
+@pytest.mark.parametrize("later", [[], [(4, 0, "spawn", 0, 0)]])
+def test_summarize_rejects_an_agent_without_a_spawn(later):
+    """An agent that moves and exits with no spawn before it has no travel
+    time to count: an error, whether nobody spawns or its spawn comes later."""
+    events = [(2, 0, "move", 0, 1), (3, 0, "exit", 0, 1)] + later
+    with pytest.raises(ValueError, match="agent id that has not spawned"):
+        summarize(log_of(events), cell_size_m=1.0)
+
+
+def test_summarize_rejects_columns_of_different_lengths():
+    """The kernel walks as many agents and cells as there are kinds."""
+    log = log_of(CORRIDOR_EVENTS)
+    log.kinds.append(EXIT)
+    with pytest.raises(ValueError, match="columns differ in length"):
+        summarize(log, cell_size_m=1.0)
+
+
 def walk(agent, start_row, hops, first_step=1):
     """Move events of one agent going east, one row down on each 'd' hop."""
     r, c, events = start_row, 0, []
@@ -289,8 +306,9 @@ def test_snapshots_memory_does_not_grow_with_the_log():
 
 
 def test_summarize_memory_is_a_few_bytes_per_event():
-    """The peak over the log's own columns stays near one int64 sort key per
-    event plus a float hop length, not several per-event arrays."""
+    """The peak over the log's own columns is a copy of the kinds, one byte
+    an event, and the walk's columns, a few per agent and per exit; the
+    bound is that of a per-event int64 sort key plus a float hop length."""
     small = walking_log(7, 5)
     assert summarize(small, 1.0) == oracle.summarize(list(small), 1.0)
     assert_csv_matches_oracle(small)

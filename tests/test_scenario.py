@@ -274,7 +274,8 @@ def test_build_runtime_rejects_subnormal_plateau(tmp_path):
     check stops it."""
     (tmp_path / "long.layout").write_text(corridor_layout(3500))
     cfg = ScenarioConfig(name="long", layout_path=tmp_path / "long.layout")
-    with pytest.raises(ConfigError, match=r"cell \(0, \d+\) lies on a plateau.*gamma 0.8"):
+    with pytest.raises(ConfigError, match=r"cell \(0, \d+\) lies on a plateau .* at 1e-323, "
+                                          r"with no higher neighbour.*gamma 0.8"):
         build_runtime(cfg)
     assert build_runtime(replace(cfg, gamma=0.9)).field.values[0, 0] > 1e-300
 
