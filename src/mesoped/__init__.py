@@ -6,7 +6,7 @@ from .layout import (
     BoundaryError, ConsistencyError, EmptyError, LayoutError, LayoutGrid,
     ParseError, parse_layout, render_snapshot, serialize_layout, validate_grid,
 )
-from .floorfield import FloorField, compute_field, field_to_csv
+from .floorfield import FloorField, compute_field, field_csv_blocks
 from .engine import (
     MESO_TABLE, MICRO_TABLE, Simulation, SpawnEntry, SpeedDensityTable, events_csv_blocks,
 )

@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .engine import EventLog, events_csv_blocks
-from .floorfield import field_to_csv
+from .floorfield import field_csv_blocks
 from .kernel import KernelBuildError
 from .layout import LayoutError, LayoutGrid, render_snapshot
 from .metrics import check_sweep, comparison_csv, metrics_csv, occupancy, run_metrics, sweep
@@ -124,7 +124,7 @@ def cmd_run(args) -> int:
     sinks = [cell for cell, _ in runtime.grid.sinks]
     _write(out_dir / "events.csv", events_csv_blocks(sim.state.log))
     _write(out_dir / "metrics.csv", [metrics_csv([run_metrics(sim)], sinks).encode()])
-    _write(out_dir / "field.csv", [field_to_csv(runtime.field).encode()])
+    _write(out_dir / "field.csv", field_csv_blocks(runtime.field))
     if args.snapshots:
         _write(out_dir / "snapshots.txt", snapshot_pictures(runtime.grid, sim.state.log))
 
@@ -141,7 +141,7 @@ def cmd_export_field(args) -> int:
     config = load_scenario(args.scenario)
     out = _out_file(args.out)
     runtime = build_runtime(config)
-    _write(out, [field_to_csv(runtime.field).encode()])
+    _write(out, field_csv_blocks(runtime.field))
     print(f"{config.name}: field {runtime.grid.rows}x{runtime.grid.cols} -> {out}")
     return 0
 

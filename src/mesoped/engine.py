@@ -22,7 +22,7 @@ from itertools import chain, pairwise
 import numpy as np
 
 from .floorfield import FloorField
-from .kernel import kernel
+from .kernel import csv_blocks, kernel, packed
 from .layout import Cell, LayoutGrid
 
 # Mean of the inscribed and circumscribed circle diameters of a square cell.
@@ -270,8 +270,8 @@ class Simulation:
 
     The steps themselves are made by the C kernel in `step.c`
     (`mesoped.kernel.kernel()`), whose first use in a process, usually the
-    field solve, compiles it unless a build is cached. It reads the layout's
-    direction-major neighbour table (`LayoutGrid.neighbours.T`) and sink
+    move table, compiles it unless a build is cached. It reads the layout's
+    direction-major neighbour table (`LayoutGrid.neighbours`) and sink
     flags, the field values, and the table's entry probabilities and dwell
     times by density. It reads and writes `SimulationState`'s `array`
     columns in place: each `run` or `step` gives the agent columns room,
@@ -290,6 +290,10 @@ class Simulation:
                 raise ValueError(f"spawn cell {entry.cell} is not a layout source, or is a sink")
             if not (0 <= entry.count < 2**63 and 0 <= entry.release_step < 2**63):
                 raise ValueError(f"bad spawn entry {entry}")
+        total = sum(entry.count for entry in schedule)
+        if total >= 2**31:
+            raise ValueError(f"schedule totals {total} agents; agent ids are int32, "
+                             f"so at most {2**31 - 1} fit")
         if np.shape(field.values) != (grid.rows, grid.cols):
             raise ValueError(f"field of shape {np.shape(field.values)} on a "
                              f"{grid.rows}x{grid.cols} grid")
@@ -303,11 +307,12 @@ class Simulation:
         # the speed is 0 and the agent cannot leave.
         diameter = grid.cell_size_m * DIAMETER_FACTOR
         self._inputs = inputs = (
-            grid.neighbours.T, np.ascontiguousarray(field.values, dtype=np.float64),
+            np.ascontiguousarray(field.values, dtype=np.float64),
             # a cell as full as the table is long takes no one, as at its last row
             np.frombuffer(grid.sink_flags, dtype=np.uint8), np.array([*table.probs, 0.0]),
             np.array([diameter / u if u > 0.0 else math.inf for u in table.speeds]))
-        self._run = _Run(*(a.ctypes.data for a in inputs), ctypes.addressof(self.state.rng),
+        self._run = _Run(grid.neighbours.obj.buffer_info()[0], *(a.ctypes.data for a in inputs),
+                         ctypes.addressof(self.state.rng),
                          cells=grid.rows * grid.cols, capacity=table.capacity, dt=dt)
         # Step 0 is the release of the agents due when the clock starts, alone.
         self.state.step_index = -1
@@ -388,49 +393,39 @@ class Simulation:
 
 
 CSV_HEADER = b"step,clock_s,agent_id,event,row,col\n"
-# Events formatted per block, so the scratch memory does not grow with the log.
-CSV_BLOCK_EVENTS = 1 << 14
+# The most bytes of a line after its `step,clock,`: an agent, a row and a
+# column of up to 10 digits each, ",spawn,", a comma and the newline.
+CSV_LINE_TAIL = 39
 
 
-def events_csv_blocks(log: EventLog) -> Iterator[bytes | bytearray]:
-    """The log as CSV, built in numpy: the header, then the lines of each
-    block of `CSV_BLOCK_EVENTS` events, so memory does not grow with the log.
+def events_csv_blocks(log: EventLog) -> Iterator[bytes]:
+    """The log as CSV: the header, then blocks of whole lines
+    (`kernel.csv_blocks`), so memory does not grow with the log.
 
-    A line is five pieces, each looked up in a small table: `step,clock,`
-    (one entry per step that has events), the agent id, `,kind,`, `row,` and
-    `col\n`. A block gathers its pieces into one fixed-width row of bytes per
-    event and drops the NUL padding. The bytes equal the per-event f-string
-    writer kept in `tests/oracle.py`. The log cannot grow until the last
-    block is drawn: numpy holds its columns' buffers.
+    Python formats each step's `step,clock,` once, with `%r` for the clock;
+    the kernel's `events_csv` writes the lines. The bytes equal the
+    per-event f-string writer kept in `tests/oracle.py`. The log cannot grow
+    until the last block is drawn: the writer holds its columns' buffers. A
+    log whose agent or cell is negative or whose kind is not an event code
+    raises ValueError.
     """
     yield CSV_HEADER
-    n = len(log.kinds)
-    if not n:
-        return
-    starts = np.frombuffer(log.starts, dtype=np.intc)
-    steps = np.flatnonzero(np.diff(starts, append=n))
-    first = starts[steps]  # each step's first event, for the steps that have one
-    agents = np.frombuffer(log.agents, dtype=np.intc)
-    kinds = np.frombuffer(log.kinds, dtype=np.uint8)
-    cells = np.frombuffer(log.cells, dtype=np.intc)
-    cols = log.cols
-    # Fixed-width, NUL-padded tables (numpy's `S` dtype).
-    tables = [np.array(pieces, dtype=bytes) for pieces in (
-        [b"%d,%r," % (s, s * log.dt) for s in steps.tolist()],
-        [b"%d" % a for a in range(int(agents.max()) + 1)],
-        [b",%s," % name.encode() for name in KINDS],
-        [b"%d," % r for r in range(int(cells.max()) // cols + 1)],
-        [b"%d\n" % c for c in range(cols)],
-    )]
-    line = np.dtype([(f"f{k}", t.dtype) for k, t in enumerate(tables)])
-    raw = bytearray(CSV_BLOCK_EVENTS * line.itemsize)
-    block = np.frombuffer(raw, line)
-    for lo in range(0, n, CSV_BLOCK_EVENTS):
-        hi = min(lo + CSV_BLOCK_EVENTS, n)
-        block[hi - lo:] = np.zeros((), line)  # a short last block leaves only NULs behind
-        step_of = np.searchsorted(first, np.arange(lo, hi), side="right") - 1
-        r, c = np.divmod(cells[lo:hi], cols)
-        for name, table, keys in zip(line.names, tables,
-                                     (step_of, agents[lo:hi], kinds[lo:hi], r, c)):
-            block[name][:hi - lo] = table.take(keys)
-        yield raw.translate(None, b"\0")
+    steps = [(s, lo) for s, (lo, hi) in enumerate(log.spans()) if lo < hi]
+    prefixes = ["%d,%r," % (s, s * log.dt) for s, _ in steps]
+    text, ends = packed(prefixes)
+    firsts = array("i", [lo for _, lo in steps])
+    columns = [(ctypes.c_char * memoryview(col).nbytes).from_buffer(col)
+               for col in (log.agents, log.kinds, log.cells)]
+    at = array("q", [0, 0])
+    lib = kernel()
+
+    def fill(block: ctypes.Array, room: int) -> int:
+        n = lib.events_csv(*columns, len(log.kinds), log.cols, firsts.buffer_info()[0],
+                           len(firsts), text, ends.buffer_info()[0], at.buffer_info()[0],
+                           block, room)
+        if n < 0:
+            raise ValueError(f"event {at[0]} of the log has a negative agent or cell, "
+                             "or a kind that is not an event code")
+        return n
+
+    yield from csv_blocks(fill, max(map(len, prefixes), default=0) + CSV_LINE_TAIL)

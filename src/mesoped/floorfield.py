@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import ctypes
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import kernel
+from .kernel import csv_blocks, kernel, packed
 from .layout import Cell, LayoutGrid
 
 DEFAULT_GAMMA = 0.8
@@ -61,7 +62,7 @@ def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
     work = array("i", [0]) * (3 * n)  # round marks, risen cells, a round's cells
     new = array("d", [0.0]) * n  # a round's new values
     plateau = ctypes.c_int64()
-    rounds = kernel().solve(grid.neighbours.T.ctypes.data, grid.sink_flags, n, gamma,
+    rounds = kernel().solve(grid.neighbours.obj.buffer_info()[0], grid.sink_flags, n, gamma,
                             values.buffer_info()[0], work.buffer_info()[0],
                             new.buffer_info()[0], ctypes.byref(plateau))
     view = np.frombuffer(values).reshape(grid.rows, grid.cols)
@@ -70,15 +71,31 @@ def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
                       plateau=None if plateau.value < 0 else divmod(plateau.value, grid.cols))
 
 
-def field_to_csv(field: FloorField) -> str:
-    """Full-precision CSV, one line per grid row.
+def field_csv_blocks(field: FloorField) -> Iterator[bytes]:
+    """Full-precision CSV, one line per grid row, in blocks of whole cells
+    (`kernel.csv_blocks`).
 
-    A solved field holds few values (base reward x weight x gamma^hops), so
-    each bit pattern is formatted once (`np.unique` over the bits); the text
-    of a value depends only on its bits, -0.0 and subnormals included.
+    A solved field holds few values (base reward x weight x gamma^hops). The
+    kernel's `number_values` numbers their distinct bit patterns, each is
+    formatted once with `repr`, and the kernel's `field_csv` writes each
+    cell's text. A value's text depends only on its bits, -0.0 and
+    subnormals included.
     """
-    values = np.asarray(field.values, dtype=np.float64)
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    cells = text[index.reshape(values.shape)].tolist()
-    return "".join([",".join(row) + "\n" for row in cells])
+    values = np.ascontiguousarray(field.values, dtype=np.float64)
+    n, cols = values.size, values.shape[1]
+    lib = kernel()
+    ids = array("i", [0]) * n
+    slots = 1024
+    while True:  # a table twice as large until it holds every pattern at half load
+        table, distinct = array("i", [-1]) * slots, array("d", [0.0]) * (slots // 2)
+        count = lib.number_values(values.ctypes.data, n, ids.buffer_info()[0],
+                                  distinct.buffer_info()[0], table.buffer_info()[0], slots)
+        if count >= 0:
+            break
+        slots *= 2
+    texts = [repr(v) for v in distinct[:count]]
+    text, ends = packed(texts)
+    at = array("q", [0])
+    yield from csv_blocks(lambda block, room: lib.field_csv(
+        ids.buffer_info()[0], n, cols, text, ends.buffer_info()[0], at.buffer_info()[0],
+        block, room), max(map(len, texts)) + 1)

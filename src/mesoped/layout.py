@@ -9,11 +9,11 @@ instead of repairing them.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
-import numpy as np
+from .kernel import kernel
 
 Cell = tuple[int, int]
 
@@ -27,18 +27,10 @@ DIR_VECTORS = {
     "S": (1, 0), "SW": (1, -1), "W": (0, -1), "NW": (-1, -1),
 }
 
-_SIDE_OF = {"N": TOP, "E": RIGHT, "S": BOTTOM, "W": LEFT}
-# Diagonal moves pass a cell corner: both flanking sides must be open at the
-# source and at the destination, which together cover all four edges meeting
-# at that corner (no corner cutting).
-_DIAG_SIDES = {
-    "NE": ((TOP, RIGHT), (BOTTOM, LEFT)),
-    "SE": ((BOTTOM, RIGHT), (TOP, LEFT)),
-    "SW": ((BOTTOM, LEFT), (TOP, RIGHT)),
-    "NW": ((TOP, LEFT), (BOTTOM, RIGHT)),
-}
 # The canonical spelling of each wall code, as `serialize_layout` writes it.
 _WALL_CODES = {str(code): code for code in range(16)}
+# `bytes.translate` tables: byte 1 for a wall code with that side closed, else 0.
+_CLOSED = {side: bytes(bool(code & side) for code in range(256)) for side in SIDE_NAMES}
 
 
 class LayoutError(Exception):
@@ -63,11 +55,6 @@ class EmptyError(LayoutError):
 
 def side_open(code: int, side: int) -> bool:
     return not code & side
-
-
-def _window(size: int, step: int) -> slice:
-    """The positions along an axis of `size` that stay on it after `step`."""
-    return slice(max(-step, 0), size - max(step, 0))
 
 
 @dataclass(frozen=True)
@@ -97,40 +84,27 @@ class LayoutGrid:
         return frozenset(self.sources)
 
     @cached_property
-    def wall_codes(self) -> np.ndarray:
-        """Read-only (rows, cols) uint8 array of the wall codes."""
-        codes = np.frombuffer(bytes(chain.from_iterable(self.walls)), dtype=np.uint8)
-        return codes.reshape(self.rows, self.cols)
+    def wall_codes(self) -> bytes:
+        """The wall codes, one byte per cell in row-major order."""
+        return b"".join(map(bytes, self.walls))
 
     @cached_property
-    def neighbours(self) -> np.ndarray:
-        """Read-only (rows*cols, 8) table: the flat index of each move's
-        destination in DIRECTIONS order, or -1 where the move is not permitted.
+    def neighbours(self) -> memoryview:
+        """Read-only (8, rows*cols) int32 table, one row per direction in
+        DIRECTIONS order: `neighbours[d, i]` is the flat index of the cell
+        that move d leads to from cell i, or -1 where the move is not permitted.
 
-        This is the one definition of move permission. On a grid that passes
-        `validate_grid` it is symmetric: j is a neighbour of i iff i is one of j.
-        The table is the transpose of a C-contiguous (8, rows*cols) array, one
-        direction per row, so `neighbours.T.take(cells, axis=1)` gathers a
-        cell set's neighbours with each direction contiguous.
+        This is the one definition of move permission. The kernel's
+        `neighbours` fills it from the wall codes (step.c has the rules). On
+        a grid that passes `validate_grid` it is symmetric: j is a neighbour
+        of i iff i is one of j. The table is an `array` that only this
+        read-only view refers to; the kernel takes its address from the
+        view's `obj`, and `numpy.asarray` reads it as a read-only array.
         """
-        rows, cols = self.rows, self.cols
-        walls = self.wall_codes
-        flat = np.arange(rows * cols).reshape(rows, cols)
-        table = np.full((len(DIRECTIONS), rows * cols), -1, dtype=np.intp)
-        for k, d in enumerate(DIRECTIONS):
-            dr, dc = DIR_VECTORS[d]
-            # `here`: the cells with a cell next to them in direction d;
-            # `there`: those next cells.
-            here = (_window(rows, dr), _window(cols, dc))
-            there = (_window(rows, -dr), _window(cols, -dc))
-            if d in _SIDE_OF:
-                ok = (walls[here] & _SIDE_OF[d]) == 0
-            else:
-                (s1, s2), (t1, t2) = _DIAG_SIDES[d]
-                ok = ((walls[here] & (s1 | s2)) == 0) & ((walls[there] & (t1 | t2)) == 0)
-            np.copyto(table[k].reshape(rows, cols)[here], flat[there], where=ok)
-        table.flags.writeable = False
-        return table.T
+        n = self.rows * self.cols
+        table = array("i", [0]) * (len(DIRECTIONS) * n)
+        kernel().neighbours(self.wall_codes, self.rows, self.cols, table.buffer_info()[0])
+        return memoryview(table).toreadonly().cast("B").cast("i", (len(DIRECTIONS), n))
 
     @cached_property
     def snapshot_frame(self) -> str:
@@ -148,34 +122,50 @@ class LayoutGrid:
     @cached_property
     def sink_flags(self) -> bytes:
         """One byte per cell in row-major order: 1 on a sink, else 0."""
-        flags = np.zeros(self.rows * self.cols, dtype=np.uint8)
-        flags[[self.index(cell) for cell, _ in self.sinks]] = 1
-        return flags.tobytes()
+        flags = bytearray(self.rows * self.cols)
+        for cell, _ in self.sinks:
+            flags[self.index(cell)] = 1
+        return bytes(flags)
 
 
-def find_edge_conflicts(walls) -> list[tuple[Cell, Cell]]:
-    """Cell pairs whose shared edge is encoded open on one side, closed on the other.
+def find_edge_conflicts(codes: bytes, cols: int) -> list[tuple[Cell, Cell]]:
+    """Cell pairs whose shared edge is encoded open on one side, closed on
+    the other, in wall codes given row by row as bytes (`LayoutGrid.wall_codes`).
 
     Pairs come in row-major order of their first cell, its east edge before
-    its south edge.
+    its south edge. The closed sides are compared as byte strings: all rows
+    with the rows below at once, then each row with itself shifted by a
+    cell, and with the row below if that differed. Only a row that differs
+    is scanned cell by cell.
     """
-    w = np.asarray(walls)
-    cols = w.shape[1]
-    east_r, east_c = np.nonzero(((w[:, :-1] & RIGHT) > 0) != ((w[:, 1:] & LEFT) > 0))
-    south_r, south_c = np.nonzero(((w[:-1] & BOTTOM) > 0) != ((w[1:] & TOP) > 0))
-    # Key 2 * flat index of the first cell, plus 1 for a south edge.
-    keys = np.concatenate([(east_r * cols + east_c) * 2, (south_r * cols + south_c) * 2 + 1])
+    right, left, bottom, top = (codes.translate(_CLOSED[side])
+                                for side in (RIGHT, LEFT, BOTTOM, TOP))
+    any_south, last = bottom[:-cols] != top[cols:], len(codes) - cols
     bad = []
-    for key in np.sort(keys).tolist():
-        cell, south = divmod(key, 2)
-        r, c = divmod(cell, cols)
-        bad.append(((r, c), (r + south, c + 1 - south)))
+    for i in range(0, len(codes), cols):
+        south = any_south and i < last and bottom[i:i + cols] != top[i + cols:i + 2 * cols]
+        if south or right[i:i + cols - 1] != left[i + 1:i + cols]:
+            r = i // cols
+            for c in range(cols):
+                if c + 1 < cols and right[i + c] != left[i + c + 1]:
+                    bad.append(((r, c), (r, c + 1)))
+                if south and bottom[i + c] != top[i + cols + c]:
+                    bad.append(((r, c), (r + 1, c)))
     return bad
 
 
+def _check_cell_count(rows: int, cols: int, where: str = "") -> None:
+    """Cells are int32 in the kernel and in the neighbour table."""
+    if rows * cols >= 2**31:
+        raise ParseError(f"{where}{rows}x{cols} grid has {rows * cols} cells; "
+                         f"cell indices are int32, so at most {2**31 - 1} fit")
+
+
 def validate_grid(grid: LayoutGrid) -> None:
-    """Raise on edge conflicts, missing sinks/sources, or an open perimeter."""
-    conflicts = find_edge_conflicts(grid.wall_codes)
+    """Raise on too many cells, edge conflicts, missing sinks/sources, or an
+    open perimeter."""
+    _check_cell_count(grid.rows, grid.cols)
+    conflicts = find_edge_conflicts(grid.wall_codes, grid.cols)
     if conflicts:
         (a, b) = conflicts[0]
         raise ConsistencyError(f"shared edge between {a} and {b} disagrees")
@@ -238,6 +228,7 @@ def parse_layout(text: str) -> LayoutGrid:
         raise ParseError(f"line {no}: bad header value: {exc}") from None
     if rows < 1 or cols < 1 or not 0 < cell_size < math.inf:
         raise ParseError(f"line {no}: rows, cols, cell size must be positive and finite")
+    _check_cell_count(rows, cols, f"line {no}: ")
 
     if len(lines) - 1 < rows:
         raise ParseError(f"expected {rows} wall-code lines, found {len(lines) - 1}")

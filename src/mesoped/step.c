@@ -1,5 +1,7 @@
 /* mesoped's compiled kernel, plain C for ctypes; mesoped.kernel compiles it,
- * and its callers own every buffer. It holds three things:
+ * and its callers own every buffer. It holds five things:
+ *
+ * `neighbours`, the move table of mesoped.layout.LayoutGrid.neighbours.
  *
  * `solve`, the navigation-field solve of mesoped.floorfield.compute_field:
  * synchronous frontier rounds outward from the sinks, each cell's update one
@@ -15,6 +17,11 @@
  *
  * `summarize`, the one walk of an event log behind mesoped.metrics.summarize.
  *
+ * The CSV writers: `events_csv` for mesoped.engine.events_csv_blocks, and
+ * `number_values` and `field_csv` for mesoped.floorfield.field_csv_blocks.
+ * Each fills a block the caller owns with whole lines or cells, and Python
+ * formats every float in them, so the text is Python's `repr`.
+ *
  * Build with -ffp-contract=off and never -ffast-math, so that `gamma * m`,
  * `t_in + wait`, `probs[d] * values[j]` and `s * dt - spawn * dt` round as Python's do.
  */
@@ -22,15 +29,52 @@
 #include <stdint.h>
 #include <string.h>
 
+/* Wall bits of mesoped.layout: a set bit closes that side of a cell. */
+#define TOP 8
+#define RIGHT 4
+#define BOTTOM 2
+#define LEFT 1
+
+/* Fills the direction-major move table `nbr` (8 rows of rows * cols): entry
+ * d * rows * cols + i is the flat index of the cell that move d (N, NE, E,
+ * SE, S, SW, W, NW) leads to from cell i, or -1 where the move leaves the
+ * grid or a wall closes it. `walls` holds the wall codes row by row. A side
+ * move needs its side open at the source. A diagonal passes a cell corner:
+ * it needs the two flanking sides open at the source and the two opposite
+ * ones at the destination, which together are the four edges meeting at that
+ * corner (no corner cutting). */
+void neighbours(const uint8_t *walls, int64_t rows, int64_t cols, int32_t *nbr)
+{
+    static const int dr[8] = {-1, -1, 0, 1, 1, 1, 0, -1}, dc[8] = {0, 1, 1, 1, 0, -1, -1, -1};
+    static const uint8_t here[8] = {TOP, TOP | RIGHT, RIGHT, BOTTOM | RIGHT,
+                                    BOTTOM, BOTTOM | LEFT, LEFT, TOP | LEFT};
+    static const uint8_t there[8] = {0, BOTTOM | LEFT, 0, TOP | LEFT,
+                                     0, TOP | RIGHT, 0, BOTTOM | RIGHT};
+    for (int d = 0; d < 8; d++) {
+        const int64_t step = dr[d] * cols + dc[d];
+        for (int64_t r = 0, i = 0; r < rows; r++, i += cols, nbr += cols) {
+            /* the columns whose move d stays on the grid */
+            int64_t lo = dc[d] < 0, hi = cols - (dc[d] > 0);
+            if (r + dr[d] < 0 || r + dr[d] >= rows)
+                lo = hi = 0;
+            for (int64_t c = 0; c < cols; c++)
+                nbr[c] = -1;
+            for (int64_t c = lo; c < hi; c++)
+                nbr[c] = (walls[i + c] & here[d]) | (walls[i + c + step] & there[d])
+                         ? -1 : (int32_t)(i + c + step);
+        }
+    }
+}
+
 /* The highest value among the destinations of cell i's permitted moves in
  * the direction-major table `nbr`, or 0 when it has none. Every value is at
  * least +0.0 and none is NaN, so this equals the oracle's numpy max with a 0
  * for each missing move. */
-static double best_neighbour(const intptr_t *nbr, int64_t cells, const double *values, int64_t i)
+static double best_neighbour(const int32_t *nbr, int64_t cells, const double *values, int64_t i)
 {
     double best = 0.0;
     for (int d = 0; d < 8; d++) {
-        intptr_t j = nbr[d * cells + i];
+        int32_t j = nbr[d * cells + i];
         if (j >= 0 && values[j] > best)
             best = values[j];
     }
@@ -47,7 +91,7 @@ static double best_neighbour(const intptr_t *nbr, int64_t cells, const double *v
  * the round's cells) and `next` for cells doubles; `mark` must start at 0.
  * *plateau is the first non-sink cell, in flat order, whose value is
  * positive, subnormal and no lower than its best neighbour's, or -1. */
-int64_t solve(const intptr_t *nbr, const uint8_t *sink, int64_t cells, double gamma,
+int64_t solve(const int32_t *nbr, const uint8_t *sink, int64_t cells, double gamma,
               double *values, int32_t *work, double *next, int64_t *plateau)
 {
     int32_t *mark = work, *risen = work + cells, *near = work + 2 * cells;
@@ -60,10 +104,10 @@ int64_t solve(const intptr_t *nbr, const uint8_t *sink, int64_t cells, double ga
         rounds++;
         for (int64_t k = 0; k < n_risen; k++)
             for (int d = 0; d < 8; d++) {
-                intptr_t j = nbr[d * cells + risen[k]];
+                int32_t j = nbr[d * cells + risen[k]];
                 if (j >= 0 && !sink[j] && mark[j] != rounds) {
                     mark[j] = (int32_t)rounds;
-                    near[n_near++] = (int32_t)j;
+                    near[n_near++] = j;
                 }
             }
         for (int64_t k = 0; k < n_near; k++)
@@ -133,7 +177,7 @@ enum { SPAWN, MOVE, STAY, EXIT };  /* event codes, in the order of engine.KINDS 
 
 /* engine._Run mirrors this layout: the pointers, then the counts, then dt. */
 struct run {
-    const intptr_t *nbr;   /* (8, cells): destination of move k from cell i, or -1 */
+    const int32_t *nbr;   /* (8, cells): destination of move k from cell i, or -1 */
     const double *values;  /* navigation value by cell */
     const uint8_t *sink;   /* 1 on a sink */
     const double *probs;   /* entry probability by density */
@@ -201,13 +245,13 @@ static void move(struct run *r, int32_t a, double clock)
     if (clock < r->t_in[a] + r->dwell[density[i] - 1])
         return;
     double best = 0.0, floor = 0.0;
-    intptr_t dest = -1, ties[8];
+    int32_t dest = -1, ties[8];
     int nt = 0;
     for (int k = 0; k < 8; k++) {
         int dir = k < 4 ? 2 * k : 2 * k - 7;  /* N, E, S, W, then NE, SE, SW, NW */
         if (k == 4)
             floor = best;  /* a diagonal ties only above the orthogonal best */
-        intptr_t j = r->nbr[dir * n + i];
+        int32_t j = r->nbr[dir * n + i];
         if (j < 0)
             continue;
         double score = r->probs[density[j]] * r->values[j];
@@ -227,9 +271,9 @@ static void move(struct run *r, int32_t a, double clock)
         dest = ties[draw(nt, r->rng)];
     density[i]--;
     density[dest]++;
-    r->at[a] = (int32_t)dest;
+    r->at[a] = dest;
     r->t_in[a] = clock;
-    record(r, a, MOVE, (int32_t)dest);
+    record(r, a, MOVE, dest);
 }
 
 /* Makes up to r->steps steps, stopping early once nobody is inside or waiting
@@ -320,4 +364,126 @@ int summarize(const int32_t *starts, int64_t steps, const int32_t *agents, const
         }
     }
     return 0;
+}
+
+/* The decimal digits of n. */
+static int digits(uint32_t n)
+{
+    int k = 1;
+    while (n >= 10)
+        n /= 10, k++;
+    return k;
+}
+
+/* Writes the k decimal digits of n at out; returns the end. */
+static char *put_int(char *out, uint32_t n, int k)
+{
+    for (int m = k; m-- > 0; n /= 10)
+        out[m] = (char)('0' + n % 10);
+    return out + k;
+}
+
+/* Text m of `texts`, which holds them one after another: texts[ends[m - 1]
+ * .. ends[m]), with ends[-1] taken as 0. */
+static const char *text_of(const char *texts, const int64_t *ends, int64_t m, int64_t *len)
+{
+    int64_t lo = m ? ends[m - 1] : 0;
+    *len = ends[m] - lo;
+    return texts + lo;
+}
+
+static const char KIND_TEXT[][8] = {",spawn,", ",move,", ",stay,", ",exit,"};
+static const int KIND_LEN[] = {7, 6, 6, 6};
+
+/* Writes the events.csv lines of a log's events at[0], at[0] + 1, ... into
+ * out, whole lines only, as many as fit in `room` bytes, and returns the bytes
+ * written; at[0] moves past them. A line is its step's prefix (`step,clock,`),
+ * then the agent, the kind, the row and the column. Prefix p of `prefixes` is
+ * that of the p-th step holding events, whose first event is firsts[p]; at[1]
+ * is the prefix of event at[0]'s step. Returns -1, with at[0] at the event,
+ * for an event whose agent or cell is negative or whose kind is not an event code. */
+int64_t events_csv(const int32_t *agents, const uint8_t *kinds, const int32_t *cells,
+                   int64_t events, int64_t cols, const int32_t *firsts, int64_t steps,
+                   const char *prefixes, const int64_t *ends, int64_t *at, char *out, int64_t room)
+{
+    char *o = out;
+    int64_t k = at[0], p = at[1];
+    for (; k < events; k++) {
+        while (p + 1 < steps && firsts[p + 1] <= k)
+            p++;
+        if (agents[k] < 0 || cells[k] < 0 || kinds[k] > EXIT) {
+            at[0] = k, at[1] = p;
+            return -1;
+        }
+        uint32_t agent = (uint32_t)agents[k], row = (uint32_t)(cells[k] / cols),
+                 col = (uint32_t)(cells[k] % cols);
+        int n_agent = digits(agent), n_row = digits(row), n_col = digits(col);
+        int64_t n_prefix;
+        const char *prefix = text_of(prefixes, ends, p, &n_prefix);
+        if (o - out + n_prefix + n_agent + KIND_LEN[kinds[k]] + n_row + n_col + 2 > room)
+            break;
+        memcpy(o, prefix, (size_t)n_prefix);
+        o = put_int(o + n_prefix, agent, n_agent);
+        memcpy(o, KIND_TEXT[kinds[k]], (size_t)KIND_LEN[kinds[k]]);
+        o = put_int(o + KIND_LEN[kinds[k]], row, n_row);
+        *o++ = ',';
+        o = put_int(o, col, n_col);
+        *o++ = '\n';
+    }
+    at[0] = k, at[1] = p;
+    return o - out;
+}
+
+/* Numbers the distinct 64-bit patterns among values[0 .. n) in order of first
+ * appearance, so -0.0 and 0.0 are two: ids[i] is the number of values[i]'s
+ * pattern, and distinct[m] the value numbered m. `table`, of `slots` int32
+ * (a power of two) that are all -1 on entry, is an open-addressing table of
+ * those numbers. Returns the count of patterns, or -1 as soon as the count
+ * would pass slots / 2. */
+int64_t number_values(const double *values, int64_t n, int32_t *ids, double *distinct,
+                      int32_t *table, int64_t slots)
+{
+    int64_t count = 0;
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t bits, seen, h;
+        memcpy(&bits, values + i, sizeof bits);
+        h = bits * 0x9e3779b97f4a7c15ULL;
+        for (h ^= h >> 32;; h++) {
+            int32_t *slot = table + (h & (uint64_t)(slots - 1));
+            if (*slot < 0) {
+                if (2 * (count + 1) > slots)
+                    return -1;
+                memcpy(distinct + count, &bits, sizeof bits);
+                *slot = (int32_t)count++;
+            }
+            memcpy(&seen, distinct + *slot, sizeof seen);
+            if (seen == bits) {
+                ids[i] = *slot;
+                break;
+            }
+        }
+    }
+    return count;
+}
+
+/* Writes the CSV text of cells at[0], at[0] + 1, ... of a field of `cols`
+ * columns into out, whole cells only, as many as fit in `room` bytes, and
+ * returns the bytes written; at[0] moves past them. Cell i is text ids[i] of
+ * `texts`, then a comma, or a newline at the end of a row. */
+int64_t field_csv(const int32_t *ids, int64_t cells, int64_t cols, const char *texts,
+                  const int64_t *ends, int64_t *at, char *out, int64_t room)
+{
+    char *o = out;
+    int64_t i = at[0];
+    for (; i < cells; i++) {
+        int64_t len;
+        const char *text = text_of(texts, ends, ids[i], &len);
+        if (o - out + len + 1 > room)
+            break;
+        memcpy(o, text, (size_t)len);
+        o += len;
+        *o++ = i % cols == cols - 1 ? '\n' : ',';
+    }
+    at[0] = i;
+    return o - out;
 }

@@ -15,6 +15,8 @@ in numpy, round for round as the kernel's `solve` makes it, and
 
 Move permission: `moves_of` names, in compass order, the moves out of a
 cell that `LayoutGrid.neighbours`, the package's one definition, permits.
+`neighbour_table` builds that table in numpy, one direction at a time,
+which the kernel's `neighbours` must match element for element.
 
 Hop distances: `distance_field`, a breadth-first search over `moves_of`,
 is the shortest-path reference that `greedy_descent` of the field must
@@ -37,8 +39,8 @@ event at a time with dicts and f-strings. `mesoped.metrics.summarize` and
 them exactly.
 
 Field CSV: `field_to_csv` formats every cell with its own `repr`;
-`mesoped.floorfield.field_to_csv`, which formats each distinct value once,
-must equal its text exactly.
+`mesoped.floorfield.field_csv_blocks`, which formats each distinct value
+once, must equal its text exactly once its blocks are joined.
 """
 
 from __future__ import annotations
@@ -64,8 +66,47 @@ ORTHOGONAL = frozenset(("N", "E", "S", "W"))
 def moves_of(grid: LayoutGrid, cell: tuple[int, int]) -> tuple[str, ...]:
     """The directions of the moves out of an in-grid `cell` that
     `grid.neighbours` permits, in DIRECTIONS order."""
-    row = grid.neighbours[grid.index(cell)].tolist()
-    return tuple(d for d, j in zip(DIRECTIONS, row) if j >= 0)
+    i = grid.index(cell)
+    return tuple(d for k, d in enumerate(DIRECTIONS) if grid.neighbours[k, i] >= 0)
+
+
+# Diagonal moves pass a cell corner: both flanking sides must be open at the
+# source and at the destination, which together cover all four edges meeting
+# at that corner (no corner cutting).
+SIDE_OF = {"N": TOP, "E": RIGHT, "S": BOTTOM, "W": LEFT}
+DIAG_SIDES = {
+    "NE": ((TOP, RIGHT), (BOTTOM, LEFT)),
+    "SE": ((BOTTOM, RIGHT), (TOP, LEFT)),
+    "SW": ((BOTTOM, LEFT), (TOP, RIGHT)),
+    "NW": ((TOP, LEFT), (BOTTOM, RIGHT)),
+}
+
+
+def window(size: int, step: int) -> slice:
+    """The positions along an axis of `size` that stay on it after `step`."""
+    return slice(max(-step, 0), size - max(step, 0))
+
+
+def neighbour_table(grid: LayoutGrid) -> np.ndarray:
+    """The (8, rows*cols) move table in numpy: entry (d, i) is the flat index
+    of the destination of move d from cell i, or -1 where it is not permitted."""
+    rows, cols = grid.rows, grid.cols
+    walls = np.array(grid.walls, dtype=np.uint8).reshape(rows, cols)
+    flat = np.arange(rows * cols).reshape(rows, cols)
+    table = np.full((len(DIRECTIONS), rows * cols), -1, dtype=np.int64)
+    for k, d in enumerate(DIRECTIONS):
+        dr, dc = DIR_VECTORS[d]
+        # `here`: the cells with a cell next to them in direction d;
+        # `there`: those next cells.
+        here = (window(rows, dr), window(cols, dc))
+        there = (window(rows, -dr), window(cols, -dc))
+        if d in SIDE_OF:
+            ok = (walls[here] & SIDE_OF[d]) == 0
+        else:
+            (s1, s2), (t1, t2) = DIAG_SIDES[d]
+            ok = ((walls[here] & (s1 | s2)) == 0) & ((walls[there] & (t1 | t2)) == 0)
+        np.copyto(table[k].reshape(rows, cols)[here], flat[there], where=ok)
+    return table
 
 
 def log_events(log: EventLog, step: int, *events: tuple[int, int, int]) -> EventLog:
@@ -182,7 +223,7 @@ def frontier_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
     n = grid.rows * grid.cols
     # Direction-major: gathering a cell set's neighbours with `take` along
     # axis 1 and reducing over axis 0 reads each direction contiguously.
-    nbr = grid.neighbours.T
+    nbr = np.asarray(grid.neighbours)
     # One extra slot holding 0: a -1 entry of the move table indexes it.
     values = np.zeros(n + 1)
     free = np.ones(n + 1, dtype=bool)
@@ -217,7 +258,7 @@ def plateau_cell(grid: LayoutGrid, values: np.ndarray) -> tuple[int, int] | None
     values = values.ravel()
     tiny = np.flatnonzero((values > 0.0) & (values < sys.float_info.min))
     if tiny.size:
-        best = np.append(values, 0.0).take(grid.neighbours.T.take(tiny, axis=1)).max(axis=0)
+        best = np.append(values, 0.0).take(np.asarray(grid.neighbours).take(tiny, axis=1)).max(axis=0)
         for i in tiny[values[tiny] >= best].tolist():
             cell = divmod(i, grid.cols)
             if cell not in grid.sink_set:

@@ -19,11 +19,10 @@ from hypothesis import strategies as st
 import mesoped
 import oracle
 from gridgen import corridor_layout, random_grid
-from mesoped import cli, engine, metrics
+from mesoped import cli, engine, kernel, metrics
 from mesoped.cli import (DimensionMismatch, check_refinement, main,
                          parse_populations)
 from mesoped.engine import Simulation
-from mesoped.floorfield import field_to_csv
 from mesoped.layout import parse_layout, serialize_layout
 from mesoped.scenario import (SCENARIOS_DIR, ConfigError, build_runtime,
                               bundled_scenarios, load_scenario, make_simulation)
@@ -213,15 +212,16 @@ def test_run_twice_is_byte_identical(corridor_scenario, tmp_path):
 
 
 def test_run_streams_events_csv_in_blocks(tmp_path, monkeypatch):
-    """With blocks of 7 events, `run` writes cinema_a's `events.csv` as
-    hundreds of chunks, the last one short; the file is still the per-event
-    writer's text."""
-    monkeypatch.setattr(engine, "CSV_BLOCK_EVENTS", 7)
+    """With 256-byte blocks, `run` writes cinema_a's `events.csv` as
+    hundreds of chunks of whole lines, the last one short; the file is still
+    the per-event writer's text."""
+    monkeypatch.setattr(kernel, "CSV_BLOCK_BYTES", 256)
     config = load_scenario("cinema_a")
     sim = make_simulation(build_runtime(config))
     sim.run(config.max_steps)
-    assert len(sim.state.log.kinds) % 7
-    assert len(list(engine.events_csv_blocks(sim.state.log))) > 100
+    blocks = list(engine.events_csv_blocks(sim.state.log))
+    assert len(blocks) > 100 and len(blocks[-1]) < 256
+    assert all(len(block) <= 256 and block.endswith(b"\n") for block in blocks)
     assert main(["run", "cinema_a", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "events.csv").read_bytes() == oracle.events_to_csv(sim.events).encode()
 
@@ -283,7 +283,7 @@ def test_export_field(corridor_scenario, tmp_path):
 def test_export_field_writes_field_to_csv(name, tmp_path):
     out = tmp_path / "field.csv"
     assert main(["export-field", name, "--out", str(out)]) == 0
-    assert out.read_text() == field_to_csv(build_runtime(load_scenario(name)).field)
+    assert out.read_text() == oracle.field_to_csv(build_runtime(load_scenario(name)).field)
 
 
 def test_run_directory_as_scenario_is_config_error(tmp_path, capsys):
@@ -701,7 +701,8 @@ def test_python_m_cli_runs_without_runtime_warning(tmp_path):
         capture_output=True, text=True, env=package_env(), cwd=tmp_path, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
-    assert out.read_text() == field_to_csv(build_runtime(load_scenario("escalator_stair")).field)
+    assert out.read_text() == oracle.field_to_csv(
+        build_runtime(load_scenario("escalator_stair")).field)
 
 
 # `main` with Python's stdout and stderr redirected, as a benchmark that runs

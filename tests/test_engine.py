@@ -451,6 +451,19 @@ def test_schedule_overflow_flag():
     assert not sim.completed
 
 
+def test_schedule_of_2_31_agents_or_more_is_rejected():
+    """Agent ids are int32 in the kernel: a schedule totalling 2**31 agents
+    or more is rejected when the run is built, naming the total; one agent
+    fewer is accepted, and room is made only for the agents spawned."""
+    grid, field = corridor()
+    half = SpawnEntry((0, 0), 2**30)
+    with pytest.raises(ValueError, match=f"schedule totals {2**31} agents"):
+        Simulation(grid, field, MESO_TABLE, schedule=(half, half))
+    sim = Simulation(grid, field, MESO_TABLE, schedule=(half, replace(half, count=2**30 - 1)))
+    assert sim.state.spawned == MESO_TABLE.capacity == len(sim.state.at)
+    assert sim.state.pending_count == 2**31 - 1 - MESO_TABLE.capacity
+
+
 def test_spawn_rejects_non_source_cells():
     grid, field = corridor()
     with pytest.raises(ValueError):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridgen import corridor_layout, open_hall, random_grid, walled_hall
+from mesoped import kernel
 from mesoped.floorfield import (DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField,
-                                compute_field, field_to_csv)
+                                compute_field, field_csv_blocks)
 from mesoped.layout import (BOTTOM, DIR_VECTORS, LEFT, RIGHT, TOP, LayoutGrid,
                             parse_layout, validate_grid)
 from mesoped.scenario import (ConfigError, ScenarioConfig, apply_sink_multipliers,
@@ -34,14 +35,18 @@ def assert_matches_oracle(grid, gamma=DEFAULT_GAMMA, base_reward=DEFAULT_BASE_RE
     return field
 
 
+def field_csv(field) -> str:
+    return b"".join(field_csv_blocks(field)).decode()
+
+
 def assert_csv_matches_oracle(field):
-    assert field_to_csv(field) == field_to_csv_oracle(field)
+    assert field_csv(field) == field_to_csv_oracle(field)
 
 
 def assert_bellman_fixed_point(field, grid, gamma):
     """Every reached non-sink cell is exactly gamma times its best neighbour."""
     values = field.values.ravel()
-    best = gamma * np.append(values, 0.0)[grid.neighbours].max(axis=1)
+    best = gamma * np.append(values, 0.0)[np.asarray(grid.neighbours)].max(axis=0)
     free = values > 0
     free[[grid.index(cell) for cell, _ in grid.sinks]] = False
     assert np.array_equal(values[free], best[free])
@@ -75,7 +80,7 @@ def test_corridor_field_oracle():
     assert field.rounds == 3, "two rounds that raise a cell, one that raises none"
     assert field.values.tolist() == [[64.0, 80.0, 100.0]]
     assert value_iteration(grid).tolist() == [[64.0, 80.0, 100.0]]
-    assert field_to_csv(field) == "64.0,80.0,100.0\n"
+    assert field_csv(field) == "64.0,80.0,100.0\n"
 
 
 def test_solve_rejects_bad_gamma():
@@ -358,7 +363,7 @@ def test_field_is_deterministic():
     a = compute_field(grid)
     b = compute_field(grid)
     assert np.array_equal(a.values, b.values)
-    assert field_to_csv(a) == field_to_csv(b)
+    assert field_csv(a) == field_csv(b)
 
 
 @pytest.mark.parametrize("size", [50, 100, 200])
@@ -380,4 +385,26 @@ def test_field_csv_matches_oracle_on_distinct_values():
 def test_field_csv_keeps_signed_zero_and_subnormals_apart():
     field = bare_field([[0.0, -0.0, 5e-324], [1e-310, -0.0, 0.0]])
     assert_csv_matches_oracle(field)
-    assert field_to_csv(field) == "0.0,-0.0,5e-324\n1e-310,-0.0,0.0\n"
+    assert field_csv(field) == "0.0,-0.0,5e-324\n1e-310,-0.0,0.0\n"
+
+
+def test_field_csv_blocks_hold_whole_cells(monkeypatch):
+    """A field whose rows are longer than the default block, a single
+    column, and tiny blocks: every block but the last is full to within one
+    cell and ends on a whole cell, and the blocks join to the oracle's text.
+    The values mix -0.0, 0.0, subnormals, infinities and repeats."""
+    rng = np.random.default_rng(5)
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-310, np.inf, -np.inf, 1 / 3])
+    wide = rng.choice(np.append(pool, rng.random(50) * 1e6), size=(3, 9100))
+    longest = max(len(repr(v)) + 1 for v in wide.ravel().tolist())
+    assert len(field_to_csv_oracle(bare_field(wide[:1]))) > kernel.CSV_BLOCK_BYTES
+    for values, size in ((wide, kernel.CSV_BLOCK_BYTES), (wide.reshape(-1, 1)[:500], 64),
+                         (wide[:, :40], 64), (wide.reshape(-1, 7)[:300], 1000)):
+        monkeypatch.setattr(kernel, "CSV_BLOCK_BYTES", size)
+        field = bare_field(values)
+        blocks = list(field_csv_blocks(field))
+        assert b"".join(blocks) == field_to_csv_oracle(field).encode()
+        assert len(blocks) > 2
+        for block, after in zip(blocks, blocks[1:]):
+            assert size - longest < len(block) <= size and block[-1:] in b",\n"
+            assert len(block) + len(re.split(rb"[,\n]", after, maxsplit=1)[0]) + 1 > size

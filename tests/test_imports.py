@@ -1,6 +1,7 @@
 """The package's import graph: module-level imports only, no cycles, a
-bare `import mesoped` that leaves the command-line module unloaded, and
-commands that load neither `numpy.random` nor OpenSSL."""
+bare `import mesoped` that leaves the command-line module unloaded, modules
+that have left numpy, and commands that load neither `numpy.random` nor
+OpenSSL."""
 
 import ast
 import subprocess
@@ -46,6 +47,27 @@ def test_relative_import_graph_is_acyclic():
         if module != "__init__":
             later = LAYERS[LAYERS.index(module):]
             assert not imported & set(later), f"{module} imports {imported & set(later)}"
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The top-level packages that `path` imports by absolute name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+# Modules whose work moved into the kernel or the standard library.
+WITHOUT_NUMPY = ("kernel", "layout", "metrics")
+
+
+def test_modules_that_left_numpy_do_not_import_it():
+    for name in WITHOUT_NUMPY:
+        path = Path(mesoped.__file__).with_name(f"{name}.py")
+        assert "numpy" not in imported_modules(path), name
 
 
 def test_import_mesoped_leaves_cli_unloaded():

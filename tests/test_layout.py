@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridgen import random_grid
-from oracle import edge_conflicts, moves_of
+from oracle import edge_conflicts, moves_of, neighbour_table
 from mesoped.layout import (BOTTOM, DIR_VECTORS, DIRECTIONS, LEFT, RIGHT, TOP,
                             BoundaryError, ConsistencyError, EmptyError,
                             LayoutError, LayoutGrid, ParseError,
@@ -24,6 +24,11 @@ def bare_grid(walls, sinks=(), sources=()):
     return LayoutGrid(rows=len(walls), cols=len(walls[0]), cell_size_m=1.0,
                       walls=tuple(tuple(r) for r in walls),
                       sinks=tuple(sinks), sources=tuple(sources))
+
+
+def edge_conflicts_of(walls):
+    """`find_edge_conflicts` of wall codes given as rows of ints."""
+    return find_edge_conflicts(b"".join(map(bytes, walls)), len(walls[0]))
 
 
 def in_grid(grid, cell):
@@ -88,7 +93,7 @@ def test_edge_consistency_brute_force_horizontal():
         for b in range(16):
             walls = ((a, b),)
             expected = side_open(a, RIGHT) != side_open(b, LEFT)
-            conflicts = find_edge_conflicts(walls)
+            conflicts = edge_conflicts_of(walls)
             assert (len(conflicts) > 0) == expected, (a, b)
 
 
@@ -97,7 +102,7 @@ def test_edge_consistency_brute_force_vertical():
         for b in range(16):
             walls = ((a,), (b,))
             expected = side_open(a, BOTTOM) != side_open(b, TOP)
-            conflicts = find_edge_conflicts(walls)
+            conflicts = edge_conflicts_of(walls)
             assert (len(conflicts) > 0) == expected, (a, b)
 
 
@@ -107,11 +112,11 @@ def test_edge_conflicts_match_cell_by_cell_scan():
     for rows, cols in ((1, 1), (1, 9), (9, 1), (6, 7), (20, 30)):
         for _ in range(10):
             walls = tuple(map(tuple, rng.integers(0, 16, size=(rows, cols)).tolist()))
-            assert find_edge_conflicts(walls) == edge_conflicts(walls)
+            assert edge_conflicts_of(walls) == edge_conflicts(walls)
     walls = open_room(4, 5)
     walls[2][3] |= RIGHT
     walls[1][0] |= BOTTOM
-    assert find_edge_conflicts(walls) == [((1, 0), (2, 0)), ((2, 3), (2, 4))]
+    assert edge_conflicts_of(walls) == [((1, 0), (2, 0)), ((2, 3), (2, 4))]
 
 
 def test_diagonal_requires_all_four_corner_edges():
@@ -243,6 +248,21 @@ def test_parse_bad_wall_code_names_line_and_code(token, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("rows, cols", [(2**16, 2**15), (1, 2**31), (46341, 46341)])
+def test_grid_of_2_31_cells_or_more_is_rejected(rows, cols):
+    """Cells are int32 in the kernel: the header alone rejects 2**31 cells
+    or more, naming the count, before any row is read; `validate_grid`
+    rejects a grid built with that many just as early."""
+    count = f"{rows * cols} cells"
+    with pytest.raises(ParseError, match=f"line 1: {rows}x{cols} grid has {count}"):
+        parse_layout(f"{rows} {cols} 1.0\n")
+    with pytest.raises(ParseError, match=count):
+        validate_grid(LayoutGrid(rows=rows, cols=cols, cell_size_m=1.0, walls=(),
+                                 sinks=(), sources=()))
+    with pytest.raises(ParseError, match="expected 46340 wall-code lines"):
+        parse_layout("46340 46340 1.0\n")
+
+
 def test_parse_error_carries_line_number():
     text = "1 2 1.0\n10 99\nsink 0 1 1\nsource 0 0\n"
     with pytest.raises(ParseError, match="line 2"):
@@ -254,11 +274,11 @@ def test_obstacle_mirrors_neighbor_edges():
     closed too; each unmirrored side is reported as an edge conflict."""
     walls = open_room(3, 3)
     walls[1][1] = 15
-    assert find_edge_conflicts(walls) == [((0, 1), (1, 1)), ((1, 0), (1, 1)),
+    assert edge_conflicts_of(walls) == [((0, 1), (1, 1)), ((1, 0), (1, 1)),
                                           ((1, 1), (1, 2)), ((1, 1), (2, 1))]
     with pytest.raises(ConsistencyError):
         validate_grid(bare_grid(walls, sinks=(((0, 0), 1.0),), sources=((2, 2),)))
-    assert not find_edge_conflicts(solid_centre(open_room(3, 3)))
+    assert not edge_conflicts_of(solid_centre(open_room(3, 3)))
 
 
 def test_moves_are_symmetric_and_in_bounds():
@@ -287,8 +307,8 @@ def test_neighbour_table_agrees_with_moves_of(random_grids):
     off the edge is a real cell of the next or previous row."""
     for k, grid in enumerate(bundled_layouts() + random_grids):
         table = grid.neighbours
-        assert table.shape == (grid.rows * grid.cols, len(DIRECTIONS)), k
-        for i, row in enumerate(table.tolist()):
+        assert table.shape == (len(DIRECTIONS), grid.rows * grid.cols), k
+        for i, row in enumerate(zip(*table.tolist())):
             r, c = divmod(i, grid.cols)
             for d, j in zip(DIRECTIONS, row):
                 dr, dc = DIR_VECTORS[d]
@@ -300,26 +320,39 @@ def test_neighbour_table_agrees_with_moves_of(random_grids):
 def test_neighbour_table_is_symmetric(random_grids):
     """j is a neighbour of i iff i is a neighbour of j."""
     for k, grid in enumerate(bundled_layouts() + random_grids):
-        table = grid.neighbours
-        src, slot = np.nonzero(table >= 0)
-        edges = set(zip(src.tolist(), table[src, slot].tolist()))
+        table = np.asarray(grid.neighbours)
+        slot, src = np.nonzero(table >= 0)
+        edges = set(zip(src.tolist(), table[slot, src].tolist()))
         assert edges == {(j, i) for i, j in edges}, k
 
 
+def test_neighbour_table_matches_numpy_build(random_grids):
+    """The kernel's table equals the numpy build, element for element, on
+    the bundled layouts, the random rooms, and every pair of wall codes side
+    by side, stacked, and corner to corner."""
+    pairs = [bare_grid(walls) for a in range(16) for b in range(16)
+             for walls in ([[a, b]], [[a], [b]], [[a, 0], [0, b]], [[0, a], [b, 0]])]
+    for k, grid in enumerate(bundled_layouts() + random_grids + pairs):
+        assert np.array_equal(np.asarray(grid.neighbours), neighbour_table(grid)), k
+
+
 def test_neighbour_table_is_direction_major_and_read_only(random_grids):
-    """The table is the transpose of a C-contiguous direction-major array that
-    owns its memory; no view of it can be written, and neither can the wall
-    codes it is built from."""
+    """The table is an int32 array of one row per direction, behind a
+    read-only view; neither the view, nor numpy's array over it, nor the
+    wall codes it is built from can be written."""
     for k, grid in enumerate(bundled_layouts() + random_grids[:20]):
         table = grid.neighbours
-        assert table.dtype == np.intp and table.T.flags.c_contiguous, k
-        assert table.base is not None and table.base.flags.owndata, k
-        before = table.copy()
-        for view in (table, table.T, table.base, grid.wall_codes):
-            with pytest.raises(ValueError, match="read-only"):
-                view[0, 0] = 3
-        assert np.array_equal(table, before), k
-        assert grid.wall_codes.tolist() == [list(row) for row in grid.walls], k
+        assert table.format == "i" and table.itemsize == 4 and table.readonly, k
+        assert table.c_contiguous and table.shape == (8, grid.rows * grid.cols), k
+        before = table.tolist()
+        with pytest.raises(TypeError, match="read-only"):
+            table[0, 0] = 3
+        with pytest.raises(ValueError, match="read-only"):
+            np.asarray(table)[0, 0] = 3
+        with pytest.raises(TypeError):
+            grid.wall_codes[0] = 3
+        assert table.tolist() == before, k
+        assert grid.wall_codes == bytes(code for row in grid.walls for code in row), k
 
 
 def test_serialize_round_trips_random_grids():

@@ -9,6 +9,7 @@ import os
 import tracemalloc
 from array import array
 from dataclasses import replace
+from itertools import accumulate
 from statistics import fmean
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 import oracle
 from gridgen import random_schedule
-from mesoped import engine, metrics
+from mesoped import engine, kernel, metrics
 from mesoped.cli import snapshot_pictures
 from mesoped.engine import (EXIT, KINDS, MESO_TABLE, MICRO_TABLE, MOVE, SPAWN, EventLog,
                             Simulation, SpawnEntry, events_csv_blocks)
@@ -234,12 +235,50 @@ def test_events_csv_skips_thousands_of_empty_steps():
 
 
 def test_events_csv_spans_many_blocks():
-    """A log several formatting blocks long, whose last block is short."""
-    n = 3 * engine.CSV_BLOCK_EVENTS + 17
+    """A log several blocks long: every block but the last is whole lines
+    that fill it to within one line, and the last is short."""
+    n = 3 * kernel.CSV_BLOCK_BYTES // 16
     events = [(k // 50, k % 777, ("move", "stay")[k % 2], k % 9, k % 31) for k in range(n)]
     log = log_of(events, dt=0.1, cols=31)
-    assert len(list(events_csv_blocks(log))) == 1 + 4  # the header, then each block
+    header, *blocks = events_csv_blocks(log)
+    assert header == engine.CSV_HEADER and len(blocks) >= 4
+    longest = max(map(len, b"".join(blocks).splitlines(keepends=True)))
+    for block in blocks[:-1]:
+        assert kernel.CSV_BLOCK_BYTES - longest < len(block) <= kernel.CSV_BLOCK_BYTES
+        assert block.endswith(b"\n")
+    assert len(blocks[-1]) < kernel.CSV_BLOCK_BYTES and blocks[-1].endswith(b"\n")
     assert_csv_matches_oracle(log)
+
+
+def test_events_csv_in_tiny_blocks_matches_oracle(monkeypatch):
+    """Blocks far smaller than the default: hundreds of them, each of whole
+    lines, one filled to its last byte and the last one short; an empty log
+    is the header alone at any block size. A block holds at least the
+    longest line the log could have: its longest `step,clock,` and
+    `engine.CSV_LINE_TAIL` bytes."""
+    events = [(s, a, KINDS[(s + a) % 4], (s * a) % 13, a % 17)
+              for s in range(0, 1200, 2) for a in range(s % 7)]
+    log = log_of(events, dt=0.3, cols=17)
+    text = oracle.events_to_csv(list(log)).encode()
+    lines = text.splitlines(keepends=True)[1:]
+    prefix = max(len(line) - len(line.split(b",", 2)[2]) for line in lines)
+    # the first block ends on its last byte
+    size = next(n for n in accumulate(map(len, lines)) if n >= prefix + engine.CSV_LINE_TAIL)
+    monkeypatch.setattr(kernel, "CSV_BLOCK_BYTES", size)
+    header, *blocks = events_csv_blocks(log)
+    assert header + b"".join(blocks) == text
+    assert len(blocks) > 300 and len(blocks[0]) == size
+    assert all(b.endswith(b"\n") and len(b) <= size for b in blocks)
+    assert all(len(a) + len(b.split(b"\n", 1)[0]) + 1 > size for a, b in zip(blocks, blocks[1:]))
+    assert len(blocks[-1]) < size
+    assert list(events_csv_blocks(EventLog(0.3, 17))) == [header]
+
+
+def test_events_csv_rejects_a_malformed_log():
+    for event in ((0, 4, 0), (-1, MOVE, 0), (0, MOVE, -1)):
+        log = oracle.log_events(EventLog(0.5, 3), 0, (0, SPAWN, 0), event)
+        with pytest.raises(ValueError, match="event 1 of the log"):
+            b"".join(events_csv_blocks(log))
 
 
 def walking_log(agents, moves, cols=40):
@@ -272,18 +311,15 @@ def traced_peak(fn) -> int:
 
 
 def test_events_csv_memory_does_not_grow_with_the_log():
-    """Writing an 8-block log the way the CLI does peaks no higher than
-    writing a 1-block one, up to a fixed slack well below one block's text
-    (~330 kB). The slack covers wider lines, not more of them: the longer
-    log's steps and clocks take 2 more bytes each, in the block's
-    fixed-width rows and in its text (about 65 kB)."""
+    """Writing a log the way the CLI does peaks no higher than writing one
+    an eighth as long, up to a fixed slack well below the shorter log's
+    text (~330 kB): the steps' `step,clock,` texts, a few kB."""
     def drain(log):
         with open(os.devnull, "wb") as fh:
             fh.writelines(events_csv_blocks(log))
 
     one, eight = walking_log(1024, 14), walking_log(1024, 126)
-    assert len(one.kinds) == engine.CSV_BLOCK_EVENTS
-    assert len(eight.kinds) == 8 * engine.CSV_BLOCK_EVENTS
+    assert 8 * len(one.kinds) == len(eight.kinds) == 8 * 16384
     assert traced_peak(lambda: drain(eight)) - traced_peak(lambda: drain(one)) <= 128 * 1024
 
 
