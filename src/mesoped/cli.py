@@ -92,7 +92,7 @@ def _out_file(out: str) -> Path:
     return path
 
 
-def _write(path: Path, chunks: Iterable[bytes | bytearray]) -> None:
+def _write(path: Path, chunks: Iterable[bytes]) -> None:
     """Write the chunks one after another, as they come."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
