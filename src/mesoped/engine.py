@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, pairwise
 
-import numpy as np
-
 from .floorfield import FloorField
 from .kernel import csv_blocks, kernel, packed
 from .layout import Cell, LayoutGrid
@@ -121,6 +119,8 @@ class EventLog:
 # When the kernel runs out of room in a run, the log and agent columns double,
 # but by at most this many items, so that a run's spare room stays bounded.
 LOG_HEADROOM = 1 << 14
+MAX_EVENTS = 2**31 - 1  # the most a log holds, since its step starts are int32
+DONE, ROOM, BAD_STATE, FULL_LOG = range(4)  # what the kernel's `run` returns (step.c)
 
 
 # numpy's SeedSequence: the entropy words are hashed into a pool of four
@@ -224,8 +224,8 @@ class _Run(ctypes.Structure):
         "nbr", "values", "sink", "probs", "dwell", "rng", "density", "at", "t_in",
         "present", "order", "pending", "starts", "log_agents", "log_kinds",
         "log_cells")] + [(name, ctypes.c_int64) for name in (
-        "cells", "capacity", "steps", "step", "agents", "agent_room", "n_present", "n_pending",
-        "starts_room", "events", "event_room", "need_agents", "need_events")] + [
+        "cells", "capacity", "table_rows", "steps", "step", "agents", "agent_room", "n_present",
+        "n_pending", "starts_room", "events", "event_room", "need_agents", "need_events")] + [
         ("dt", ctypes.c_double)]
 
 
@@ -241,7 +241,7 @@ class SimulationState:
 
     def __init__(self, grid: LayoutGrid, rng: PCG64,
                  schedule: tuple[SpawnEntry, ...], dt: float) -> None:
-        self.step_index = 0
+        self.step_index = -1  # no step made yet
         self.rng = rng
         self.density = array("i", [0]) * (grid.rows * grid.cols)
         self.at = array("i")
@@ -271,13 +271,13 @@ class Simulation:
     The steps themselves are made by the C kernel in `step.c`
     (`mesoped.kernel.kernel()`), whose first use in a process, usually the
     move table, compiles it unless a build is cached. It reads the layout's
-    direction-major neighbour table (`LayoutGrid.neighbours`) and sink
-    flags, the field values, and the table's entry probabilities and dwell
-    times by density. It reads and writes `SimulationState`'s `array`
-    columns in place: each `run` or `step` gives the agent columns room,
-    makes its steps in one kernel call (re-entered only to grow the log or
-    the agents), and cuts off the room left over. The room is the columns'
-    length; the kernel keeps no count of it.
+    direction-major neighbour table (`LayoutGrid.neighbours`), sink flags
+    and field values in their owners' buffers, and the table's entry
+    probabilities and dwell times by density. It reads and writes
+    `SimulationState`'s `array` columns in place: each `run` or `step` gives
+    the agent columns room, makes its steps in one kernel call (re-entered
+    only to grow the log or the agents), and cuts off the room left over.
+    On entry it refuses a state it would index out of range (ValueError).
     """
 
     def __init__(self, grid: LayoutGrid, field: FloorField,
@@ -294,8 +294,8 @@ class Simulation:
         if total >= 2**31:
             raise ValueError(f"schedule totals {total} agents; agent ids are int32, "
                              f"so at most {2**31 - 1} fit")
-        if np.shape(field.values) != (grid.rows, grid.cols):
-            raise ValueError(f"field of shape {np.shape(field.values)} on a "
+        if field.values.shape != (grid.rows, grid.cols):
+            raise ValueError(f"field of shape {field.values.shape} on a "
                              f"{grid.rows}x{grid.cols} grid")
         self.grid = grid
         self.field = field
@@ -303,19 +303,20 @@ class Simulation:
         self._kernel = kernel()
         self.state = SimulationState(grid, PCG64.from_seed(seed), schedule, float(dt))
         self._order = array("i")  # the kernel's scratch column for each step's shuffle
-        # Time to cross a cell for each count of other occupants; inf where
-        # the speed is 0 and the agent cannot leave.
+        # The kernel keeps density's address; this held export stops a resize moving it.
+        self._density = memoryview(self.state.density)
+        # Entry probabilities, 0 in a cell as full as the table is long; the time
+        # to cross a cell for each count of other occupants, inf at speed 0.
         diameter = grid.cell_size_m * DIAMETER_FACTOR
-        self._inputs = inputs = (
-            np.ascontiguousarray(field.values, dtype=np.float64),
-            # a cell as full as the table is long takes no one, as at its last row
-            np.frombuffer(grid.sink_flags, dtype=np.uint8), np.array([*table.probs, 0.0]),
-            np.array([diameter / u if u > 0.0 else math.inf for u in table.speeds]))
-        self._run = _Run(grid.neighbours.obj.buffer_info()[0], *(a.ctypes.data for a in inputs),
-                         ctypes.addressof(self.state.rng),
-                         cells=grid.rows * grid.cols, capacity=table.capacity, dt=dt)
+        self._tables = probs, dwell = (array("d", [*table.probs, 0.0]), array("d", [
+            diameter / u if u > 0.0 else math.inf for u in table.speeds]))
+        self._run = _Run(grid.neighbours.obj.buffer_info()[0], field.values.ctypes.data,
+                         ctypes.cast(grid.sink_flags, ctypes.c_void_p).value,
+                         probs.buffer_info()[0], dwell.buffer_info()[0],
+                         ctypes.addressof(self.state.rng), self.state.density.buffer_info()[0],
+                         cells=grid.rows * grid.cols, capacity=table.capacity,
+                         table_rows=len(table.probs), dt=dt)
         # Step 0 is the release of the agents due when the clock starts, alone.
-        self.state.step_index = -1
         self._advance(1, until_done=False)
 
     def _advance(self, steps: int, until_done: bool) -> None:
@@ -328,23 +329,22 @@ class Simulation:
         # cut raises BufferError for it now, before the kernel changes anything.
         for col in (*agent_cols, *log_cols, log.starts, state.pending):
             del col[len(col):]
-        # numpy's max on a passing view; the builtin's is a Python loop over the cells
-        if np.frombuffer(state.density, dtype=np.intc).max() > len(self.table.probs):
-            raise ValueError("a cell holds more agents than the speed-density table has rows")
         r.n_present, r.n_pending = len(state.present), len(state.pending) // 3
         # at, t_in, present and the shuffle's order, each with room for every agent
         for col in agent_cols[2:]:
             col.frombytes(bytes((len(state.at) - len(col)) * col.itemsize))
         r.steps, r.step = max(0, min(steps, 2**63 - 1)), state.step_index
         r.agents, r.events = len(state.at), len(log.kinds)
-        r.density, r.pending = state.density.buffer_info()[0], state.pending.buffer_info()[0]
+        r.pending = state.pending.buffer_info()[0]
+        check = True  # only a caller changes the state between calls
         while True:
             r.agent_room, r.event_room, r.starts_room = len(state.at), len(log.kinds), len(log.starts)
             for name, col in zip(("at", "t_in", "present", "order", "starts",
                                   "log_agents", "log_kinds", "log_cells"),
                                  (*agent_cols, log.starts, *log_cols)):
                 setattr(r, name, col.buffer_info()[0])
-            if not self._kernel.run(ctypes.byref(r), until_done):
+            status, check = self._kernel.run(ctypes.byref(r), until_done, check), False
+            if status != ROOM:
                 break
             # Room for the next step at least; else the columns double, up to
             # a block of LOG_HEADROOM items, but no further than the steps left need.
@@ -360,6 +360,24 @@ class Simulation:
                            r.n_present, 0, 3 * r.n_pending)):
             del col[n:]
         state.step_index = r.step
+        if status != DONE:
+            raise ValueError(self._refusal() if status == BAD_STATE else f"step {r.step + 1} "
+                             f"could take the log past {MAX_EVENTS} events, its int32 limit")
+
+    def _refusal(self) -> str:
+        """Names what step.c's `state_in_range` refused, looking in its order."""
+        state, cols, rows = self.state, self.grid.cols, len(self.table.probs)
+        for i, d in enumerate(state.density):
+            if not 0 <= d <= rows:
+                return (f"cell {divmod(i, cols)} has density {d}, outside 0 to {rows}: no "
+                        "cell holds more agents than the speed-density table has rows")
+        left = state.density.tolist()  # each density less the agents standing in its cell
+        for a in state.present:
+            if not (0 <= a < state.spawned and 0 <= state.at[a] < len(left)):
+                return f"present id {a} is not a spawned agent standing on the grid"
+            left[state.at[a]] -= 1
+        c = next(c for c, n in enumerate(left) if n < 0)
+        return f"cell {divmod(c, cols)} has density {state.density[c]}, below its agents' count"
 
     def step(self) -> SimulationState:
         """Advance one interval: spawn, exit the agents on a sink, move the rest.

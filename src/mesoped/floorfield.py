@@ -32,14 +32,20 @@ DEFAULT_BASE_REWARD = 100.0
 
 @dataclass(frozen=True)
 class FloorField:
-    """Per-cell navigation values (a read-only (rows, cols) float64 array),
-    the frontier rounds the solve took, and `plateau`: the first non-sink
-    cell in row-major order whose value is positive, subnormal and no lower
-    than its best neighbour's, where agents find no ascent, or None."""
+    """Per-cell navigation values (a read-only, C-contiguous (rows, cols)
+    float64 view, which the kernel reads as it is; a caller's array stays
+    writable), the frontier rounds the solve took, and `plateau`: the first
+    non-sink cell in row-major order whose value is positive, subnormal and
+    no lower than its best neighbour's, where agents find no ascent, or None."""
 
     values: np.ndarray
     rounds: int
     plateau: Cell | None = None
+
+    def __post_init__(self) -> None:
+        values = np.ascontiguousarray(self.values, dtype=np.float64).view()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
 
 def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
@@ -65,9 +71,7 @@ def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
     rounds = kernel().solve(grid.neighbours.obj.buffer_info()[0], grid.sink_flags, n, gamma,
                             values.buffer_info()[0], work.buffer_info()[0],
                             new.buffer_info()[0], ctypes.byref(plateau))
-    view = np.frombuffer(values).reshape(grid.rows, grid.cols)
-    view.flags.writeable = False
-    return FloorField(values=view, rounds=rounds,
+    return FloorField(values=np.frombuffer(values).reshape(grid.rows, grid.cols), rounds=rounds,
                       plateau=None if plateau.value < 0 else divmod(plateau.value, grid.cols))
 
 
@@ -81,14 +85,13 @@ def field_csv_blocks(field: FloorField) -> Iterator[bytes]:
     cell's text. A value's text depends only on its bits, -0.0 and
     subnormals included.
     """
-    values = np.ascontiguousarray(field.values, dtype=np.float64)
-    n, cols = values.size, values.shape[1]
+    n, cols = field.values.size, field.values.shape[1]
     lib = kernel()
     ids = array("i", [0]) * n
     slots = 1024
     while True:  # a table twice as large until it holds every pattern at half load
         table, distinct = array("i", [-1]) * slots, array("d", [0.0]) * (slots // 2)
-        count = lib.number_values(values.ctypes.data, n, ids.buffer_info()[0],
+        count = lib.number_values(field.values.ctypes.data, n, ids.buffer_info()[0],
                                   distinct.buffer_info()[0], table.buffer_info()[0], slots)
         if count >= 0:
             break

@@ -22,10 +22,6 @@ TOP, RIGHT, BOTTOM, LEFT = 8, 4, 2, 1
 SIDE_NAMES = {TOP: "top", RIGHT: "right", BOTTOM: "bottom", LEFT: "left"}
 
 DIRECTIONS = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
-DIR_VECTORS = {
-    "N": (-1, 0), "NE": (-1, 1), "E": (0, 1), "SE": (1, 1),
-    "S": (1, 0), "SW": (1, -1), "W": (0, -1), "NW": (-1, -1),
-}
 
 # The canonical spelling of each wall code, as `serialize_layout` writes it.
 _WALL_CODES = {str(code): code for code in range(16)}

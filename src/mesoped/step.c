@@ -180,7 +180,7 @@ struct run {
     const int32_t *nbr;   /* (8, cells): destination of move k from cell i, or -1 */
     const double *values;  /* navigation value by cell */
     const uint8_t *sink;   /* 1 on a sink */
-    const double *probs;   /* entry probability by density */
+    const double *probs;   /* entry probability by density, 0 .. table_rows */
     const double *dwell;   /* time to cross a cell by count of other occupants; inf when stuck */
     struct pcg64 *rng;
     int32_t *density, *at;
@@ -190,10 +190,15 @@ struct run {
     int32_t *starts, *log_agents;
     uint8_t *log_kinds;
     int32_t *log_cells;
-    int64_t cells, capacity, steps, step, agents, agent_room, n_present, n_pending;
+    int64_t cells, capacity, table_rows, steps, step, agents, agent_room, n_present, n_pending;
     int64_t starts_room, events, event_room, need_agents, need_events;
     double dt;
 };
+
+/* What `run` returns: done; out of room for the next step; a state that
+ * `move` would index out of range; or a next step that could take the log
+ * past INT32_MAX events, the most that the int32 `starts` can index. */
+enum { DONE, ROOM, BAD_STATE, FULL_LOG };
 
 /* numpy's random_interval(max) for max < 2**32: a masked rejection. */
 static uint32_t interval(uint32_t max, struct pcg64 *rng)
@@ -276,12 +281,47 @@ static void move(struct run *r, int32_t a, double clock)
     record(r, a, MOVE, dest);
 }
 
-/* Makes up to r->steps steps, stopping early once nobody is inside or waiting
- * when `until_done`. Step 0 is the release at clock 0 alone. Returns 1, with
- * the step not begun, when a buffer lacks room for the next step (the need is
- * in need_agents and need_events), else 0. */
-int run(struct run *r, int until_done)
+/* Whether the state that `move` indexes is in range: every density within
+ * 0 .. table_rows, and every present id a spawned agent on a cell of the grid
+ * whose density counts it (no cell holds more present agents than its
+ * density). The densities are left as they were found. */
+static int state_in_range(struct run *r)
 {
+    /* The top bit of d | (rows - d), in wrapping uint32 arithmetic, is set for
+     * a d below 0 or above rows (< 2**31). Blocks of 8 let -O2 vectorize it. */
+    const uint32_t *d = (const uint32_t *)r->density, rows = (uint32_t)r->table_rows;
+    uint32_t out = 0;
+    int64_t i = 0;
+    int ok = 1;
+    for (; i + 8 <= r->cells; i += 8)
+        for (int k = 0; k < 8; k++)
+            out |= d[i + k] | (rows - d[i + k]);
+    for (; i < r->cells; i++)
+        out |= d[i] | (rows - d[i]);
+    if (out >> 31)
+        return 0;
+    for (int64_t m = 0; m < r->n_present; m++) {
+        int32_t a = r->present[m];
+        if (a < 0 || a >= r->agents || r->at[a] < 0 || r->at[a] >= r->cells)
+            return 0;
+    }
+    for (int64_t m = 0; m < r->n_present; m++)
+        r->density[r->at[r->present[m]]]--;
+    for (int64_t m = 0; m < r->n_present; m++)
+        ok &= r->density[r->at[r->present[m]]]++ >= 0;
+    return ok;
+}
+
+/* Makes up to r->steps steps, stopping early once nobody is inside or waiting
+ * when `until_done`. Step 0 is the release at clock 0 alone. With `check`, it
+ * first returns BAD_STATE, having changed nothing, unless `state_in_range`.
+ * Returns ROOM, with the step not begun, when a buffer lacks room for the
+ * next step (the need is in need_agents and need_events), FULL_LOG when that
+ * step could log past INT32_MAX events, else DONE. */
+int run(struct run *r, int until_done, int check)
+{
+    if (check && !state_in_range(r))
+        return BAD_STATE;
     while (r->steps > 0 && !(until_done && r->n_present == 0 && r->n_pending == 0)) {
         int64_t s = r->step + 1, spawns = 0, *p = r->pending, kept = 0;
         for (int64_t k = 0; k < r->n_pending; k++)
@@ -290,9 +330,11 @@ int run(struct run *r, int until_done)
         /* Each spawn, each exit and at most one move or stay per agent inside is logged. */
         r->need_agents = spawns;
         r->need_events = r->n_present + 2 * spawns;
+        if (r->events + r->need_events > INT32_MAX)
+            return FULL_LOG;
         if (r->agents + spawns > r->agent_room || r->events + r->need_events > r->event_room
             || s >= r->starts_room)
-            return 1;
+            return ROOM;
         r->step = s;
         r->steps--;
         double clock = (double)s * r->dt;
@@ -333,7 +375,7 @@ int run(struct run *r, int until_done)
         for (int64_t m = 0; m < r->n_present; m++)
             move(r, r->order[m], clock);
     }
-    return 0;
+    return DONE;
 }
 
 /* Walks an event log in order; event k is in the last step starting at k or

@@ -57,10 +57,15 @@ import numpy as np
 from mesoped.engine import (DIAMETER_FACTOR, EXIT, MOVE, SPAWN, STAY, EventLog,
                             SpawnEntry, SpeedDensityTable)
 from mesoped.floorfield import DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField
-from mesoped.layout import BOTTOM, DIR_VECTORS, DIRECTIONS, LEFT, RIGHT, TOP, LayoutGrid
+from mesoped.layout import BOTTOM, DIRECTIONS, LEFT, RIGHT, TOP, LayoutGrid
 from mesoped.metrics import RunMetrics
 
 ORTHOGONAL = frozenset(("N", "E", "S", "W"))
+# The (row, column) step of each move direction: the reference for step.c's `dr` and `dc`.
+DIR_VECTORS = {
+    "N": (-1, 0), "NE": (-1, 1), "E": (0, 1), "SE": (1, 1),
+    "S": (1, 0), "SW": (1, -1), "W": (0, -1), "NW": (-1, -1),
+}
 
 
 def moves_of(grid: LayoutGrid, cell: tuple[int, int]) -> tuple[str, ...]:

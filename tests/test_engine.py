@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from gridgen import open_hall, random_grid, random_schedule
 from mesoped import engine
-from mesoped.engine import (DIAMETER_FACTOR, EXIT, MESO_TABLE, MICRO_TABLE,
-                            PCG64, SPAWN, Simulation, SpawnEntry,
+from mesoped.engine import (DIAMETER_FACTOR, EXIT, FULL_LOG, MAX_EVENTS, MESO_TABLE,
+                            MICRO_TABLE, PCG64, ROOM, SPAWN, Simulation, SpawnEntry,
                             SpeedDensityTable, events_csv_blocks)
 from mesoped.floorfield import compute_field
 from mesoped.kernel import kernel
@@ -29,6 +29,7 @@ import oracle
 from oracle import ReferenceSimulation
 
 CORRIDOR_1X3 = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
+CORRIDOR_1X4 = "1 4 1.0\n11 10 10 14\nsink 0 3 1\nsource 0 0\n"
 # Source in the middle of five cells, a sink at each end; the west sink's
 # weight is the first format field.
 TWO_EXITS_1X5 = "1 5 1.0\n11 10 10 10 14\nsink 0 0 {}\nsink 0 4 1\nsource 0 2\n"
@@ -718,6 +719,131 @@ def test_overfull_cell_is_rejected_before_the_kernel_runs():
     assert state.step_index == 1 and state.present.tolist() == list(range(6))
 
 
+@pytest.mark.parametrize("column, index, bad, named", [
+    ("density", 0, 0, r"cell \(0, 0\) has density 0, below its agents' count"),
+    ("density", 2, -1, r"cell \(0, 2\) has density -1"),
+    ("present", 0, 1, r"present id 1 is not a spawned agent standing on the grid"),
+    ("present", 0, -1, r"present id -1 is not a spawned agent standing on the grid"),
+    ("at", 0, 4, r"present id 0 is not a spawned agent standing on the grid"),
+    ("at", 0, -1, r"present id 0 is not a spawned agent standing on the grid"),
+])
+def test_out_of_range_state_is_rejected_before_the_kernel_runs(column, index, bad, named):
+    """The kernel checks the state it indexes on entry and refuses it,
+    changing nothing; Python names the cell or the agent. Without the check,
+    density 0 under the agent has `move` read `dwell[-1]`, a heap overflow
+    under AddressSanitizer and a density of -1 without it. Once the state is
+    repaired, the run goes on as an undisturbed one."""
+    grid, field = corridor(CORRIDOR_1X4)
+
+    def make():
+        return Simulation(grid, field, MESO_TABLE, (SpawnEntry((0, 0), 1),), dt=0.5, seed=0)
+
+    sim, undisturbed = make(), make()
+    col = getattr(sim.state, column)
+    good, col[index] = col[index], bad
+    before = run_state(sim)
+    with pytest.raises(ValueError, match=named):
+        sim.step()
+    assert run_state(sim) == before
+    col[index] = good
+    sim.run(100)
+    undisturbed.run(100)
+    assert sim.completed and run_state(sim) == run_state(undisturbed)
+
+
+@pytest.mark.parametrize("cell", [0, 7, 8, 17, 31, 32, 35])
+@pytest.mark.parametrize("density", [-1, 7, -2**31, 2**31 - 1])
+def test_density_out_of_range_is_found_in_any_cell(cell, density):
+    """The kernel scans a 6x6 hall's densities in blocks of 8 cells, then the
+    last 4 alone: a density out of range is refused wherever it lies."""
+    grid = open_hall(6)
+    sim = Simulation(grid, compute_field(grid), MESO_TABLE)
+    sim.state.density[cell] = density
+    where = re.escape(str(divmod(cell, 6)))
+    with pytest.raises(ValueError, match=f"cell {where} has density {density}, outside 0 to 6"):
+        sim.step()
+
+
+def test_cell_holding_more_agents_than_its_density_is_rejected():
+    """Two agents in a cell of density 1: without the check, the second of
+    them to be visited would read `dwell[-1]` once the first had left."""
+    grid, field = corridor(CORRIDOR_1X4)
+    sim = Simulation(grid, field, MESO_TABLE)
+    place(sim.state, grid, (0, 0))
+    place(sim.state, grid, (0, 0))
+    sim.state.density[grid.index((0, 0))] -= 1
+    before = run_state(sim)
+    with pytest.raises(ValueError, match=r"cell \(0, 0\) has density 1, below its agents' count"):
+        sim.step()
+    assert run_state(sim) == before
+
+
+class LogNearTheLimit:
+    """The kernel, whose `call`-th `run` is told that `events` events are
+    logged already, with no room past them, so that it can only return; the
+    log's own count and room are put back after that call."""
+
+    def __init__(self, lib, call, events):
+        self.lib, self.call, self.events, self.statuses = lib, call, events, []
+
+    def run(self, r, until_done, check):
+        self.call -= 1
+        if self.call:
+            return self.lib.run(r, until_done, check)
+        run = r._obj
+        kept = run.events, run.event_room
+        run.events = run.event_room = self.events
+        self.statuses.append(self.lib.run(r, until_done, check))
+        run.events, run.event_room = kept
+        return self.statuses[-1]
+
+
+@pytest.mark.parametrize("logged, status", [(MAX_EVENTS - 1, ROOM), (MAX_EVENTS, FULL_LOG)])
+def test_kernel_stops_before_a_step_that_could_log_past_int32_max(logged, status):
+    """One agent inside and nobody waiting: the next step logs at most one
+    event. With MAX_EVENTS - 1 logged the kernel only asks for room, and the
+    step is made; with MAX_EVENTS logged it stops, and `step()` raises,
+    naming the limit, with the state as the last whole step left it."""
+    grid, field = corridor(CORRIDOR_1X4)
+
+    def make():
+        return Simulation(grid, field, MESO_TABLE, (SpawnEntry((0, 0), 1),), dt=0.5, seed=0)
+
+    sim, undisturbed = make(), make()
+    sim._kernel = near = LogNearTheLimit(sim._kernel, 1, logged)
+    before = run_state(sim)
+    if status == FULL_LOG:
+        with pytest.raises(ValueError, match=f"past {MAX_EVENTS} events"):
+            sim.step()
+        assert run_state(sim) == before
+    else:
+        sim.step()
+        undisturbed.step()
+        assert run_state(sim) == run_state(undisturbed)
+    assert near.statuses == [status]
+
+
+def test_run_stopped_at_the_event_limit_keeps_its_whole_steps(monkeypatch):
+    """A `run` whose kernel reaches the limit after some steps of the call
+    leaves the state of its last whole step, as stepping to it does."""
+    grid = open_hall(6)
+    field = compute_field(grid)
+
+    def make():
+        return Simulation(grid, field, MESO_TABLE, (SpawnEntry(grid.sources[0], 30),),
+                          dt=0.5, seed=5)
+
+    monkeypatch.setattr(engine, "LOG_HEADROOM", 4)
+    sim, stepped = make(), make()
+    sim._kernel = near = LogNearTheLimit(sim._kernel, 4, MAX_EVENTS)
+    with pytest.raises(ValueError, match=f"past {MAX_EVENTS} events") as refused:
+        sim.run(600)
+    last = sim.state.step_index
+    assert near.statuses == [FULL_LOG] and last > 1
+    assert str(refused.value).startswith(f"step {last + 1} could take the log past")
+    for _ in range(last):
+        stepped.step()
+    assert run_state(sim) == run_state(stepped)
 @pytest.mark.parametrize("column", ["at", "t_in", "present", "pending",
                                     "log.starts", "log.agents", "log.kinds", "log.cells"])
 def test_held_column_view_fails_a_step_before_it_begins(column):
@@ -750,6 +876,20 @@ def test_held_column_view_fails_a_step_before_it_begins(column):
     held.run(600)
     undisturbed.run(600)
     assert held.completed and run_state(held) == run_state(undisturbed)
+
+
+def test_kernel_reads_its_inputs_in_their_owners_buffers():
+    """`Simulation` hands the kernel the move table, the sink flags, the
+    field's values and the density column without copying them."""
+    grid, field = corridor()
+    sim = Simulation(grid, field, MESO_TABLE)
+    assert sim._run.nbr == grid.neighbours.obj.buffer_info()[0]
+    assert sim._run.sink == ctypes.cast(grid.sink_flags, ctypes.c_void_p).value
+    assert sim._run.values == field.values.ctypes.data
+    assert sim._run.density == sim.state.density.buffer_info()[0]
+    # The kernel keeps that address, so the column cannot be resized.
+    with pytest.raises(BufferError):
+        sim.state.density.append(0)
 
 
 def test_stepping_a_hall_by_hand_equals_one_run():

@@ -10,15 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from gridgen import corridor_layout, open_hall, random_grid, walled_hall
 from mesoped import kernel
+from mesoped.engine import MESO_TABLE, Simulation, SpawnEntry
 from mesoped.floorfield import (DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField,
                                 compute_field, field_csv_blocks)
-from mesoped.layout import (BOTTOM, DIR_VECTORS, LEFT, RIGHT, TOP, LayoutGrid,
-                            parse_layout, validate_grid)
+from mesoped.layout import BOTTOM, LEFT, RIGHT, TOP, LayoutGrid, parse_layout, validate_grid
 from mesoped.scenario import (ConfigError, ScenarioConfig, apply_sink_multipliers,
                               build_runtime, bundled_scenarios, load_scenario)
 from oracle import field_to_csv as field_to_csv_oracle
-from oracle import (Stuck, distance_field, frontier_field, greedy_descent, moves_of,
-                    q_learning, value_iteration)
+from oracle import (DIR_VECTORS, Stuck, distance_field, frontier_field, greedy_descent,
+                    moves_of, q_learning, value_iteration)
 
 CORRIDOR_1X3 = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
 
@@ -369,6 +369,33 @@ def test_field_is_deterministic():
 @pytest.mark.parametrize("size", [50, 100, 200])
 def test_field_csv_matches_oracle_on_halls(size):
     assert_csv_matches_oracle(compute_field(open_hall(size), gamma=0.9))
+
+
+@pytest.mark.parametrize("given", [
+    lambda values: values.astype(np.float32),
+    np.asfortranarray,
+    lambda values: np.repeat(values, 2, axis=1)[:, ::2],
+    lambda values: values,
+], ids=["float32", "fortran", "strided", "c_float64"])
+def test_field_values_are_a_read_only_c_contiguous_float64_view(given):
+    """`FloorField` stores any values it is given in the one format that the
+    kernel and `field_csv_blocks` read as they are, through a view that
+    leaves the caller's array writable; a field so made runs and writes as
+    `compute_field`'s own. Gamma 0.5 keeps every value exact in float32."""
+    grid = open_hall(6)
+    own = compute_field(grid, gamma=0.5)
+    values = given(np.array(own.values))
+    field = FloorField(values=values, rounds=own.rounds, plateau=own.plateau)
+    assert field.values.dtype == np.float64 and field.values.flags.c_contiguous
+    assert not field.values.flags.writeable and values.flags.writeable
+    assert np.shares_memory(field.values, values) == (values.dtype == np.float64
+                                                      and values.flags.c_contiguous)
+    assert np.array_equal(field.values, own.values)
+    assert b"".join(field_csv_blocks(field)) == b"".join(field_csv_blocks(own))
+    schedule = (SpawnEntry(grid.sources[0], 20),)
+    logs = [Simulation(grid, f, MESO_TABLE, schedule, seed=2).run(500).log for f in (field, own)]
+    assert [logs[0].starts, logs[0].agents, logs[0].kinds, logs[0].cells] == [
+        logs[1].starts, logs[1].agents, logs[1].kinds, logs[1].cells]
 
 
 def bare_field(values):

@@ -225,6 +225,13 @@ def test_event_codes_match_kinds():
     assert [name.strip() for name in names.split(",")] == [k.upper() for k in engine.KINDS]
 
 
+def test_run_statuses_match():
+    """step.c's `run` statuses are `engine.DONE`, `ROOM`, `BAD_STATE` and
+    `FULL_LOG` in order: `Simulation` grows the columns or raises on them."""
+    names = re.search(r"enum \{ *(DONE[^}]*)\}", kernel.KERNEL_SOURCE.read_text()).group(1)
+    assert [getattr(engine, name.strip()) for name in names.split(",")] == list(range(4))
+
+
 def test_kernel_declares_every_exported_signature():
     """`kernel()` gives each function that step.c defines without `static`
     the argument and result types of its definition. Without them ctypes

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridgen import random_grid
-from oracle import edge_conflicts, moves_of, neighbour_table
-from mesoped.layout import (BOTTOM, DIR_VECTORS, DIRECTIONS, LEFT, RIGHT, TOP,
+from oracle import DIR_VECTORS, edge_conflicts, moves_of, neighbour_table
+from mesoped.layout import (BOTTOM, DIRECTIONS, LEFT, RIGHT, TOP,
                             BoundaryError, ConsistencyError, EmptyError,
                             LayoutError, LayoutGrid, ParseError,
                             find_edge_conflicts, parse_layout,
