@@ -120,7 +120,10 @@ class EventLog:
 # but by at most this many items, so that a run's spare room stays bounded.
 LOG_HEADROOM = 1 << 14
 MAX_EVENTS = 2**31 - 1  # the most a log holds, since its step starts are int32
-DONE, ROOM, BAD_STATE, FULL_LOG = range(4)  # what the kernel's `run` returns (step.c)
+# What the kernel's `run` returns (step.c); all but DONE, ROOM and FULL_LOG
+# are refusals of its entry check.
+(DONE, ROOM, BAD_STEP, FULL_LOG, BAD_ENTRY_CELL, BAD_ENTRY_COUNT, BAD_AGENT, BAD_ORDER,
+ OVERFULL) = range(9)
 
 
 # numpy's SeedSequence: the entropy words are hashed into a pool of four
@@ -225,8 +228,8 @@ class _Run(ctypes.Structure):
         "present", "order", "pending", "starts", "log_agents", "log_kinds",
         "log_cells")] + [(name, ctypes.c_int64) for name in (
         "cells", "capacity", "table_rows", "steps", "step", "agents", "agent_room", "n_present",
-        "n_pending", "starts_room", "events", "event_room", "need_agents", "need_events")] + [
-        ("dt", ctypes.c_double)]
+        "n_pending", "starts_room", "events", "event_room", "need_agents", "need_events",
+        "fault")] + [("dt", ctypes.c_double)]
 
 
 class SimulationState:
@@ -237,13 +240,16 @@ class SimulationState:
     is agent a's flat cell and `t_in[a]` the clock at which it entered it.
     `present` holds the ids still inside, ascending; the rest is in the log.
     An agent inside that stands on a sink exits at the start of the next step.
+    `density`, the count of agents inside by flat cell, is a read-only
+    `memoryview` of the kernel's `array("i")` (its `.obj`): the kernel counts
+    it from `present` and `at` on entry, then as agents spawn, move and exit.
     """
 
     def __init__(self, grid: LayoutGrid, rng: PCG64,
                  schedule: tuple[SpawnEntry, ...], dt: float) -> None:
         self.step_index = -1  # no step made yet
         self.rng = rng
-        self.density = array("i", [0]) * (grid.rows * grid.cols)
+        self.density = memoryview(array("i", [0]) * (grid.rows * grid.cols)).toreadonly()
         self.at = array("i")
         self.t_in = array("d")
         self.present = array("i")
@@ -277,7 +283,8 @@ class Simulation:
     `SimulationState`'s `array` columns in place: each `run` or `step` gives
     the agent columns room, makes its steps in one kernel call (re-entered
     only to grow the log or the agents), and cuts off the room left over.
-    On entry it refuses a state it would index out of range (ValueError).
+    On entry it refuses a state it would index out of range, changing
+    nothing, and names what it refused (ValueError).
     """
 
     def __init__(self, grid: LayoutGrid, field: FloorField,
@@ -303,8 +310,6 @@ class Simulation:
         self._kernel = kernel()
         self.state = SimulationState(grid, PCG64.from_seed(seed), schedule, float(dt))
         self._order = array("i")  # the kernel's scratch column for each step's shuffle
-        # The kernel keeps density's address; this held export stops a resize moving it.
-        self._density = memoryview(self.state.density)
         # Entry probabilities, 0 in a cell as full as the table is long; the time
         # to cross a cell for each count of other occupants, inf at speed 0.
         diameter = grid.cell_size_m * DIAMETER_FACTOR
@@ -313,7 +318,7 @@ class Simulation:
         self._run = _Run(grid.neighbours.obj.buffer_info()[0], field.values.ctypes.data,
                          ctypes.cast(grid.sink_flags, ctypes.c_void_p).value,
                          probs.buffer_info()[0], dwell.buffer_info()[0],
-                         ctypes.addressof(self.state.rng), self.state.density.buffer_info()[0],
+                         ctypes.addressof(self.state.rng), self.state.density.obj.buffer_info()[0],
                          cells=grid.rows * grid.cols, capacity=table.capacity,
                          table_rows=len(table.probs), dt=dt)
         # Step 0 is the release of the agents due when the clock starts, alone.
@@ -323,6 +328,10 @@ class Simulation:
         """Make up to `steps` steps in the kernel, stopping once the run is
         complete when `until_done`; the kernel writes the state's columns."""
         state, log, r = self.state, self.state.log, self._run
+        for name, of in (("t_in", "at"), ("log.agents", "log.kinds"), ("log.cells", "log.kinds")):
+            n, m = (len(operator.attrgetter(col)(state)) for col in (name, of))
+            if n != m:
+                raise ValueError(f"column {name} holds {n} items but {of} holds {m}")
         agent_cols = (state.at, state.t_in, state.present, self._order)
         log_cols = (log.agents, log.kinds, log.cells)
         # A column that holds a buffer export cannot be resized: this empty
@@ -339,10 +348,8 @@ class Simulation:
         check = True  # only a caller changes the state between calls
         while True:
             r.agent_room, r.event_room, r.starts_room = len(state.at), len(log.kinds), len(log.starts)
-            for name, col in zip(("at", "t_in", "present", "order", "starts",
-                                  "log_agents", "log_kinds", "log_cells"),
-                                 (*agent_cols, log.starts, *log_cols)):
-                setattr(r, name, col.buffer_info()[0])
+            (r.at, r.t_in, r.present, r.order, r.starts, r.log_agents, r.log_kinds,
+             r.log_cells) = (col.buffer_info()[0] for col in (*agent_cols, log.starts, *log_cols))
             status, check = self._kernel.run(ctypes.byref(r), until_done, check), False
             if status != ROOM:
                 break
@@ -356,28 +363,30 @@ class Simulation:
                     for col in cols:
                         col.frombytes(bytes(by * col.itemsize))
         for col, n in zip((log.starts, *log_cols, *agent_cols, state.pending),
-                          (r.step + 1, r.events, r.events, r.events, r.agents, r.agents,
-                           r.n_present, 0, 3 * r.n_pending)):
+                          (len(log.starts) if status == BAD_STEP else r.step + 1, r.events,
+                           r.events, r.events, r.agents, r.agents, r.n_present, 0, 3 * r.n_pending)):
             del col[n:]
         state.step_index = r.step
         if status != DONE:
-            raise ValueError(self._refusal() if status == BAD_STATE else f"step {r.step + 1} "
-                             f"could take the log past {MAX_EVENTS} events, its int32 limit")
+            raise ValueError(self._refusal(status, r.fault) if status != FULL_LOG else
+                             f"step {r.step + 1} could take the log past {MAX_EVENTS} "
+                             "events, its int32 limit")
 
-    def _refusal(self) -> str:
-        """Names what step.c's `state_in_range` refused, looking in its order."""
-        state, cols, rows = self.state, self.grid.cols, len(self.table.probs)
-        for i, d in enumerate(state.density):
-            if not 0 <= d <= rows:
-                return (f"cell {divmod(i, cols)} has density {d}, outside 0 to {rows}: no "
-                        "cell holds more agents than the speed-density table has rows")
-        left = state.density.tolist()  # each density less the agents standing in its cell
-        for a in state.present:
-            if not (0 <= a < state.spawned and 0 <= state.at[a] < len(left)):
-                return f"present id {a} is not a spawned agent standing on the grid"
-            left[state.at[a]] -= 1
-        c = next(c for c, n in enumerate(left) if n < 0)
-        return f"cell {divmod(c, cols)} has density {state.density[c]}, below its agents' count"
+    def _refusal(self, status: int, at: int) -> str:
+        """Words what the kernel's entry check refused; `at` is its `fault`."""
+        state = self.state
+        if status == BAD_STEP:
+            return f"step index {state.step_index} is below -1, the index before step 0"
+        if status == BAD_AGENT:
+            return f"present id {state.present[at]} is not a spawned agent standing on the grid"
+        if status == BAD_ORDER:
+            return f"present id {state.present[at]} follows id {state.present[at - 1]}: ids ascend"
+        if status == OVERFULL:
+            return (f"cell {divmod(at, self.grid.cols)} holds more than {len(self.table.probs)} "
+                    "agents: no cell holds more agents than the speed-density table has rows")
+        cell, count, release = state.pending[3 * at:3 * at + 3]
+        fault = "cell off the grid" if status == BAD_ENTRY_CELL else "negative count"
+        return f"pending entry {at} (cell {cell}, count {count}, step {release}) has a {fault}"
 
     def step(self) -> SimulationState:
         """Advance one interval: spawn, exit the agents on a sink, move the rest.

@@ -191,14 +191,16 @@ struct run {
     uint8_t *log_kinds;
     int32_t *log_cells;
     int64_t cells, capacity, table_rows, steps, step, agents, agent_room, n_present, n_pending;
-    int64_t starts_room, events, event_room, need_agents, need_events;
+    int64_t starts_room, events, event_room, need_agents, need_events, fault;
     double dt;
 };
 
-/* What `run` returns: done; out of room for the next step; a state that
- * `move` would index out of range; or a next step that could take the log
- * past INT32_MAX events, the most that the int32 `starts` can index. */
-enum { DONE, ROOM, BAD_STATE, FULL_LOG };
+/* What `run` returns: done; out of room for the next step; FULL_LOG for a
+ * next step that could take the log past INT32_MAX events, the most that the
+ * int32 `starts` can index; or, from `check_state`, what it refused in the
+ * state (`fault` says where): BAD_STEP and the five after FULL_LOG. */
+enum { DONE, ROOM, BAD_STEP, FULL_LOG, BAD_ENTRY_CELL, BAD_ENTRY_COUNT, BAD_AGENT, BAD_ORDER,
+       OVERFULL };
 
 /* numpy's random_interval(max) for max < 2**32: a masked rejection. */
 static uint32_t interval(uint32_t max, struct pcg64 *rng)
@@ -281,47 +283,56 @@ static void move(struct run *r, int32_t a, double clock)
     record(r, a, MOVE, dest);
 }
 
-/* Whether the state that `move` indexes is in range: every density within
- * 0 .. table_rows, and every present id a spawned agent on a cell of the grid
- * whose density counts it (no cell holds more present agents than its
- * density). The densities are left as they were found. */
-static int state_in_range(struct run *r)
+/* Refuses, changing nothing, the first thing `run` would index out of range:
+ * a step index below -1; a pending entry (`fault`) with a negative count or a
+ * cell off the grid; a present id (at `fault` in `present`) that is not a
+ * spawned agent on the grid, or not above the id before it (a repeated id
+ * would exit twice and leave its cell's density at -1). Then counts `density`
+ * from `present` and `at`, refusing a cell (`fault`) with more agents than
+ * the table has rows and putting back each counted cell's density, kept in
+ * `order`. */
+static int check_state(struct run *r)
 {
-    /* The top bit of d | (rows - d), in wrapping uint32 arithmetic, is set for
-     * a d below 0 or above rows (< 2**31). Blocks of 8 let -O2 vectorize it. */
-    const uint32_t *d = (const uint32_t *)r->density, rows = (uint32_t)r->table_rows;
-    uint32_t out = 0;
-    int64_t i = 0;
-    int ok = 1;
-    for (; i + 8 <= r->cells; i += 8)
-        for (int k = 0; k < 8; k++)
-            out |= d[i + k] | (rows - d[i + k]);
-    for (; i < r->cells; i++)
-        out |= d[i] | (rows - d[i]);
-    if (out >> 31)
-        return 0;
-    for (int64_t m = 0; m < r->n_present; m++) {
-        int32_t a = r->present[m];
+    int32_t *d = r->density;
+    const int64_t *p = r->pending;
+    if (r->step < -1)
+        return BAD_STEP;
+    for (r->fault = 0; r->fault < r->n_pending; r->fault++, p += 3)
+        if (p[1] < 0 || p[0] < 0 || p[0] >= r->cells)
+            return p[1] < 0 ? BAD_ENTRY_COUNT : BAD_ENTRY_CELL;
+    for (r->fault = 0; r->fault < r->n_present; r->fault++) {
+        int32_t a = r->present[r->fault];
         if (a < 0 || a >= r->agents || r->at[a] < 0 || r->at[a] >= r->cells)
-            return 0;
+            return BAD_AGENT;
+        if (r->fault && a <= r->present[r->fault - 1])
+            return BAD_ORDER;
+        r->order[r->fault] = d[r->at[a]];
     }
     for (int64_t m = 0; m < r->n_present; m++)
-        r->density[r->at[r->present[m]]]--;
+        d[r->at[r->present[m]]] = 0;
     for (int64_t m = 0; m < r->n_present; m++)
-        ok &= r->density[r->at[r->present[m]]]++ >= 0;
-    return ok;
+        if (++d[r->fault = r->at[r->present[m]]] > r->table_rows) {
+            for (m = 0; m < r->n_present; m++)
+                d[r->at[r->present[m]]] = r->order[m];
+            return OVERFULL;
+        }
+    memset(d, 0, (size_t)r->cells * sizeof *d);
+    for (int64_t m = 0; m < r->n_present; m++)
+        d[r->at[r->present[m]]]++;
+    return DONE;
 }
 
 /* Makes up to r->steps steps, stopping early once nobody is inside or waiting
  * when `until_done`. Step 0 is the release at clock 0 alone. With `check`, it
- * first returns BAD_STATE, having changed nothing, unless `state_in_range`.
- * Returns ROOM, with the step not begun, when a buffer lacks room for the
- * next step (the need is in need_agents and need_events), FULL_LOG when that
- * step could log past INT32_MAX events, else DONE. */
+ * first returns what `check_state` refuses, having changed nothing, or else
+ * has it count `density`. Returns ROOM, with the step not begun, when a
+ * buffer lacks room for the next step (the need is in need_agents and
+ * need_events), FULL_LOG when that step could log past INT32_MAX events, else DONE. */
 int run(struct run *r, int until_done, int check)
 {
-    if (check && !state_in_range(r))
-        return BAD_STATE;
+    int refused = check ? check_state(r) : DONE;
+    if (refused != DONE)
+        return refused;
     while (r->steps > 0 && !(until_done && r->n_present == 0 && r->n_pending == 0)) {
         int64_t s = r->step + 1, spawns = 0, *p = r->pending, kept = 0;
         for (int64_t k = 0; k < r->n_pending; k++)

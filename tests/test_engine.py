@@ -54,7 +54,6 @@ def place(state, grid, cell, t_in=0.0):
     state.present.append(state.spawned)
     state.at.append(grid.index(cell))
     state.t_in.append(t_in)
-    state.density[grid.index(cell)] += 1
 
 
 def first_move(sim, max_steps=50):
@@ -662,8 +661,8 @@ def run_state(sim):
     schedule and the generator."""
     state, log = sim.state, sim.state.log
     return (*(col[:] for col in (log.starts, log.agents, log.kinds, log.cells, state.at,
-                                 state.t_in, state.present, state.density, state.pending)),
-            state.step_index, state.clock, state.rng.state)
+                                 state.t_in, state.present, state.pending)),
+            state.density.tolist(), state.step_index, state.clock, state.rng.state)
 
 
 @settings(max_examples=60, deadline=None)
@@ -712,7 +711,6 @@ def test_overfull_cell_is_rejected_before_the_kernel_runs():
     assert run_state(sim) == before
     # With the cell back within the table, the run steps on.
     state = sim.state
-    state.density[grid.index((0, 0))] -= 1
     for col in (state.at, state.t_in, state.present):
         col.pop()
     sim.step()
@@ -720,8 +718,6 @@ def test_overfull_cell_is_rejected_before_the_kernel_runs():
 
 
 @pytest.mark.parametrize("column, index, bad, named", [
-    ("density", 0, 0, r"cell \(0, 0\) has density 0, below its agents' count"),
-    ("density", 2, -1, r"cell \(0, 2\) has density -1"),
     ("present", 0, 1, r"present id 1 is not a spawned agent standing on the grid"),
     ("present", 0, -1, r"present id -1 is not a spawned agent standing on the grid"),
     ("at", 0, 4, r"present id 0 is not a spawned agent standing on the grid"),
@@ -729,10 +725,9 @@ def test_overfull_cell_is_rejected_before_the_kernel_runs():
 ])
 def test_out_of_range_state_is_rejected_before_the_kernel_runs(column, index, bad, named):
     """The kernel checks the state it indexes on entry and refuses it,
-    changing nothing; Python names the cell or the agent. Without the check,
-    density 0 under the agent has `move` read `dwell[-1]`, a heap overflow
-    under AddressSanitizer and a density of -1 without it. Once the state is
-    repaired, the run goes on as an undisturbed one."""
+    changing nothing, naming the agent. Without the check, an `at` off the
+    grid has the kernel index `density` outside its buffer. Once the state
+    is repaired, the run goes on as an undisturbed one."""
     grid, field = corridor(CORRIDOR_1X4)
 
     def make():
@@ -754,27 +749,77 @@ def test_out_of_range_state_is_rejected_before_the_kernel_runs(column, index, ba
 @pytest.mark.parametrize("cell", [0, 7, 8, 17, 31, 32, 35])
 @pytest.mark.parametrize("density", [-1, 7, -2**31, 2**31 - 1])
 def test_density_out_of_range_is_found_in_any_cell(cell, density):
-    """The kernel scans a 6x6 hall's densities in blocks of 8 cells, then the
-    last 4 alone: a density out of range is refused wherever it lies."""
+    """A 6x6 hall's cell holding one agent more than the table has rows is
+    refused wherever it lies, whatever `density` held: the kernel counts it
+    afresh, and a refusal puts back what it found, even a value written
+    around the read-only view."""
     grid = open_hall(6)
     sim = Simulation(grid, compute_field(grid), MESO_TABLE)
-    sim.state.density[cell] = density
+    sim.state.density.obj[cell] = density
+    for _ in range(len(MESO_TABLE.probs) + 1):
+        place(sim.state, grid, divmod(cell, 6))
+    before = run_state(sim)
     where = re.escape(str(divmod(cell, 6)))
-    with pytest.raises(ValueError, match=f"cell {where} has density {density}, outside 0 to 6"):
+    with pytest.raises(ValueError, match=f"cell {where} holds more than 6 agents"):
         sim.step()
+    assert run_state(sim) == before
 
 
-def test_cell_holding_more_agents_than_its_density_is_rejected():
-    """Two agents in a cell of density 1: without the check, the second of
-    them to be visited would read `dwell[-1]` once the first had left."""
+def test_density_is_read_only_and_counted_from_the_agents():
+    """`density` cannot be written; agents placed through `present`, `at`
+    and `t_in` alone are counted at the next `step()`, and the ones taken
+    out again leave their cells empty."""
     grid, field = corridor(CORRIDOR_1X4)
     sim = Simulation(grid, field, MESO_TABLE)
-    place(sim.state, grid, (0, 0))
-    place(sim.state, grid, (0, 0))
-    sim.state.density[grid.index((0, 0))] -= 1
+    with pytest.raises(TypeError):
+        sim.state.density[0] = 1
+    for cell in ((0, 0), (0, 0), (0, 1), (0, 2)):
+        place(sim.state, grid, cell, t_in=NEVER)
+    assert sim.state.density.tolist() == [0, 0, 0, 0]
+    sim.step()
+    assert sim.state.density.tolist() == [2, 1, 1, 0]
+    del sim.state.present[1:3]
+    sim.step()
+    assert sim.state.density.tolist() == [1, 0, 1, 0]
+
+
+# Edits of a 1x4 corridor's state after step 0, with 5 agents inside and
+# entries of 20 and 1 agents due at step 3, that the kernel would follow out
+# of its buffers, and the ValueError that refuses each.
+OVERRUNS = {
+    "pending_cell_off_grid": (lambda s: s.pending.__setitem__(0, 4),
+                              r"pending entry 0 \(cell 4, count 20, step 3\) has a cell off"),
+    "negative_pending_count": (lambda s: s.pending.__setitem__(4, -50), r"pending entry 1 "
+                               r"\(cell 0, count -50, step 3\) has a negative count"),
+    "present_id_repeated": (lambda s: s.present.__setitem__(1, 0),
+                            r"present id 0 follows id 0: ids ascend"),
+    "step_index_below_-1": (lambda s: setattr(s, "step_index", -2),
+                            r"step index -2 is below -1"),
+    "t_in_shorter_than_at": (lambda s: setattr(s, "t_in", array("d", [0.0])),
+                             r"column t_in holds 1 items but at holds 5"),
+    "log_columns_unequal": (lambda s: setattr(s.log, "agents", array("i")),
+                            r"column log.agents holds 0 items but log.kinds holds 5"),
+}
+
+
+@pytest.mark.parametrize("edit", OVERRUNS)
+def test_state_the_kernel_would_overrun_is_refused(edit):
+    """Without its check, each edit has the kernel read or write past a
+    buffer's end (AddressSanitizer aborts): a spawn on cell 4; spawns hidden
+    from the room test by a count of -50; a repeated id 0 that moves and exits
+    twice, leaving the sink's density at -1, so that the agents behind read
+    `probs[-1]`; `starts[-1]` written; the entry
+    clocks of agents 1 to 4 read past `t_in`; the moves of step 1 logged past
+    a new, empty `log.agents`, grown with the log by 5. Each is refused,
+    changing nothing."""
+    grid, field = corridor(CORRIDOR_1X4)
+    sim = Simulation(grid, field, MESO_TABLE, (SpawnEntry((0, 0), 5), SpawnEntry((0, 0), 20, 3),
+                                               SpawnEntry((0, 0), 1, 3)), dt=10.0, seed=0)
+    change, named = OVERRUNS[edit]
+    change(sim.state)
     before = run_state(sim)
-    with pytest.raises(ValueError, match=r"cell \(0, 0\) has density 1, below its agents' count"):
-        sim.step()
+    with pytest.raises(ValueError, match=named):
+        sim.run(10)
     assert run_state(sim) == before
 
 
@@ -886,10 +931,10 @@ def test_kernel_reads_its_inputs_in_their_owners_buffers():
     assert sim._run.nbr == grid.neighbours.obj.buffer_info()[0]
     assert sim._run.sink == ctypes.cast(grid.sink_flags, ctypes.c_void_p).value
     assert sim._run.values == field.values.ctypes.data
-    assert sim._run.density == sim.state.density.buffer_info()[0]
-    # The kernel keeps that address, so the column cannot be resized.
+    assert sim._run.density == sim.state.density.obj.buffer_info()[0]
+    # The kernel keeps that address; the view pins it, so the column cannot be resized.
     with pytest.raises(BufferError):
-        sim.state.density.append(0)
+        sim.state.density.obj.append(0)
 
 
 def test_stepping_a_hall_by_hand_equals_one_run():
@@ -906,7 +951,7 @@ def test_stepping_a_hall_by_hand_equals_one_run():
     whole.run(10_000)
     assert whole.completed
     stepped.step()
-    assert stepped._run.density == stepped.state.density.buffer_info()[0]
+    assert stepped._run.density == stepped.state.density.obj.buffer_info()[0]
     for _ in range(whole.state.step_index - 1):
         stepped.step()
     assert stepped.completed
