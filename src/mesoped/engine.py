@@ -122,8 +122,7 @@ LOG_HEADROOM = 1 << 14
 MAX_EVENTS = 2**31 - 1  # the most a log holds, since its step starts are int32
 # What the kernel's `run` returns (step.c); all but DONE, ROOM and FULL_LOG
 # are refusals of its entry check.
-(DONE, ROOM, BAD_STEP, FULL_LOG, BAD_ENTRY_CELL, BAD_ENTRY_COUNT, BAD_AGENT, BAD_ORDER,
- OVERFULL) = range(9)
+DONE, ROOM, BAD_AGENT, FULL_LOG, BAD_ORDER, BAD_ENTRY_CELL, BAD_ENTRY_COUNT, OVERFULL = range(8)
 
 
 # numpy's SeedSequence: the entropy words are hashed into a pool of four
@@ -243,13 +242,16 @@ class SimulationState:
     `density`, the count of agents inside by flat cell, is a read-only
     `memoryview` of the kernel's `array("i")` (its `.obj`): the kernel counts
     it from `present` and `at` on entry, then as agents spawn, move and exit.
+    Each read is a new view; the state holds the array (the kernel keeps its
+    address) through its own export, so no view a caller releases frees it
+    or lets it be resized.
     """
 
     def __init__(self, grid: LayoutGrid, rng: PCG64,
                  schedule: tuple[SpawnEntry, ...], dt: float) -> None:
         self.step_index = -1  # no step made yet
         self.rng = rng
-        self.density = memoryview(array("i", [0]) * (grid.rows * grid.cols)).toreadonly()
+        self._density = memoryview(array("i", [0]) * (grid.rows * grid.cols))
         self.at = array("i")
         self.t_in = array("d")
         self.present = array("i")
@@ -257,6 +259,10 @@ class SimulationState:
         # flat cell, remaining, release_step of each unspent entry, one after another
         self.pending = array("q", chain.from_iterable(
             (grid.index(e.cell), e.count, e.release_step) for e in schedule))
+
+    @property
+    def density(self) -> memoryview:
+        return self._density.toreadonly()
 
     @property
     def clock(self) -> float:
@@ -328,9 +334,13 @@ class Simulation:
         """Make up to `steps` steps in the kernel, stopping once the run is
         complete when `until_done`; the kernel writes the state's columns."""
         state, log, r = self.state, self.state.log, self._run
-        for name, of in (("t_in", "at"), ("log.agents", "log.kinds"), ("log.cells", "log.kinds")):
+        if state.step_index < -1:
+            raise ValueError(f"step index {state.step_index} is below -1, the index before step 0")
+        for name, of, fits in (("t_in", "at", operator.eq), ("present", "at", operator.le),
+                               ("log.agents", "log.kinds", operator.eq),
+                               ("log.cells", "log.kinds", operator.eq)):
             n, m = (len(operator.attrgetter(col)(state)) for col in (name, of))
-            if n != m:
+            if not fits(n, m):
                 raise ValueError(f"column {name} holds {n} items but {of} holds {m}")
         agent_cols = (state.at, state.t_in, state.present, self._order)
         log_cols = (log.agents, log.kinds, log.cells)
@@ -363,8 +373,8 @@ class Simulation:
                     for col in cols:
                         col.frombytes(bytes(by * col.itemsize))
         for col, n in zip((log.starts, *log_cols, *agent_cols, state.pending),
-                          (len(log.starts) if status == BAD_STEP else r.step + 1, r.events,
-                           r.events, r.events, r.agents, r.agents, r.n_present, 0, 3 * r.n_pending)):
+                          (r.step + 1, r.events, r.events, r.events, r.agents, r.agents,
+                           r.n_present, 0, 3 * r.n_pending)):
             del col[n:]
         state.step_index = r.step
         if status != DONE:
@@ -375,8 +385,6 @@ class Simulation:
     def _refusal(self, status: int, at: int) -> str:
         """Words what the kernel's entry check refused; `at` is its `fault`."""
         state = self.state
-        if status == BAD_STEP:
-            return f"step index {state.step_index} is below -1, the index before step 0"
         if status == BAD_AGENT:
             return f"present id {state.present[at]} is not a spawned agent standing on the grid"
         if status == BAD_ORDER:

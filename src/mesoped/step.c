@@ -198,9 +198,8 @@ struct run {
 /* What `run` returns: done; out of room for the next step; FULL_LOG for a
  * next step that could take the log past INT32_MAX events, the most that the
  * int32 `starts` can index; or, from `check_state`, what it refused in the
- * state (`fault` says where): BAD_STEP and the five after FULL_LOG. */
-enum { DONE, ROOM, BAD_STEP, FULL_LOG, BAD_ENTRY_CELL, BAD_ENTRY_COUNT, BAD_AGENT, BAD_ORDER,
-       OVERFULL };
+ * state (`fault` says where). */
+enum { DONE, ROOM, BAD_AGENT, FULL_LOG, BAD_ORDER, BAD_ENTRY_CELL, BAD_ENTRY_COUNT, OVERFULL };
 
 /* numpy's random_interval(max) for max < 2**32: a masked rejection. */
 static uint32_t interval(uint32_t max, struct pcg64 *rng)
@@ -284,19 +283,16 @@ static void move(struct run *r, int32_t a, double clock)
 }
 
 /* Refuses, changing nothing, the first thing `run` would index out of range:
- * a step index below -1; a pending entry (`fault`) with a negative count or a
- * cell off the grid; a present id (at `fault` in `present`) that is not a
- * spawned agent on the grid, or not above the id before it (a repeated id
- * would exit twice and leave its cell's density at -1). Then counts `density`
- * from `present` and `at`, refusing a cell (`fault`) with more agents than
- * the table has rows and putting back each counted cell's density, kept in
- * `order`. */
+ * a pending entry (`fault`) with a negative count or a cell off the grid; a
+ * present id (at `fault` in `present`) that is not a spawned agent on the
+ * grid, or not above the id before it (a repeated id would exit twice and
+ * leave its cell's density at -1). Then counts `density` from `present` and
+ * `at`, refusing a cell (`fault`) with more agents than the table has rows
+ * and putting back each counted cell's density, kept in `order`. */
 static int check_state(struct run *r)
 {
     int32_t *d = r->density;
     const int64_t *p = r->pending;
-    if (r->step < -1)
-        return BAD_STEP;
     for (r->fault = 0; r->fault < r->n_pending; r->fault++, p += 3)
         if (p[1] < 0 || p[0] < 0 || p[0] >= r->cells)
             return p[1] < 0 ? BAD_ENTRY_COUNT : BAD_ENTRY_CELL;

@@ -750,8 +750,10 @@ def test_out_of_range_state_is_rejected_before_the_kernel_runs(column, index, ba
 @pytest.mark.parametrize("density", [-1, 7, -2**31, 2**31 - 1])
 def test_density_out_of_range_is_found_in_any_cell(cell, density):
     """A 6x6 hall's cell holding one agent more than the table has rows is
-    refused wherever it lies, whatever `density` held: the kernel counts it
-    afresh, and a refusal puts back what it found, even a value written
+    refused wherever it lies, from the first cell to the last, whatever
+    `density` held there: the kernel's count starts from 0, so a held -1 or
+    -2**31 hides no agent from the limit and a held 2**31 - 1 overflows
+    nothing, and a refusal puts back the value it found, even one written
     around the read-only view."""
     grid = open_hall(6)
     sim = Simulation(grid, compute_field(grid), MESO_TABLE)
@@ -783,9 +785,32 @@ def test_density_is_read_only_and_counted_from_the_agents():
     assert sim.state.density.tolist() == [1, 0, 1, 0]
 
 
+def test_density_array_outlives_every_view_of_it():
+    """The kernel keeps the address of `density`'s array, so no view a caller
+    is given owns it: releasing one neither frees the array nor stops the
+    run, the attribute cannot be rebound or deleted, and the array cannot be
+    resized. Were the view the array's only owner, a release would free it
+    and the next step would count into freed memory (AddressSanitizer aborts)."""
+    grid, field = corridor(CORRIDOR_1X4)
+    sim = Simulation(grid, field, MESO_TABLE, (SpawnEntry((0, 0), 2),), dt=0.5, seed=0)
+    with sim.state.density as view:  # released on leaving
+        assert view.tolist() == [2, 0, 0, 0]
+    sim.step()
+    with pytest.raises(ValueError):
+        view.tolist()
+    for change in (lambda s: setattr(s, "density", None), lambda s: delattr(s, "density")):
+        with pytest.raises(AttributeError):
+            change(sim.state)
+    with pytest.raises(BufferError):
+        sim.state.density.obj.append(0)
+    sim.run(100)
+    assert sim.completed and sim.state.density.tolist() == [0, 0, 0, 0]
+
+
 # Edits of a 1x4 corridor's state after step 0, with 5 agents inside and
 # entries of 20 and 1 agents due at step 3, that the kernel would follow out
-# of its buffers, and the ValueError that refuses each.
+# of its buffers or that leave no room to size, and the ValueError that
+# refuses each.
 OVERRUNS = {
     "pending_cell_off_grid": (lambda s: s.pending.__setitem__(0, 4),
                               r"pending entry 0 \(cell 4, count 20, step 3\) has a cell off"),
@@ -799,6 +824,8 @@ OVERRUNS = {
                              r"column t_in holds 1 items but at holds 5"),
     "log_columns_unequal": (lambda s: setattr(s.log, "agents", array("i")),
                             r"column log.agents holds 0 items but log.kinds holds 5"),
+    "present_longer_than_at": (lambda s: s.present.append(5),
+                               r"column present holds 6 items but at holds 5"),
 }
 
 
@@ -810,7 +837,8 @@ def test_state_the_kernel_would_overrun_is_refused(edit):
     twice, leaving the sink's density at -1, so that the agents behind read
     `probs[-1]`; `starts[-1]` written; the entry
     clocks of agents 1 to 4 read past `t_in`; the moves of step 1 logged past
-    a new, empty `log.agents`, grown with the log by 5. Each is refused,
+    a new, empty `log.agents`, grown with the log by 5. More present ids than
+    agents leave the shuffle's column no room to size. Each is refused,
     changing nothing."""
     grid, field = corridor(CORRIDOR_1X4)
     sim = Simulation(grid, field, MESO_TABLE, (SpawnEntry((0, 0), 5), SpawnEntry((0, 0), 20, 3),
