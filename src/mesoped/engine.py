@@ -92,13 +92,14 @@ class EventLog:
     `cells[k]` (row * cols + col). The step kernel alone writes the columns,
     step by step: `starts[s]` is the index of the first event of step s or
     later, so step s owns events `starts[s]` up to `starts[s + 1]` (or the
-    end). No clock is stored, because the clock of step s is always `s * dt`.
+    end); a new log holds no step. No clock is stored, because the clock of
+    step s is always `s * dt`.
     """
 
     def __init__(self, dt: float, cols: int) -> None:
         self.dt = dt
         self.cols = cols
-        self.starts = array("i", [0])
+        self.starts = array("i")
         self.agents = array("i")
         self.kinds = array("B")
         self.cells = array("i")
@@ -122,7 +123,7 @@ LOG_HEADROOM = 1 << 14
 MAX_EVENTS = 2**31 - 1  # the most a log holds, since its step starts are int32
 # What the kernel's `run` returns (step.c); all but DONE, ROOM and FULL_LOG
 # are refusals of its entry check.
-DONE, ROOM, BAD_AGENT, FULL_LOG, BAD_ORDER, BAD_ENTRY_CELL, BAD_ENTRY_COUNT, OVERFULL = range(8)
+DONE, ROOM, BAD_AGENT, FULL_LOG, BAD_ORDER, OVERFULL = range(6)
 
 
 # numpy's SeedSequence: the entropy words are hashed into a pool of four
@@ -244,21 +245,26 @@ class SimulationState:
     it from `present` and `at` on entry, then as agents spawn, move and exit.
     Each read is a new view; the state holds the array (the kernel keeps its
     address) through its own export, so no view a caller releases frees it
-    or lets it be resized.
+    or lets it be resized. `step_index` is the log's last step, `rng` the
+    generator the kernel's draws advance (neither can be set), and `pending`
+    a read-only copy of the unspent spawn entries, (flat cell, remaining,
+    release step) one after another, which only the kernel spends.
     """
 
     def __init__(self, grid: LayoutGrid, rng: PCG64,
                  schedule: tuple[SpawnEntry, ...], dt: float) -> None:
-        self.step_index = -1  # no step made yet
-        self.rng = rng
+        self._rng = rng
         self._density = memoryview(array("i", [0]) * (grid.rows * grid.cols))
         self.at = array("i")
         self.t_in = array("d")
         self.present = array("i")
         self.log = EventLog(dt, grid.cols)
-        # flat cell, remaining, release_step of each unspent entry, one after another
-        self.pending = array("q", chain.from_iterable(
+        self._pending = array("q", chain.from_iterable(
             (grid.index(e.cell), e.count, e.release_step) for e in schedule))
+
+    rng = property(operator.attrgetter("_rng"))
+    pending = property(lambda self: memoryview(self._pending.tobytes()).cast("q"))
+    step_index = property(lambda self: len(self.log.starts) - 1)
 
     @property
     def density(self) -> memoryview:
@@ -274,7 +280,7 @@ class SimulationState:
 
     @property
     def pending_count(self) -> int:
-        return sum(self.pending[1::3])
+        return sum(self._pending[1::3])
 
 
 class Simulation:
@@ -289,8 +295,9 @@ class Simulation:
     `SimulationState`'s `array` columns in place: each `run` or `step` gives
     the agent columns room, makes its steps in one kernel call (re-entered
     only to grow the log or the agents), and cuts off the room left over.
-    On entry it refuses a state it would index out of range, changing
-    nothing, and names what it refused (ValueError).
+    On every entry it refuses a state it would index out of range, changing
+    nothing, and names what it refused (ValueError). It checks the schedule
+    once, here; `grid` and `state` cannot be rebound.
     """
 
     def __init__(self, grid: LayoutGrid, field: FloorField,
@@ -310,11 +317,11 @@ class Simulation:
         if field.values.shape != (grid.rows, grid.cols):
             raise ValueError(f"field of shape {field.values.shape} on a "
                              f"{grid.rows}x{grid.cols} grid")
-        self.grid = grid
-        self.field = field
-        self.table = table
+        self._grid = grid
+        self._field = field
+        self._table = table
         self._kernel = kernel()
-        self.state = SimulationState(grid, PCG64.from_seed(seed), schedule, float(dt))
+        self._state = state = SimulationState(grid, PCG64.from_seed(seed), schedule, float(dt))
         self._order = array("i")  # the kernel's scratch column for each step's shuffle
         # Entry probabilities, 0 in a cell as full as the table is long; the time
         # to cross a cell for each count of other occupants, inf at speed 0.
@@ -324,18 +331,19 @@ class Simulation:
         self._run = _Run(grid.neighbours.obj.buffer_info()[0], field.values.ctypes.data,
                          ctypes.cast(grid.sink_flags, ctypes.c_void_p).value,
                          probs.buffer_info()[0], dwell.buffer_info()[0],
-                         ctypes.addressof(self.state.rng), self.state.density.obj.buffer_info()[0],
+                         ctypes.addressof(state.rng), state.density.obj.buffer_info()[0],
                          cells=grid.rows * grid.cols, capacity=table.capacity,
                          table_rows=len(table.probs), dt=dt)
         # Step 0 is the release of the agents due when the clock starts, alone.
         self._advance(1, until_done=False)
 
+    grid = property(operator.attrgetter("_grid"))
+    state = property(operator.attrgetter("_state"))
+
     def _advance(self, steps: int, until_done: bool) -> None:
         """Make up to `steps` steps in the kernel, stopping once the run is
         complete when `until_done`; the kernel writes the state's columns."""
-        state, log, r = self.state, self.state.log, self._run
-        if state.step_index < -1:
-            raise ValueError(f"step index {state.step_index} is below -1, the index before step 0")
+        state, log, r = self._state, self._state.log, self._run
         for name, of, fits in (("t_in", "at", operator.eq), ("present", "at", operator.le),
                                ("log.agents", "log.kinds", operator.eq),
                                ("log.cells", "log.kinds", operator.eq)):
@@ -346,21 +354,20 @@ class Simulation:
         log_cols = (log.agents, log.kinds, log.cells)
         # A column that holds a buffer export cannot be resized: this empty
         # cut raises BufferError for it now, before the kernel changes anything.
-        for col in (*agent_cols, *log_cols, log.starts, state.pending):
+        for col in (*agent_cols, *log_cols, log.starts):
             del col[len(col):]
-        r.n_present, r.n_pending = len(state.present), len(state.pending) // 3
+        r.n_present, r.n_pending = len(state.present), len(state._pending) // 3
         # at, t_in, present and the shuffle's order, each with room for every agent
         for col in agent_cols[2:]:
             col.frombytes(bytes((len(state.at) - len(col)) * col.itemsize))
         r.steps, r.step = max(0, min(steps, 2**63 - 1)), state.step_index
         r.agents, r.events = len(state.at), len(log.kinds)
-        r.pending = state.pending.buffer_info()[0]
-        check = True  # only a caller changes the state between calls
+        r.pending = state._pending.buffer_info()[0]
         while True:
             r.agent_room, r.event_room, r.starts_room = len(state.at), len(log.kinds), len(log.starts)
             (r.at, r.t_in, r.present, r.order, r.starts, r.log_agents, r.log_kinds,
              r.log_cells) = (col.buffer_info()[0] for col in (*agent_cols, log.starts, *log_cols))
-            status, check = self._kernel.run(ctypes.byref(r), until_done, check), False
+            status = self._kernel.run(ctypes.byref(r), until_done)
             if status != ROOM:
                 break
             # Room for the next step at least; else the columns double, up to
@@ -372,11 +379,10 @@ class Simulation:
                     by = max(need, min(LOG_HEADROOM, used, r.steps * need))
                     for col in cols:
                         col.frombytes(bytes(by * col.itemsize))
-        for col, n in zip((log.starts, *log_cols, *agent_cols, state.pending),
+        for col, n in zip((log.starts, *log_cols, *agent_cols, state._pending),
                           (r.step + 1, r.events, r.events, r.events, r.agents, r.agents,
                            r.n_present, 0, 3 * r.n_pending)):
             del col[n:]
-        state.step_index = r.step
         if status != DONE:
             raise ValueError(self._refusal(status, r.fault) if status != FULL_LOG else
                              f"step {r.step + 1} could take the log past {MAX_EVENTS} "
@@ -384,17 +390,13 @@ class Simulation:
 
     def _refusal(self, status: int, at: int) -> str:
         """Words what the kernel's entry check refused; `at` is its `fault`."""
-        state = self.state
+        present = self._state.present
         if status == BAD_AGENT:
-            return f"present id {state.present[at]} is not a spawned agent standing on the grid"
+            return f"present id {present[at]} is not a spawned agent standing on the grid"
         if status == BAD_ORDER:
-            return f"present id {state.present[at]} follows id {state.present[at - 1]}: ids ascend"
-        if status == OVERFULL:
-            return (f"cell {divmod(at, self.grid.cols)} holds more than {len(self.table.probs)} "
-                    "agents: no cell holds more agents than the speed-density table has rows")
-        cell, count, release = state.pending[3 * at:3 * at + 3]
-        fault = "cell off the grid" if status == BAD_ENTRY_CELL else "negative count"
-        return f"pending entry {at} (cell {cell}, count {count}, step {release}) has a {fault}"
+            return f"present id {present[at]} follows id {present[at - 1]}: ids ascend"
+        return (f"cell {divmod(at, self._grid.cols)} holds more than {len(self._table.probs)} "
+                "agents: no cell holds more agents than the speed-density table has rows")
 
     def step(self) -> SimulationState:
         """Advance one interval: spawn, exit the agents on a sink, move the rest.
@@ -424,7 +426,7 @@ class Simulation:
 
     @property
     def completed(self) -> bool:
-        return not self.state.present and not self.state.pending
+        return not self._state.present and not self._state._pending
 
 
 CSV_HEADER = b"step,clock_s,agent_id,event,row,col\n"

@@ -86,7 +86,7 @@ def kernel() -> ctypes.CDLL:
     p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.neighbours.argtypes, lib.neighbours.restype = [p, i64, i64, p], None
     lib.solve.argtypes, lib.solve.restype = [p, p, i64, f64, p, p, p, p], i64
-    lib.run.argtypes, lib.run.restype = [p, ctypes.c_int, ctypes.c_int], ctypes.c_int
+    lib.run.argtypes, lib.run.restype = [p, ctypes.c_int], ctypes.c_int
     lib.shuffle.argtypes, lib.shuffle.restype = [p, i64, p], None
     lib.draw.argtypes, lib.draw.restype = [ctypes.c_uint64, p], ctypes.c_uint64
     lib.summarize.argtypes = [p, i64, p, p, p, i64, i64, f64, f64, f64, i64, p, p, p, p, p, p]

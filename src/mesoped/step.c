@@ -199,7 +199,7 @@ struct run {
  * next step that could take the log past INT32_MAX events, the most that the
  * int32 `starts` can index; or, from `check_state`, what it refused in the
  * state (`fault` says where). */
-enum { DONE, ROOM, BAD_AGENT, FULL_LOG, BAD_ORDER, BAD_ENTRY_CELL, BAD_ENTRY_COUNT, OVERFULL };
+enum { DONE, ROOM, BAD_AGENT, FULL_LOG, BAD_ORDER, OVERFULL };
 
 /* numpy's random_interval(max) for max < 2**32: a masked rejection. */
 static uint32_t interval(uint32_t max, struct pcg64 *rng)
@@ -283,19 +283,15 @@ static void move(struct run *r, int32_t a, double clock)
 }
 
 /* Refuses, changing nothing, the first thing `run` would index out of range:
- * a pending entry (`fault`) with a negative count or a cell off the grid; a
- * present id (at `fault` in `present`) that is not a spawned agent on the
+ * a present id (at `fault` in `present`) that is not a spawned agent on the
  * grid, or not above the id before it (a repeated id would exit twice and
  * leave its cell's density at -1). Then counts `density` from `present` and
  * `at`, refusing a cell (`fault`) with more agents than the table has rows
- * and putting back each counted cell's density, kept in `order`. */
+ * and putting back each counted cell's density, kept in `order`. The
+ * schedule needs no check: Python checks it once, and only `run` spends it. */
 static int check_state(struct run *r)
 {
     int32_t *d = r->density;
-    const int64_t *p = r->pending;
-    for (r->fault = 0; r->fault < r->n_pending; r->fault++, p += 3)
-        if (p[1] < 0 || p[0] < 0 || p[0] >= r->cells)
-            return p[1] < 0 ? BAD_ENTRY_COUNT : BAD_ENTRY_CELL;
     for (r->fault = 0; r->fault < r->n_present; r->fault++) {
         int32_t a = r->present[r->fault];
         if (a < 0 || a >= r->agents || r->at[a] < 0 || r->at[a] >= r->cells)
@@ -319,14 +315,14 @@ static int check_state(struct run *r)
 }
 
 /* Makes up to r->steps steps, stopping early once nobody is inside or waiting
- * when `until_done`. Step 0 is the release at clock 0 alone. With `check`, it
- * first returns what `check_state` refuses, having changed nothing, or else
- * has it count `density`. Returns ROOM, with the step not begun, when a
+ * when `until_done`. Step 0 is the release at clock 0 alone. On every entry
+ * it first returns what `check_state` refuses, having changed nothing, or
+ * else has it count `density`. Returns ROOM, with the step not begun, when a
  * buffer lacks room for the next step (the need is in need_agents and
  * need_events), FULL_LOG when that step could log past INT32_MAX events, else DONE. */
-int run(struct run *r, int until_done, int check)
+int run(struct run *r, int until_done)
 {
-    int refused = check ? check_state(r) : DONE;
+    int refused = check_state(r);
     if (refused != DONE)
         return refused;
     while (r->steps > 0 && !(until_done && r->n_present == 0 && r->n_pending == 0)) {

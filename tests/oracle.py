@@ -372,7 +372,7 @@ class ReferenceState:
         self.density = [0] * (grid.rows * grid.cols)
         self.agents: dict[int, Agent] = {}
         self.exited: list[Agent] = []
-        self.log = EventLog(dt, grid.cols)
+        self.log = log_events(EventLog(dt, grid.cols), 0)  # step 0 opened
         self.next_id = 0
         self.spawned = 0
         self.pending = [[grid.index(e.cell), e.count, e.release_step] for e in schedule]

@@ -713,21 +713,29 @@ from mesoped.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
     codes = [main(["run", "cinema_a", "--snapshots", "--out", "run"]),
              main(["compare", "compare_10x15", "compare_10x15_micro",
-                   "--pop", "1,5", "--seeds", "2", "--out", "cmp"])]
-sys.exit(codes != [0, 0] or "->" not in out.getvalue())
+                   "--pop", "1,5", "--seeds", "2", "--out", "cmp"]),
+             main(["sweep", "cinema_b", "--pop", "1,20", "--seeds", "2", "--out", "sweep"]),
+             main(["export-field", "escalator_stair", "--out", "field.csv"])]
+sys.exit(codes != [0] * 4 or out.getvalue().count("->") != 4)
 """
 
 
 def test_in_process_commands_write_nothing_past_python_streams(tmp_path):
     """Through `main` with `sys.stdout` and `sys.stderr` redirected, `run
-    --snapshots` and `compare` write nothing to the process's own stdout
-    and stderr, up to and including interpreter exit under `-X dev`: output
-    from C or from shutdown would land after a caller's last line."""
+    --snapshots`, `compare`, `sweep` and `export-field` write nothing to the
+    process's own stdout and stderr, up to and including interpreter exit
+    under `-X dev`: output from C or from shutdown would land after a
+    caller's last line. The kernel includes no stdio, so it cannot print."""
+    source = kernel.KERNEL_SOURCE.read_text()
+    assert "<stdio.h>" not in source and "<unistd.h>" not in source
     done = subprocess.run([sys.executable, "-X", "dev", "-c", IN_PROCESS_COMMANDS],
                           capture_output=True, env=package_env(), cwd=tmp_path, timeout=300)
     assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
     assert (tmp_path / "run" / "snapshots.txt").stat().st_size > 0
     assert (tmp_path / "cmp" / "comparison.csv").read_text().count("\n") == 3
+    assert (tmp_path / "sweep" / "metrics.csv").read_text().count("\n") == 3
+    assert (tmp_path / "field.csv").read_text() == oracle.field_to_csv(
+        build_runtime(load_scenario("escalator_stair")).field)
 
 
 def test_zip_imported_package_says_scenarios_are_not_files(tmp_path):

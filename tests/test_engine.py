@@ -474,6 +474,25 @@ def test_spawn_rejects_non_source_cells():
         Simulation(both, field, MESO_TABLE, schedule=(SpawnEntry((0, 2), 1),))
 
 
+@pytest.mark.parametrize("args, named", [
+    ({"dt": 0.0}, r"dt must be positive and finite, got 0.0"),
+    ({"dt": math.inf}, r"dt must be positive and finite, got inf"),
+    ({"schedule": (SpawnEntry((0, 0), -1),)},
+     r"bad spawn entry SpawnEntry\(cell=\(0, 0\), count=-1, release_step=0\)"),
+    ({"schedule": (SpawnEntry((0, 0), 1, 2**63),)},
+     rf"bad spawn entry SpawnEntry\(cell=\(0, 0\), count=1, release_step={2**63}\)"),
+    ({"field": compute_field(parse_layout(CORRIDOR_1X4))}, r"field of shape \(1, 4\) on a 1x3 grid"),
+], ids=["dt_zero", "dt_infinite", "negative_count", "release_step_2**63", "field_shape"])
+def test_simulation_refuses_bad_construction(args, named):
+    """A non-positive or infinite `dt`, a spawn entry with a negative count or
+    a release step of 2**63 or more, and a field of another grid's shape are
+    refused when the run is built, naming the value, the entry's cell or the
+    shapes."""
+    grid, field = corridor()
+    with pytest.raises(ValueError, match=named):
+        Simulation(grid, **({"field": field, "table": MESO_TABLE} | args))
+
+
 def test_step_with_no_agents_only_advances_clock():
     grid, field = corridor()
     sim = Simulation(grid, field, MESO_TABLE, schedule=(), dt=0.5, seed=0)
@@ -807,19 +826,58 @@ def test_density_array_outlives_every_view_of_it():
     assert sim.completed and sim.state.density.tolist() == [0, 0, 0, 0]
 
 
+# Rebindings and writes of what the kernel keeps from `Simulation.__init__`,
+# and the error that refuses each.
+REBINDINGS = {
+    "grid": (lambda sim: setattr(sim, "grid", open_hall(6)), AttributeError),
+    "state": (lambda sim: setattr(sim, "state", None), AttributeError),
+    "rng": (lambda sim: setattr(sim.state, "rng", PCG64.from_seed(7)), AttributeError),
+    "step_index": (lambda sim: setattr(sim.state, "step_index", -2), AttributeError),
+    "pending": (lambda sim: setattr(sim.state, "pending", array("q", [0, -50, 3])),
+                AttributeError),
+    "pending_item": (lambda sim: sim.state.pending.__setitem__(0, 4), TypeError),
+}
+
+
+@pytest.mark.parametrize("change", REBINDINGS)
+def test_what_the_kernel_keeps_cannot_be_rebound(change):
+    """The kernel keeps the addresses of the grid's tables, the state's
+    generator and the schedule from construction. The grid, the state and
+    the generator cannot be rebound, so none is freed while the kernel reads
+    it: before they were read-only, rebinding one had the kernel read freed
+    memory (AddressSanitizer aborts). `step_index` is the log's and cannot be
+    set, and `pending` is a read-only copy: an entry cannot be written, and a
+    copy held across the run pins nothing. After each attempt the run goes
+    on as an undisturbed one. The field and the table are not public."""
+    grid = open_hall(6)
+    field = compute_field(grid)
+    schedule = (SpawnEntry(grid.sources[0], 12), SpawnEntry(grid.sources[0], 5, 3))
+
+    def make():
+        sim = Simulation(grid, field, MESO_TABLE, schedule, dt=0.5, seed=7)
+        sim.run(2)
+        return sim
+
+    sim, undisturbed = make(), make()
+    attempt, error = REBINDINGS[change]
+    held = sim.state.pending
+    unspent = held.tolist()
+    with pytest.raises(error):
+        attempt(sim)
+    sim.run(600)
+    undisturbed.run(600)
+    assert sim.completed and run_state(sim) == run_state(undisturbed)
+    assert held.tolist() == unspent and not sim.state.pending
+    assert not hasattr(sim, "field") and not hasattr(sim, "table")
+
+
 # Edits of a 1x4 corridor's state after step 0, with 5 agents inside and
 # entries of 20 and 1 agents due at step 3, that the kernel would follow out
 # of its buffers or that leave no room to size, and the ValueError that
 # refuses each.
 OVERRUNS = {
-    "pending_cell_off_grid": (lambda s: s.pending.__setitem__(0, 4),
-                              r"pending entry 0 \(cell 4, count 20, step 3\) has a cell off"),
-    "negative_pending_count": (lambda s: s.pending.__setitem__(4, -50), r"pending entry 1 "
-                               r"\(cell 0, count -50, step 3\) has a negative count"),
     "present_id_repeated": (lambda s: s.present.__setitem__(1, 0),
                             r"present id 0 follows id 0: ids ascend"),
-    "step_index_below_-1": (lambda s: setattr(s, "step_index", -2),
-                            r"step index -2 is below -1"),
     "t_in_shorter_than_at": (lambda s: setattr(s, "t_in", array("d", [0.0])),
                              r"column t_in holds 1 items but at holds 5"),
     "log_columns_unequal": (lambda s: setattr(s.log, "agents", array("i")),
@@ -832,14 +890,14 @@ OVERRUNS = {
 @pytest.mark.parametrize("edit", OVERRUNS)
 def test_state_the_kernel_would_overrun_is_refused(edit):
     """Without its check, each edit has the kernel read or write past a
-    buffer's end (AddressSanitizer aborts): a spawn on cell 4; spawns hidden
-    from the room test by a count of -50; a repeated id 0 that moves and exits
-    twice, leaving the sink's density at -1, so that the agents behind read
-    `probs[-1]`; `starts[-1]` written; the entry
-    clocks of agents 1 to 4 read past `t_in`; the moves of step 1 logged past
-    a new, empty `log.agents`, grown with the log by 5. More present ids than
-    agents leave the shuffle's column no room to size. Each is refused,
-    changing nothing."""
+    buffer's end (AddressSanitizer aborts): a repeated id 0 that moves and
+    exits twice, leaving the sink's density at -1, so that the agents behind
+    read `probs[-1]`; the entry clocks of agents 1 to 4 read past `t_in`; the
+    moves of step 1 logged past a new, empty `log.agents`, grown with the log
+    by 5. More present ids than agents leave the shuffle's column no room to
+    size. Each is refused, changing nothing. The schedule, the step index
+    and the generator cannot be written at all
+    (`test_what_the_kernel_keeps_cannot_be_rebound`)."""
     grid, field = corridor(CORRIDOR_1X4)
     sim = Simulation(grid, field, MESO_TABLE, (SpawnEntry((0, 0), 5), SpawnEntry((0, 0), 20, 3),
                                                SpawnEntry((0, 0), 1, 3)), dt=10.0, seed=0)
@@ -859,14 +917,14 @@ class LogNearTheLimit:
     def __init__(self, lib, call, events):
         self.lib, self.call, self.events, self.statuses = lib, call, events, []
 
-    def run(self, r, until_done, check):
+    def run(self, r, until_done):
         self.call -= 1
         if self.call:
-            return self.lib.run(r, until_done, check)
+            return self.lib.run(r, until_done)
         run = r._obj
         kept = run.events, run.event_room
         run.events = run.event_room = self.events
-        self.statuses.append(self.lib.run(r, until_done, check))
+        self.statuses.append(self.lib.run(r, until_done))
         run.events, run.event_room = kept
         return self.statuses[-1]
 
@@ -917,7 +975,7 @@ def test_run_stopped_at_the_event_limit_keeps_its_whole_steps(monkeypatch):
     for _ in range(last):
         stepped.step()
     assert run_state(sim) == run_state(stepped)
-@pytest.mark.parametrize("column", ["at", "t_in", "present", "pending",
+@pytest.mark.parametrize("column", ["at", "t_in", "present",
                                     "log.starts", "log.agents", "log.kinds", "log.cells"])
 def test_held_column_view_fails_a_step_before_it_begins(column):
     """A numpy view of a column the kernel resizes holds a buffer export:

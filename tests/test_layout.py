@@ -1,6 +1,7 @@
 """Wall codes, move permissions, parsing, validation, and serialization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,14 @@ def test_validate_requires_a_source():
         validate_grid(bare_grid([[15]], sinks=(((0, 0), 1.0),)))
 
 
+@pytest.mark.parametrize("weight", [0.0, -1.0])
+def test_validate_rejects_non_positive_sink_weight_naming_the_cell(weight):
+    """A hand-built grid skips the parser's weight check; validation names the sink."""
+    grid = bare_grid([[11, 14]], sinks=(((0, 1), weight),), sources=((0, 0),))
+    with pytest.raises(ParseError, match=re.escape(f"sink (0, 1) has non-positive weight {weight}")):
+        validate_grid(grid)
+
+
 def test_sink_may_open_its_exterior_side():
     grid = parse_layout("1 3 1.0\n11 10 10\nsink 0 2 1\nsource 0 0\n")
     assert side_open(grid.walls[0][2], RIGHT)
@@ -261,6 +270,17 @@ def test_grid_of_2_31_cells_or_more_is_rejected(rows, cols):
                                  sinks=(), sources=()))
     with pytest.raises(ParseError, match="expected 46340 wall-code lines"):
         parse_layout("46340 46340 1.0\n")
+
+
+@pytest.mark.parametrize("source_lines,message", [
+    ("source 0\n", "line 4: expected 'source r c'"),
+    ("source 0 0 1\n", "line 4: expected 'source r c'"),
+    ("source 0 0\nsource 0 0\n", "line 5: duplicate source (0, 0)"),
+])
+def test_parse_bad_source_names_line_and_cell(source_lines, message):
+    with pytest.raises(ParseError) as exc:
+        parse_layout("1 2 1.0\n11 14\nsink 0 1 1\n" + source_lines)
+    assert str(exc.value) == message
 
 
 def test_parse_error_carries_line_number():

@@ -76,6 +76,12 @@ def test_parse_defaults(corridor_dir):
     assert cfg.schedule == ()
 
 
+def test_parse_skips_blank_spawn_terms(corridor_dir):
+    text = "[layout]\npath = corridor.layout\n[spawn]\n0,0 = , 3@0,, 2@10 ,\n"
+    cfg = parse_scenario(text, "d", corridor_dir)
+    assert cfg.schedule == (SpawnEntry((0, 0), 3, 0), SpawnEntry((0, 0), 2, 10))
+
+
 def test_parse_custom_table(corridor_dir):
     """A [table] section replaces the table that `mode` would pick."""
     text = ("[run]\nmode = micro\n[layout]\npath = corridor.layout\n"
@@ -102,6 +108,9 @@ def test_parse_custom_table(corridor_dir):
     ("[layout]\npath = corridor.layout\n[sinks]\n0,2 = -1\n", "positive"),
     ("[layout]\npath = corridor.layout\n[spawn]\n0,0 = 5@\n", "spawn term"),
     ("[layout]\npath = corridor.layout\n[spawn]\n0,0 = x@0\n", "spawn term"),
+    (f"[layout]\npath = corridor.layout\n[spawn]\n0,0 = {2**63}@0\n",
+     "[spawn] 0,0: spawn counts and steps must be non-negative and below 2**63"),
+    ("[layout]\npath = corridor.layout\n[spawn]\n0,0 = ,\n", "[spawn] 0,0: empty spawn value"),
     ("[layout]\npath = corridor.layout\n[table]\n0 = 1.0\n", "[table]"),
     ("[run]\nseed = -1\n[layout]\npath = corridor.layout\n", "[run] seed"),
     ("[layout]\npath = a\x00b\n", "bad: [layout] path"),   # NUL: no such file name
