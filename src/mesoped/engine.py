@@ -354,7 +354,7 @@ class Simulation:
         log_cols = (log.agents, log.kinds, log.cells)
         # A column that holds a buffer export cannot be resized: this empty
         # cut raises BufferError for it now, before the kernel changes anything.
-        for col in (*agent_cols, *log_cols, log.starts):
+        for col in (*agent_cols, *log_cols, log.starts, state._pending):
             del col[len(col):]
         r.n_present, r.n_pending = len(state.present), len(state._pending) // 3
         # at, t_in, present and the shuffle's order, each with room for every agent

@@ -975,13 +975,15 @@ def test_run_stopped_at_the_event_limit_keeps_its_whole_steps(monkeypatch):
     for _ in range(last):
         stepped.step()
     assert run_state(sim) == run_state(stepped)
-@pytest.mark.parametrize("column", ["at", "t_in", "present",
+@pytest.mark.parametrize("column", ["at", "t_in", "present", "pending",
                                     "log.starts", "log.agents", "log.kinds", "log.cells"])
 def test_held_column_view_fails_a_step_before_it_begins(column):
     """A numpy view of a column the kernel resizes holds a buffer export:
     `step()` raises BufferError before the kernel draws or writes anything,
     and once the view is dropped the run goes on as an undisturbed one. A
-    view of `density`, which is never resized, may be held across a step."""
+    view of `density`, which is never resized, may be held across a step.
+    The public `pending` is a copy that pins nothing, so its case views the
+    column the kernel spends, the state's own `_pending`."""
     grid = open_hall(6)
     field = compute_field(grid)
     schedule = (SpawnEntry(grid.sources[0], 12), SpawnEntry(grid.sources[0], 5, 3))
@@ -993,7 +995,9 @@ def test_held_column_view_fails_a_step_before_it_begins(column):
 
     held, undisturbed = make(), make()
     owner = held.state.log if column.startswith("log.") else held.state
-    view = np.frombuffer(getattr(owner, column.removeprefix("log.")), dtype=np.uint8)
+    name = column.removeprefix("log.")
+    view = np.frombuffer(getattr(owner, "_pending" if name == "pending" else name),
+                         dtype=np.uint8)
     before = run_state(held)
     with pytest.raises(BufferError):
         held.step()
