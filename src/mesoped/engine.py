@@ -108,6 +108,13 @@ class EventLog:
         """Each logged step's event index range `(lo, hi)`, in step order."""
         return pairwise(chain(self.starts, (len(self.kinds),)))
 
+    def check_starts(self) -> None:
+        """Raise ValueError unless `starts` runs from 0 up to the event count
+        at most, never down, as the kernel leaves it."""
+        if any(map(operator.gt, chain((0,), self.starts), chain(self.starts, (len(self.kinds),)))):
+            raise ValueError("log.starts must not fall, start below 0 or pass "
+                             f"the log's {len(self.kinds)} events")
+
     def __iter__(self):
         """Each event as a `(step, clock, agent, kind, row, col)` tuple."""
         for step, (lo, hi) in enumerate(self.spans()):
@@ -443,9 +450,10 @@ def events_csv_blocks(log: EventLog) -> Iterator[bytes]:
     the kernel's `events_csv` writes the lines. The bytes equal the
     per-event f-string writer kept in `tests/oracle.py`. The log cannot grow
     until the last block is drawn: the writer holds its columns' buffers. A
-    log whose agent or cell is negative or whose kind is not an event code
-    raises ValueError.
+    log whose agent or cell is negative or whose kind is not an event code,
+    or whose `starts` fail `EventLog.check_starts`, raises ValueError.
     """
+    log.check_starts()
     yield CSV_HEADER
     steps = [(s, lo) for s, (lo, hi) in enumerate(log.spans()) if lo < hi]
     prefixes = ["%d,%r," % (s, s * log.dt) for s, _ in steps]

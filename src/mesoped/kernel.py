@@ -1,8 +1,9 @@
-"""The compiled kernel `step.c` (the move table, the field solve, the step
-loop, the log walk of `metrics.summarize` and the CSV writers), built once,
-cached, and loaded through ctypes with every function's signature;
-structures go by `ctypes.byref` (`engine._Run`, `engine.PCG64`). The CSV
-writers hand out their text through `csv_blocks`.
+"""The compiled kernel `step.c` (the wall-code parse and the layout checks,
+the move table, the field solve, the step loop, the log walk of
+`metrics.summarize` and the CSV writers), built once, cached, and loaded
+through ctypes with every function's signature; structures go by
+`ctypes.byref` (`engine._Run`, `engine.PCG64`). The CSV writers hand out
+their text through `csv_blocks`.
 """
 
 from __future__ import annotations
@@ -85,6 +86,9 @@ def kernel() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.neighbours.argtypes, lib.neighbours.restype = [p, i64, i64, p], None
+    lib.parse_walls.argtypes, lib.edge_conflict.argtypes = [p, i64, i64, p], [p, i64, i64]
+    lib.open_perimeter.argtypes = [p, p, i64, i64]
+    lib.parse_walls.restype = lib.edge_conflict.restype = lib.open_perimeter.restype = i64
     lib.solve.argtypes, lib.solve.restype = [p, p, i64, f64, p, p, p, p], i64
     lib.run.argtypes, lib.run.restype = [p, ctypes.c_int], ctypes.c_int
     lib.shuffle.argtypes, lib.shuffle.restype = [p, i64, p], None

@@ -23,11 +23,6 @@ SIDE_NAMES = {TOP: "top", RIGHT: "right", BOTTOM: "bottom", LEFT: "left"}
 
 DIRECTIONS = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
 
-# The canonical spelling of each wall code, as `serialize_layout` writes it.
-_WALL_CODES = {str(code): code for code in range(16)}
-# `bytes.translate` tables: byte 1 for a wall code with that side closed, else 0.
-_CLOSED = {side: bytes(bool(code & side) for code in range(256)) for side in SIDE_NAMES}
-
 
 class LayoutError(Exception):
     """Base class for layout construction and parsing failures."""
@@ -57,16 +52,24 @@ def side_open(code: int, side: int) -> bool:
 class LayoutGrid:
     """Immutable layout: wall codes plus sink weights and source cells.
 
-    Construction does not validate; `parse_layout` runs `validate_grid` on
-    every grid it hands out.
+    `wall_codes` holds one code per cell in row-major order. Construction
+    checks only that there is one for each cell, since the kernel reads
+    that many; `parse_layout` runs `validate_grid` on every grid it hands out.
     """
 
     rows: int
     cols: int
     cell_size_m: float
-    walls: tuple[tuple[int, ...], ...]
+    wall_codes: bytes
     sinks: tuple[tuple[Cell, float], ...]
     sources: tuple[Cell, ...]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.wall_codes, bytes):
+            raise TypeError(f"wall_codes must be bytes, not {type(self.wall_codes).__name__}")
+        if len(self.wall_codes) != self.rows * self.cols:
+            raise ValueError(f"a {self.rows}x{self.cols} grid takes {self.rows * self.cols} "
+                             f"wall codes, got {len(self.wall_codes)}")
 
     def index(self, cell: Cell) -> int:
         return cell[0] * self.cols + cell[1]
@@ -78,11 +81,6 @@ class LayoutGrid:
     @cached_property
     def source_set(self) -> frozenset[Cell]:
         return frozenset(self.sources)
-
-    @cached_property
-    def wall_codes(self) -> bytes:
-        """The wall codes, one byte per cell in row-major order."""
-        return b"".join(map(bytes, self.walls))
 
     @cached_property
     def neighbours(self) -> memoryview:
@@ -105,15 +103,15 @@ class LayoutGrid:
     @cached_property
     def snapshot_frame(self) -> str:
         """`render_snapshot`'s picture of the walls, with a `%s` for each count."""
-        def edge(codes: tuple[int, ...], side: int) -> str:
+        def edge(codes: bytes, side: int) -> str:
             return "".join("+  " if side_open(code, side) else "+--" for code in codes) + "+\n"
 
-        def cells(codes: tuple[int, ...]) -> str:
+        def cells(codes: bytes) -> str:
             return ("".join(" %s" if side_open(code, LEFT) else "|%s" for code in codes)
                     + (" \n" if side_open(codes[-1], RIGHT) else "|\n"))
 
-        rows = [edge(codes, TOP) + cells(codes) for codes in self.walls]
-        return "".join(rows) + edge(self.walls[-1], BOTTOM)
+        rows = [self.wall_codes[i:i + self.cols] for i in range(0, len(self.wall_codes), self.cols)]
+        return "".join(edge(codes, TOP) + cells(codes) for codes in rows) + edge(rows[-1], BOTTOM)
 
     @cached_property
     def sink_flags(self) -> bytes:
@@ -122,32 +120,6 @@ class LayoutGrid:
         for cell, _ in self.sinks:
             flags[self.index(cell)] = 1
         return bytes(flags)
-
-
-def find_edge_conflicts(codes: bytes, cols: int) -> list[tuple[Cell, Cell]]:
-    """Cell pairs whose shared edge is encoded open on one side, closed on
-    the other, in wall codes given row by row as bytes (`LayoutGrid.wall_codes`).
-
-    Pairs come in row-major order of their first cell, its east edge before
-    its south edge. The closed sides are compared as byte strings: all rows
-    with the rows below at once, then each row with itself shifted by a
-    cell, and with the row below if that differed. Only a row that differs
-    is scanned cell by cell.
-    """
-    right, left, bottom, top = (codes.translate(_CLOSED[side])
-                                for side in (RIGHT, LEFT, BOTTOM, TOP))
-    any_south, last = bottom[:-cols] != top[cols:], len(codes) - cols
-    bad = []
-    for i in range(0, len(codes), cols):
-        south = any_south and i < last and bottom[i:i + cols] != top[i + cols:i + 2 * cols]
-        if south or right[i:i + cols - 1] != left[i + 1:i + cols]:
-            r = i // cols
-            for c in range(cols):
-                if c + 1 < cols and right[i + c] != left[i + c + 1]:
-                    bad.append(((r, c), (r, c + 1)))
-                if south and bottom[i + c] != top[i + cols + c]:
-                    bad.append(((r, c), (r + 1, c)))
-    return bad
 
 
 def _check_cell_count(rows: int, cols: int, where: str = "") -> None:
@@ -161,31 +133,24 @@ def validate_grid(grid: LayoutGrid) -> None:
     """Raise on too many cells, edge conflicts, missing sinks/sources, or an
     open perimeter."""
     _check_cell_count(grid.rows, grid.cols)
-    conflicts = find_edge_conflicts(grid.wall_codes, grid.cols)
-    if conflicts:
-        (a, b) = conflicts[0]
-        raise ConsistencyError(f"shared edge between {a} and {b} disagrees")
+    lib = kernel()
+    edge = lib.edge_conflict(grid.wall_codes, grid.rows, grid.cols)
+    if edge >= 0:  # cell i's east edge at 2 * i, its south edge at 2 * i + 1
+        (r, c), south = divmod(edge >> 1, grid.cols), edge & 1
+        raise ConsistencyError(f"shared edge between {(r, c)} and "
+                               f"{(r + south, c + 1 - south)} disagrees")
     if not grid.sinks:
         raise EmptyError("layout has no sinks")
     if not grid.sources:
         raise EmptyError("layout has no sources")
-    sinks = grid.sink_set
-    last_r, last_c = grid.rows - 1, grid.cols - 1
-    for r in range(grid.rows):
-        for c in range(grid.cols) if r in (0, last_r) else sorted({0, last_c}):
-            if (r, c) in sinks:
-                continue
-            code = grid.walls[r][c]
-            for side, on_edge in ((TOP, r == 0), (BOTTOM, r == last_r),
-                                  (LEFT, c == 0), (RIGHT, c == last_c)):
-                if on_edge and side_open(code, side):
-                    raise BoundaryError(
-                        f"open {SIDE_NAMES[side]} side on perimeter cell ({r}, {c}) "
-                        "which is not a sink")
+    hole = lib.open_perimeter(grid.wall_codes, grid.sink_flags, grid.rows, grid.cols)
+    if hole >= 0:  # 16 * i plus the side's wall bit
+        raise BoundaryError(f"open {SIDE_NAMES[hole & 15]} side on perimeter cell "
+                            f"{divmod(hole >> 4, grid.cols)} which is not a sink")
     for cell, w in grid.sinks:
         if w <= 0:
             raise ParseError(f"sink {cell} has non-positive weight {w}")
-    overlap = sinks & grid.source_set
+    overlap = grid.sink_set & grid.source_set
     if overlap:
         raise ParseError(f"cell {sorted(overlap)[0]} is both source and sink")
 
@@ -205,7 +170,10 @@ def parse_layout(text: str) -> LayoutGrid:
 
     Line 1 holds `rows cols cell_size_m`, followed by `rows` lines of wall
     codes, then `sink r c weight` and `source r c` directives. Everything
-    after a `#` is a comment; blank lines are skipped.
+    after a `#` is a comment; blank lines are skipped. The kernel's
+    `parse_walls` reads the wall codes when every one is spelled as
+    `serialize_layout` writes it; otherwise Python reads them, and names the
+    first line and code it cannot take.
     """
     lines = [(i + 1, ln.split("#", 1)[0].strip())
              for i, ln in enumerate(text.splitlines())]
@@ -228,15 +196,17 @@ def parse_layout(text: str) -> LayoutGrid:
 
     if len(lines) - 1 < rows:
         raise ParseError(f"expected {rows} wall-code lines, found {len(lines) - 1}")
-    walls = []
-    for no, ln in lines[1:1 + rows]:
-        tokens = ln.split()
-        if len(tokens) != cols:
-            raise ParseError(f"line {no}: expected {cols} wall codes, found {len(tokens)}")
-        try:
-            walls.append(tuple(map(_WALL_CODES.__getitem__, tokens)))
-        except KeyError:  # a spelling such as "07" or "+3", or a bad token
-            walls.append(tuple(_parse_wall_code(tok, no) for tok in tokens))
+    block = "".join([ln + "\n" for _, ln in lines[1:1 + rows]]).encode(errors="surrogatepass")
+    # Each code takes a digit and a blank or "\n": a shorter block cannot hold
+    # the grid, so no room is made for one.
+    walls = array("B", bytes(rows * cols)) if len(block) >= 2 * rows * cols else None
+    if walls is None or kernel().parse_walls(block, rows, cols, walls.buffer_info()[0]) >= 0:
+        walls = array("B")
+        for no, ln in lines[1:1 + rows]:
+            tokens = ln.split()
+            if len(tokens) != cols:
+                raise ParseError(f"line {no}: expected {cols} wall codes, found {len(tokens)}")
+            walls.extend(_parse_wall_code(tok, no) for tok in tokens)
 
     sinks: dict[Cell, float] = {}
     sources: dict[Cell, None] = {}
@@ -268,8 +238,8 @@ def parse_layout(text: str) -> LayoutGrid:
         if not (0 <= cell[0] < rows and 0 <= cell[1] < cols):
             raise ParseError(f"line {no}: cell {cell} outside {rows}x{cols} grid")
 
-    grid = LayoutGrid(rows=rows, cols=cols, cell_size_m=cell_size,
-                      walls=tuple(walls), sinks=tuple(sinks.items()), sources=tuple(sources))
+    grid = LayoutGrid(rows=rows, cols=cols, cell_size_m=cell_size, wall_codes=walls.tobytes(),
+                      sinks=tuple(sinks.items()), sources=tuple(sources))
     validate_grid(grid)
     return grid
 
@@ -277,8 +247,8 @@ def parse_layout(text: str) -> LayoutGrid:
 def serialize_layout(grid: LayoutGrid) -> str:
     """Canonical text form; `parse_layout(serialize_layout(g))` round-trips."""
     out = [f"{grid.rows} {grid.cols} {grid.cell_size_m!r}"]
-    for row in grid.walls:
-        out.append(" ".join(str(code) for code in row))
+    for i in range(0, len(grid.wall_codes), grid.cols):
+        out.append(" ".join(map(str, grid.wall_codes[i:i + grid.cols])))
     for (r, c), w in grid.sinks:
         out.append(f"sink {r} {c} {w!r}")
     for r, c in grid.sources:

@@ -51,6 +51,7 @@ def summarize(log: EventLog, cell_size_m: float) -> RunMetrics:
     the same float the event-by-event sums give, from one walk of the log in
     the kernel. A malformed log raises ValueError, naming the fault.
     """
+    log.check_starts()
     kinds = bytes(log.kinds)
     if {len(log.agents), len(log.cells)} != {len(kinds)}:
         raise ValueError("the event log's agent, kind and cell columns differ in length")

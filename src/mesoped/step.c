@@ -1,5 +1,10 @@
 /* mesoped's compiled kernel, plain C for ctypes; mesoped.kernel compiles it,
- * and its callers own every buffer. It holds five things:
+ * and its callers own every buffer. It holds six things:
+ *
+ * The layout's wall codes and checks: `parse_walls`, the wall-code lines of
+ * mesoped.layout.parse_layout, and `edge_conflict` and `open_perimeter`, the
+ * first shared edge in conflict and the first hole in the perimeter that
+ * mesoped.layout.validate_grid names.
  *
  * `neighbours`, the move table of mesoped.layout.LayoutGrid.neighbours.
  *
@@ -64,6 +69,63 @@ void neighbours(const uint8_t *walls, int64_t rows, int64_t cols, int32_t *nbr)
                          ? -1 : (int32_t)(i + c + step);
         }
     }
+}
+
+/* Reads `rows` lines of `cols` wall codes, each line ended by '\n', from
+ * `text` into `walls`, row by row. A line is taken only when it holds ASCII
+ * digits and blanks alone, and each code is spelled as serialize_layout writes
+ * it: 0 to 15, with no sign and no leading zero. Returns the index of the first
+ * line that is not taken, or -1 when every line is. */
+int64_t parse_walls(const char *text, int64_t rows, int64_t cols, uint8_t *walls)
+{
+    for (int64_t r = 0; r < rows; r++, text++) {
+        for (int64_t n = 0;; n++) {
+            while (*text == ' ' || (*text >= '\t' && *text <= '\r' && *text != '\n'))
+                text++;
+            if (*text == '\n' && n == cols)
+                break;
+            int code = *text++ - '0';
+            if (code < 0 || code > 9 || n == cols)
+                return r;
+            if (code == 1 && *text >= '0' && *text <= '5')
+                code = 10 + *text++ - '0';
+            if (*text >= '0' && *text <= '9')
+                return r;
+            *walls++ = (uint8_t)code;
+        }
+    }
+    return -1;
+}
+
+/* The first shared edge whose two cells disagree on it, in row-major order of
+ * the first cell, its east edge before its south edge: 2 * i for cell i's east
+ * edge, 2 * i + 1 for its south edge, or -1 when every edge agrees. */
+int64_t edge_conflict(const uint8_t *walls, int64_t rows, int64_t cols)
+{
+    for (int64_t i = 0; i < rows * cols; i++) {
+        if ((i + 1) % cols && !(walls[i] & RIGHT) != !(walls[i + 1] & LEFT))
+            return 2 * i;
+        if (i + cols < rows * cols && !(walls[i] & BOTTOM) != !(walls[i + cols] & TOP))
+            return 2 * i + 1;
+    }
+    return -1;
+}
+
+/* The first open side on the grid's perimeter of a cell that is not a sink,
+ * cells in row-major order, each one's top, bottom, left and right side in
+ * turn: 16 * i plus the side's wall bit for cell i, or -1 when there is none. */
+int64_t open_perimeter(const uint8_t *walls, const uint8_t *sink, int64_t rows, int64_t cols)
+{
+    static const uint8_t order[4] = {TOP, BOTTOM, LEFT, RIGHT};
+    for (int64_t i = 0; i < rows * cols; i++) {
+        int64_t r = i / cols, c = i % cols;
+        int edge = (r == 0 ? TOP : 0) | (r == rows - 1 ? BOTTOM : 0)
+                   | (c == 0 ? LEFT : 0) | (c == cols - 1 ? RIGHT : 0);
+        for (int k = 0; k < 4 && !sink[i]; k++)
+            if (edge & order[k] & ~walls[i])
+                return 16 * i + order[k];
+    }
+    return -1;
 }
 
 /* The highest value among the destinations of cell i's permitted moves in

@@ -57,7 +57,7 @@ def _grid_from(rows: int, cols: int, walls: list[list[int]],
                sinks: list[tuple[Cell, float]],
                sources: list[Cell]) -> LayoutGrid:
     return LayoutGrid(rows=rows, cols=cols, cell_size_m=1.0,
-                      walls=tuple(tuple(row) for row in walls),
+                      wall_codes=bytes(code for row in walls for code in row),
                       sinks=tuple(sinks), sources=tuple(sources))
 
 

@@ -22,8 +22,13 @@ Hop distances: `distance_field`, a breadth-first search over `moves_of`,
 is the shortest-path reference that `greedy_descent` of the field must
 follow (criterion 2), and the connectivity check of `gridgen.random_grid`.
 
-Edge conflicts: a cell-by-cell scan that `mesoped.layout.find_edge_conflicts`
-must match, pair for pair and in order.
+Layout parse and checks: `parse_layout_reference` is the parser that read
+every wall code in Python, and `validate_reference` the checks it ran:
+`edge_conflicts`, a cell-by-cell scan of the shared edges, and a walk of
+the perimeter. `mesoped.layout.parse_layout`, whose wall codes and checks
+are the kernel's, must give the same grid or raise the same error with the
+same message, and `validate_grid` must name the same first conflict or
+hole.
 
 Step loop: the engine's movement rule written agent by agent over
 `Agent` objects kept in a dict, through `Cell` tuples, `moves_of`,
@@ -57,7 +62,9 @@ import numpy as np
 from mesoped.engine import (DIAMETER_FACTOR, EXIT, MOVE, SPAWN, STAY, EventLog,
                             SpawnEntry, SpeedDensityTable)
 from mesoped.floorfield import DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField
-from mesoped.layout import BOTTOM, DIRECTIONS, LEFT, RIGHT, TOP, LayoutGrid
+from mesoped.layout import (BOTTOM, DIRECTIONS, LEFT, RIGHT, SIDE_NAMES, TOP,
+                            BoundaryError, ConsistencyError, EmptyError, LayoutGrid,
+                            ParseError, side_open)
 from mesoped.metrics import RunMetrics
 
 ORTHOGONAL = frozenset(("N", "E", "S", "W"))
@@ -96,7 +103,7 @@ def neighbour_table(grid: LayoutGrid) -> np.ndarray:
     """The (8, rows*cols) move table in numpy: entry (d, i) is the flat index
     of the destination of move d from cell i, or -1 where it is not permitted."""
     rows, cols = grid.rows, grid.cols
-    walls = np.array(grid.walls, dtype=np.uint8).reshape(rows, cols)
+    walls = np.frombuffer(grid.wall_codes, np.uint8).reshape(rows, cols)
     flat = np.arange(rows * cols).reshape(rows, cols)
     table = np.full((len(DIRECTIONS), rows * cols), -1, dtype=np.int64)
     for k, d in enumerate(DIRECTIONS):
@@ -347,6 +354,114 @@ def edge_conflicts(walls) -> list[tuple[tuple[int, int], tuple[int, int]]]:
             if r + 1 < rows and bool(code & BOTTOM) != bool(walls[r + 1][c] & TOP):
                 bad.append(((r, c), (r + 1, c)))
     return bad
+
+
+def validate_reference(grid: LayoutGrid) -> None:
+    """`validate_grid` in Python, check for check and message for message,
+    but for the cell count, which no grid of bytes that fit in memory fails."""
+    rows = [grid.wall_codes[i:i + grid.cols] for i in range(0, grid.rows * grid.cols, grid.cols)]
+    conflicts = edge_conflicts(rows)
+    if conflicts:
+        (a, b) = conflicts[0]
+        raise ConsistencyError(f"shared edge between {a} and {b} disagrees")
+    if not grid.sinks:
+        raise EmptyError("layout has no sinks")
+    if not grid.sources:
+        raise EmptyError("layout has no sources")
+    sinks = grid.sink_set
+    last_r, last_c = grid.rows - 1, grid.cols - 1
+    for r in range(grid.rows):
+        for c in range(grid.cols) if r in (0, last_r) else sorted({0, last_c}):
+            if (r, c) in sinks:
+                continue
+            for side, on_edge in ((TOP, r == 0), (BOTTOM, r == last_r),
+                                  (LEFT, c == 0), (RIGHT, c == last_c)):
+                if on_edge and side_open(rows[r][c], side):
+                    raise BoundaryError(
+                        f"open {SIDE_NAMES[side]} side on perimeter cell ({r}, {c}) "
+                        "which is not a sink")
+    for cell, w in grid.sinks:
+        if w <= 0:
+            raise ParseError(f"sink {cell} has non-positive weight {w}")
+    overlap = sinks & grid.source_set
+    if overlap:
+        raise ParseError(f"cell {sorted(overlap)[0]} is both source and sink")
+
+
+def parse_layout_reference(text: str) -> LayoutGrid:
+    """`parse_layout` with every wall code read by `int` in Python, then
+    `validate_reference`."""
+    lines = [(i + 1, ln.split("#", 1)[0].strip())
+             for i, ln in enumerate(text.splitlines())]
+    lines = [(no, ln) for no, ln in lines if ln]
+    if not lines:
+        raise ParseError("empty layout file")
+
+    no, header = lines[0]
+    parts = header.split()
+    if len(parts) != 3:
+        raise ParseError(f"line {no}: header must be 'rows cols cell_size_m'")
+    try:
+        rows, cols = int(parts[0]), int(parts[1])
+        cell_size = float(parts[2])
+    except ValueError as exc:
+        raise ParseError(f"line {no}: bad header value: {exc}") from None
+    if rows < 1 or cols < 1 or not 0 < cell_size < math.inf:
+        raise ParseError(f"line {no}: rows, cols, cell size must be positive and finite")
+    if rows * cols >= 2**31:
+        raise ParseError(f"line {no}: {rows}x{cols} grid has {rows * cols} cells; "
+                         f"cell indices are int32, so at most {2**31 - 1} fit")
+
+    if len(lines) - 1 < rows:
+        raise ParseError(f"expected {rows} wall-code lines, found {len(lines) - 1}")
+    walls = []
+    for no, ln in lines[1:1 + rows]:
+        tokens = ln.split()
+        if len(tokens) != cols:
+            raise ParseError(f"line {no}: expected {cols} wall codes, found {len(tokens)}")
+        for tok in tokens:
+            try:
+                code = int(tok)
+            except ValueError:
+                raise ParseError(f"line {no}: wall code {tok!r} is not an integer") from None
+            if not 0 <= code <= 15:
+                raise ParseError(f"line {no}: wall code {code} outside [0, 15]")
+            walls.append(code)
+
+    sinks: dict[tuple[int, int], float] = {}
+    sources: dict[tuple[int, int], None] = {}
+    for no, ln in lines[1 + rows:]:
+        tokens = ln.split()
+        kind = tokens[0]
+        try:
+            if kind == "sink":
+                if len(tokens) != 4:
+                    raise ValueError("expected 'sink r c weight'")
+                cell = (int(tokens[1]), int(tokens[2]))
+                weight = float(tokens[3])
+                if not 0 < weight < math.inf:
+                    raise ValueError(f"sink weight must be positive and finite, got {weight}")
+                if cell in sinks:
+                    raise ValueError(f"duplicate sink {cell}")
+                sinks[cell] = weight
+            elif kind == "source":
+                if len(tokens) != 3:
+                    raise ValueError("expected 'source r c'")
+                cell = (int(tokens[1]), int(tokens[2]))
+                if cell in sources:
+                    raise ValueError(f"duplicate source {cell}")
+                sources[cell] = None
+            else:
+                raise ValueError(f"unknown directive {kind!r}")
+        except ValueError as exc:
+            raise ParseError(f"line {no}: {exc}") from None
+        if not (0 <= cell[0] < rows and 0 <= cell[1] < cols):
+            raise ParseError(f"line {no}: cell {cell} outside {rows}x{cols} grid")
+
+    grid = LayoutGrid(rows=rows, cols=cols, cell_size_m=cell_size, wall_codes=bytes(walls),
+                      sinks=tuple(sinks.items()), sources=tuple(sources))
+    validate_reference(grid)
+    return grid
 
 
 @dataclass(slots=True)

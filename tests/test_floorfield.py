@@ -25,7 +25,7 @@ CORRIDOR_1X3 = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
 
 def bare_grid(walls, sinks=(), sources=(), cell_size=1.0):
     return LayoutGrid(rows=len(walls), cols=len(walls[0]), cell_size_m=cell_size,
-                      walls=tuple(tuple(r) for r in walls),
+                      wall_codes=bytes(code for row in walls for code in row),
                       sinks=tuple(sinks), sources=tuple(sources))
 
 
@@ -217,7 +217,8 @@ SYMMETRIES = {
 def transformed(grid: LayoutGrid, name: str) -> LayoutGrid:
     """`grid` mirrored or transposed: walls, sinks and sources alike."""
     pairs, on_array = SYMMETRIES[name]
-    walls = on_array(np.array(grid.walls))
+    codes = np.frombuffer(grid.wall_codes, np.uint8).astype(int)
+    walls = on_array(codes.reshape(grid.rows, grid.cols))
     swapped = walls.copy()
     for a, b in pairs:
         swapped &= ~(a | b)
@@ -285,7 +286,7 @@ def test_weight_scaling_scales_field_linearly():
         for c in (0.5, 3.0, 10.0):
             scaled_grid = LayoutGrid(
                 rows=grid.rows, cols=grid.cols, cell_size_m=grid.cell_size_m,
-                walls=grid.walls,
+                wall_codes=grid.wall_codes,
                 sinks=tuple((cell, w * c) for cell, w in grid.sinks),
                 sources=grid.sources)
             scaled = compute_field(scaled_grid)

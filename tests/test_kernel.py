@@ -240,8 +240,8 @@ def test_kernel_declares_every_exported_signature():
     source = kernel.KERNEL_SOURCE.read_text()
     defined = re.findall(r"^(?!static\b)(\w+) (\w+)\(([^)]*)\)\s*\{", source, re.M)
     assert {name for _, name, _ in defined} == {
-        "neighbours", "solve", "run", "shuffle", "draw", "summarize", "events_csv",
-        "number_values", "field_csv"}
+        "parse_walls", "edge_conflict", "open_perimeter", "neighbours", "solve", "run",
+        "shuffle", "draw", "summarize", "events_csv", "number_values", "field_csv"}
     lib = kernel.kernel()
     for result, name, params in defined:
         function = getattr(lib, name)

@@ -2,6 +2,9 @@
 
 import math
 import re
+import tracemalloc
+from array import array
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridgen import random_grid
-from oracle import DIR_VECTORS, edge_conflicts, moves_of, neighbour_table
+from oracle import (DIR_VECTORS, edge_conflicts, moves_of, neighbour_table,
+                    parse_layout_reference, validate_reference)
+from mesoped import layout
+from mesoped.kernel import kernel
 from mesoped.layout import (BOTTOM, DIRECTIONS, LEFT, RIGHT, TOP,
                             BoundaryError, ConsistencyError, EmptyError,
-                            LayoutError, LayoutGrid, ParseError,
-                            find_edge_conflicts, parse_layout,
+                            LayoutError, LayoutGrid, ParseError, parse_layout,
                             serialize_layout, side_open, validate_grid)
 from mesoped.scenario import SCENARIOS_DIR
 
@@ -23,13 +28,29 @@ CLOSED_1X3 = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
 def bare_grid(walls, sinks=(), sources=()):
     """LayoutGrid without validation, for move-rule unit checks."""
     return LayoutGrid(rows=len(walls), cols=len(walls[0]), cell_size_m=1.0,
-                      walls=tuple(tuple(r) for r in walls),
+                      wall_codes=bytes(code for row in walls for code in row),
                       sinks=tuple(sinks), sources=tuple(sources))
 
 
-def edge_conflicts_of(walls):
-    """`find_edge_conflicts` of wall codes given as rows of ints."""
-    return find_edge_conflicts(b"".join(map(bytes, walls)), len(walls[0]))
+def outcome(call, arg):
+    """What `call(arg)` returns, or the type and message of what it raises."""
+    try:
+        return call(arg)
+    except Exception as exc:  # noqa: BLE001 - every outcome is compared
+        return type(exc), str(exc)
+
+
+def first_conflict(walls):
+    """What `validate_grid` says of a grid of these codes with no sinks: the
+    first shared edge that disagrees, if any, else that there is no sink."""
+    return outcome(validate_grid, bare_grid(walls))
+
+
+def conflict_message(a, b):
+    return ConsistencyError, f"shared edge between {a} and {b} disagrees"
+
+
+NO_SINKS = (EmptyError, "layout has no sinks")
 
 
 def in_grid(grid, cell):
@@ -51,8 +72,8 @@ def test_wall_code_bit_layout():
     assert (TOP, RIGHT, BOTTOM, LEFT) == (8, 4, 2, 1)
     # The closed corridor: the west end is open only east, the middle east
     # and west, the east end only west.
-    assert parse_layout(CLOSED_1X3).walls == (
-        (TOP | BOTTOM | LEFT, TOP | BOTTOM, TOP | RIGHT | BOTTOM),)
+    assert parse_layout(CLOSED_1X3).wall_codes == bytes(
+        (TOP | BOTTOM | LEFT, TOP | BOTTOM, TOP | RIGHT | BOTTOM))
 
 
 def test_code_7_means_only_top_open():
@@ -92,32 +113,71 @@ def test_edge_consistency_brute_force_horizontal():
     """All 256 code pairs: a right-of edge must match b's left bit."""
     for a in range(16):
         for b in range(16):
-            walls = ((a, b),)
             expected = side_open(a, RIGHT) != side_open(b, LEFT)
-            conflicts = edge_conflicts_of(walls)
-            assert (len(conflicts) > 0) == expected, (a, b)
+            conflict = conflict_message((0, 0), (0, 1))
+            assert first_conflict(((a, b),)) == (conflict if expected else NO_SINKS), (a, b)
 
 
 def test_edge_consistency_brute_force_vertical():
     for a in range(16):
         for b in range(16):
-            walls = ((a,), (b,))
             expected = side_open(a, BOTTOM) != side_open(b, TOP)
-            conflicts = edge_conflicts_of(walls)
-            assert (len(conflicts) > 0) == expected, (a, b)
+            conflict = conflict_message((0, 0), (1, 0))
+            assert first_conflict(((a,), (b,))) == (conflict if expected else NO_SINKS), (a, b)
 
 
 def test_edge_conflicts_match_cell_by_cell_scan():
-    """Random codes give many conflicts; the list and its order match the scan."""
+    """Random codes give many conflicts; the one `validate_grid` names is the
+    scan's first."""
     rng = np.random.default_rng(7)
     for rows, cols in ((1, 1), (1, 9), (9, 1), (6, 7), (20, 30)):
         for _ in range(10):
             walls = tuple(map(tuple, rng.integers(0, 16, size=(rows, cols)).tolist()))
-            assert edge_conflicts_of(walls) == edge_conflicts(walls)
+            conflicts = edge_conflicts(walls)
+            assert first_conflict(walls) == (conflict_message(*conflicts[0]) if conflicts
+                                             else NO_SINKS)
     walls = open_room(4, 5)
     walls[2][3] |= RIGHT
     walls[1][0] |= BOTTOM
-    assert edge_conflicts_of(walls) == [((1, 0), (2, 0)), ((2, 3), (2, 4))]
+    assert edge_conflicts(walls) == [((1, 0), (2, 0)), ((2, 3), (2, 4))]
+    assert first_conflict(walls) == conflict_message((1, 0), (2, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.tuples(st.integers(0, 2**16),
+                                                     st.sampled_from((TOP, RIGHT, BOTTOM, LEFT))),
+                                           min_size=1, max_size=3))
+def test_first_conflict_and_hole_match_the_oracle(seed, flips):
+    """A valid random room with one to three wall bits flipped at random
+    cells: inside, each flip is a conflict, and on the perimeter a hole
+    (or a sink's exterior side closed). `validate_grid` names the first
+    conflict, else the first hole, as the cell-by-cell reference does."""
+    grid = random_grid(np.random.default_rng(seed), max_rows=9, max_cols=9,
+                       min_rows=1, min_cols=2)
+    codes = bytearray(grid.wall_codes)
+    for k, side in flips:
+        codes[k % len(codes)] ^= side
+    planted = replace(grid, wall_codes=bytes(codes))
+    assert outcome(validate_grid, planted) == outcome(validate_reference, planted)
+
+
+@pytest.mark.parametrize("text", [
+    CLOSED_1X3,
+    "3 1 1.0\n13\n5\n7\nsink 2 0 1\nsource 0 0\n",
+    "3 3 1.0\n9 8 12\n1 0 4\n3 2 6\nsink 1 2 1\nsource 1 0\n",
+], ids=["1x3", "3x1", "3x3"])
+def test_every_code_at_every_cell_is_judged_as_the_oracle_judges_it(text):
+    """Each of the 16 codes put in each cell of a small room in turn: every
+    conflict and every hole, two or more of them at once included, is named
+    as the cell-by-cell reference names it, sides in its order."""
+    grid = parse_layout(text)
+    for i in range(len(grid.wall_codes)):
+        for code in range(16):
+            codes = bytearray(grid.wall_codes)
+            codes[i] = code
+            planted = replace(grid, wall_codes=bytes(codes))
+            assert (outcome(validate_grid, planted)
+                    == outcome(validate_reference, planted)), (i, code)
 
 
 def test_diagonal_requires_all_four_corner_edges():
@@ -170,7 +230,7 @@ def test_moves_of_solid_cell_is_empty():
 def test_parse_round_trip_canonical():
     grid = parse_layout(CLOSED_1X3)
     assert (grid.rows, grid.cols, grid.cell_size_m) == (1, 3, 1.0)
-    assert grid.walls == ((11, 10, 14),)
+    assert grid.wall_codes == bytes((11, 10, 14))
     assert grid.sinks == (((0, 2), 1.0),)
     assert grid.sources == ((0, 0),)
     assert parse_layout(serialize_layout(grid)) == grid
@@ -213,7 +273,7 @@ def test_validate_rejects_non_positive_sink_weight_naming_the_cell(weight):
 
 def test_sink_may_open_its_exterior_side():
     grid = parse_layout("1 3 1.0\n11 10 10\nsink 0 2 1\nsource 0 0\n")
-    assert side_open(grid.walls[0][2], RIGHT)
+    assert side_open(grid.wall_codes[2], RIGHT)
     validate_grid(grid)
 
 
@@ -241,8 +301,8 @@ def test_parse_rejects_malformed_inputs(text, err):
 
 def test_parse_accepts_non_canonical_wall_code_spellings():
     text = "# two rows\n2 2 1.0\n\n09 12\n +3 6\nsink 1 1 1\nsource 0 0\n"
-    assert parse_layout(text).walls == ((9, 12), (3, 6))
-    assert parse_layout("2 1 1.0\n13\n07\nsink 1 0 1\nsource 0 0\n").walls == ((13,), (7,))
+    assert parse_layout(text).wall_codes == bytes((9, 12, 3, 6))
+    assert parse_layout("2 1 1.0\n13\n07\nsink 1 0 1\nsource 0 0\n").wall_codes == bytes((13, 7))
 
 
 @pytest.mark.parametrize("token,message", [
@@ -260,14 +320,13 @@ def test_parse_bad_wall_code_names_line_and_code(token, message):
 @pytest.mark.parametrize("rows, cols", [(2**16, 2**15), (1, 2**31), (46341, 46341)])
 def test_grid_of_2_31_cells_or_more_is_rejected(rows, cols):
     """Cells are int32 in the kernel: the header alone rejects 2**31 cells
-    or more, naming the count, before any row is read; `validate_grid`
-    rejects a grid built with that many just as early."""
+    or more, naming the count, before any row is read; a grid cannot be
+    built with that many without a wall code for each."""
     count = f"{rows * cols} cells"
     with pytest.raises(ParseError, match=f"line 1: {rows}x{cols} grid has {count}"):
         parse_layout(f"{rows} {cols} 1.0\n")
-    with pytest.raises(ParseError, match=count):
-        validate_grid(LayoutGrid(rows=rows, cols=cols, cell_size_m=1.0, walls=(),
-                                 sinks=(), sources=()))
+    with pytest.raises(ValueError, match=f"{rows}x{cols} grid takes {rows * cols} wall codes"):
+        LayoutGrid(rows=rows, cols=cols, cell_size_m=1.0, wall_codes=b"", sinks=(), sources=())
     with pytest.raises(ParseError, match="expected 46340 wall-code lines"):
         parse_layout("46340 46340 1.0\n")
 
@@ -283,6 +342,68 @@ def test_parse_bad_source_names_line_and_cell(source_lines, message):
     assert str(exc.value) == message
 
 
+def test_wall_codes_must_cover_the_grid():
+    """The kernel reads rows * cols wall codes: a grid is built only from
+    `bytes` of that length. Without the check, the move table of a 1x3
+    corridor given a 40x40 shape read past its 3 codes (an AddressSanitizer
+    heap-buffer-overflow in step.c's `neighbours`)."""
+    with pytest.raises(ValueError, match=r"a 40x40 grid takes 1600 wall codes, got 3"):
+        replace(parse_layout(CLOSED_1X3), rows=40, cols=40).neighbours
+    with pytest.raises(TypeError, match="wall_codes must be bytes, not tuple"):
+        LayoutGrid(1, 3, 1.0, ((11, 10, 14),), (((0, 2), 1.0),), ((0, 0),))
+
+
+def parse_walls(text, rows, cols):
+    """The kernel's `parse_walls` of `text`: the index of the first line it
+    leaves, and the codes it wrote."""
+    walls = array("B", bytes(rows * cols))
+    left = kernel().parse_walls(text.encode(errors="surrogatepass"), rows, cols,
+                                walls.buffer_info()[0])
+    return left, walls.tobytes()
+
+
+def test_parse_walls_reads_canonical_codes_between_ascii_blanks():
+    assert parse_walls("\t0  15 \n 9\v10\f\n12\r13\n", 3, 2) == (-1, bytes((0, 15, 9, 10, 12, 13)))
+    assert parse_walls(" ".join(map(str, range(16))) + "\n", 1, 16) == (-1, bytes(range(16)))
+
+
+@pytest.mark.parametrize("line", ["07 1", "00 1", "+3 1", "-0 1", "16 1", "99 1", "150 1",
+                                  "1x 1", "1_0 1", "\u0663 1", "3\x1f4", "3\xa04", "\x00 1",
+                                  "\ud800 1", "1", "1 2 3", "", "1 2#"])
+def test_parse_walls_leaves_every_other_line_to_python(line):
+    """The kernel takes a line only when it holds `cols` codes, each spelled
+    0 to 15 as `serialize_layout` writes it, between ASCII blanks; else it
+    returns the line's index, here the second of three."""
+    assert parse_walls(f"0 15\n{line}\nx\n", 3, 2)[0] == 1
+
+
+def test_short_wall_code_lines_make_no_room_for_the_grid():
+    """Every code takes two bytes, a digit and a blank or a newline: a block
+    shorter than that cannot hold the grid, and goes to Python's parse, which
+    names the first short line, before room is made for 10**8 codes."""
+    text = "10000 10000 1.0\n" + "0\n" * 10000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="line 2: expected 10000 wall codes, found 1"):
+            parse_layout(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**7
+
+
+def test_canonical_wall_codes_never_reach_the_python_loop(monkeypatch, random_grids):
+    def refuse(tok, no):
+        raise AssertionError(f"line {no}: {tok!r} was read in Python")
+
+    monkeypatch.setattr(layout, "_parse_wall_code", refuse)
+    for k, grid in enumerate(random_grids[:40]):
+        assert parse_layout(serialize_layout(grid)) == grid, k
+    assert bundled_layouts()
+    spaced = "1 3 1.0\n \t11  10\t14  # row\nsink 0 2 1\nsource 0 0\n"
+    assert parse_layout(spaced) == parse_layout(CLOSED_1X3)
+
+
 def test_parse_error_carries_line_number():
     text = "1 2 1.0\n10 99\nsink 0 1 1\nsource 0 0\n"
     with pytest.raises(ParseError, match="line 2"):
@@ -294,11 +415,11 @@ def test_obstacle_mirrors_neighbor_edges():
     closed too; each unmirrored side is reported as an edge conflict."""
     walls = open_room(3, 3)
     walls[1][1] = 15
-    assert edge_conflicts_of(walls) == [((0, 1), (1, 1)), ((1, 0), (1, 1)),
-                                          ((1, 1), (1, 2)), ((1, 1), (2, 1))]
-    with pytest.raises(ConsistencyError):
+    assert edge_conflicts(walls) == [((0, 1), (1, 1)), ((1, 0), (1, 1)),
+                                     ((1, 1), (1, 2)), ((1, 1), (2, 1))]
+    with pytest.raises(ConsistencyError, match=re.escape("between (0, 1) and (1, 1)")):
         validate_grid(bare_grid(walls, sinks=(((0, 0), 1.0),), sources=((2, 2),)))
-    assert not edge_conflicts_of(solid_centre(open_room(3, 3)))
+    assert first_conflict(solid_centre(open_room(3, 3))) == NO_SINKS
 
 
 def test_moves_are_symmetric_and_in_bounds():
@@ -372,7 +493,7 @@ def test_neighbour_table_is_direction_major_and_read_only(random_grids):
         with pytest.raises(TypeError):
             grid.wall_codes[0] = 3
         assert table.tolist() == before, k
-        assert grid.wall_codes == bytes(code for row in grid.walls for code in row), k
+        assert len(grid.wall_codes) == grid.rows * grid.cols, k
 
 
 def test_serialize_round_trips_random_grids():
@@ -438,3 +559,54 @@ def test_parse_layout_numbers_are_finite_or_rejected(slot, number):
     numeric = [k for k, tok in enumerate(tokens) if tok[:1].isdigit()]
     tokens[numeric[slot]] = number
     assert_valid_or_layout_error(" ".join(tokens))
+
+
+# Wall-code tokens that `int` reads but `serialize_layout` never writes, by value.
+ARABIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                              "\u0665\u0666\u0667\u0668\u0669")
+
+
+def spellings(code):
+    s = str(code)
+    return [f"0{s}", f"+{s}", "-0" if code == 0 else f"+0{s}", s.translate(ARABIC_DIGITS),
+            f"{s[0]}_{s[1:]}" if code > 9 else f"0_{s}"]
+
+
+BAD_CODES = ["16", "99", "150", "1x", "x", "-1", "\ud800", "\u0663\u0663"]
+BLANKS = [" ", "  ", "\t", "\v", "\f", "\r", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u3000"]
+
+
+@st.composite
+def respelled_layouts(draw):
+    """A valid random room's text with its wall-code lines redrawn: most
+    codes as `serialize_layout` spells them, some spelled otherwise, out of
+    range, not numbers, or with a wall bit flipped; a code dropped or added
+    now and then; blanks of every kind, ASCII or not, some of which end a
+    line; a comment here and there."""
+    grid = random_grid(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                       max_rows=5, max_cols=5, min_rows=1, min_cols=2)
+    lines = serialize_layout(grid).splitlines()
+    for r in range(1, 1 + grid.rows):
+        line = ""
+        for code in map(int, lines[r].split()):
+            kind = draw(st.integers(0, 19))
+            if kind == 19:
+                continue
+            token = (str(code) if kind < 15 else draw(st.sampled_from(spellings(code))) if kind < 17
+                     else str(code ^ draw(st.sampled_from((TOP, RIGHT, BOTTOM, LEFT)))) if kind < 18
+                     else draw(st.sampled_from(BAD_CODES)))
+            blank = draw(st.sampled_from(BLANKS)) if draw(st.integers(0, 4)) == 0 else " "
+            line += token + blank
+        if draw(st.integers(0, 9)) == 0:
+            line += draw(st.sampled_from(["0", "15", "x", "# note"]))
+        lines[r] = line
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(respelled_layouts(), layout_texts()))
+def test_parse_layout_matches_the_reference_parser(text):
+    """The kernel's parse and checks, with Python's per-line parse behind
+    them, give what the all-Python parser gives: the same grid, or the same
+    error with the same message."""
+    assert outcome(parse_layout, text) == outcome(parse_layout_reference, text)

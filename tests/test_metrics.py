@@ -129,6 +129,33 @@ def test_summarize_rejects_columns_of_different_lengths():
         summarize(log, cell_size_m=1.0)
 
 
+def finished_corridor_run():
+    """Two agents walked down a 1x4 corridor to its sink, at dt 0.5."""
+    grid = parse_layout("1 4 1.0\n11 10 10 14\nsink 0 3 1\nsource 0 0\n")
+    sim = Simulation(grid, compute_field(grid), MESO_TABLE, (SpawnEntry((0, 0), 2),),
+                     dt=0.5, seed=0)
+    sim.run(100)
+    assert sim.completed
+    return sim
+
+
+@pytest.mark.parametrize("step,start", [(3, 10**6), (3, 11), (2, 1), (0, -1)],
+                         ids=["past_the_end", "one_past_the_end", "falling", "below_0"])
+def test_log_outputs_refuse_edited_step_starts(step, start):
+    """`summarize` and `events_csv_blocks` walk the log by `starts`. Set
+    `starts[3]` to 10**6 and `summarize` gave an average travel time of 1.0 s
+    instead of 5.0 s, with no error; a start past the log's 10 events, one
+    below the start before it or one below 0 is refused, naming `log.starts`."""
+    log = finished_corridor_run().state.log
+    assert list(log.starts) == [0, 2, 2, 2, 4, 4, 4, 6, 6, 6, 8] and len(log.kinds) == 10
+    assert summarize(log, 1.0).avg_travel_time_s == 5.0
+    log.starts[step] = start
+    with pytest.raises(ValueError, match="log.starts must not fall"):
+        summarize(log, 1.0)
+    with pytest.raises(ValueError, match="log.starts must not fall"):
+        next(events_csv_blocks(log))
+
+
 def walk(agent, start_row, hops, first_step=1):
     """Move events of one agent going east, one row down on each 'd' hop."""
     r, c, events = start_row, 0, []
@@ -328,7 +355,7 @@ def test_snapshots_memory_does_not_grow_with_the_log():
     no higher than for a 16-step one, up to a few pictures (about 12 kB
     each): the replay updates one density list in place, and each step's
     picture is written before the next is drawn."""
-    grid = LayoutGrid(rows=50, cols=40, cell_size_m=1.0, walls=((0,) * 40,) * 50,
+    grid = LayoutGrid(rows=50, cols=40, cell_size_m=1.0, wall_codes=bytes(50 * 40),
                       sinks=(), sources=())
 
     def drain(log):

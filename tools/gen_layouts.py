@@ -70,7 +70,7 @@ def emit(name: str, header: str, rows: int, cols: int, cell_size: float,
          sources: list[tuple[int, int]]) -> None:
     grid = LayoutGrid(
         rows=rows, cols=cols, cell_size_m=cell_size,
-        walls=tuple(tuple(row) for row in walls),
+        wall_codes=bytes(code for row in walls for code in row),
         sinks=tuple(((r, c), w) for r, c, w in sinks),
         sources=tuple(sources),
     )
