@@ -1,9 +1,8 @@
-"""The compiled kernel `step.c` (the wall-code parse and the layout checks,
-the move table, the field solve, the step loop, the log walk of
-`metrics.summarize` and the CSV writers), built once, cached, and loaded
-through ctypes with every function's signature; structures go by
-`ctypes.byref` (`engine._Run`, `engine.PCG64`). The CSV writers hand out
-their text through `csv_blocks`.
+"""The compiled kernel `step.c` (the wall-code parse, the layout checks, the
+move table, the field solve, the step loop, the log walk of `metrics.summarize`
+and the CSV writers), built once, cached, and loaded through ctypes with every
+function's signature; structures go by `ctypes.byref` (`engine._Run`,
+`engine.PCG64`). The CSV writers hand out their text through `csv_blocks`.
 """
 
 from __future__ import annotations

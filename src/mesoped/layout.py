@@ -130,8 +130,8 @@ def _check_cell_count(rows: int, cols: int, where: str = "") -> None:
 
 
 def validate_grid(grid: LayoutGrid) -> None:
-    """Raise on too many cells, edge conflicts, missing sinks/sources, or an
-    open perimeter."""
+    """Raise on too many cells, edge conflicts, missing sinks/sources, a sink
+    or source off the grid, or an open perimeter."""
     _check_cell_count(grid.rows, grid.cols)
     lib = kernel()
     edge = lib.edge_conflict(grid.wall_codes, grid.rows, grid.cols)
@@ -143,6 +143,9 @@ def validate_grid(grid: LayoutGrid) -> None:
         raise EmptyError("layout has no sinks")
     if not grid.sources:
         raise EmptyError("layout has no sources")
+    for r, c in (*(cell for cell, _ in grid.sinks), *grid.sources):
+        if not (0 <= r < grid.rows and 0 <= c < grid.cols):
+            raise ParseError(f"cell {(r, c)} outside {grid.rows}x{grid.cols} grid")
     hole = lib.open_perimeter(grid.wall_codes, grid.sink_flags, grid.rows, grid.cols)
     if hole >= 0:  # 16 * i plus the side's wall bit
         raise BoundaryError(f"open {SIDE_NAMES[hole & 15]} side on perimeter cell "

@@ -79,7 +79,9 @@ def occupancy(log: EventLog, n_cells: int) -> Iterator[tuple[int, list[int]]]:
     flat cell after its events: a spawn adds 1 at its cell, a move moves 1
     from the agent's previous cell to its new one, an exit takes 1 from its
     cell. One list is updated in place and yielded each step; copy it to keep it.
+    A log whose `starts` fail `EventLog.check_starts` raises ValueError.
     """
+    log.check_starts()
     density = [0] * n_cells
     at: dict[int, int] = {}  # each agent's cell
     for s, (lo, hi) in enumerate(log.spans()):

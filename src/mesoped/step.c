@@ -1,10 +1,8 @@
 /* mesoped's compiled kernel, plain C for ctypes; mesoped.kernel compiles it,
  * and its callers own every buffer. It holds six things:
  *
- * The layout's wall codes and checks: `parse_walls`, the wall-code lines of
- * mesoped.layout.parse_layout, and `edge_conflict` and `open_perimeter`, the
- * first shared edge in conflict and the first hole in the perimeter that
- * mesoped.layout.validate_grid names.
+ * `parse_walls`, `edge_conflict` and `open_perimeter`: the wall codes that
+ * mesoped.layout.parse_layout reads, and the checks of validate_grid.
  *
  * `neighbours`, the move table of mesoped.layout.LayoutGrid.neighbours.
  *

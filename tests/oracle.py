@@ -368,6 +368,9 @@ def validate_reference(grid: LayoutGrid) -> None:
         raise EmptyError("layout has no sinks")
     if not grid.sources:
         raise EmptyError("layout has no sources")
+    for r, c in [cell for cell, _ in grid.sinks] + list(grid.sources):
+        if not (0 <= r < grid.rows and 0 <= c < grid.cols):
+            raise ParseError(f"cell {(r, c)} outside {grid.rows}x{grid.cols} grid")
     sinks = grid.sink_set
     last_r, last_c = grid.rows - 1, grid.cols - 1
     for r in range(grid.rows):

@@ -271,6 +271,21 @@ def test_validate_rejects_non_positive_sink_weight_naming_the_cell(weight):
         validate_grid(grid)
 
 
+@pytest.mark.parametrize("sinks,sources,cell", [
+    ((((0, -1), 1.0),), ((0, 0),), (0, -1)),
+    ((((0, 2), 1.0), ((0, 5), 1.0)), ((0, 0),), (0, 5)),
+    ((((0, 2), 1.0),), ((1, 0),), (1, 0)),
+], ids=["sink_at_column_-1", "sink_past_the_east_wall", "source_below_the_grid"])
+def test_validate_rejects_a_cell_off_the_grid_naming_it(sinks, sources, cell):
+    """A hand-built grid skips the parser's bounds check. Each of these
+    passed validation: the field then took the sink at column -1 for one on
+    the last cell (flat index -1), and the solve raised a bare IndexError on
+    the sink past the east wall. Each cell is now named."""
+    grid = replace(parse_layout(CLOSED_1X3), sinks=sinks, sources=sources)
+    with pytest.raises(ParseError, match=re.escape(f"cell {cell} outside 1x3 grid")):
+        validate_grid(grid)
+
+
 def test_sink_may_open_its_exterior_side():
     grid = parse_layout("1 3 1.0\n11 10 10\nsink 0 2 1\nsource 0 0\n")
     assert side_open(grid.wall_codes[2], RIGHT)

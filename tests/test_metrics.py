@@ -142,10 +142,11 @@ def finished_corridor_run():
 @pytest.mark.parametrize("step,start", [(3, 10**6), (3, 11), (2, 1), (0, -1)],
                          ids=["past_the_end", "one_past_the_end", "falling", "below_0"])
 def test_log_outputs_refuse_edited_step_starts(step, start):
-    """`summarize` and `events_csv_blocks` walk the log by `starts`. Set
-    `starts[3]` to 10**6 and `summarize` gave an average travel time of 1.0 s
-    instead of 5.0 s, with no error; a start past the log's 10 events, one
-    below the start before it or one below 0 is refused, naming `log.starts`."""
+    """`summarize`, `events_csv_blocks` and `occupancy` walk the log by
+    `starts`. Set `starts[3]` to 10**6 and `summarize` gave an average travel
+    time of 1.0 s instead of 5.0 s, with no error; a start past the log's 10
+    events, one below the start before it or one below 0 is refused, naming
+    `log.starts`."""
     log = finished_corridor_run().state.log
     assert list(log.starts) == [0, 2, 2, 2, 4, 4, 4, 6, 6, 6, 8] and len(log.kinds) == 10
     assert summarize(log, 1.0).avg_travel_time_s == 5.0
@@ -154,6 +155,8 @@ def test_log_outputs_refuse_edited_step_starts(step, start):
         summarize(log, 1.0)
     with pytest.raises(ValueError, match="log.starts must not fall"):
         next(events_csv_blocks(log))
+    with pytest.raises(ValueError, match="log.starts must not fall"):
+        next(metrics.occupancy(log, 4))
 
 
 def walk(agent, start_row, hops, first_step=1):
