@@ -100,29 +100,32 @@ int64_t parse_walls(const char *text, int64_t rows, int64_t cols, uint8_t *walls
  * edge, 2 * i + 1 for its south edge, or -1 when every edge agrees. */
 int64_t edge_conflict(const uint8_t *walls, int64_t rows, int64_t cols)
 {
-    for (int64_t i = 0; i < rows * cols; i++) {
-        if ((i + 1) % cols && !(walls[i] & RIGHT) != !(walls[i + 1] & LEFT))
-            return 2 * i;
-        if (i + cols < rows * cols && !(walls[i] & BOTTOM) != !(walls[i + cols] & TOP))
-            return 2 * i + 1;
-    }
+    for (int64_t r = 0, i = 0; r < rows; r++)
+        for (int64_t c = 0; c < cols; c++, i++) {
+            if (c + 1 < cols && !(walls[i] & RIGHT) != !(walls[i + 1] & LEFT))
+                return 2 * i;
+            if (r + 1 < rows && !(walls[i] & BOTTOM) != !(walls[i + cols] & TOP))
+                return 2 * i + 1;
+        }
     return -1;
 }
 
 /* The first open side on the grid's perimeter of a cell that is not a sink,
- * cells in row-major order, each one's top, bottom, left and right side in
- * turn: 16 * i plus the side's wall bit for cell i, or -1 when there is none. */
+ * perimeter cells in row-major order (a row between the first and the last
+ * has two), each one's top, bottom, left and right side in turn: 16 * i plus
+ * the side's wall bit for cell i, or -1 when there is none. */
 int64_t open_perimeter(const uint8_t *walls, const uint8_t *sink, int64_t rows, int64_t cols)
 {
     static const uint8_t order[4] = {TOP, BOTTOM, LEFT, RIGHT};
-    for (int64_t i = 0; i < rows * cols; i++) {
-        int64_t r = i / cols, c = i % cols;
-        int edge = (r == 0 ? TOP : 0) | (r == rows - 1 ? BOTTOM : 0)
-                   | (c == 0 ? LEFT : 0) | (c == cols - 1 ? RIGHT : 0);
-        for (int k = 0; k < 4 && !sink[i]; k++)
-            if (edge & order[k] & ~walls[i])
-                return 16 * i + order[k];
-    }
+    for (int64_t r = 0; r < rows; r++)
+        for (int64_t c = 0; c < cols; c += r == 0 || r == rows - 1 || c == cols - 1 ? 1 : cols - 1) {
+            int64_t i = r * cols + c;
+            int edge = (r == 0 ? TOP : 0) | (r == rows - 1 ? BOTTOM : 0)
+                       | (c == 0 ? LEFT : 0) | (c == cols - 1 ? RIGHT : 0);
+            for (int k = 0; k < 4 && !sink[i]; k++)
+                if (edge & order[k] & ~walls[i])
+                    return 16 * i + order[k];
+        }
     return -1;
 }
 
