@@ -109,8 +109,7 @@ class EventLog:
         return pairwise(chain(self.starts, (len(self.kinds),)))
 
     def check_starts(self) -> None:
-        """Raise ValueError unless `starts` runs from 0 up to the event count
-        at most, never down, as the kernel leaves it."""
+        """Raise ValueError unless `starts` goes from 0 to at most the event count, never down."""
         if any(map(operator.gt, chain((0,), self.starts), chain(self.starts, (len(self.kinds),)))):
             raise ValueError("log.starts must not fall, start below 0 or pass "
                              f"the log's {len(self.kinds)} events")

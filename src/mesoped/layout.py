@@ -173,10 +173,9 @@ def parse_layout(text: str) -> LayoutGrid:
 
     Line 1 holds `rows cols cell_size_m`, followed by `rows` lines of wall
     codes, then `sink r c weight` and `source r c` directives. Everything
-    after a `#` is a comment; blank lines are skipped. The kernel's
-    `parse_walls` reads the wall codes when every one is spelled as
-    `serialize_layout` writes it; otherwise Python reads them, and names the
-    first line and code it cannot take.
+    after a `#` is a comment; blank lines are skipped. The kernel reads the
+    wall codes when all are spelled as `serialize_layout` writes them; else
+    Python does, and names the first line and code it cannot take.
     """
     lines = [(i + 1, ln.split("#", 1)[0].strip())
              for i, ln in enumerate(text.splitlines())]

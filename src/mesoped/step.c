@@ -110,15 +110,14 @@ int64_t edge_conflict(const uint8_t *walls, int64_t rows, int64_t cols)
     return -1;
 }
 
-/* The first open side on the grid's perimeter of a cell that is not a sink,
- * perimeter cells in row-major order (a row between the first and the last
- * has two), each one's top, bottom, left and right side in turn: 16 * i plus
- * the side's wall bit for cell i, or -1 when there is none. */
+/* The first open perimeter side of a cell that is not a sink, perimeter cells
+ * in row-major order, each one's top, bottom, left and right side in turn:
+ * 16 * i plus the side's wall bit for cell i, or -1 when there is none. */
 int64_t open_perimeter(const uint8_t *walls, const uint8_t *sink, int64_t rows, int64_t cols)
 {
     static const uint8_t order[4] = {TOP, BOTTOM, LEFT, RIGHT};
     for (int64_t r = 0; r < rows; r++)
-        for (int64_t c = 0; c < cols; c += r == 0 || r == rows - 1 || c == cols - 1 ? 1 : cols - 1) {
+        for (int64_t c = 0; c < cols; c += 0 < r && r < rows - 1 && c < cols - 1 ? cols - 1 : 1) {
             int64_t i = r * cols + c;
             int edge = (r == 0 ? TOP : 0) | (r == rows - 1 ? BOTTOM : 0)
                        | (c == 0 ? LEFT : 0) | (c == cols - 1 ? RIGHT : 0);
