@@ -85,51 +85,56 @@ class SpawnEntry:
     release_step: int = 0
 
 
+def _copied(name: str) -> property:
+    """A property that reads the private `array` column `name` as a read-only
+    copy: a `memoryview` whose `.obj` is a `bytes`, not the column."""
+    def read(self) -> memoryview:
+        col = getattr(self, name)
+        return memoryview(col.tobytes()).cast(col.typecode)
+    return property(read)
+
+
 class EventLog:
     """A run's events in order, as flat columns.
 
     Event k is agent `agents[k]` doing `KINDS[kinds[k]]` at flat cell
     `cells[k]` (row * cols + col). The step kernel alone writes the columns,
-    step by step: `starts[s]` is the index of the first event of step s or
-    later, so step s owns events `starts[s]` up to `starts[s + 1]` (or the
-    end); a new log holds no step. No clock is stored, because the clock of
-    step s is always `s * dt`.
+    private `array`s, step by step: `starts[s]` is the index of the first
+    event of step s or later, so step s owns events `starts[s]` up to
+    `starts[s + 1]` (or the end); a new log holds no step. No clock is
+    stored, because the clock of step s is always `s * dt`. Each read of
+    `starts`, `agents` or `cells` is a read-only copy, and of `kinds` a
+    `bytes`, so no caller can write or pin what the kernel writes.
     """
 
     def __init__(self, dt: float, cols: int) -> None:
         self.dt = dt
         self.cols = cols
-        self.starts = array("i")
-        self.agents = array("i")
-        self.kinds = array("B")
-        self.cells = array("i")
+        self._starts, self._agents, self._kinds, self._cells = (
+            array("i"), array("i"), array("B"), array("i"))
+
+    starts, agents, cells = map(_copied, ("_starts", "_agents", "_cells"))
+    kinds = property(lambda self: bytes(self._kinds))
 
     def spans(self) -> Iterator[tuple[int, int]]:
         """Each logged step's event index range `(lo, hi)`, in step order."""
-        return pairwise(chain(self.starts, (len(self.kinds),)))
-
-    def check_starts(self) -> None:
-        """Raise ValueError unless `starts` goes from 0 to at most the event count, never down."""
-        if any(map(operator.gt, chain((0,), self.starts), chain(self.starts, (len(self.kinds),)))):
-            raise ValueError("log.starts must not fall, start below 0 or pass "
-                             f"the log's {len(self.kinds)} events")
+        return pairwise(chain(self._starts, (len(self._kinds),)))
 
     def __iter__(self):
         """Each event as a `(step, clock, agent, kind, row, col)` tuple."""
         for step, (lo, hi) in enumerate(self.spans()):
             clock = step * self.dt
             for k in range(lo, hi):
-                yield (step, clock, self.agents[k], KINDS[self.kinds[k]],
-                       *divmod(self.cells[k], self.cols))
+                yield (step, clock, self._agents[k], KINDS[self._kinds[k]],
+                       *divmod(self._cells[k], self.cols))
 
 
 # When the kernel runs out of room in a run, the log and agent columns double,
 # but by at most this many items, so that a run's spare room stays bounded.
 LOG_HEADROOM = 1 << 14
 MAX_EVENTS = 2**31 - 1  # the most a log holds, since its step starts are int32
-# What the kernel's `run` returns (step.c); all but DONE, ROOM and FULL_LOG
-# are refusals of its entry check.
-DONE, ROOM, BAD_AGENT, FULL_LOG, BAD_ORDER, OVERFULL = range(6)
+# What the kernel's `run` returns (step.c).
+DONE, ROOM, FULL_LOG = range(3)
 
 
 # numpy's SeedSequence: the entropy words are hashed into a pool of four
@@ -233,56 +238,50 @@ class _Run(ctypes.Structure):
         "nbr", "values", "sink", "probs", "dwell", "rng", "density", "at", "t_in",
         "present", "order", "pending", "starts", "log_agents", "log_kinds",
         "log_cells")] + [(name, ctypes.c_int64) for name in (
-        "cells", "capacity", "table_rows", "steps", "step", "agents", "agent_room", "n_present",
-        "n_pending", "starts_room", "events", "event_room", "need_agents", "need_events",
-        "fault")] + [("dt", ctypes.c_double)]
+        "cells", "capacity", "steps", "step", "agents", "agent_room", "n_present",
+        "n_pending", "starts_room", "events", "event_room", "need_agents", "need_events")] + [
+        ("dt", ctypes.c_double)]
 
 
 class SimulationState:
     """Mutable per-run state: agent columns, density, pending spawns, event log.
 
-    Every column is an `array` that the kernel reads and writes in place.
+    Every column is a private `array` that only the kernel writes, in place.
     Agent ids count up from 0 in spawn order and index the columns: `at[a]`
     is agent a's flat cell and `t_in[a]` the clock at which it entered it.
     `present` holds the ids still inside, ascending; the rest is in the log.
     An agent inside that stands on a sink exits at the start of the next step.
-    `density`, the count of agents inside by flat cell, is a read-only
-    `memoryview` of the kernel's `array("i")` (its `.obj`): the kernel counts
-    it from `present` and `at` on entry, then as agents spawn, move and exit.
-    Each read is a new view; the state holds the array (the kernel keeps its
-    address) through its own export, so no view a caller releases frees it
-    or lets it be resized. `step_index` is the log's last step, `rng` the
-    generator the kernel's draws advance (neither can be set), and `pending`
-    a read-only copy of the unspent spawn entries, (flat cell, remaining,
-    release step) one after another, which only the kernel spends.
+    `density` is the count of agents inside by flat cell, which the kernel
+    keeps as agents spawn, move and exit. `pending` holds the unspent spawn
+    entries, (flat cell, remaining, release step) one after another. Each
+    read of `at`, `t_in`, `present`, `density` or `pending` is a read-only
+    copy, so no caller can write, pin or free a column. None of them, nor
+    `log`, `step_index` (the log's last step) or `rng` (the generator the
+    kernel's draws advance), can be set.
     """
 
     def __init__(self, grid: LayoutGrid, rng: PCG64,
                  schedule: tuple[SpawnEntry, ...], dt: float) -> None:
         self._rng = rng
-        self._density = memoryview(array("i", [0]) * (grid.rows * grid.cols))
-        self.at = array("i")
-        self.t_in = array("d")
-        self.present = array("i")
-        self.log = EventLog(dt, grid.cols)
+        self._density = array("i", [0]) * (grid.rows * grid.cols)
+        self._at, self._t_in, self._present = array("i"), array("d"), array("i")
+        self._log = EventLog(dt, grid.cols)
         self._pending = array("q", chain.from_iterable(
             (grid.index(e.cell), e.count, e.release_step) for e in schedule))
 
     rng = property(operator.attrgetter("_rng"))
-    pending = property(lambda self: memoryview(self._pending.tobytes()).cast("q"))
-    step_index = property(lambda self: len(self.log.starts) - 1)
-
-    @property
-    def density(self) -> memoryview:
-        return self._density.toreadonly()
+    log = property(operator.attrgetter("_log"))
+    at, t_in, present, density, pending = map(_copied, (
+        "_at", "_t_in", "_present", "_density", "_pending"))
+    step_index = property(lambda self: len(self._log._starts) - 1)
 
     @property
     def clock(self) -> float:
-        return self.step_index * self.log.dt
+        return self.step_index * self._log.dt
 
     @property
     def spawned(self) -> int:
-        return len(self.at)
+        return len(self._at)
 
     @property
     def pending_count(self) -> int:
@@ -298,12 +297,12 @@ class Simulation:
     direction-major neighbour table (`LayoutGrid.neighbours`), sink flags
     and field values in their owners' buffers, and the table's entry
     probabilities and dwell times by density. It reads and writes
-    `SimulationState`'s `array` columns in place: each `run` or `step` gives
-    the agent columns room, makes its steps in one kernel call (re-entered
-    only to grow the log or the agents), and cuts off the room left over.
-    On every entry it refuses a state it would index out of range, changing
-    nothing, and names what it refused (ValueError). It checks the schedule
-    once, here; `grid` and `state` cannot be rebound.
+    `SimulationState`'s private `array` columns in place: each `run` or
+    `step` gives the agent columns room, makes its steps in one kernel call
+    (re-entered only to grow the log or the agents), and cuts off the room
+    left over. Callers read only copies, so each call goes on from the state
+    the last one left, and nothing is checked on entry. The schedule is
+    checked once, here; `grid` and `state` cannot be rebound.
     """
 
     def __init__(self, grid: LayoutGrid, field: FloorField,
@@ -337,9 +336,8 @@ class Simulation:
         self._run = _Run(grid.neighbours.obj.buffer_info()[0], field.values.ctypes.data,
                          ctypes.cast(grid.sink_flags, ctypes.c_void_p).value,
                          probs.buffer_info()[0], dwell.buffer_info()[0],
-                         ctypes.addressof(state.rng), state.density.obj.buffer_info()[0],
-                         cells=grid.rows * grid.cols, capacity=table.capacity,
-                         table_rows=len(table.probs), dt=dt)
+                         ctypes.addressof(state.rng), state._density.buffer_info()[0],
+                         cells=grid.rows * grid.cols, capacity=table.capacity, dt=dt)
         # Step 0 is the release of the agents due when the clock starts, alone.
         self._advance(1, until_done=False)
 
@@ -349,30 +347,26 @@ class Simulation:
     def _advance(self, steps: int, until_done: bool) -> None:
         """Make up to `steps` steps in the kernel, stopping once the run is
         complete when `until_done`; the kernel writes the state's columns."""
-        state, log, r = self._state, self._state.log, self._run
-        for name, of, fits in (("t_in", "at", operator.eq), ("present", "at", operator.le),
-                               ("log.agents", "log.kinds", operator.eq),
-                               ("log.cells", "log.kinds", operator.eq)):
-            n, m = (len(operator.attrgetter(col)(state)) for col in (name, of))
-            if not fits(n, m):
-                raise ValueError(f"column {name} holds {n} items but {of} holds {m}")
-        agent_cols = (state.at, state.t_in, state.present, self._order)
-        log_cols = (log.agents, log.kinds, log.cells)
-        # A column that holds a buffer export cannot be resized: this empty
-        # cut raises BufferError for it now, before the kernel changes anything.
-        for col in (*agent_cols, *log_cols, log.starts, state._pending):
+        state, log, r = self._state, self._state._log, self._run
+        agent_cols = (state._at, state._t_in, state._present, self._order)
+        log_cols = (log._agents, log._kinds, log._cells)
+        # A column that holds a buffer export (`events_csv_blocks` holds the
+        # log's while it is drained) cannot be resized: this empty cut raises
+        # BufferError for it now, before the kernel changes anything.
+        for col in (*agent_cols, *log_cols, log._starts, state._pending):
             del col[len(col):]
-        r.n_present, r.n_pending = len(state.present), len(state._pending) // 3
+        r.n_present, r.n_pending = len(state._present), len(state._pending) // 3
         # at, t_in, present and the shuffle's order, each with room for every agent
         for col in agent_cols[2:]:
-            col.frombytes(bytes((len(state.at) - len(col)) * col.itemsize))
+            col.frombytes(bytes((len(state._at) - len(col)) * col.itemsize))
         r.steps, r.step = max(0, min(steps, 2**63 - 1)), state.step_index
-        r.agents, r.events = len(state.at), len(log.kinds)
+        r.agents, r.events = len(state._at), len(log._kinds)
         r.pending = state._pending.buffer_info()[0]
         while True:
-            r.agent_room, r.event_room, r.starts_room = len(state.at), len(log.kinds), len(log.starts)
+            r.agent_room, r.event_room = len(state._at), len(log._kinds)
+            r.starts_room = len(log._starts)
             (r.at, r.t_in, r.present, r.order, r.starts, r.log_agents, r.log_kinds,
-             r.log_cells) = (col.buffer_info()[0] for col in (*agent_cols, log.starts, *log_cols))
+             r.log_cells) = (col.buffer_info()[0] for col in (*agent_cols, log._starts, *log_cols))
             status = self._kernel.run(ctypes.byref(r), until_done)
             if status != ROOM:
                 break
@@ -380,29 +374,18 @@ class Simulation:
             # a block of LOG_HEADROOM items, but no further than the steps left need.
             for cols, used, need in ((log_cols, r.events, r.need_events),
                                      (agent_cols, r.agents, r.need_agents),
-                                     ((log.starts,), r.step + 1, 1)):
+                                     ((log._starts,), r.step + 1, 1)):
                 if len(cols[0]) - used < need:
                     by = max(need, min(LOG_HEADROOM, used, r.steps * need))
                     for col in cols:
                         col.frombytes(bytes(by * col.itemsize))
-        for col, n in zip((log.starts, *log_cols, *agent_cols, state._pending),
+        for col, n in zip((log._starts, *log_cols, *agent_cols, state._pending),
                           (r.step + 1, r.events, r.events, r.events, r.agents, r.agents,
                            r.n_present, 0, 3 * r.n_pending)):
             del col[n:]
-        if status != DONE:
-            raise ValueError(self._refusal(status, r.fault) if status != FULL_LOG else
-                             f"step {r.step + 1} could take the log past {MAX_EVENTS} "
+        if status == FULL_LOG:
+            raise ValueError(f"step {r.step + 1} could take the log past {MAX_EVENTS} "
                              "events, its int32 limit")
-
-    def _refusal(self, status: int, at: int) -> str:
-        """Words what the kernel's entry check refused; `at` is its `fault`."""
-        present = self._state.present
-        if status == BAD_AGENT:
-            return f"present id {present[at]} is not a spawned agent standing on the grid"
-        if status == BAD_ORDER:
-            return f"present id {present[at]} follows id {present[at - 1]}: ids ascend"
-        return (f"cell {divmod(at, self._grid.cols)} holds more than {len(self._table.probs)} "
-                "agents: no cell holds more agents than the speed-density table has rows")
 
     def step(self) -> SimulationState:
         """Advance one interval: spawn, exit the agents on a sink, move the rest.
@@ -432,7 +415,7 @@ class Simulation:
 
     @property
     def completed(self) -> bool:
-        return not self._state.present and not self._state._pending
+        return not self._state._present and not self._state._pending
 
 
 CSV_HEADER = b"step,clock_s,agent_id,event,row,col\n"
@@ -449,22 +432,21 @@ def events_csv_blocks(log: EventLog) -> Iterator[bytes]:
     the kernel's `events_csv` writes the lines. The bytes equal the
     per-event f-string writer kept in `tests/oracle.py`. The log cannot grow
     until the last block is drawn: the writer holds its columns' buffers. A
-    log whose agent or cell is negative or whose kind is not an event code,
-    or whose `starts` fail `EventLog.check_starts`, raises ValueError.
+    log whose agent or cell is negative or whose kind is not an event code
+    raises ValueError.
     """
-    log.check_starts()
     yield CSV_HEADER
     steps = [(s, lo) for s, (lo, hi) in enumerate(log.spans()) if lo < hi]
     prefixes = ["%d,%r," % (s, s * log.dt) for s, _ in steps]
     text, ends = packed(prefixes)
     firsts = array("i", [lo for _, lo in steps])
     columns = [(ctypes.c_char * memoryview(col).nbytes).from_buffer(col)
-               for col in (log.agents, log.kinds, log.cells)]
+               for col in (log._agents, log._kinds, log._cells)]
     at = array("q", [0, 0])
     lib = kernel()
 
     def fill(block: ctypes.Array, room: int) -> int:
-        n = lib.events_csv(*columns, len(log.kinds), log.cols, firsts.buffer_info()[0],
+        n = lib.events_csv(*columns, len(log._kinds), log.cols, firsts.buffer_info()[0],
                            len(firsts), text, ends.buffer_info()[0], at.buffer_info()[0],
                            block, room)
         if n < 0:

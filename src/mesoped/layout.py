@@ -54,7 +54,9 @@ class LayoutGrid:
 
     `wall_codes` holds one code per cell in row-major order. Construction
     checks only that there is one for each cell, since the kernel reads
-    that many; `parse_layout` runs `validate_grid` on every grid it hands out.
+    that many, and that each is 0 to 15, as `serialize_layout` writes and
+    `parse_layout` reads them; `parse_layout` runs `validate_grid` on every
+    grid it hands out.
     """
 
     rows: int
@@ -70,6 +72,9 @@ class LayoutGrid:
         if len(self.wall_codes) != self.rows * self.cols:
             raise ValueError(f"a {self.rows}x{self.cols} grid takes {self.rows * self.cols} "
                              f"wall codes, got {len(self.wall_codes)}")
+        if high := self.wall_codes.translate(None, bytes(range(16))):
+            cell = divmod(self.wall_codes.index(high[0]), self.cols)
+            raise ValueError(f"wall code {high[0]} at cell {cell} outside [0, 15]")
 
     def index(self, cell: Cell) -> int:
         return cell[0] * self.cols + cell[1]

@@ -51,18 +51,17 @@ def summarize(log: EventLog, cell_size_m: float) -> RunMetrics:
     the same float the event-by-event sums give, from one walk of the log in
     the kernel. A malformed log raises ValueError, naming the fault.
     """
-    log.check_starts()
-    kinds = bytes(log.kinds)
-    if {len(log.agents), len(log.cells)} != {len(kinds)}:
+    kinds = log.kinds
+    if {len(log._agents), len(log._cells)} != {len(kinds)}:
         raise ValueError("the event log's agent, kind and cell columns differ in length")
     n_agents, n_exits = kinds.count(SPAWN), kinds.count(EXIT)
     # per agent: spawn step (-1: not yet), cell, distance; per exit: travel time, distance, cell
     cols = (array("q", [-1]) * n_agents, array("i", [0]) * n_agents, array("d", [0.0]) * n_agents,
             array("d", [0.0]) * n_exits, array("d", [0.0]) * n_exits, array("i", [0]) * n_exits)
-    if kernel().summarize(log.starts.buffer_info()[0], len(log.starts), log.agents.buffer_info()[0],
-                          kinds, log.cells.buffer_info()[0], len(kinds), log.cols, log.dt,
-                          cell_size_m, cell_size_m * math.sqrt(2.0), n_agents,
-                          *(col.buffer_info()[0] for col in cols)) < 0:
+    if kernel().summarize(log._starts.buffer_info()[0], len(log._starts),
+                          log._agents.buffer_info()[0], kinds, log._cells.buffer_info()[0],
+                          len(kinds), log.cols, log.dt, cell_size_m, cell_size_m * math.sqrt(2.0),
+                          n_agents, *(col.buffer_info()[0] for col in cols)) < 0:
         raise ValueError("the event log holds an event of an agent id that has not spawned")
     travel, distance, exit_cells = cols[3:]
     return RunMetrics(
@@ -79,13 +78,11 @@ def occupancy(log: EventLog, n_cells: int) -> Iterator[tuple[int, list[int]]]:
     flat cell after its events: a spawn adds 1 at its cell, a move moves 1
     from the agent's previous cell to its new one, an exit takes 1 from its
     cell. One list is updated in place and yielded each step; copy it to keep it.
-    A log whose `starts` fail `EventLog.check_starts` raises ValueError.
     """
-    log.check_starts()
     density = [0] * n_cells
     at: dict[int, int] = {}  # each agent's cell
     for s, (lo, hi) in enumerate(log.spans()):
-        for agent, kind, cell in zip(log.agents[lo:hi], log.kinds[lo:hi], log.cells[lo:hi]):
+        for agent, kind, cell in zip(log._agents[lo:hi], log._kinds[lo:hi], log._cells[lo:hi]):
             if kind == MOVE:
                 density[at[agent]] -= 1
             if kind == EXIT:

@@ -13,10 +13,10 @@
  *
  * `run`, the step loop of mesoped.engine.Simulation: spawns, the exits of the
  * agents standing on a sink, the shuffle and the move pass, step after step
- * in one call. Random numbers come from the run's own PCG64, numpy's PCG64
- * step for step, drawn as numpy's own `Generator.shuffle` and
- * `Generator.integers` draw them; engine.PCG64 seeds it as numpy's
- * `SeedSequence` would.
+ * in one call, on columns that only it writes. Random numbers come from the
+ * run's own PCG64, numpy's PCG64 step for step, drawn as numpy's own
+ * `Generator.shuffle` and `Generator.integers` draw them; engine.PCG64 seeds
+ * it as numpy's `SeedSequence` would.
  *
  * `summarize`, the one walk of an event log behind mesoped.metrics.summarize.
  *
@@ -242,7 +242,7 @@ struct run {
     const int32_t *nbr;   /* (8, cells): destination of move k from cell i, or -1 */
     const double *values;  /* navigation value by cell */
     const uint8_t *sink;   /* 1 on a sink */
-    const double *probs;   /* entry probability by density, 0 .. table_rows */
+    const double *probs;   /* entry probability by density, 0 .. capacity */
     const double *dwell;   /* time to cross a cell by count of other occupants; inf when stuck */
     struct pcg64 *rng;
     int32_t *density, *at;
@@ -252,16 +252,15 @@ struct run {
     int32_t *starts, *log_agents;
     uint8_t *log_kinds;
     int32_t *log_cells;
-    int64_t cells, capacity, table_rows, steps, step, agents, agent_room, n_present, n_pending;
-    int64_t starts_room, events, event_room, need_agents, need_events, fault;
+    int64_t cells, capacity, steps, step, agents, agent_room, n_present, n_pending;
+    int64_t starts_room, events, event_room, need_agents, need_events;
     double dt;
 };
 
-/* What `run` returns: done; out of room for the next step; FULL_LOG for a
+/* What `run` returns: done; out of room for the next step; or FULL_LOG for a
  * next step that could take the log past INT32_MAX events, the most that the
- * int32 `starts` can index; or, from `check_state`, what it refused in the
- * state (`fault` says where). */
-enum { DONE, ROOM, BAD_AGENT, FULL_LOG, BAD_ORDER, OVERFULL };
+ * int32 `starts` can index. */
+enum { DONE, ROOM, FULL_LOG };
 
 /* numpy's random_interval(max) for max < 2**32: a masked rejection. */
 static uint32_t interval(uint32_t max, struct pcg64 *rng)
@@ -344,49 +343,14 @@ static void move(struct run *r, int32_t a, double clock)
     record(r, a, MOVE, dest);
 }
 
-/* Refuses, changing nothing, the first thing `run` would index out of range:
- * a present id (at `fault` in `present`) that is not a spawned agent on the
- * grid, or not above the id before it (a repeated id would exit twice and
- * leave its cell's density at -1). Then counts `density` from `present` and
- * `at`, refusing a cell (`fault`) with more agents than the table has rows
- * and putting back each counted cell's density, kept in `order`. The
- * schedule needs no check: Python checks it once, and only `run` spends it. */
-static int check_state(struct run *r)
-{
-    int32_t *d = r->density;
-    for (r->fault = 0; r->fault < r->n_present; r->fault++) {
-        int32_t a = r->present[r->fault];
-        if (a < 0 || a >= r->agents || r->at[a] < 0 || r->at[a] >= r->cells)
-            return BAD_AGENT;
-        if (r->fault && a <= r->present[r->fault - 1])
-            return BAD_ORDER;
-        r->order[r->fault] = d[r->at[a]];
-    }
-    for (int64_t m = 0; m < r->n_present; m++)
-        d[r->at[r->present[m]]] = 0;
-    for (int64_t m = 0; m < r->n_present; m++)
-        if (++d[r->fault = r->at[r->present[m]]] > r->table_rows) {
-            for (m = 0; m < r->n_present; m++)
-                d[r->at[r->present[m]]] = r->order[m];
-            return OVERFULL;
-        }
-    memset(d, 0, (size_t)r->cells * sizeof *d);
-    for (int64_t m = 0; m < r->n_present; m++)
-        d[r->at[r->present[m]]]++;
-    return DONE;
-}
-
 /* Makes up to r->steps steps, stopping early once nobody is inside or waiting
- * when `until_done`. Step 0 is the release at clock 0 alone. On every entry
- * it first returns what `check_state` refuses, having changed nothing, or
- * else has it count `density`. Returns ROOM, with the step not begun, when a
- * buffer lacks room for the next step (the need is in need_agents and
- * need_events), FULL_LOG when that step could log past INT32_MAX events, else DONE. */
+ * when `until_done`. Step 0 is the release at clock 0 alone. `density` is
+ * kept as agents spawn, move and exit, so each call goes on from the state
+ * the last one left. Returns ROOM, with the step not begun, when a buffer
+ * lacks room for the next step (the need is in need_agents and need_events),
+ * FULL_LOG when that step could log past INT32_MAX events, else DONE. */
 int run(struct run *r, int until_done)
 {
-    int refused = check_state(r);
-    if (refused != DONE)
-        return refused;
     while (r->steps > 0 && !(until_done && r->n_present == 0 && r->n_pending == 0)) {
         int64_t s = r->step + 1, spawns = 0, *p = r->pending, kept = 0;
         for (int64_t k = 0; k < r->n_pending; k++)

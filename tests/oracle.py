@@ -123,14 +123,15 @@ def neighbour_table(grid: LayoutGrid) -> np.ndarray:
 
 def log_events(log: EventLog, step: int, *events: tuple[int, int, int]) -> EventLog:
     """Open step `step` of `log`, and the steps before it not yet opened, then
-    log each `(agent, kind code, flat cell)` event into it."""
-    assert step >= len(log.starts) - 1, f"step {step} comes before step {len(log.starts) - 1}"
-    while len(log.starts) <= step:
-        log.starts.append(len(log.kinds))
+    log each `(agent, kind code, flat cell)` event into it, writing the log's
+    private columns as the kernel does."""
+    assert step >= len(log._starts) - 1, f"step {step} comes before step {len(log._starts) - 1}"
+    while len(log._starts) <= step:
+        log._starts.append(len(log._kinds))
     for agent, kind, at in events:
-        log.agents.append(agent)
-        log.kinds.append(kind)
-        log.cells.append(at)
+        log._agents.append(agent)
+        log._kinds.append(kind)
+        log._cells.append(at)
     return log
 
 

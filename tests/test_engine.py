@@ -10,6 +10,7 @@ import math
 import re
 from array import array
 from dataclasses import replace
+from operator import setitem
 
 import numpy as np
 import pytest
@@ -50,10 +51,12 @@ def lone_agent(text=CORRIDOR_1X3, dt=0.5, seed=0, source=(0, 0)):
 
 def place(state, grid, cell, t_in=0.0):
     """Put a new agent, the next id in spawn order, in `cell` as if it had
-    entered at `t_in`, without logging a spawn; on a sink it is due to exit."""
-    state.present.append(state.spawned)
-    state.at.append(grid.index(cell))
-    state.t_in.append(t_in)
+    entered at `t_in`, without logging a spawn, writing the state's private
+    columns as the kernel does; on a sink it is due to exit."""
+    state._present.append(state.spawned)
+    state._at.append(grid.index(cell))
+    state._t_in.append(t_in)
+    state._density[grid.index(cell)] += 1
 
 
 def first_move(sim, max_steps=50):
@@ -717,125 +720,51 @@ def test_log_headroom_reentry_and_stepping_equal_one_call(run, headroom, steps):
     assert run_state(short) == run_state(stepped)
 
 
-def test_overfull_cell_is_rejected_before_the_kernel_runs():
-    """A cell holding more agents than the table has rows would send the
-    kernel past the ends of its entry-probability and dwell columns."""
-    grid, field = corridor()
-    sim = Simulation(grid, field, MESO_TABLE, schedule=(), dt=0.5, seed=0)
-    for _ in range(len(MESO_TABLE.probs) + 1):
-        place(sim.state, grid, (0, 0))
-    before = run_state(sim)
-    with pytest.raises(ValueError, match="more agents than the speed-density table has rows"):
-        sim.step()
-    assert run_state(sim) == before
-    # With the cell back within the table, the run steps on.
-    state = sim.state
-    for col in (state.at, state.t_in, state.present):
-        col.pop()
-    sim.step()
-    assert state.step_index == 1 and state.present.tolist() == list(range(6))
-
-
-@pytest.mark.parametrize("column, index, bad, named", [
-    ("present", 0, 1, r"present id 1 is not a spawned agent standing on the grid"),
-    ("present", 0, -1, r"present id -1 is not a spawned agent standing on the grid"),
-    ("at", 0, 4, r"present id 0 is not a spawned agent standing on the grid"),
-    ("at", 0, -1, r"present id 0 is not a spawned agent standing on the grid"),
-])
-def test_out_of_range_state_is_rejected_before_the_kernel_runs(column, index, bad, named):
-    """The kernel checks the state it indexes on entry and refuses it,
-    changing nothing, naming the agent. Without the check, an `at` off the
-    grid has the kernel index `density` outside its buffer. Once the state
-    is repaired, the run goes on as an undisturbed one."""
-    grid, field = corridor(CORRIDOR_1X4)
-
-    def make():
-        return Simulation(grid, field, MESO_TABLE, (SpawnEntry((0, 0), 1),), dt=0.5, seed=0)
-
-    sim, undisturbed = make(), make()
-    col = getattr(sim.state, column)
-    good, col[index] = col[index], bad
-    before = run_state(sim)
-    with pytest.raises(ValueError, match=named):
-        sim.step()
-    assert run_state(sim) == before
-    col[index] = good
-    sim.run(100)
-    undisturbed.run(100)
-    assert sim.completed and run_state(sim) == run_state(undisturbed)
-
-
-@pytest.mark.parametrize("cell", [0, 7, 8, 17, 31, 32, 35])
-@pytest.mark.parametrize("density", [-1, 7, -2**31, 2**31 - 1])
-def test_density_out_of_range_is_found_in_any_cell(cell, density):
-    """A 6x6 hall's cell holding one agent more than the table has rows is
-    refused wherever it lies, from the first cell to the last, whatever
-    `density` held there: the kernel's count starts from 0, so a held -1 or
-    -2**31 hides no agent from the limit and a held 2**31 - 1 overflows
-    nothing, and a refusal puts back the value it found, even one written
-    around the read-only view."""
-    grid = open_hall(6)
-    sim = Simulation(grid, compute_field(grid), MESO_TABLE)
-    sim.state.density.obj[cell] = density
-    for _ in range(len(MESO_TABLE.probs) + 1):
-        place(sim.state, grid, divmod(cell, 6))
-    before = run_state(sim)
-    where = re.escape(str(divmod(cell, 6)))
-    with pytest.raises(ValueError, match=f"cell {where} holds more than 6 agents"):
-        sim.step()
-    assert run_state(sim) == before
-
-
-def test_density_is_read_only_and_counted_from_the_agents():
-    """`density` cannot be written; agents placed through `present`, `at`
-    and `t_in` alone are counted at the next `step()`, and the ones taken
-    out again leave their cells empty."""
-    grid, field = corridor(CORRIDOR_1X4)
-    sim = Simulation(grid, field, MESO_TABLE)
-    with pytest.raises(TypeError):
-        sim.state.density[0] = 1
-    for cell in ((0, 0), (0, 0), (0, 1), (0, 2)):
-        place(sim.state, grid, cell, t_in=NEVER)
-    assert sim.state.density.tolist() == [0, 0, 0, 0]
-    sim.step()
-    assert sim.state.density.tolist() == [2, 1, 1, 0]
-    del sim.state.present[1:3]
-    sim.step()
-    assert sim.state.density.tolist() == [1, 0, 1, 0]
-
-
 def test_density_array_outlives_every_view_of_it():
     """The kernel keeps the address of `density`'s array, so no view a caller
-    is given owns it: releasing one neither frees the array nor stops the
-    run, the attribute cannot be rebound or deleted, and the array cannot be
-    resized. Were the view the array's only owner, a release would free it
-    and the next step would count into freed memory (AddressSanitizer aborts)."""
+    is given owns it: each read is a copy, releasing one neither frees the
+    array nor stops the run, and the attribute cannot be rebound or deleted.
+    Were a view the array's only owner, a release would free it and the next
+    step would count into freed memory (AddressSanitizer aborts)."""
     grid, field = corridor(CORRIDOR_1X4)
     sim = Simulation(grid, field, MESO_TABLE, (SpawnEntry((0, 0), 2),), dt=0.5, seed=0)
     with sim.state.density as view:  # released on leaving
-        assert view.tolist() == [2, 0, 0, 0]
+        assert view.tolist() == [2, 0, 0, 0] and isinstance(view.obj, bytes)
     sim.step()
     with pytest.raises(ValueError):
         view.tolist()
     for change in (lambda s: setattr(s, "density", None), lambda s: delattr(s, "density")):
         with pytest.raises(AttributeError):
             change(sim.state)
-    with pytest.raises(BufferError):
-        sim.state.density.obj.append(0)
+    assert sim._run.density == sim.state._density.buffer_info()[0]
     sim.run(100)
     assert sim.completed and sim.state.density.tolist() == [0, 0, 0, 0]
 
 
-# Rebindings and writes of what the kernel keeps from `Simulation.__init__`,
-# and the error that refuses each.
+# The columns the kernel writes, by the names of their public reads.
+COLUMNS = ("at", "t_in", "present", "density", "pending", "log.starts", "log.agents",
+           "log.kinds", "log.cells")
+
+
+def holder(sim, column):
+    """The state or the log that holds `column`, and the column's name there."""
+    return (sim.state.log, column[4:]) if column.startswith("log.") else (sim.state, column)
+
+
+# Rebindings and writes of what the kernel keeps from `Simulation.__init__`
+# and of the columns it writes, and the error that refuses each.
 REBINDINGS = {
     "grid": (lambda sim: setattr(sim, "grid", open_hall(6)), AttributeError),
     "state": (lambda sim: setattr(sim, "state", None), AttributeError),
+    "log": (lambda sim: setattr(sim.state, "log", engine.EventLog(0.5, 6)), AttributeError),
     "rng": (lambda sim: setattr(sim.state, "rng", PCG64.from_seed(7)), AttributeError),
     "step_index": (lambda sim: setattr(sim.state, "step_index", -2), AttributeError),
-    "pending": (lambda sim: setattr(sim.state, "pending", array("q", [0, -50, 3])),
-                AttributeError),
-    "pending_item": (lambda sim: sim.state.pending.__setitem__(0, 4), TypeError),
+    **{f"{name}_item": (lambda sim, name=name: setitem(getattr(*holder(sim, name)), 0, 1),
+                        TypeError) for name in COLUMNS},
+    **{name: (lambda sim, name=name: setattr(*holder(sim, name), array("q", [0, -50, 3])),
+              AttributeError) for name in COLUMNS},
+    "density_obj": (lambda sim: setitem(sim.state.density.obj, 0, 7), TypeError),
+    "log.starts_append": (lambda sim: sim.state.log.starts.append(10**6), AttributeError),
 }
 
 
@@ -846,9 +775,11 @@ def test_what_the_kernel_keeps_cannot_be_rebound(change):
     the generator cannot be rebound, so none is freed while the kernel reads
     it: before they were read-only, rebinding one had the kernel read freed
     memory (AddressSanitizer aborts). `step_index` is the log's and cannot be
-    set, and `pending` is a read-only copy: an entry cannot be written, and a
-    copy held across the run pins nothing. After each attempt the run goes
-    on as an undisturbed one. The field and the table are not public."""
+    set. Every column the kernel writes is read as a read-only copy, whose
+    `.obj` is a `bytes`, so no item can be written, no column rebound or
+    grown, and a copy held across the run pins nothing. After each attempt
+    the run goes on as an undisturbed one. The field and the table are not
+    public."""
     grid = open_hall(6)
     field = compute_field(grid)
     schedule = (SpawnEntry(grid.sources[0], 12), SpawnEntry(grid.sources[0], 5, 3))
@@ -869,44 +800,6 @@ def test_what_the_kernel_keeps_cannot_be_rebound(change):
     assert sim.completed and run_state(sim) == run_state(undisturbed)
     assert held.tolist() == unspent and not sim.state.pending
     assert not hasattr(sim, "field") and not hasattr(sim, "table")
-
-
-# Edits of a 1x4 corridor's state after step 0, with 5 agents inside and
-# entries of 20 and 1 agents due at step 3, that the kernel would follow out
-# of its buffers or that leave no room to size, and the ValueError that
-# refuses each.
-OVERRUNS = {
-    "present_id_repeated": (lambda s: s.present.__setitem__(1, 0),
-                            r"present id 0 follows id 0: ids ascend"),
-    "t_in_shorter_than_at": (lambda s: setattr(s, "t_in", array("d", [0.0])),
-                             r"column t_in holds 1 items but at holds 5"),
-    "log_columns_unequal": (lambda s: setattr(s.log, "agents", array("i")),
-                            r"column log.agents holds 0 items but log.kinds holds 5"),
-    "present_longer_than_at": (lambda s: s.present.append(5),
-                               r"column present holds 6 items but at holds 5"),
-}
-
-
-@pytest.mark.parametrize("edit", OVERRUNS)
-def test_state_the_kernel_would_overrun_is_refused(edit):
-    """Without its check, each edit has the kernel read or write past a
-    buffer's end (AddressSanitizer aborts): a repeated id 0 that moves and
-    exits twice, leaving the sink's density at -1, so that the agents behind
-    read `probs[-1]`; the entry clocks of agents 1 to 4 read past `t_in`; the
-    moves of step 1 logged past a new, empty `log.agents`, grown with the log
-    by 5. More present ids than agents leave the shuffle's column no room to
-    size. Each is refused, changing nothing. The schedule, the step index
-    and the generator cannot be written at all
-    (`test_what_the_kernel_keeps_cannot_be_rebound`)."""
-    grid, field = corridor(CORRIDOR_1X4)
-    sim = Simulation(grid, field, MESO_TABLE, (SpawnEntry((0, 0), 5), SpawnEntry((0, 0), 20, 3),
-                                               SpawnEntry((0, 0), 1, 3)), dt=10.0, seed=0)
-    change, named = OVERRUNS[edit]
-    change(sim.state)
-    before = run_state(sim)
-    with pytest.raises(ValueError, match=named):
-        sim.run(10)
-    assert run_state(sim) == before
 
 
 class LogNearTheLimit:
@@ -982,8 +875,9 @@ def test_held_column_view_fails_a_step_before_it_begins(column):
     `step()` raises BufferError before the kernel draws or writes anything,
     and once the view is dropped the run goes on as an undisturbed one. A
     view of `density`, which is never resized, may be held across a step.
-    The public `pending` is a copy that pins nothing, so its case views the
-    column the kernel spends, the state's own `_pending`."""
+    Public reads are copies that pin nothing, so each case views the
+    private column the kernel writes, as `events_csv_blocks` does while it
+    is drained."""
     grid = open_hall(6)
     field = compute_field(grid)
     schedule = (SpawnEntry(grid.sources[0], 12), SpawnEntry(grid.sources[0], 5, 3))
@@ -994,16 +888,14 @@ def test_held_column_view_fails_a_step_before_it_begins(column):
         return sim
 
     held, undisturbed = make(), make()
-    owner = held.state.log if column.startswith("log.") else held.state
-    name = column.removeprefix("log.")
-    view = np.frombuffer(getattr(owner, "_pending" if name == "pending" else name),
-                         dtype=np.uint8)
+    owner, name = holder(held, column)
+    view = np.frombuffer(getattr(owner, "_" + name), dtype=np.uint8)
     before = run_state(held)
     with pytest.raises(BufferError):
         held.step()
     assert run_state(held) == before
     del view
-    density = np.frombuffer(held.state.density, dtype=np.intc)
+    density = np.frombuffer(held.state._density, dtype=np.intc)
     held.step()
     undisturbed.step()
     assert density.sum() == sum(undisturbed.state.density)
@@ -1021,10 +913,7 @@ def test_kernel_reads_its_inputs_in_their_owners_buffers():
     assert sim._run.nbr == grid.neighbours.obj.buffer_info()[0]
     assert sim._run.sink == ctypes.cast(grid.sink_flags, ctypes.c_void_p).value
     assert sim._run.values == field.values.ctypes.data
-    assert sim._run.density == sim.state.density.obj.buffer_info()[0]
-    # The kernel keeps that address; the view pins it, so the column cannot be resized.
-    with pytest.raises(BufferError):
-        sim.state.density.obj.append(0)
+    assert sim._run.density == sim.state._density.buffer_info()[0]
 
 
 def test_stepping_a_hall_by_hand_equals_one_run():
@@ -1041,7 +930,7 @@ def test_stepping_a_hall_by_hand_equals_one_run():
     whole.run(10_000)
     assert whole.completed
     stepped.step()
-    assert stepped._run.density == stepped.state.density.obj.buffer_info()[0]
+    assert stepped._run.density == stepped.state._density.buffer_info()[0]
     for _ in range(whole.state.step_index - 1):
         stepped.step()
     assert stepped.completed

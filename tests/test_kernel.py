@@ -226,11 +226,10 @@ def test_event_codes_match_kinds():
 
 
 def test_run_statuses_match():
-    """step.c's `run` statuses are `engine.DONE`, `ROOM`, `BAD_AGENT`,
-    `FULL_LOG`, `BAD_ORDER` and `OVERFULL`, in order: `Simulation` grows the
-    columns on ROOM and raises on the others, naming what the kernel refused."""
+    """step.c's `run` statuses are `engine.DONE`, `ROOM` and `FULL_LOG`, in
+    order: `Simulation` grows the columns on ROOM and raises on FULL_LOG."""
     names = re.search(r"enum \{ *(DONE[^}]*)\}", kernel.KERNEL_SOURCE.read_text()).group(1)
-    assert [getattr(engine, name.strip()) for name in names.split(",")] == list(range(6))
+    assert [getattr(engine, name.strip()) for name in names.split(",")] == list(range(3))
 
 
 def test_kernel_declares_every_exported_signature():

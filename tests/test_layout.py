@@ -368,6 +368,19 @@ def test_wall_codes_must_cover_the_grid():
         LayoutGrid(1, 3, 1.0, ((11, 10, 14),), (((0, 2), 1.0),), ((0, 0),))
 
 
+@pytest.mark.parametrize("codes, named", [((27, 10, 14), "27 at cell (0, 0)"),
+                                          ((11, 16, 255), "16 at cell (0, 1)"),
+                                          ((11, 10, 140), "140 at cell (0, 2)")],
+                         ids=["first_cell", "middle_cell", "last_cell"])
+def test_wall_codes_above_15_are_refused_naming_the_first(codes, named):
+    """A code above 15 is refused at construction, naming the first such cell
+    and its code. Before, a hand-built 1x3 corridor with code 27 passed
+    `validate_grid`, and `serialize_layout` wrote `27 10 14`, which
+    `parse_layout` refuses (the kernel reads only the low 4 bits, 11)."""
+    with pytest.raises(ValueError, match=re.escape(f"wall code {named} outside [0, 15]")):
+        replace(parse_layout(CLOSED_1X3), wall_codes=bytes(codes))
+
+
 def parse_walls(text, rows, cols):
     """The kernel's `parse_walls` of `text`: the index of the first line it
     leaves, and the codes it wrote."""

@@ -124,39 +124,9 @@ def test_summarize_rejects_an_agent_without_a_spawn(later):
 def test_summarize_rejects_columns_of_different_lengths():
     """The kernel walks as many agents and cells as there are kinds."""
     log = log_of(CORRIDOR_EVENTS)
-    log.kinds.append(EXIT)
+    log._kinds.append(EXIT)
     with pytest.raises(ValueError, match="columns differ in length"):
         summarize(log, cell_size_m=1.0)
-
-
-def finished_corridor_run():
-    """Two agents walked down a 1x4 corridor to its sink, at dt 0.5."""
-    grid = parse_layout("1 4 1.0\n11 10 10 14\nsink 0 3 1\nsource 0 0\n")
-    sim = Simulation(grid, compute_field(grid), MESO_TABLE, (SpawnEntry((0, 0), 2),),
-                     dt=0.5, seed=0)
-    sim.run(100)
-    assert sim.completed
-    return sim
-
-
-@pytest.mark.parametrize("step,start", [(3, 10**6), (3, 11), (2, 1), (0, -1)],
-                         ids=["past_the_end", "one_past_the_end", "falling", "below_0"])
-def test_log_outputs_refuse_edited_step_starts(step, start):
-    """`summarize`, `events_csv_blocks` and `occupancy` walk the log by
-    `starts`. Set `starts[3]` to 10**6 and `summarize` gave an average travel
-    time of 1.0 s instead of 5.0 s, with no error; a start past the log's 10
-    events, one below the start before it or one below 0 is refused, naming
-    `log.starts`."""
-    log = finished_corridor_run().state.log
-    assert list(log.starts) == [0, 2, 2, 2, 4, 4, 4, 6, 6, 6, 8] and len(log.kinds) == 10
-    assert summarize(log, 1.0).avg_travel_time_s == 5.0
-    log.starts[step] = start
-    with pytest.raises(ValueError, match="log.starts must not fall"):
-        summarize(log, 1.0)
-    with pytest.raises(ValueError, match="log.starts must not fall"):
-        next(events_csv_blocks(log))
-    with pytest.raises(ValueError, match="log.starts must not fall"):
-        next(metrics.occupancy(log, 4))
 
 
 def walk(agent, start_row, hops, first_step=1):
@@ -312,7 +282,7 @@ def test_events_csv_rejects_a_malformed_log():
 
 
 def walking_log(agents, moves, cols=40):
-    """A complete run's log built straight into the columns: every agent
+    """A complete run's log built straight into its private columns: every agent
     spawns at step 0, moves once a step, diagonally every other step, and
     exits the step after its last move. Step s holds each agent's s-th event
     in agent order."""
@@ -322,10 +292,10 @@ def walking_log(agents, moves, cols=40):
     at = np.minimum(step, steps - 2)  # an exit is logged at the last cell
     cells = (agent + at // 2) % 50 * cols + at % cols
     log = EventLog(0.5, cols)
-    log.starts = array("i", range(0, len(step), agents))
-    log.agents = array("i", agent.astype(np.intc).tobytes())
-    log.kinds = bytearray(kind.astype(np.uint8).tobytes())
-    log.cells = array("i", cells.astype(np.intc).tobytes())
+    log._starts = array("i", range(0, len(step), agents))
+    log._agents = array("i", agent.astype(np.intc).tobytes())
+    log._kinds = array("B", kind.astype(np.uint8).tobytes())
+    log._cells = array("i", cells.astype(np.intc).tobytes())
     return log
 
 
