@@ -17,6 +17,7 @@ hops at gamma 0.5.
 from __future__ import annotations
 
 import ctypes
+import math
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -53,20 +54,26 @@ def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
     """Solve the field exactly by relaxing a frontier outward from the sinks,
     in one call of the kernel's `solve` (step.c).
 
-    Each round recomputes only the non-sink cells next to a cell that rose
-    in the previous round, all from the values before the round, and keeps
-    a new value where it is larger; the solve ends when a round raises
-    nothing. Looking only at the neighbours of risen cells relies on the
-    move table being symmetric.
+    Each round, every cell that rose in the previous round offers gamma times
+    its value, read before the round, to its non-sink neighbours, and each
+    cell offered more than it holds takes its best offer; the solve ends when
+    a round raises nothing. The rounds and values are those of recomputing
+    every offered cell's `gamma * max` of all its neighbours. Offering along
+    a cell's own moves relies on the move table being symmetric. Each sink's
+    reward, base_reward times its weight, must be positive and finite.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     n = grid.rows * grid.cols
     values = array("d", [0.0]) * n
     for cell, weight in grid.sinks:
-        values[grid.index(cell)] = base_reward * weight
-    work = array("i", [0]) * (3 * n)  # round marks, risen cells, a round's cells
-    new = array("d", [0.0]) * n  # a round's new values
+        reward = base_reward * weight
+        if not 0 < reward < math.inf:
+            raise ValueError(f"sink {cell} has reward {reward!r} (base_reward {base_reward!r} "
+                             f"times weight {weight!r}), which is not positive and finite")
+        values[grid.index(cell)] = reward
+    work = array("i", [0]) * (3 * n)  # round marks, risen cells, a round's offered cells
+    new = array("d", [0.0]) * n  # each cell's best offer in a round
     plateau = ctypes.c_int64()
     rounds = kernel().solve(grid.neighbours.obj.buffer_info()[0], grid.sink_flags, n, gamma,
                             values.buffer_info()[0], work.buffer_info()[0],

@@ -156,8 +156,8 @@ def validate_grid(grid: LayoutGrid) -> None:
         raise BoundaryError(f"open {SIDE_NAMES[hole & 15]} side on perimeter cell "
                             f"{divmod(hole >> 4, grid.cols)} which is not a sink")
     for cell, w in grid.sinks:
-        if w <= 0:
-            raise ParseError(f"sink {cell} has non-positive weight {w}")
+        if not 0 < w < math.inf:
+            raise ParseError(f"sink {cell} has weight {w}, which is not positive and finite")
     overlap = grid.sink_set & grid.source_set
     if overlap:
         raise ParseError(f"cell {sorted(overlap)[0]} is both source and sink")

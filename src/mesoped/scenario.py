@@ -260,12 +260,10 @@ def build_runtime(config: ScenarioConfig) -> Runtime:
         if entry.cell not in grid.source_set:
             raise ConfigError(
                 f"{config.name}: spawn cell {entry.cell} is not a source in the layout")
-    for cell, weight in grid.sinks:
-        if not math.isfinite(config.base_reward * weight):
-            raise ConfigError(
-                f"{config.name}: sink {cell}: base_reward {config.base_reward!r} times "
-                f"weight {weight!r} (multipliers applied) overflows")
-    field = compute_field(grid, gamma=config.gamma, base_reward=config.base_reward)
+    try:
+        field = compute_field(grid, gamma=config.gamma, base_reward=config.base_reward)
+    except ValueError as exc:  # a sink's reward, multipliers applied, overflows or underflows
+        raise ConfigError(f"{config.name}: {exc}") from None
     for cell in grid.sources:
         if field.values[cell] <= 0.0:
             raise ConfigError(

@@ -7,9 +7,10 @@
  * `neighbours`, the move table of mesoped.layout.LayoutGrid.neighbours.
  *
  * `solve`, the navigation-field solve of mesoped.floorfield.compute_field:
- * synchronous frontier rounds outward from the sinks, each cell's update one
- * `gamma * max` of its neighbours' values, so the values are value
- * iteration's bit for bit and the rounds are the frontier solve's.
+ * synchronous frontier rounds outward from the sinks, in which each cell that
+ * rose offers `gamma` times its value to its neighbours and each cell takes
+ * its best offer when it beats its value, so the values are value iteration's
+ * bit for bit and the rounds are the frontier solve's.
  *
  * `run`, the step loop of mesoped.engine.Simulation: spawns, the exits of the
  * agents standing on a sink, the shuffle and the move pass, step after step
@@ -130,8 +131,8 @@ int64_t open_perimeter(const uint8_t *walls, const uint8_t *sink, int64_t rows, 
 
 /* The highest value among the destinations of cell i's permitted moves in
  * the direction-major table `nbr`, or 0 when it has none. Every value is at
- * least +0.0 and none is NaN, so this equals the oracle's numpy max with a 0
- * for each missing move. */
+ * least +0.0 and none is NaN (compute_field refuses any other sink reward), so
+ * this equals the oracle's numpy max with a 0 for each missing move. */
 static double best_neighbour(const int32_t *nbr, int64_t cells, const double *values, int64_t i)
 {
     double best = 0.0;
@@ -145,14 +146,22 @@ static double best_neighbour(const int32_t *nbr, int64_t cells, const double *va
 
 /* Solves the field in place: on entry `values` holds each sink's reward and 0
  * elsewhere; on return each non-sink cell that reaches a sink holds gamma
- * times its best neighbour. Each round gathers the non-sink neighbours of the
- * cells that rose in the round before (the sinks, at first), each one once,
- * computes every one's `gamma * max` from the values before the round, then
- * keeps those that are higher. Returns the rounds, the last of which raises
- * nothing. `work` is scratch for 3 * cells int32 (round marks, risen cells,
- * the round's cells) and `next` for cells doubles; `mark` must start at 0.
- * *plateau is the first non-sink cell, in flat order, whose value is
- * positive, subnormal and no lower than its best neighbour's, or -1. */
+ * times its best neighbour. Each round, every cell that rose in the round
+ * before (the sinks, at first) offers `gamma` times its value, read before
+ * the round, to each of its non-sink neighbours; `near` lists the cells
+ * offered one, each once. Then every listed cell whose best offer beats its
+ * value takes it. This equals a round that recomputes each listed cell's
+ * `gamma * max` of all its neighbours: a neighbour that did not rise in the
+ * round before was counted when the cell was last listed, and `gamma * max`
+ * is the max of the products, as rounding is monotone. So the values are
+ * value iteration's bit for bit and the rounds are the frontier solve's.
+ * Offering along a cell's own moves relies on the move table being
+ * symmetric. Returns the rounds, the last of which raises nothing. `work` is
+ * scratch for 3 * cells int32 (round marks, risen cells, the round's offered
+ * cells) and `next` for cells doubles, each cell's best offer in a round;
+ * `mark` must start at 0. *plateau is the first non-sink cell, in flat order,
+ * whose value is positive, subnormal and no lower than its best neighbour's,
+ * or -1. */
 int64_t solve(const int32_t *nbr, const uint8_t *sink, int64_t cells, double gamma,
               double *values, int32_t *work, double *next, int64_t *plateau)
 {
@@ -164,20 +173,24 @@ int64_t solve(const int32_t *nbr, const uint8_t *sink, int64_t cells, double gam
     while (n_risen) {
         int64_t n_near = 0;
         rounds++;
-        for (int64_t k = 0; k < n_risen; k++)
+        for (int64_t k = 0; k < n_risen; k++) {
+            double offer = gamma * values[risen[k]];
             for (int d = 0; d < 8; d++) {
                 int32_t j = nbr[d * cells + risen[k]];
-                if (j >= 0 && !sink[j] && mark[j] != rounds) {
+                if (j < 0 || sink[j])
+                    continue;
+                if (mark[j] != rounds) {
                     mark[j] = (int32_t)rounds;
                     near[n_near++] = j;
-                }
+                    next[j] = offer;
+                } else if (offer > next[j])
+                    next[j] = offer;
             }
-        for (int64_t k = 0; k < n_near; k++)
-            next[k] = gamma * best_neighbour(nbr, cells, values, near[k]);
+        }
         n_risen = 0;
         for (int64_t k = 0; k < n_near; k++)
-            if (next[k] > values[near[k]]) {
-                values[near[k]] = next[k];
+            if (next[near[k]] > values[near[k]]) {
+                values[near[k]] = next[near[k]];
                 risen[n_risen++] = near[k];
             }
     }

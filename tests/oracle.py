@@ -385,8 +385,8 @@ def validate_reference(grid: LayoutGrid) -> None:
                         f"open {SIDE_NAMES[side]} side on perimeter cell ({r}, {c}) "
                         "which is not a sink")
     for cell, w in grid.sinks:
-        if w <= 0:
-            raise ParseError(f"sink {cell} has non-positive weight {w}")
+        if not 0 < w < math.inf:
+            raise ParseError(f"sink {cell} has weight {w}, which is not positive and finite")
     overlap = sinks & grid.source_set
     if overlap:
         raise ParseError(f"cell {sorted(overlap)[0]} is both source and sink")

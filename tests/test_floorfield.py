@@ -1,6 +1,7 @@
 """The exact field solve against its value-iteration, numpy frontier and
 Q-learning oracles, and greedy descent of the field."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -111,7 +112,7 @@ def test_matches_value_iteration_on_bundled_scenarios():
 @pytest.mark.parametrize("size", [50, 100])
 def test_matches_value_iteration_on_halls(size):
     grid = open_hall(size)
-    field = assert_matches_oracle(grid, gamma=0.9)
+    field = assert_same_solve(grid, gamma=0.9)
     assert (field.values > 0).all()
     assert_bellman_fixed_point(field, grid, 0.9)
     # A round per hop, from the exits on the east wall to the west wall, and
@@ -124,13 +125,52 @@ def test_matches_value_iteration_on_walled_hall(gamma):
     """Wide frontiers that meet across interior walls, from exits of three
     weights on two walls."""
     grid = walled_hall(60)
-    field = assert_matches_oracle(grid, gamma=gamma)
+    field = assert_same_solve(grid, gamma=gamma)
     assert (field.values > 0).all()
     assert_bellman_fixed_point(field, grid, gamma)
     for weight in {w for _, w in grid.sinks}:
         alone = replace(grid, sinks=tuple(s for s in grid.sinks if s[1] == weight))
         owned = compute_field(alone, gamma).values == field.values
         assert owned.sum() > 500, weight
+
+
+def test_overtaking_frontier_raises_cells_again_in_the_frontier_solve_rounds():
+    """A 1 x 40 corridor with a weight-1000 sink at its west end and a
+    weight-1 sink at its east end. The weak sink's frontier reaches the cells
+    beside it first; the strong one's overtakes it where the two meet and
+    raises every one of those cells again, up to the cell next to the weak
+    sink. The rounds are the strong frontier's 38 hops and one that raises
+    nothing, as in the numpy frontier solve; a solve that wrote each raise at
+    once would let a cell raised early in a round offer its new value in the
+    same round, and take fewer."""
+    length, gamma = 40, 0.9
+    text = (f"1 {length} 1.0\n11 " + "10 " * (length - 2)
+            + f"14\nsink 0 0 1000\nsink 0 {length - 1} 1\nsource 0 {length // 2}\n")
+    grid = parse_layout(text)
+    field = assert_same_solve(grid, gamma)
+    weak = compute_field(replace(grid, sinks=grid.sinks[1:]), gamma).values[0]
+    values = field.values[0]
+    assert values[length - 2] == pytest.approx(100_000 * gamma ** (length - 2))
+    assert weak[length - 2] == 90.0
+    assert (values[1:-1] > weak[1:-1]).all()
+    assert field.rounds == length - 1
+
+
+@pytest.mark.parametrize("base_reward,weight", [
+    (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (100.0, math.nan),
+    (100.0, -2.0), (1e-300, 1e-100), (1e300, 1e10),
+], ids=["base_0", "base_negative", "base_nan", "base_inf", "weight_nan", "weight_negative",
+        "product_rounds_to_0", "product_overflows"])
+def test_solve_rejects_a_sink_reward_not_positive_and_finite(base_reward, weight):
+    """The solve's exactness needs every value at least +0 and none NaN.
+    Before this check a NaN base reward gave [[0, 0, nan]] and an infinite
+    one a field of inf. A weight reaches the solve unchecked on a grid that
+    skipped validation."""
+    grid = replace(parse_layout(CORRIDOR_1X3), sinks=(((0, 2), weight),))
+    message = (f"sink (0, 2) has reward {base_reward * weight!r} (base_reward {base_reward!r} "
+               f"times weight {weight!r}), which is not positive and finite")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        compute_field(grid, base_reward=base_reward)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.8, 0.9])

@@ -263,11 +263,13 @@ def test_validate_requires_a_source():
         validate_grid(bare_grid([[15]], sinks=(((0, 0), 1.0),)))
 
 
-@pytest.mark.parametrize("weight", [0.0, -1.0])
+@pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
 def test_validate_rejects_non_positive_sink_weight_naming_the_cell(weight):
-    """A hand-built grid skips the parser's weight check; validation names the sink."""
+    """A hand-built grid skips the parser's weight check; validation names the
+    sink. A NaN or infinite weight passed before, as `nan <= 0` is false."""
     grid = bare_grid([[11, 14]], sinks=(((0, 1), weight),), sources=((0, 0),))
-    with pytest.raises(ParseError, match=re.escape(f"sink (0, 1) has non-positive weight {weight}")):
+    with pytest.raises(ParseError, match=re.escape(
+            f"sink (0, 1) has weight {weight}, which is not positive and finite")):
         validate_grid(grid)
 
 
