@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from pathlib import Path
 
-from .engine import EventLog, events_csv_blocks
+from .engine import MAX_AGENTS, EventLog, events_csv_blocks
 from .floorfield import field_csv_blocks
 from .kernel import KernelBuildError
 from .layout import LayoutError, LayoutGrid, render_snapshot
@@ -43,21 +43,27 @@ def check_refinement(meso_grid, micro_grid) -> None:
 
 
 def parse_populations(spec: str) -> list[int]:
-    """Population specs: '25', '1,5,10', or '1..50'."""
+    """Population specs: '25', '1,5,10', or '1..50'. The largest is checked
+    against `MAX_AGENTS` before a range's list is built."""
     spec = spec.strip()
     try:
         if ".." in spec:
             lo_s, hi_s = spec.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if lo < 0 or hi < lo:
+            lo, top = int(lo_s), int(hi_s)
+            if lo < 0 or top < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
-        populations = [int(tok) for tok in spec.split(",") if tok.strip()]
-        if not populations or min(populations) < 0:
-            raise ValueError
-        return populations
+            populations = range(lo, top + 1)
+        else:
+            populations = [int(tok) for tok in spec.split(",") if tok.strip()]
+            if not populations or min(populations) < 0:
+                raise ValueError
+            top = max(populations)
     except ValueError:
         raise ConfigError(f"bad population spec {spec!r}; use N, A,B,C, or LO..HI") from None
+    if top > MAX_AGENTS:
+        raise ConfigError(f"--pop {top} is more agents than a run holds: agent ids are int32, "
+                          f"so at most {MAX_AGENTS}")
+    return list(populations)
 
 
 def _with_seed(config: ScenarioConfig, seed: int | None) -> ScenarioConfig:

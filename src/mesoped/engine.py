@@ -133,6 +133,7 @@ class EventLog:
 # but by at most this many items, so that a run's spare room stays bounded.
 LOG_HEADROOM = 1 << 14
 MAX_EVENTS = 2**31 - 1  # the most a log holds, since its step starts are int32
+MAX_AGENTS = 2**31 - 1  # the most a schedule holds, since agent ids are int32
 # What the kernel's `run` returns (step.c).
 DONE, ROOM, FULL_LOG = range(3)
 
@@ -316,9 +317,9 @@ class Simulation:
             if not (0 <= entry.count < 2**63 and 0 <= entry.release_step < 2**63):
                 raise ValueError(f"bad spawn entry {entry}")
         total = sum(entry.count for entry in schedule)
-        if total >= 2**31:
+        if total > MAX_AGENTS:
             raise ValueError(f"schedule totals {total} agents; agent ids are int32, "
-                             f"so at most {2**31 - 1} fit")
+                             f"so at most {MAX_AGENTS} fit")
         if field.values.shape != (grid.rows, grid.cols):
             raise ValueError(f"field of shape {field.values.shape} on a "
                              f"{grid.rows}x{grid.cols} grid")

@@ -7,13 +7,13 @@ addressed by bare name.
 
 from __future__ import annotations
 
-import configparser
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .engine import MESO_TABLE, MICRO_TABLE, Simulation, SpawnEntry, SpeedDensityTable
+from .engine import (MAX_AGENTS, MESO_TABLE, MICRO_TABLE, Simulation, SpawnEntry,
+                     SpeedDensityTable)
 from .floorfield import DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField, compute_field
 from .layout import Cell, LayoutGrid, parse_layout
 
@@ -82,11 +82,66 @@ def _number(raw: str, cast, bound: tuple, where: str):
     return value
 
 
-def _cells(parser: configparser.ConfigParser, section: str, name: str):
+def _read_ini(text: str, name: str) -> dict[str, dict[str, str]]:
+    """The sections of an INI text, each a dict of its keys and values, in
+    the order given.
+
+    Lines end at "\n" only. A line whose first non-blank character is `#`
+    or `;` is a comment, and so is the rest of a line from a `#` that follows
+    whitespace. `[section]` opens a section; text after its last `]` is
+    dropped. `key = value` or `key: value` splits at the first `=` or `:`,
+    and the key is lower-cased. A line indented deeper than its key's line
+    continues the value, and blank lines inside a value are kept; trailing
+    ones are dropped. A section or key given twice, a key before the first
+    header and a line with no delimiter are refused, naming the line.
+    `tests/oracle.py` holds the standard library's reader of the same
+    grammar, which this one must match.
+    """
+    sections: dict[str, dict[str, str]] = {}
+    section = keys = key = None
+    indent = 0
+    for number, line in enumerate(text.split("\n"), 1):
+        bare = line.strip()
+        if not bare:
+            if key is not None:
+                keys[key] += "\n"
+            continue
+        if bare[0] in "#;":
+            continue
+        cut = line.find("#")
+        while cut > 0 and not line[cut - 1].isspace():
+            cut = line.find("#", cut + 1)
+        value = line[:cut].strip() if cut > 0 else bare
+        level = len(line) - len(line.lstrip())
+        if key is not None and level > indent:
+            keys[key] += "\n" + value
+            continue
+        indent = level
+        end = value.rfind("]")
+        if value[0] == "[" and end > 1:
+            section, key = value[1:end], None
+            if section in sections:
+                raise ConfigError(f"{name}: line {number}: section [{section}] is given twice")
+            keys = sections[section] = {}
+            continue
+        if keys is None:
+            raise ConfigError(f"{name}: line {number}: {value!r} comes before any [section]")
+        head = value.split("=", 1)[0].split(":", 1)[0]
+        if not head or head == value:
+            raise ConfigError(f"{name}: line {number}: expected KEY = VALUE, got {value!r}")
+        key = head.rstrip().lower()
+        if key in keys:
+            raise ConfigError(f"{name}: line {number}: [{section}] {key} is given twice")
+        keys[key] = value[len(head) + 1:].strip()
+    return {section: {key: value.rstrip() for key, value in keys.items()}
+            for section, keys in sections.items()}
+
+
+def _cells(keys: dict[str, str], section: str, name: str):
     """(key, cell, value) for each key of a cell-keyed section; two keys
     naming one cell, such as `8,29` and `8, 29`, are rejected."""
     seen: dict[Cell, str] = {}
-    for key, raw in parser.items(section) if parser.has_section(section) else ():
+    for key, raw in keys.items():
         try:
             row, col = map(int, key.split(","))
         except ValueError:
@@ -122,42 +177,35 @@ def _parse_spawn_terms(value: str, where: str) -> list[tuple[int, int]]:
 
 
 def parse_scenario(text: str, name: str, base_dir: Path) -> ScenarioConfig:
-    # With no default section, a [DEFAULT] header is an unknown section
-    # rather than keys configparser copies into every section.
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
-                                       default_section="")
-    try:
-        parser.read_string(text, source=name)
-    except configparser.Error as exc:
-        raise ConfigError(f"{name}: {exc}") from None
-
-    for section in parser.sections():
+    ini = _read_ini(text, name)
+    for section, keys in ini.items():
         if section not in SECTIONS:
             raise ConfigError(f"{name}: unknown section [{section}]")
         if section in ("run", "layout", "field"):
-            for key in parser.options(section):
+            for key in keys:
                 if (section, key) not in KNOWN_KEYS:
                     raise ConfigError(f"{name}: unknown key [{section}] {key}")
 
-    if not parser.has_option("layout", "path"):
+    raw_path = ini.get("layout", {}).get("path")
+    if raw_path is None:
         raise ConfigError(f"{name}: missing [layout] path")
-    raw_path = parser.get("layout", "path")
     try:
         layout_path = (base_dir / raw_path).resolve()
     except ValueError as exc:  # an embedded NUL byte
         raise ConfigError(f"{name}: [layout] path = {raw_path!r}: {exc}") from None
 
-    values = {key: _number(parser.get(section, key), cast, bound, f"{name}: [{section}] {key}")
-              for section, key, cast, bound in KEYS if parser.has_option(section, key)}
+    values = {key: _number(ini[section][key], cast, bound, f"{name}: [{section}] {key}")
+              for section, key, cast, bound in KEYS if key in ini.get(section, ())}
 
-    if parser.has_option("run", "mode"):
-        mode = parser.get("run", "mode").strip().lower()
+    mode = ini.get("run", {}).get("mode")
+    if mode is not None:
+        mode = mode.strip().lower()
         if mode not in MODE_TABLES:
             raise ConfigError(f"{name}: [run] mode must be 'meso' or 'micro', got {mode!r}")
         values["table"] = MODE_TABLES[mode]
-    if parser.has_section("table"):
+    if "table" in ini:
         rows, seen = {}, {}
-        for key, raw in parser.items("table"):
+        for key, raw in ini["table"].items():
             try:
                 density = int(key)
                 speed_s, prob_s = raw.split()
@@ -180,10 +228,14 @@ def parse_scenario(text: str, name: str, base_dir: Path) -> ScenarioConfig:
             raise ConfigError(f"{name}: [table]: {exc}") from None
 
     multipliers = tuple((cell, _number(raw, float, POSITIVE, f"{name}: [sinks] {key}"))
-                        for key, cell, raw in _cells(parser, "sinks", name))
+                        for key, cell, raw in _cells(ini.get("sinks", {}), "sinks", name))
     schedule = tuple(SpawnEntry(cell=cell, count=count, release_step=step)
-                     for key, cell, raw in _cells(parser, "spawn", name)
+                     for key, cell, raw in _cells(ini.get("spawn", {}), "spawn", name)
                      for count, step in _parse_spawn_terms(raw, f"{name}: [spawn] {key}"))
+    total = sum(entry.count for entry in schedule)
+    if total > MAX_AGENTS:
+        raise ConfigError(f"{name}: [spawn] totals {total} agents; agent ids are int32, "
+                          f"so at most {MAX_AGENTS} fit")
     return ScenarioConfig(name=name, layout_path=layout_path, sink_multipliers=multipliers,
                           schedule=schedule, **values)
 

@@ -46,10 +46,17 @@ them exactly.
 Field CSV: `field_to_csv` formats every cell with its own `repr`;
 `mesoped.floorfield.field_csv_blocks`, which formats each distinct value
 once, must equal its text exactly once its blocks are joined.
+
+Scenario text: `read_ini` is configparser's read with the settings the
+scenario parser once used: inline `#` comments, no interpolation, no
+default section, strict. `mesoped.scenario._read_ini` must give the same
+sections, keys and values in the same order, or refuse a text configparser
+refuses.
 """
 
 from __future__ import annotations
 
+import configparser
 import math
 import random
 import sys
@@ -683,3 +690,12 @@ def field_to_csv(field: FloorField) -> str:
     """One `repr` per cell."""
     lines = [",".join(repr(float(v)) for v in row) for row in field.values]
     return "\n".join(lines) + "\n"
+
+
+def read_ini(text: str) -> list[tuple[str, list[tuple[str, str]]]]:
+    """Each section of `text` with its (key, value) pairs, in file order, as
+    configparser reads them; raises `configparser.Error` on a text it refuses."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
+                                       default_section="")
+    parser.read_string(text)
+    return [(section, parser.items(section)) for section in parser.sections()]

@@ -245,8 +245,8 @@ def test_run_unknown_scenario_is_config_error(capsys):
         ("field", "epsilon = 1e-9"), ("field", "max_sweeps = 500"),
         ("field", "gama = 0.3"), ("run", "max_step = 1"), ("DEFAULT", "max_steps = 5")]])
 def test_run_removed_field_key_is_config_error(corridor_scenario, section, key, capsys):
-    """Removed and misspelled keys, and a [DEFAULT] section that configparser
-    would copy into every section, stop the run instead of being ignored."""
+    """Removed and misspelled keys, and a [DEFAULT] section, which some INI
+    readers copy into every section, stop the run instead of being ignored."""
     header = f"[{section}]\n"
     text = (CORRIDOR_SCENARIO.replace(header, header + key + "\n") if header in CORRIDOR_SCENARIO
             else CORRIDOR_SCENARIO + f"\n{header}{key}\n")
@@ -505,6 +505,33 @@ def test_sweep_checks_fail_before_any_field_or_run(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err
     assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["run", "{big}"], "big: [spawn] totals 2147483703 agents"),
+    (["sweep", "{big}", "--pop", "3", "--seeds", "1"], "big: [spawn] totals 2147483703 agents"),
+    (["sweep", "compare_10x15", "--pop", str(2**31), "--seeds", "1"], f"--pop {2**31}"),
+    (["sweep", "compare_10x15", "--pop", f"{2**31 - 2}..{2**31}", "--seeds", "1"],
+     f"--pop {2**31}"),
+    (["compare", "compare_10x15", "compare_10x15_micro", "--pop", f"1,{2**31}", "--seeds", "1"],
+     f"--pop {2**31}"),
+], ids=["run", "sweep_file", "sweep_pop", "sweep_pop_range", "compare_pop"])
+def test_more_agents_than_int32_ids_is_config_error(tmp_path, capsys, monkeypatch, argv, needle):
+    """A schedule or a population of 2**31 agents or more is refused before
+    the field solve; agent ids are int32. cinema_a with one door's 5 agents
+    made 2**31 totals 2**31 + 55."""
+    text = (SCENARIOS_DIR / "cinema_a.scenario").read_text()
+    text = text.replace("2,0 = 5@0\n", f"2,0 = {2**31}@0\n")
+    assert f"2,0 = {2**31}@0" in text
+    (tmp_path / "cinema.layout").write_text((SCENARIOS_DIR / "cinema.layout").read_text())
+    (tmp_path / "big.scenario").write_text(text)
+    monkeypatch.setattr(cli, "build_runtime", lambda *a: pytest.fail("build_runtime was called"))
+    out = tmp_path / "out"
+    argv = [arg.format(big=tmp_path / "big.scenario") for arg in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and needle in err
     assert not out.exists()
 
 

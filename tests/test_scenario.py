@@ -1,5 +1,6 @@
 """Scenario parsing, overrides, bundled files, and runtime assembly."""
 
+import configparser
 import importlib.util
 import math
 import os
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from gridgen import corridor_layout
-from mesoped.cli import _with_seed
+from mesoped.cli import _with_seed, main
 from mesoped.engine import MESO_TABLE, MICRO_TABLE, SpawnEntry
-from mesoped.scenario import (ConfigError, ScenarioConfig,
+from mesoped.scenario import (ConfigError, ScenarioConfig, _read_ini,
                               apply_sink_multipliers, build_runtime,
                               bundled_scenarios, load_scenario, make_simulation,
                               parse_scenario, redistribute)
@@ -115,7 +117,7 @@ def test_parse_custom_table(corridor_dir):
     ("[layout]\npath = corridor.layout\n[table]\n0 = 1.0\n", "[table]"),
     ("[run]\nseed = -1\n[layout]\npath = corridor.layout\n", "[run] seed"),
     ("[layout]\npath = a\x00b\n", "bad: [layout] path"),   # NUL: no such file name
-    # Misspelled keys, and keys configparser would copy into every section.
+    # Misspelled keys, and keys some INI readers copy into every section.
     ("[run]\nmax_step = 1\n[layout]\npath = corridor.layout\n", "unknown key [run] max_step"),
     ("[field]\ngama = 0.3\n[layout]\npath = corridor.layout\n", "unknown key [field] gama"),
     ("[layout]\npath = corridor.layout\nmode = micro\n", "unknown key [layout] mode"),
@@ -366,6 +368,92 @@ def test_parse_scenario_raises_only_config_errors(text):
         parse_scenario(text, "fuzz", Path(__file__).resolve().parent)
     except ConfigError:
         pass
+
+
+# What each rule of the INI grammar turns on: brackets, both delimiters,
+# both comment marks, [DEFAULT], keys that differ only in case, and
+# whitespace that `str.strip` removes though no line ends at it.
+SPACES = st.sampled_from(["", " ", "\t", "\r", "\x0b", "\x85", "  "])
+NAMES = st.one_of(st.sampled_from(["run", "Run", "DEFAULT", "seed", "Seed", "0,0", "a]b",
+                                   "a b", "x=y", "k:v", "#", ";", ""]), st.text(max_size=4))
+VALUES = st.one_of(st.sampled_from(["1", "", "a#b", "a #b", "1:2", "=", "[x]", "3@0, 2@10"]),
+                   st.text(max_size=4))
+TAILS = st.sampled_from(["", " # c", "\t#", "#x", " ; c", "]", " x", "\x85# c"])
+PIECES = st.sampled_from(["[", "]", "=", ":", "#", ";", " ", "\t", "\r", "\x0b", "\x85", "\n",
+                          "\n  ", "[run]", "[DEFAULT]", "a", "Key", "key", "x = 1", "y: 2"])
+
+
+@st.composite
+def ini_texts(draw):
+    """Arbitrary text, a string of INI pieces, or lines of headers, keys,
+    comments and blanks, some indented, which both readers often accept."""
+    form = draw(st.integers(0, 3))
+    if form == 0:
+        return draw(st.text())
+    if form == 1:
+        return "".join(draw(st.lists(PIECES, max_size=30)))
+    lines = [f"[{draw(NAMES)}]"] if draw(st.integers(0, 9)) else []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            line = f"[{draw(NAMES)}]{draw(TAILS)}"
+        elif kind < 4:
+            line = (draw(NAMES) + draw(SPACES) + draw(st.sampled_from("=:")) + draw(SPACES)
+                    + draw(VALUES) + draw(TAILS))
+        else:
+            line = draw(st.sampled_from(["", " ", "# c", "; c", "\t# c", "x # y", "a#b"]))
+        lines.append(draw(SPACES) + line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=5000, deadline=None)
+@given(ini_texts())
+def test_read_ini_matches_configparser(text):
+    """The scenario reader and configparser, with the settings it replaced,
+    give the same sections, keys and values in the same order, or both
+    refuse the text."""
+    try:
+        expected = oracle.read_ini(text)
+    except configparser.Error:
+        with pytest.raises(ConfigError, match=r"^fuzz: line \d+: "):
+            _read_ini(text, "fuzz")
+    else:
+        assert [(section, list(keys.items()))
+                for section, keys in _read_ini(text, "fuzz").items()] == expected
+
+
+def test_read_ini_grammar():
+    text = ("# comment\n[run]  ; after the header\nMode = meso # inline\n"
+            "Path: a#b ;c\nspan = first\n\n  second # dropped\n\t\n   ; a comment\n"
+            "   third\n\n[Run]\nempty =\n")
+    assert _read_ini(text, "x") == {
+        "run": {"mode": "meso", "path": "a#b ;c", "span": "first\n\nsecond\n\nthird"},
+        "Run": {"empty": ""}}
+
+
+@pytest.mark.parametrize("text,needle", [
+    ("[run]\nseed = 1\n[layout]\npath = x\n[run]\nmode = meso\n",
+     "line 5: section [run] is given twice"),
+    ("[run]\nseed = 1\n\nseed = 2\n", "line 4: [run] seed is given twice"),
+    ("[run]\nSeed = 1\nseed = 2\n", "line 3: [run] seed is given twice"),
+    ("# a comment\nseed = 1\n[run]\n", "line 2: 'seed = 1' comes before any [section]"),
+    ("[run]\nseed = 1\nmax_steps\n", "line 3: expected KEY = VALUE, got 'max_steps'"),
+    ("[run]\n = 1\n", "line 2: expected KEY = VALUE, got '= 1'"),
+], ids=["section", "key", "key_case", "before_header", "no_delimiter", "no_key"])
+def test_read_ini_refusals_name_the_scenario_and_line(text, needle):
+    with pytest.raises(ConfigError, match=re.escape(f"bad: {needle}")):
+        _read_ini(text, "bad")
+    with pytest.raises(configparser.Error):
+        oracle.read_ini(text)
+
+
+def test_duplicate_key_through_main_is_one_error_line(corridor_dir, capsys):
+    path = corridor_dir / "twice.scenario"
+    path.write_text("[layout]\npath = corridor.layout\n[run]\nSeed = 1\nseed = 2\n")
+    out = corridor_dir / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: twice: line 5: [run] seed is given twice\n"
+    assert not out.exists()
 
 
 # Every number a scenario holds, by section and key, as FULL_TEXT sets it.
