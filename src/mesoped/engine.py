@@ -312,8 +312,8 @@ class Simulation:
         if not 0 < dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {dt}")
         for entry in schedule:
-            if entry.cell not in grid.source_set or entry.cell in grid.sink_set:
-                raise ValueError(f"spawn cell {entry.cell} is not a layout source, or is a sink")
+            if entry.cell not in grid.source_set:
+                raise ValueError(f"spawn cell {entry.cell} is not a layout source")
             if not (0 <= entry.count < 2**63 and 0 <= entry.release_step < 2**63):
                 raise ValueError(f"bad spawn entry {entry}")
         total = sum(entry.count for entry in schedule)
@@ -429,27 +429,25 @@ def events_csv_blocks(log: EventLog) -> Iterator[bytes]:
     """The log as CSV: the header, then blocks of whole lines
     (`kernel.csv_blocks`), so memory does not grow with the log.
 
-    Python formats each step's `step,clock,` once, with `%r` for the clock;
-    the kernel's `events_csv` writes the lines. The bytes equal the
-    per-event f-string writer kept in `tests/oracle.py`. The log cannot grow
-    until the last block is drawn: the writer holds its columns' buffers. A
-    log whose agent or cell is negative or whose kind is not an event code
-    raises ValueError.
+    Python formats the `step,clock,` of each step that holds events once,
+    with `%r` for the clock; the kernel's `events_csv` walks `starts` to
+    each event's step and writes the lines. The bytes equal the per-event
+    f-string writer kept in `tests/oracle.py`. The log cannot grow until the
+    last block is drawn: the writer holds its columns' buffers. A log whose
+    agent or cell is negative or whose kind is not an event code raises ValueError.
     """
     yield CSV_HEADER
-    steps = [(s, lo) for s, (lo, hi) in enumerate(log.spans()) if lo < hi]
-    prefixes = ["%d,%r," % (s, s * log.dt) for s, _ in steps]
+    prefixes = ["%d,%r," % (s, s * log.dt) if lo < hi else ""
+                for s, (lo, hi) in enumerate(log.spans())]
     text, ends = packed(prefixes)
-    firsts = array("i", [lo for _, lo in steps])
-    columns = [(ctypes.c_char * memoryview(col).nbytes).from_buffer(col)
-               for col in (log._agents, log._kinds, log._cells)]
+    starts, *columns = [(ctypes.c_char * memoryview(col).nbytes).from_buffer(col)
+                        for col in (log._starts, log._agents, log._kinds, log._cells)]
     at = array("q", [0, 0])
     lib = kernel()
 
     def fill(block: ctypes.Array, room: int) -> int:
-        n = lib.events_csv(*columns, len(log._kinds), log.cols, firsts.buffer_info()[0],
-                           len(firsts), text, ends.buffer_info()[0], at.buffer_info()[0],
-                           block, room)
+        n = lib.events_csv(*columns, len(log._kinds), log.cols, starts, len(prefixes), text,
+                           ends.buffer_info()[0], at.buffer_info()[0], block, room)
         if n < 0:
             raise ValueError(f"event {at[0]} of the log has a negative agent or cell, "
                              "or a kind that is not an event code")

@@ -58,8 +58,7 @@ def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
     its value, read before the round, to its non-sink neighbours, and each
     cell offered more than it holds takes its best offer; the solve ends when
     a round raises nothing. The rounds and values are those of recomputing
-    every offered cell's `gamma * max` of all its neighbours. Offering along
-    a cell's own moves relies on the move table being symmetric. Each sink's
+    every offered cell's `gamma * max` of all its neighbours. Each sink's
     reward, base_reward times its weight, must be positive and finite.
     """
     if not 0 < gamma < 1:

@@ -2,8 +2,8 @@
 
 Cells are unit squares on a row/column lattice with row 0 at the top. Each
 cell carries a 4-bit wall code for its four sides; adjacent cells duplicate
-the shared edge, and validation rejects grids where the two copies disagree
-instead of repairing them.
+the shared edge, and a grid whose two copies of an edge disagree is refused
+when it is built instead of repaired.
 """
 
 from __future__ import annotations
@@ -52,11 +52,13 @@ def side_open(code: int, side: int) -> bool:
 class LayoutGrid:
     """Immutable layout: wall codes plus sink weights and source cells.
 
-    `wall_codes` holds one code per cell in row-major order. Construction
-    checks only that there is one for each cell, since the kernel reads
-    that many, and that each is 0 to 15, as `serialize_layout` writes and
-    `parse_layout` reads them; `parse_layout` runs `validate_grid` on every
-    grid it hands out.
+    `wall_codes` holds one code per cell in row-major order, each 0 to 15.
+    A grid is valid once it exists, built by `dataclasses.replace` too: its
+    construction refuses, in this order and naming the first culprit, more
+    cells than int32 indexes, an edge its two cells disagree on, no sink or
+    no source, a cell off the grid, an open perimeter side off a sink, a
+    sink weight not positive and finite, and a source on a sink. So the
+    move table is symmetric, and the kernel indexes only cells on the grid.
     """
 
     rows: int
@@ -75,6 +77,29 @@ class LayoutGrid:
         if high := self.wall_codes.translate(None, bytes(range(16))):
             cell = divmod(self.wall_codes.index(high[0]), self.cols)
             raise ValueError(f"wall code {high[0]} at cell {cell} outside [0, 15]")
+        _check_cell_count(self.rows, self.cols)
+        lib = kernel()
+        edge = lib.edge_conflict(self.wall_codes, self.rows, self.cols)
+        if edge >= 0:  # cell i's east edge at 2 * i, its south edge at 2 * i + 1
+            (r, c), south = divmod(edge >> 1, self.cols), edge & 1
+            raise ConsistencyError(f"shared edge between {(r, c)} and "
+                                   f"{(r + south, c + 1 - south)} disagrees")
+        if not self.sinks:
+            raise EmptyError("layout has no sinks")
+        if not self.sources:
+            raise EmptyError("layout has no sources")
+        for r, c in (*(cell for cell, _ in self.sinks), *self.sources):
+            if not (0 <= r < self.rows and 0 <= c < self.cols):
+                raise ParseError(f"cell {(r, c)} outside {self.rows}x{self.cols} grid")
+        hole = lib.open_perimeter(self.wall_codes, self.sink_flags, self.rows, self.cols)
+        if hole >= 0:  # 16 * i plus the side's wall bit
+            raise BoundaryError(f"open {SIDE_NAMES[hole & 15]} side on perimeter cell "
+                                f"{divmod(hole >> 4, self.cols)} which is not a sink")
+        for cell, w in self.sinks:
+            if not 0 < w < math.inf:
+                raise ParseError(f"sink {cell} has weight {w}, which is not positive and finite")
+        if overlap := self.sink_set & self.source_set:
+            raise ParseError(f"cell {sorted(overlap)[0]} is both source and sink")
 
     def index(self, cell: Cell) -> int:
         return cell[0] * self.cols + cell[1]
@@ -94,9 +119,9 @@ class LayoutGrid:
         that move d leads to from cell i, or -1 where the move is not permitted.
 
         This is the one definition of move permission. The kernel's
-        `neighbours` fills it from the wall codes (step.c has the rules). On
-        a grid that passes `validate_grid` it is symmetric: j is a neighbour
-        of i iff i is one of j. The table is an `array` that only this
+        `neighbours` fills it from the wall codes (step.c has the rules). As
+        no shared edge is in conflict, it is symmetric: j is a neighbour of i
+        iff i is one of j. The table is an `array` that only this
         read-only view refers to; the kernel takes its address from the
         view's `obj`, and `numpy.asarray` reads it as a read-only array.
         """
@@ -134,35 +159,6 @@ def _check_cell_count(rows: int, cols: int, where: str = "") -> None:
                          f"cell indices are int32, so at most {2**31 - 1} fit")
 
 
-def validate_grid(grid: LayoutGrid) -> None:
-    """Raise on too many cells, edge conflicts, missing sinks/sources, a sink
-    or source off the grid, or an open perimeter."""
-    _check_cell_count(grid.rows, grid.cols)
-    lib = kernel()
-    edge = lib.edge_conflict(grid.wall_codes, grid.rows, grid.cols)
-    if edge >= 0:  # cell i's east edge at 2 * i, its south edge at 2 * i + 1
-        (r, c), south = divmod(edge >> 1, grid.cols), edge & 1
-        raise ConsistencyError(f"shared edge between {(r, c)} and "
-                               f"{(r + south, c + 1 - south)} disagrees")
-    if not grid.sinks:
-        raise EmptyError("layout has no sinks")
-    if not grid.sources:
-        raise EmptyError("layout has no sources")
-    for r, c in (*(cell for cell, _ in grid.sinks), *grid.sources):
-        if not (0 <= r < grid.rows and 0 <= c < grid.cols):
-            raise ParseError(f"cell {(r, c)} outside {grid.rows}x{grid.cols} grid")
-    hole = lib.open_perimeter(grid.wall_codes, grid.sink_flags, grid.rows, grid.cols)
-    if hole >= 0:  # 16 * i plus the side's wall bit
-        raise BoundaryError(f"open {SIDE_NAMES[hole & 15]} side on perimeter cell "
-                            f"{divmod(hole >> 4, grid.cols)} which is not a sink")
-    for cell, w in grid.sinks:
-        if not 0 < w < math.inf:
-            raise ParseError(f"sink {cell} has weight {w}, which is not positive and finite")
-    overlap = grid.sink_set & grid.source_set
-    if overlap:
-        raise ParseError(f"cell {sorted(overlap)[0]} is both source and sink")
-
-
 def _parse_wall_code(tok: str, no: int) -> int:
     try:
         code = int(tok)
@@ -174,13 +170,14 @@ def _parse_wall_code(tok: str, no: int) -> int:
 
 
 def parse_layout(text: str) -> LayoutGrid:
-    """Parse the plain-text layout format and return a validated grid.
+    """Parse the plain-text layout format into a grid.
 
     Line 1 holds `rows cols cell_size_m`, followed by `rows` lines of wall
     codes, then `sink r c weight` and `source r c` directives. Everything
     after a `#` is a comment; blank lines are skipped. The kernel reads the
     wall codes when all are spelled as `serialize_layout` writes them; else
-    Python does, and names the first line and code it cannot take.
+    Python does, and names the first line and code it cannot take. Then
+    each directive is checked, naming its line, and last the grid itself.
     """
     lines = [(i + 1, ln.split("#", 1)[0].strip())
              for i, ln in enumerate(text.splitlines())]
@@ -245,10 +242,8 @@ def parse_layout(text: str) -> LayoutGrid:
         if not (0 <= cell[0] < rows and 0 <= cell[1] < cols):
             raise ParseError(f"line {no}: cell {cell} outside {rows}x{cols} grid")
 
-    grid = LayoutGrid(rows=rows, cols=cols, cell_size_m=cell_size, wall_codes=walls.tobytes(),
+    return LayoutGrid(rows=rows, cols=cols, cell_size_m=cell_size, wall_codes=walls.tobytes(),
                       sinks=tuple(sinks.items()), sources=tuple(sources))
-    validate_grid(grid)
-    return grid
 
 
 def serialize_layout(grid: LayoutGrid) -> str:

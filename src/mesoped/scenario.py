@@ -256,7 +256,7 @@ def load_scenario(source: str | Path) -> ScenarioConfig:
     if path.suffix == ".scenario" or path.is_file():
         try:
             text = path.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
         return parse_scenario(text, path.stem, path.parent)
     candidate = SCENARIOS_DIR / f"{path.name}.scenario"
@@ -280,6 +280,9 @@ def apply_sink_multipliers(grid: LayoutGrid,
         if cell not in weights:
             raise ConfigError(f"sink multiplier targets {cell}, which is not a sink")
         weights[cell] *= factor
+        if not 0 < weights[cell] < math.inf:
+            raise ConfigError(f"sink multiplier {factor!r} takes the weight of sink {cell} to "
+                              f"{weights[cell]!r}, which is not positive and finite")
     return replace(grid, sinks=tuple((cell, weights[cell]) for cell, _ in grid.sinks))
 
 
@@ -304,8 +307,9 @@ def build_runtime(config: ScenarioConfig) -> Runtime:
     reject a source at field value 0, whose agents could only stay."""
     try:
         text = config.layout_path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"{config.name}: cannot read layout {config.layout_path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{config.name}: cannot read layout {str(config.layout_path)!r}: "
+                          f"{exc}") from None
     grid = parse_layout(text)
     grid = apply_sink_multipliers(grid, config.sink_multipliers)
     for entry in config.schedule:

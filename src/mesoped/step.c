@@ -2,7 +2,7 @@
  * and its callers own every buffer. It holds six things:
  *
  * `parse_walls`, `edge_conflict` and `open_perimeter`: the wall codes that
- * mesoped.layout.parse_layout reads, and the checks of validate_grid.
+ * mesoped.layout.parse_layout reads, and the checks that build a LayoutGrid.
  *
  * `neighbours`, the move table of mesoped.layout.LayoutGrid.neighbours.
  *
@@ -155,8 +155,8 @@ static double best_neighbour(const int32_t *nbr, int64_t cells, const double *va
  * round before was counted when the cell was last listed, and `gamma * max`
  * is the max of the products, as rounding is monotone. So the values are
  * value iteration's bit for bit and the rounds are the frontier solve's.
- * Offering along a cell's own moves relies on the move table being
- * symmetric. Returns the rounds, the last of which raises nothing. `work` is
+ * Offering along a cell's own moves takes the move table to be symmetric,
+ * as every LayoutGrid's is. Returns the rounds, the last of which raises nothing. `work` is
  * scratch for 3 * cells int32 (round marks, risen cells, the round's offered
  * cells) and `next` for cells doubles, each cell's best offer in a round;
  * `mark` must start at 0. *plateau is the first non-sink cell, in flat order,
@@ -482,18 +482,18 @@ static const int KIND_LEN[] = {7, 6, 6, 6};
 /* Writes the events.csv lines of a log's events at[0], at[0] + 1, ... into
  * out, whole lines only, as many as fit in `room` bytes, and returns the bytes
  * written; at[0] moves past them. A line is its step's prefix (`step,clock,`),
- * then the agent, the kind, the row and the column. Prefix p of `prefixes` is
- * that of the p-th step holding events, whose first event is firsts[p]; at[1]
- * is the prefix of event at[0]'s step. Returns -1, with at[0] at the event,
- * for an event whose agent or cell is negative or whose kind is not an event code. */
+ * then the agent, the kind, the row and the column. Event k is in the last step
+ * s with starts[s] <= k, as in `summarize`; its prefix is text s of `prefixes`,
+ * and at[1] is event at[0]'s step. Returns -1, with at[0] at the event, for an
+ * event whose agent or cell is negative or whose kind is not an event code. */
 int64_t events_csv(const int32_t *agents, const uint8_t *kinds, const int32_t *cells,
-                   int64_t events, int64_t cols, const int32_t *firsts, int64_t steps,
+                   int64_t events, int64_t cols, const int32_t *starts, int64_t steps,
                    const char *prefixes, const int64_t *ends, int64_t *at, char *out, int64_t room)
 {
     char *o = out;
     int64_t k = at[0], p = at[1];
     for (; k < events; k++) {
-        while (p + 1 < steps && firsts[p + 1] <= k)
+        while (p + 1 < steps && starts[p + 1] <= k)
             p++;
         if (agents[k] < 0 || cells[k] < 0 || kinds[k] > EXIT) {
             at[0] = k, at[1] = p;

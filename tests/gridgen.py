@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from mesoped.engine import SpawnEntry
-from mesoped.layout import (BOTTOM, LEFT, RIGHT, TOP, LayoutGrid,
-                            validate_grid)
+from mesoped.layout import BOTTOM, LEFT, RIGHT, TOP, LayoutGrid
 from oracle import distance_field
 
 Cell = tuple[int, int]
@@ -95,9 +96,11 @@ def random_grid(rng: np.random.Generator, max_rows: int = 30,
         sinks.append((cell, weight))
 
     sink_cells = {cell for cell, _ in sinks}
+    open_cells = [(r, c) for r in range(rows) for c in range(cols)
+                  if (r, c) not in sink_cells]
     # Carve shared edges until every cell can reach a sink.
     while True:
-        probe = _grid_from(rows, cols, walls, sinks, [next(iter(sink_cells))])
+        probe = _grid_from(rows, cols, walls, sinks, open_cells[:1])
         dist = distance_field(probe)
         if np.isfinite(dist).all():
             break
@@ -117,15 +120,11 @@ def random_grid(rng: np.random.Generator, max_rows: int = 30,
         cell, step = frontier[int(rng.integers(len(frontier)))]
         _open(walls, cell, step)
 
-    open_cells = [(r, c) for r in range(rows) for c in range(cols)
-                  if (r, c) not in sink_cells]
     n_sources = int(rng.integers(1, 4))
     picks = rng.permutation(len(open_cells))[:n_sources]
     sources = [open_cells[int(i)] for i in picks]
 
-    grid = _grid_from(rows, cols, walls, sinks, sources)
-    validate_grid(grid)
-    return grid
+    return _grid_from(rows, cols, walls, sinks, sources)
 
 
 def corridor_layout(length: int) -> str:
@@ -142,9 +141,7 @@ def open_hall(size: int, exit_width: int = 4) -> LayoutGrid:
     for r in range(first, first + exit_width):
         walls[r][size - 1] &= ~RIGHT
         sinks.append(((r, size - 1), 1.0))
-    grid = _grid_from(size, size, walls, sinks, [(size // 2, 0)])
-    validate_grid(grid)
-    return grid
+    return _grid_from(size, size, walls, sinks, [(size // 2, 0)])
 
 
 def walled_hall(size: int) -> LayoutGrid:
@@ -168,9 +165,43 @@ def walled_hall(size: int) -> LayoutGrid:
         for r, c in cells:
             walls[r][c] &= ~side
             sinks.append(((r, c), weight))
-    grid = _grid_from(size, size, walls, sinks, [(size // 2, 0)])
-    validate_grid(grid)
-    return grid
+    return _grid_from(size, size, walls, sinks, [(size // 2, 0)])
+
+
+def closed_room(rows: int, cols: int) -> LayoutGrid:
+    """Closed rows x cols room with no inner wall, its sink in the north-west
+    corner and its source in the south-east one."""
+    return _grid_from(rows, cols, _closed_room(rows, cols), [((0, 0), 1.0)],
+                      [(rows - 1, cols - 1)])
+
+
+def keep_sinks(grid: LayoutGrid, kept: list[tuple[Cell, float]]) -> LayoutGrid:
+    """`grid` with only the sinks `kept`, each dropped sink's exterior sides
+    closed, so that the room stays closed; the moves inside are unchanged."""
+    kept_cells = {cell for cell, _ in kept}
+    codes = bytearray(grid.wall_codes)
+    for cell, _ in grid.sinks:
+        if cell not in kept_cells:
+            for side in _exterior_sides(grid.rows, grid.cols, cell):
+                codes[grid.index(cell)] |= side
+    return replace(grid, wall_codes=bytes(codes), sinks=tuple(kept))
+
+
+def refined(grid: LayoutGrid) -> LayoutGrid:
+    """`grid` at twice the resolution, cells of half the size: each cell is
+    four, open to each other, that keep its outer sides; each sink's four
+    cells are sinks of its weight, and each source's north-west cell is a
+    source."""
+    codes = []
+    for r in range(2 * grid.rows):
+        for c in range(2 * grid.cols):
+            code = grid.wall_codes[grid.index((r // 2, c // 2))]
+            codes.append(code & ((BOTTOM if r % 2 else TOP) | (RIGHT if c % 2 else LEFT)))
+    return LayoutGrid(rows=2 * grid.rows, cols=2 * grid.cols, cell_size_m=grid.cell_size_m / 2,
+                      wall_codes=bytes(codes),
+                      sinks=tuple(((2 * r + dr, 2 * c + dc), w) for (r, c), w in grid.sinks
+                                  for dr in (0, 1) for dc in (0, 1)),
+                      sources=tuple((2 * r, 2 * c) for r, c in grid.sources))
 
 
 def random_schedule(rng: np.random.Generator, grid: LayoutGrid,

@@ -23,12 +23,12 @@ is the shortest-path reference that `greedy_descent` of the field must
 follow (criterion 2), and the connectivity check of `gridgen.random_grid`.
 
 Layout parse and checks: `parse_layout_reference` is the parser that read
-every wall code in Python, and `validate_reference` the checks it ran:
-`edge_conflicts`, a cell-by-cell scan of the shared edges, and a walk of
-the perimeter. `mesoped.layout.parse_layout`, whose wall codes and checks
-are the kernel's, must give the same grid or raise the same error with the
-same message, and `validate_grid` must name the same first conflict or
-hole.
+every wall code in Python, and `validate_reference` the checks it ran on
+the fields before it built the grid: `edge_conflicts`, a cell-by-cell scan
+of the shared edges, and a walk of the perimeter. `mesoped.layout.parse_layout`,
+whose wall codes and checks are the kernel's, must give the same grid or
+raise the same error with the same message, and `LayoutGrid(...)` must name
+the same first conflict or hole.
 
 Step loop: the engine's movement rule written agent by agent over
 `Agent` objects kept in a dict, through `Cell` tuples, `moves_of`,
@@ -364,44 +364,50 @@ def edge_conflicts(walls) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     return bad
 
 
-def validate_reference(grid: LayoutGrid) -> None:
-    """`validate_grid` in Python, check for check and message for message,
-    but for the cell count, which no grid of bytes that fit in memory fails."""
-    rows = [grid.wall_codes[i:i + grid.cols] for i in range(0, grid.rows * grid.cols, grid.cols)]
-    conflicts = edge_conflicts(rows)
+def validate_reference(rows: int, cols: int, cell_size_m: float, wall_codes: bytes,
+                       sinks: tuple, sources: tuple) -> LayoutGrid:
+    """`LayoutGrid`'s construction checks in Python, check for check and
+    message for message, but for the wall codes' type, length and range,
+    and the cell count, which no grid of bytes that fit in memory fails.
+    Every check runs on the fields before the grid is built, so none is the
+    package's own; then the grid is built from them."""
+    walls = [wall_codes[i:i + cols] for i in range(0, rows * cols, cols)]
+    conflicts = edge_conflicts(walls)
     if conflicts:
         (a, b) = conflicts[0]
         raise ConsistencyError(f"shared edge between {a} and {b} disagrees")
-    if not grid.sinks:
+    if not sinks:
         raise EmptyError("layout has no sinks")
-    if not grid.sources:
+    if not sources:
         raise EmptyError("layout has no sources")
-    for r, c in [cell for cell, _ in grid.sinks] + list(grid.sources):
-        if not (0 <= r < grid.rows and 0 <= c < grid.cols):
-            raise ParseError(f"cell {(r, c)} outside {grid.rows}x{grid.cols} grid")
-    sinks = grid.sink_set
-    last_r, last_c = grid.rows - 1, grid.cols - 1
-    for r in range(grid.rows):
-        for c in range(grid.cols) if r in (0, last_r) else sorted({0, last_c}):
-            if (r, c) in sinks:
+    for r, c in [cell for cell, _ in sinks] + list(sources):
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise ParseError(f"cell {(r, c)} outside {rows}x{cols} grid")
+    sink_cells = {cell for cell, _ in sinks}
+    last_r, last_c = rows - 1, cols - 1
+    for r in range(rows):
+        for c in range(cols) if r in (0, last_r) else sorted({0, last_c}):
+            if (r, c) in sink_cells:
                 continue
             for side, on_edge in ((TOP, r == 0), (BOTTOM, r == last_r),
                                   (LEFT, c == 0), (RIGHT, c == last_c)):
-                if on_edge and side_open(rows[r][c], side):
+                if on_edge and side_open(walls[r][c], side):
                     raise BoundaryError(
                         f"open {SIDE_NAMES[side]} side on perimeter cell ({r}, {c}) "
                         "which is not a sink")
-    for cell, w in grid.sinks:
+    for cell, w in sinks:
         if not 0 < w < math.inf:
             raise ParseError(f"sink {cell} has weight {w}, which is not positive and finite")
-    overlap = sinks & grid.source_set
+    overlap = sink_cells & set(sources)
     if overlap:
         raise ParseError(f"cell {sorted(overlap)[0]} is both source and sink")
+    return LayoutGrid(rows=rows, cols=cols, cell_size_m=cell_size_m, wall_codes=wall_codes,
+                      sinks=sinks, sources=sources)
 
 
 def parse_layout_reference(text: str) -> LayoutGrid:
-    """`parse_layout` with every wall code read by `int` in Python, then
-    `validate_reference`."""
+    """`parse_layout` with every wall code read by `int` in Python, and the
+    grid built by `validate_reference`."""
     lines = [(i + 1, ln.split("#", 1)[0].strip())
              for i, ln in enumerate(text.splitlines())]
     lines = [(no, ln) for no, ln in lines if ln]
@@ -469,10 +475,9 @@ def parse_layout_reference(text: str) -> LayoutGrid:
         if not (0 <= cell[0] < rows and 0 <= cell[1] < cols):
             raise ParseError(f"line {no}: cell {cell} outside {rows}x{cols} grid")
 
-    grid = LayoutGrid(rows=rows, cols=cols, cell_size_m=cell_size, wall_codes=bytes(walls),
-                      sinks=tuple(sinks.items()), sources=tuple(sources))
-    validate_reference(grid)
-    return grid
+    return validate_reference(rows=rows, cols=cols, cell_size_m=cell_size,
+                              wall_codes=bytes(walls), sinks=tuple(sinks.items()),
+                              sources=tuple(sources))
 
 
 @dataclass(slots=True)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import mesoped
 import oracle
-from gridgen import corridor_layout, random_grid
+from gridgen import corridor_layout, random_grid, refined
 from mesoped import cli, engine, kernel, metrics
 from mesoped.cli import (DimensionMismatch, check_refinement, main,
                          parse_populations)
@@ -356,31 +356,50 @@ def test_sweep_writes_one_row_per_population(corridor_scenario, tmp_path):
     assert lines[1].startswith("1,") and lines[2].startswith("2,")
 
 
+# Counts and populations at the edges of int32 agent ids and of int64.
+HUGE = [2**31 - 2, 2**31 - 1, 2**31, 2**63 - 1, 2**63, 2**64]
+
+
 @st.composite
 def cli_cases(draw):
-    """A small random layout, scenario text whose spawns are on its sources,
-    and `run`/`sweep` flags, some of them out of range."""
+    """A small random layout and the same room at twice the resolution
+    (`gridgen.refined`), scenario texts for both whose spawns are on their
+    sources, and `run`/`sweep`/`compare` flags, some of them out of range.
+    Now and then a spawn count or a population is near 2**31 or 2**63."""
     grid = random_grid(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
                        max_rows=8, max_cols=8)
     grid = dataclasses.replace(grid, cell_size_m=draw(st.sampled_from([0.5, 1.0, 2.5])))
-    terms = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 8)), min_size=1, max_size=3)
-    spawn = "".join(f"{r},{c} = " + ", ".join(f"{n}@{s}" for n, s in draw(terms)) + "\n"
-                    for r, c in grid.sources)
-    sinks = "".join(f"{r},{c} = {draw(st.sampled_from([0.5, 1, 3]))}\n"
-                    for (r, c), _ in grid.sinks if draw(st.booleans()))
-    scenario = (f"[run]\nmode = {draw(st.sampled_from(['meso', 'micro']))}\n"
-                f"dt_s = {draw(st.sampled_from([0.3, 0.5, 1.0]))}\n"
-                f"max_steps = {draw(st.integers(0, 80))}\nseed = {draw(st.integers(0, 2**32))}\n"
-                f"[layout]\npath = room.layout\n"
-                f"[field]\ngamma = {draw(st.sampled_from([0.5, 0.8, 0.95]))}\n"
-                f"[sinks]\n{sinks}[spawn]\n{spawn}")
+    count = st.integers(0, 19).flatmap(
+        lambda k: st.sampled_from(HUGE) if k == 0 else st.integers(0, 6))
+    terms = st.lists(st.tuples(count, st.integers(0, 8)), min_size=1, max_size=3)
+    spawn = [(cell, draw(terms)) for cell in grid.sources]
+    sinks = [(cell, draw(st.sampled_from([0.5, 1, 3]))) for cell, _ in grid.sinks
+             if draw(st.booleans())]
+    run = (f"dt_s = {draw(st.sampled_from([0.3, 0.5, 1.0]))}\n"
+           f"max_steps = {draw(st.integers(0, 80))}\nseed = {draw(st.integers(0, 2**32))}\n")
+    gamma = draw(st.sampled_from([0.5, 0.8, 0.95]))
+
+    def scenario(mode, layout, k):
+        """The scenario on `layout`, its cells scaled by `k`: each sink's
+        multiplier on all k * k of its cells, each spawn on the north-west one."""
+        sink_lines = "".join(f"{k * r + dr},{k * c + dc} = {m}\n" for (r, c), m in sinks
+                             for dr in range(k) for dc in range(k))
+        spawn_lines = "".join(f"{k * r},{k * c} = " + ", ".join(f"{n}@{s}" for n, s in t) + "\n"
+                              for (r, c), t in spawn)
+        return (f"[run]\nmode = {mode}\n{run}[layout]\npath = {layout}\n"
+                f"[field]\ngamma = {gamma}\n[sinks]\n{sink_lines}[spawn]\n{spawn_lines}")
+
+    scenarios = (scenario(draw(st.sampled_from(["meso", "micro"])), "room.layout", 1),
+                 scenario("micro", "micro.layout", 2))
     steps = draw(st.one_of(st.none(), st.integers(-1, 80)))
     seed = draw(st.one_of(st.none(), st.integers(-1, 2**40)))
     seed_flags = [] if seed is None else ["--seed", str(seed)]
     run_flags = ([] if steps is None else ["--steps", str(steps)]) + seed_flags
-    pop = draw(st.sampled_from(["0", "3", "1,4", "2..4", "4..2", "x", "-1"]))
-    sweep_flags = [f"--pop={pop}", f"--seeds={draw(st.integers(0, 3))}", *seed_flags]
-    return grid, scenario, run_flags, sweep_flags
+    pop = draw(st.sampled_from([*map(str, HUGE), f"1,{2**31}", f"{2**31 - 2}..{2**31}",
+                                f"{2**63 - 1}..{2**63}"] if draw(st.integers(0, 3)) == 0
+                               else ["0", "3", "1,4", "2..4", "4..2", "x", "-1"]))
+    pop_flags = [f"--pop={pop}", f"--seeds={draw(st.integers(0, 3))}"]
+    return grid, scenarios, run_flags, pop_flags, seed_flags
 
 
 def read_events(path: Path) -> list[tuple]:
@@ -392,18 +411,21 @@ def read_events(path: Path) -> list[tuple]:
 @settings(max_examples=60, deadline=None)
 @given(cli_cases())
 def test_commands_through_main_agree_with_their_artifacts(case):
-    """`run`, `sweep` and `export-field` return 0, 2 or 3 and never raise;
-    `run`'s metrics are the oracle's summary of its `events.csv`, its
-    `field.csv` is `export-field`'s file, and 3 comes exactly with a row
-    that says `completed=false`."""
-    grid, scenario, run_flags, sweep_flags = case
+    """`run`, `sweep`, `export-field` and `compare` return 0, 2 or 3 and
+    never raise; `run`'s metrics are the oracle's summary of its
+    `events.csv`, its `field.csv` is `export-field`'s file, 3 comes exactly
+    with a row that says `completed=false`, and `compare`'s meso columns are
+    `sweep`'s at the scenario's own seed."""
+    grid, (scenario, micro_scenario), run_flags, pop_flags, seed_flags = case
     sinks = [cell for cell, _ in grid.sinks]
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         tmp = Path(tmp)
         (tmp / "room.layout").write_text(serialize_layout(grid))
-        path = tmp / "room.scenario"
+        (tmp / "micro.layout").write_text(serialize_layout(refined(grid)))
+        path, micro = tmp / "room.scenario", tmp / "micro.scenario"
         path.write_text(scenario)
+        micro.write_text(micro_scenario)
         code = main(["run", str(path), "--out", str(tmp / "run"), *run_flags])
         assert code in (0, 2, 3)
         if code != 2:
@@ -412,11 +434,74 @@ def test_commands_through_main_agree_with_their_artifacts(case):
                 [dataclasses.replace(ref, completed=code == 0)], sinks)
             assert main(["export-field", str(path), "--out", str(tmp / "field.csv")]) == 0
             assert (tmp / "field.csv").read_bytes() == (tmp / "run" / "field.csv").read_bytes()
-        code = main(["sweep", str(path), "--out", str(tmp / "sweep"), *sweep_flags])
+        code = main(["sweep", str(path), "--out", str(tmp / "sweep"), *pop_flags, *seed_flags])
         assert code in (0, 2, 3)
         if code != 2:
             rows = (tmp / "sweep" / "metrics.csv").read_text().splitlines()[1:]
             assert (code == 3) == any(row.endswith(",false") for row in rows)
+        swept = code
+        code = main(["compare", str(path), str(micro), "--out", str(tmp / "cmp"), *pop_flags])
+        assert code in (0, 2, 3)
+        if code != 2:
+            rows = [row.split(",") for row in
+                    (tmp / "cmp" / "comparison.csv").read_text().splitlines()[1:]]
+            assert (code == 3) == any("false" in row for row in rows)
+            if swept != 2 and not seed_flags:
+                swept_rows = [row.split(",") for row in
+                              (tmp / "sweep" / "metrics.csv").read_text().splitlines()[1:]]
+                assert [row[:4] for row in rows] == [[*s[:3], s[-1]] for s in swept_rows]
+
+
+# What a mutation inserts: numbers at the edges, the format's own tokens and
+# names, blanks, and characters that are not UTF-8 once written.
+INSERTS = st.one_of(st.sampled_from([
+    "", "0", "-1", "1.5", "1e400", "nan", "inf", str(2**31), str(2**63), "9" * 400,
+    "[", "]", "=", ":", "#", ",", "@", "..", "\n", "\n ", " ", "\t", "\r", "\x00", "\u0663",
+    "\ud800", "\udc80", "\udcff", "\udfff",
+    "sink", "source", "[run]", "[layout]", "[field]", "[sinks]", "[spawn]", "[table]",
+    "path", "mode", "micro", "seed", "gamma", "max_steps", "dt_s", "base_reward",
+]), st.text(max_size=3))
+
+
+@st.composite
+def mutated_cases(draw):
+    """A `cli_cases` room, its refined twin and their scenarios, one to four
+    of the four texts with one to three edits: a cut of up to three
+    characters where something is inserted."""
+    grid, scenarios, _, pop_flags, _ = draw(cli_cases())
+    texts = [serialize_layout(grid), serialize_layout(refined(grid)), *scenarios]
+    for k in draw(st.sets(st.integers(0, 3), min_size=1)):
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(texts[k])))
+            texts[k] = texts[k][:at] + draw(INSERTS) + texts[k][at + draw(st.integers(0, 3)):]
+    return texts, pop_flags
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_cases())
+def test_mutated_texts_through_main_exit_0_2_or_3(case):
+    """Layout and scenario texts with a few edits, written as UTF-8 or not,
+    through `main` for every command: each returns 0, 2 or 3 and raises
+    nothing, and 2 comes with exactly one line on stderr, an `error:` line."""
+    texts, pop_flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        names = ("room.layout", "micro.layout", "room.scenario", "micro.scenario")
+        for name, text in zip(names, texts):
+            (tmp / name).write_bytes(text.encode(errors="surrogatepass"))
+        meso, micro = str(tmp / "room.scenario"), str(tmp / "micro.scenario")
+        for argv in (["run", meso, "--out", str(tmp / "run")],
+                     ["export-field", meso, "--out", str(tmp / "field.csv")],
+                     ["sweep", meso, "--out", str(tmp / "sweep"), *pop_flags],
+                     ["compare", meso, micro, "--out", str(tmp / "cmp"), *pop_flags]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3), argv[0]
+            if code == 2:
+                lines = err.getvalue().split("\n")
+                assert len(lines) == 2 and lines[0].startswith("error: ") and not lines[1], \
+                    (argv[0], lines)
 
 
 def test_compare_bundled_pair(tmp_path):
@@ -709,6 +794,31 @@ def test_run_nul_in_layout_path_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "[layout] path" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[layout]\npath = room.layout\n  more\n[spawn]\n0,0 = 1@0\n",
+                                  "[layout]\npath = room.layout\n[spawn]\n0,0 = 1@0\n"],
+                         ids=["line_break_in_path", "undecodable_layout"])
+def test_an_unreadable_layout_is_one_error_line(text, tmp_path, capsys):
+    """A layout path that a continuation line breaks in two, and a layout
+    file that is not UTF-8: each is one `error:` line naming the layout,
+    exit 2. The first once printed its path over two lines, and the second
+    ended in a UnicodeDecodeError traceback."""
+    (tmp_path / "room.layout").write_bytes(CORRIDOR_LAYOUT.encode() + b"# \xff\n")
+    path = tmp_path / "room.scenario"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: room: cannot read layout ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_undecodable_scenario_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "room.scenario"
+    path.write_bytes(b"[run]\nmode = meso\xff\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read scenario file {path}: ") and err.count("\n") == 1
 
 
 def package_env() -> dict:

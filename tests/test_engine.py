@@ -23,7 +23,7 @@ from mesoped.engine import (DIAMETER_FACTOR, EXIT, FULL_LOG, MAX_EVENTS, MESO_TA
                             SpeedDensityTable, events_csv_blocks)
 from mesoped.floorfield import compute_field
 from mesoped.kernel import kernel
-from mesoped.layout import parse_layout, render_snapshot
+from mesoped.layout import ParseError, parse_layout, render_snapshot
 from mesoped.metrics import occupancy, summarize
 from mesoped.scenario import build_runtime, bundled_scenarios, load_scenario
 import oracle
@@ -468,13 +468,15 @@ def test_schedule_of_2_31_agents_or_more_is_rejected():
 
 
 def test_spawn_rejects_non_source_cells():
+    """A spawn cell must be a source. No source can be a sink, since no grid
+    listing a sink as a source can be built, so the sink is refused as a
+    spawn cell for not being a source."""
     grid, field = corridor()
-    with pytest.raises(ValueError):
-        Simulation(grid, field, MESO_TABLE, schedule=(SpawnEntry((0, 1), 1),))
-    # A grid built without validation may list a sink as a source too.
-    both = replace(grid, sources=((0, 0), (0, 2)))
-    with pytest.raises(ValueError, match="is a sink"):
-        Simulation(both, field, MESO_TABLE, schedule=(SpawnEntry((0, 2), 1),))
+    for cell in ((0, 1), (0, 2), (5, 5), (-1, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"spawn cell {cell} is not a layout source")):
+            Simulation(grid, field, MESO_TABLE, schedule=(SpawnEntry(cell, 1),))
+    with pytest.raises(ParseError, match=re.escape("cell (0, 2) is both source and sink")):
+        replace(grid, sources=((0, 0), (0, 2)))
 
 
 @pytest.mark.parametrize("args, named", [

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridgen import corridor_layout, open_hall, random_grid, walled_hall
+from gridgen import corridor_layout, keep_sinks, open_hall, random_grid, walled_hall
 from mesoped import kernel
-from mesoped.engine import MESO_TABLE, Simulation, SpawnEntry
+from mesoped.engine import EXIT, MESO_TABLE, SPAWN, Simulation, SpawnEntry
 from mesoped.floorfield import (DEFAULT_BASE_REWARD, DEFAULT_GAMMA, FloorField,
                                 compute_field, field_csv_blocks)
-from mesoped.layout import BOTTOM, LEFT, RIGHT, TOP, LayoutGrid, parse_layout, validate_grid
+from mesoped.layout import (BOTTOM, LEFT, RIGHT, TOP, LayoutError, LayoutGrid, ParseError,
+                            parse_layout)
 from mesoped.scenario import (ConfigError, ScenarioConfig, apply_sink_multipliers,
                               build_runtime, bundled_scenarios, load_scenario)
 from oracle import field_to_csv as field_to_csv_oracle
@@ -24,7 +25,7 @@ from oracle import (DIR_VECTORS, Stuck, distance_field, frontier_field, greedy_d
 CORRIDOR_1X3 = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
 
 
-def bare_grid(walls, sinks=(), sources=(), cell_size=1.0):
+def grid_of(walls, sinks=(), sources=(), cell_size=1.0):
     return LayoutGrid(rows=len(walls), cols=len(walls[0]), cell_size_m=cell_size,
                       wall_codes=bytes(code for row in walls for code in row),
                       sinks=tuple(sinks), sources=tuple(sources))
@@ -69,7 +70,7 @@ def test_rewards_scale_with_weight_and_base():
 
 
 def test_rewards_isolated_cells_have_self_loops_only():
-    grid = bare_grid([[15, 15]], sinks=(((0, 1), 1.0),))
+    grid = grid_of([[15, 15]], sinks=(((0, 1), 1.0),), sources=((0, 0),))
     field = assert_matches_oracle(grid)
     assert field.values.tolist() == [[0.0, 100.0]]
 
@@ -129,7 +130,7 @@ def test_matches_value_iteration_on_walled_hall(gamma):
     assert (field.values > 0).all()
     assert_bellman_fixed_point(field, grid, gamma)
     for weight in {w for _, w in grid.sinks}:
-        alone = replace(grid, sinks=tuple(s for s in grid.sinks if s[1] == weight))
+        alone = keep_sinks(grid, [s for s in grid.sinks if s[1] == weight])
         owned = compute_field(alone, gamma).values == field.values
         assert owned.sum() > 500, weight
 
@@ -164,9 +165,15 @@ def test_overtaking_frontier_raises_cells_again_in_the_frontier_solve_rounds():
 def test_solve_rejects_a_sink_reward_not_positive_and_finite(base_reward, weight):
     """The solve's exactness needs every value at least +0 and none NaN.
     Before this check a NaN base reward gave [[0, 0, nan]] and an infinite
-    one a field of inf. A weight reaches the solve unchecked on a grid that
-    skipped validation."""
-    grid = replace(parse_layout(CORRIDOR_1X3), sinks=(((0, 2), weight),))
+    one a field of inf. A NaN or negative weight once reached the solve on a
+    grid built unchecked; now no grid holds one, as its construction refuses it."""
+    corridor = parse_layout(CORRIDOR_1X3)
+    if not 0 < weight < math.inf:
+        with pytest.raises(ParseError, match=re.escape(
+                f"sink (0, 2) has weight {weight}, which is not positive and finite")):
+            replace(corridor, sinks=(((0, 2), weight),))
+        return
+    grid = replace(corridor, sinks=(((0, 2), weight),))
     message = (f"sink (0, 2) has reward {base_reward * weight!r} (base_reward {base_reward!r} "
                f"times weight {weight!r}), which is not positive and finite")
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -266,12 +273,10 @@ def transformed(grid: LayoutGrid, name: str) -> LayoutGrid:
     # Where each cell lands: read off the image of the flat cell indices.
     image = on_array(np.arange(grid.rows * grid.cols).reshape(grid.rows, grid.cols))
     lands = {i: divmod(k, image.shape[1]) for k, i in enumerate(image.ravel().tolist())}
-    out = bare_grid(swapped.tolist(),
-                    sinks=[(lands[grid.index(cell)], w) for cell, w in grid.sinks],
-                    sources=[lands[grid.index(cell)] for cell in grid.sources],
-                    cell_size=grid.cell_size_m)
-    validate_grid(out)
-    return out
+    return grid_of(swapped.tolist(),
+                   sinks=[(lands[grid.index(cell)], w) for cell, w in grid.sinks],
+                   sources=[lands[grid.index(cell)] for cell in grid.sources],
+                   cell_size=grid.cell_size_m)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.8, 0.95])
@@ -293,13 +298,15 @@ def test_sink_value_is_base_times_weight():
 
 
 def test_all_sink_grid_holds_weights():
-    grid = bare_grid([[10, 10]], sinks=(((0, 0), 1.0), ((0, 1), 3.0)))
+    """Sinks side by side each hold their own reward, though a neighbour
+    offers more; the source behind them takes gamma times the best."""
+    grid = grid_of([[10, 10, 14]], sinks=(((0, 0), 1.0), ((0, 1), 3.0)), sources=((0, 2),))
     field = compute_field(grid)
-    assert field.values.tolist() == [[100.0, 300.0]]
+    assert field.values.tolist() == [[100.0, 300.0, DEFAULT_GAMMA * 300.0]]
 
 
 def test_unreachable_cells_are_zero():
-    grid = bare_grid([[15, 11, 10]], sinks=(((0, 2), 1.0),), sources=((0, 1),))
+    grid = grid_of([[15, 11, 10]], sinks=(((0, 2), 1.0),), sources=((0, 1),))
     field = compute_field(grid)
     assert field.values[0, 0] == 0.0
     assert field.values[0, 1] > 0.0
@@ -334,10 +341,10 @@ def test_weight_scaling_scales_field_linearly():
 
 
 def test_distance_field_open_room_is_chebyshev():
-    grid = bare_grid([[TOP | LEFT, TOP, TOP | RIGHT],
+    grid = grid_of([[TOP | LEFT, TOP, TOP | RIGHT],
                       [LEFT, 0, RIGHT],
                       [BOTTOM | LEFT, BOTTOM, BOTTOM | RIGHT]],
-                     sinks=(((0, 0), 1.0),))
+                   sinks=(((0, 0), 1.0),), sources=((2, 2),))
     dist = distance_field(grid)
     expect = [[0, 1, 2], [1, 1, 2], [2, 2, 2]]
     assert dist.tolist() == expect
@@ -351,10 +358,10 @@ def test_greedy_descent_follows_corridor():
 
 
 def test_greedy_descent_prefers_orthogonal_on_ties():
-    grid = bare_grid([[TOP | LEFT, TOP, TOP | RIGHT],
+    grid = grid_of([[TOP | LEFT, TOP, TOP | RIGHT],
                       [LEFT, 0, RIGHT],
                       [BOTTOM | LEFT, BOTTOM, BOTTOM | RIGHT]],
-                     sinks=(((0, 2), 1.0),))
+                   sinks=(((0, 2), 1.0),), sources=((2, 0),))
     field = compute_field(grid)
     # From (1, 1) both NE (diagonal) and E then N reach the sink in two values;
     # N and E tie with NE's target beaten only by the sink itself.
@@ -364,7 +371,7 @@ def test_greedy_descent_prefers_orthogonal_on_ties():
 
 
 def test_greedy_descent_stuck_off_the_field():
-    grid = bare_grid([[15, 11, 10]], sinks=(((0, 2), 1.0),), sources=((0, 1),))
+    grid = grid_of([[15, 11, 10]], sinks=(((0, 2), 1.0),), sources=((0, 1),))
     field = compute_field(grid)
     with pytest.raises(Stuck):
         greedy_descent(field, grid, (0, 0))
@@ -476,3 +483,68 @@ def test_field_csv_blocks_hold_whole_cells(monkeypatch):
         for block, after in zip(blocks, blocks[1:]):
             assert size - longest < len(block) <= size and block[-1:] in b",\n"
             assert len(block) + len(re.split(rb"[,\n]", after, maxsplit=1)[0]) + 1 > size
+
+
+@st.composite
+def grid_fields(draw):
+    """The fields of a hand-built grid of up to 6 x 6 cells: codes 0 to 15,
+    either drawn one by one, which seldom agree on a shared edge, or a closed
+    room with drawn inner walls and a bit or two flipped now and then; and
+    up to three sinks and sources, each now and then off the grid (negative
+    rows and columns included), some weights not positive or not finite."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.integers(0, 3)) == 0:
+        codes = draw(st.lists(st.integers(0, 15), min_size=rows * cols, max_size=rows * cols))
+    else:
+        codes = [0] * (rows * cols)
+        for r in range(rows):
+            for c in range(cols):
+                i = r * cols + c
+                codes[i] |= ((TOP if r == 0 else 0) | (BOTTOM if r == rows - 1 else 0)
+                             | (LEFT if c == 0 else 0) | (RIGHT if c == cols - 1 else 0))
+                if c + 1 < cols and draw(st.integers(0, 3)) == 0:
+                    codes[i] |= RIGHT
+                    codes[i + 1] |= LEFT
+                if r + 1 < rows and draw(st.integers(0, 3)) == 0:
+                    codes[i] |= BOTTOM
+                    codes[i + cols] |= TOP
+        for _ in range(draw(st.sampled_from([0] * 6 + [1, 2]))):
+            codes[draw(st.integers(0, rows * cols - 1))] ^= draw(
+                st.sampled_from((TOP, RIGHT, BOTTOM, LEFT)))
+
+    def cell():
+        if draw(st.integers(0, 7)):
+            return draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        return draw(st.sampled_from([(-1, 0), (0, -1), (rows, 0), (0, cols), (5, 5), (-3, -3)]))
+
+    def weight():
+        return draw(st.sampled_from([1.0, 2.5, 0.5] if draw(st.integers(0, 7))
+                                    else [0.0, -1.0, math.nan, math.inf]))
+
+    counts = st.sampled_from([0, 1, 1, 1, 1, 2, 2, 3])
+    sinks = tuple((cell(), weight()) for _ in range(draw(counts)))
+    sources = tuple(cell() for _ in range(draw(counts)))
+    return dict(rows=rows, cols=cols, cell_size_m=1.0, wall_codes=bytes(codes),
+                sinks=sinks, sources=sources)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_fields(), st.integers(0, 2**32 - 1))
+def test_any_grid_that_is_built_solves_and_runs(fields, seed):
+    """A hand-built grid is refused with a LayoutError, ValueError or
+    TypeError, or else its field equals value iteration's bit for bit, and
+    20 steps with one agent per source conserve the agents: each one spawned
+    is inside or has exited, and the density counts those inside."""
+    try:
+        grid = LayoutGrid(**fields)
+    except (LayoutError, ValueError, TypeError):
+        return
+    field = compute_field(grid)
+    assert np.array_equal(field.values.view(np.int64), value_iteration(grid).view(np.int64))
+    sim = Simulation(grid, field, MESO_TABLE, tuple(SpawnEntry(cell, 1) for cell in grid.sources),
+                     seed=seed)
+    state = sim.run(20)
+    kinds = state.log.kinds
+    assert state.spawned == kinds.count(SPAWN) == len(grid.sources) - state.pending_count
+    assert len(state.present) == state.spawned - kinds.count(EXIT)
+    assert sum(state.density) == len(state.present)

@@ -1,4 +1,5 @@
-"""Wall codes, move permissions, parsing, validation, and serialization."""
+"""Wall codes, move permissions, parsing, the checks that build a grid, and
+serialization."""
 
 import math
 import re
@@ -19,17 +20,43 @@ from mesoped.kernel import kernel
 from mesoped.layout import (BOTTOM, DIRECTIONS, LEFT, RIGHT, TOP,
                             BoundaryError, ConsistencyError, EmptyError,
                             LayoutError, LayoutGrid, ParseError, parse_layout,
-                            serialize_layout, side_open, validate_grid)
+                            serialize_layout, side_open)
 from mesoped.scenario import SCENARIOS_DIR
 
 CLOSED_1X3 = "1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n"
 
 
-def bare_grid(walls, sinks=(), sources=()):
-    """LayoutGrid without validation, for move-rule unit checks."""
+GRID_FIELDS = ("rows", "cols", "cell_size_m", "wall_codes", "sinks", "sources")
+
+
+def grid_of(walls, sinks=(), sources=()):
+    """`LayoutGrid(...)` of these rows of wall codes, checked as every grid is."""
     return LayoutGrid(rows=len(walls), cols=len(walls[0]), cell_size_m=1.0,
                       wall_codes=bytes(code for row in walls for code in row),
                       sinks=tuple(sinks), sources=tuple(sources))
+
+
+class Walls:
+    """Rows of wall codes that no grid need be built from, conflicting or
+    open to the outside, with the move table that the kernel's `neighbours`
+    fills for them, as it fills `LayoutGrid.neighbours`: what the move-rule
+    checks, `oracle.moves_of` and `oracle.neighbour_table` read."""
+
+    def __init__(self, walls):
+        self.rows, self.cols = len(walls), len(walls[0])
+        self.wall_codes = bytes(code for row in walls for code in row)
+        n = self.rows * self.cols
+        table = array("i", [0]) * (len(DIRECTIONS) * n)
+        kernel().neighbours(self.wall_codes, self.rows, self.cols, table.buffer_info()[0])
+        self.neighbours = memoryview(table).cast("B").cast("i", (len(DIRECTIONS), n))
+
+    def index(self, cell):
+        return cell[0] * self.cols + cell[1]
+
+
+def fields_of(grid, **changes):
+    """The fields of `grid`, with `changes` made: what a grid is built from."""
+    return {name: getattr(grid, name) for name in GRID_FIELDS} | changes
 
 
 def outcome(call, arg):
@@ -40,10 +67,20 @@ def outcome(call, arg):
         return type(exc), str(exc)
 
 
+def built(fields):
+    """`LayoutGrid(**fields)`, or the type and message of what it raises."""
+    return outcome(lambda f: LayoutGrid(**f), fields)
+
+
+def built_by_the_oracle(fields):
+    """`oracle.validate_reference(**fields)`, or what it raises, as `built`."""
+    return outcome(lambda f: validate_reference(**f), fields)
+
+
 def first_conflict(walls):
-    """What `validate_grid` says of a grid of these codes with no sinks: the
+    """What `LayoutGrid(...)` says of a grid of these codes with no sinks: the
     first shared edge that disagrees, if any, else that there is no sink."""
-    return outcome(validate_grid, bare_grid(walls))
+    return outcome(grid_of, walls)
 
 
 def conflict_message(a, b):
@@ -98,7 +135,7 @@ def test_wall_code_inverse(code):
     exactly the orthogonal moves through its open sides."""
     walls = [[0] * 3 for _ in range(3)]
     walls[1][1] = code
-    moves = moves_of(bare_grid(walls), (1, 1))
+    moves = moves_of(Walls(walls), (1, 1))
     for d, side in (("N", TOP), ("E", RIGHT), ("S", BOTTOM), ("W", LEFT)):
         assert (d in moves) == side_open(code, side) == (not code & side)
 
@@ -127,7 +164,7 @@ def test_edge_consistency_brute_force_vertical():
 
 
 def test_edge_conflicts_match_cell_by_cell_scan():
-    """Random codes give many conflicts; the one `validate_grid` names is the
+    """Random codes give many conflicts; the one `LayoutGrid(...)` names is the
     scan's first."""
     rng = np.random.default_rng(7)
     for rows, cols in ((1, 1), (1, 9), (9, 1), (6, 7), (20, 30)):
@@ -150,15 +187,15 @@ def test_edge_conflicts_match_cell_by_cell_scan():
 def test_first_conflict_and_hole_match_the_oracle(seed, flips):
     """A valid random room with one to three wall bits flipped at random
     cells: inside, each flip is a conflict, and on the perimeter a hole
-    (or a sink's exterior side closed). `validate_grid` names the first
+    (or a sink's exterior side closed). `LayoutGrid(...)` names the first
     conflict, else the first hole, as the cell-by-cell reference does."""
     grid = random_grid(np.random.default_rng(seed), max_rows=9, max_cols=9,
                        min_rows=1, min_cols=2)
     codes = bytearray(grid.wall_codes)
     for k, side in flips:
         codes[k % len(codes)] ^= side
-    planted = replace(grid, wall_codes=bytes(codes))
-    assert outcome(validate_grid, planted) == outcome(validate_reference, planted)
+    planted = fields_of(grid, wall_codes=bytes(codes))
+    assert built(planted) == built_by_the_oracle(planted)
 
 
 @pytest.mark.parametrize("text", [
@@ -175,9 +212,8 @@ def test_every_code_at_every_cell_is_judged_as_the_oracle_judges_it(text):
         for code in range(16):
             codes = bytearray(grid.wall_codes)
             codes[i] = code
-            planted = replace(grid, wall_codes=bytes(codes))
-            assert (outcome(validate_grid, planted)
-                    == outcome(validate_reference, planted)), (i, code)
+            planted = fields_of(grid, wall_codes=bytes(codes))
+            assert built(planted) == built_by_the_oracle(planted), (i, code)
 
 
 def test_diagonal_requires_all_four_corner_edges():
@@ -194,12 +230,11 @@ def test_diagonal_requires_all_four_corner_edges():
             if mask & (1 << bit):
                 walls[r1][c1] |= s1
                 walls[r2][c2] |= s2
-        grid = bare_grid(walls)
-        assert ("NE" in moves_of(grid, (1, 0))) == (mask == 0), mask
+        assert ("NE" in moves_of(Walls(walls), (1, 0))) == (mask == 0), mask
 
 
 def test_moves_of_open_room():
-    grid = bare_grid(open_room(3, 3))
+    grid = Walls(open_room(3, 3))
     assert moves_of(grid, (1, 1)) == DIRECTIONS
     assert moves_of(grid, (0, 0)) == ("E", "SE", "S")
     assert moves_of(grid, (0, 2)) == ("S", "SW", "W")
@@ -217,9 +252,7 @@ def solid_centre(walls):
 
 
 def test_moves_of_solid_cell_is_empty():
-    grid = bare_grid(solid_centre(open_room(3, 3)), sinks=(((0, 0), 1.0),),
-                     sources=((2, 2),))
-    validate_grid(grid)
+    grid = grid_of(solid_centre(open_room(3, 3)), sinks=(((0, 0), 1.0),), sources=((2, 2),))
     assert moves_of(grid, (1, 1)) == ()
     # Neighbors lose the moves that led into or cut the filled cell's corners.
     assert "S" not in moves_of(grid, (0, 1))
@@ -254,23 +287,22 @@ def test_parse_mismatched_shared_edge_rejected():
 
 
 def test_validate_requires_a_sink():
-    with pytest.raises(EmptyError):
-        validate_grid(bare_grid([[15]]))
+    with pytest.raises(EmptyError, match="layout has no sinks"):
+        grid_of([[15]])
 
 
 def test_validate_requires_a_source():
-    with pytest.raises(EmptyError):
-        validate_grid(bare_grid([[15]], sinks=(((0, 0), 1.0),)))
+    with pytest.raises(EmptyError, match="layout has no sources"):
+        grid_of([[15]], sinks=(((0, 0), 1.0),))
 
 
 @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
 def test_validate_rejects_non_positive_sink_weight_naming_the_cell(weight):
-    """A hand-built grid skips the parser's weight check; validation names the
-    sink. A NaN or infinite weight passed before, as `nan <= 0` is false."""
-    grid = bare_grid([[11, 14]], sinks=(((0, 1), weight),), sources=((0, 0),))
+    """A hand-built grid skips the parser's weight check; its construction
+    names the sink. A NaN or infinite weight once passed, as `nan <= 0` is false."""
     with pytest.raises(ParseError, match=re.escape(
             f"sink (0, 1) has weight {weight}, which is not positive and finite")):
-        validate_grid(grid)
+        grid_of([[11, 14]], sinks=(((0, 1), weight),), sources=((0, 0),))
 
 
 @pytest.mark.parametrize("sinks,sources,cell", [
@@ -279,19 +311,41 @@ def test_validate_rejects_non_positive_sink_weight_naming_the_cell(weight):
     ((((0, 2), 1.0),), ((1, 0),), (1, 0)),
 ], ids=["sink_at_column_-1", "sink_past_the_east_wall", "source_below_the_grid"])
 def test_validate_rejects_a_cell_off_the_grid_naming_it(sinks, sources, cell):
-    """A hand-built grid skips the parser's bounds check. Each of these
-    passed validation: the field then took the sink at column -1 for one on
+    """A hand-built grid skips the parser's bounds check. Each of these once
+    passed the checks: the field then took the sink at column -1 for one on
     the last cell (flat index -1), and the solve raised a bare IndexError on
-    the sink past the east wall. Each cell is now named."""
-    grid = replace(parse_layout(CLOSED_1X3), sinks=sinks, sources=sources)
+    the sink past the east wall. Each cell is now named when it is built."""
     with pytest.raises(ParseError, match=re.escape(f"cell {cell} outside 1x3 grid")):
-        validate_grid(grid)
+        replace(parse_layout(CLOSED_1X3), sinks=sinks, sources=sources)
+
+
+@pytest.mark.parametrize("build", ["constructor", "replace"])
+@pytest.mark.parametrize("changes, error, message", [
+    ({"sources": ((5, 5),)}, ParseError, "cell (5, 5) outside 1x3 grid"),
+    ({"sources": ((-1, 0),)}, ParseError, "cell (-1, 0) outside 1x3 grid"),
+    ({"sinks": (((0, -1), 1.0),)}, ParseError, "cell (0, -1) outside 1x3 grid"),
+    ({"wall_codes": bytes((11, 11, 10))}, ConsistencyError,
+     "shared edge between (0, 0) and (0, 1) disagrees"),
+], ids=["source_at_5_5", "source_at_-1_0", "sink_at_0_-1", "edge_conflict"])
+def test_a_bad_grid_is_refused_when_it_is_built(build, changes, error, message):
+    """A grid is checked when it is built, by `LayoutGrid(...)` or by
+    `replace`. Each of these grids was once built unchecked: a run then read
+    `density` at a source off the grid (an AddressSanitizer heap-buffer-overflow
+    in step.c's `run`), the field took the sink at (0, -1) for one on the last
+    cell, and the corridor whose middle cell closes its west side alone solved
+    to [0, 80, 100], where value iteration gives [64, 80, 100]."""
+    valid = parse_layout(CLOSED_1X3)
+    with pytest.raises(error) as exc:
+        if build == "replace":
+            replace(valid, **changes)
+        else:
+            LayoutGrid(**fields_of(valid, **changes))
+    assert str(exc.value) == message
 
 
 def test_sink_may_open_its_exterior_side():
     grid = parse_layout("1 3 1.0\n11 10 10\nsink 0 2 1\nsource 0 0\n")
     assert side_open(grid.wall_codes[2], RIGHT)
-    validate_grid(grid)
 
 
 @pytest.mark.parametrize("text,err", [
@@ -377,7 +431,7 @@ def test_wall_codes_must_cover_the_grid():
 def test_wall_codes_above_15_are_refused_naming_the_first(codes, named):
     """A code above 15 is refused at construction, naming the first such cell
     and its code. Before, a hand-built 1x3 corridor with code 27 passed
-    `validate_grid`, and `serialize_layout` wrote `27 10 14`, which
+    the checks, and `serialize_layout` wrote `27 10 14`, which
     `parse_layout` refuses (the kernel reads only the low 4 bits, 11)."""
     with pytest.raises(ValueError, match=re.escape(f"wall code {named} outside [0, 15]")):
         replace(parse_layout(CLOSED_1X3), wall_codes=bytes(codes))
@@ -448,7 +502,7 @@ def test_obstacle_mirrors_neighbor_edges():
     assert edge_conflicts(walls) == [((0, 1), (1, 1)), ((1, 0), (1, 1)),
                                      ((1, 1), (1, 2)), ((1, 1), (2, 1))]
     with pytest.raises(ConsistencyError, match=re.escape("between (0, 1) and (1, 1)")):
-        validate_grid(bare_grid(walls, sinks=(((0, 0), 1.0),), sources=((2, 2),)))
+        grid_of(walls, sinks=(((0, 0), 1.0),), sources=((2, 2),))
     assert first_conflict(solid_centre(open_room(3, 3))) == NO_SINKS
 
 
@@ -500,8 +554,9 @@ def test_neighbour_table_is_symmetric(random_grids):
 def test_neighbour_table_matches_numpy_build(random_grids):
     """The kernel's table equals the numpy build, element for element, on
     the bundled layouts, the random rooms, and every pair of wall codes side
-    by side, stacked, and corner to corner."""
-    pairs = [bare_grid(walls) for a in range(16) for b in range(16)
+    by side, stacked, and corner to corner (as `Walls`: most pairs make no
+    grid that can be built)."""
+    pairs = [Walls(walls) for a in range(16) for b in range(16)
              for walls in ([[a, b]], [[a], [b]], [[a, 0], [0, b]], [[0, a], [b, 0]])]
     for k, grid in enumerate(bundled_layouts() + random_grids + pairs):
         assert np.array_equal(np.asarray(grid.neighbours), neighbour_table(grid)), k

@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 
 import oracle
-from gridgen import random_schedule
+from gridgen import closed_room, random_schedule
 from mesoped import engine, kernel, metrics
 from mesoped.cli import snapshot_pictures
 from mesoped.engine import (EXIT, KINDS, MESO_TABLE, MICRO_TABLE, MOVE, SPAWN, EventLog,
                             Simulation, SpawnEntry, events_csv_blocks)
 from mesoped.floorfield import compute_field
-from mesoped.layout import LayoutGrid, parse_layout, render_snapshot
+from mesoped.layout import parse_layout, render_snapshot
 from mesoped.metrics import (RunMetrics, comparison_csv, metrics_csv, summarize,
                              sweep)
 from mesoped.scenario import build_runtime, bundled_scenarios, load_scenario
@@ -274,6 +274,25 @@ def test_events_csv_in_tiny_blocks_matches_oracle(monkeypatch):
     assert list(events_csv_blocks(EventLog(0.3, 17))) == [header]
 
 
+def test_a_log_cannot_grow_while_its_csv_is_drawn():
+    """The writer holds the buffers of the log's columns, `starts` among them,
+    until its last block is drawn: a step taken meanwhile raises BufferError
+    before it begins, and the text is that of the log when it was begun."""
+    grid = parse_layout("1 3 1.0\n11 10 14\nsink 0 2 1\nsource 0 0\n")
+    sim = Simulation(grid, compute_field(grid), MESO_TABLE, schedule=(SpawnEntry((0, 0), 3),))
+    sim.run(3)
+    log = sim.state.log
+    expected = oracle.events_to_csv(list(log)).encode()
+    blocks = events_csv_blocks(log)
+    drawn = next(blocks) + next(blocks)
+    for grow in (sim.step, lambda: log._starts.append(len(log._kinds))):
+        with pytest.raises(BufferError):
+            grow()
+    assert drawn + b"".join(blocks) == expected
+    sim.step()
+    assert len(log.starts) == 5
+
+
 def test_events_csv_rejects_a_malformed_log():
     for event in ((0, 4, 0), (-1, MOVE, 0), (0, MOVE, -1)):
         log = oracle.log_events(EventLog(0.5, 3), 0, (0, SPAWN, 0), event)
@@ -328,8 +347,7 @@ def test_snapshots_memory_does_not_grow_with_the_log():
     no higher than for a 16-step one, up to a few pictures (about 12 kB
     each): the replay updates one density list in place, and each step's
     picture is written before the next is drawn."""
-    grid = LayoutGrid(rows=50, cols=40, cell_size_m=1.0, wall_codes=bytes(50 * 40),
-                      sinks=(), sources=())
+    grid = closed_room(50, 40)
 
     def drain(log):
         with open(os.devnull, "wb") as fh:

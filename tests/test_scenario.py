@@ -288,6 +288,22 @@ def test_build_runtime_rejects_a_sink_reward_that_rounds_to_0(tmp_path):
         build_runtime(cfg)
 
 
+@pytest.mark.parametrize("weight, factor, product", [("1e300", "1e10", "inf"),
+                                                      ("1e-300", "1e-300", "0.0")])
+def test_a_multiplier_that_takes_a_weight_past_a_double_names_itself(tmp_path, weight, factor,
+                                                                   product):
+    """A multiplier that takes a sink's weight to inf or to 0 is refused
+    naming the multiplier, the sink and the product. The grid would refuse
+    such a weight when it is built, naming only the weight."""
+    (tmp_path / "far.layout").write_text(f"1 3 1.0\n11 10 14\nsink 0 2 {weight}\nsource 0 0\n")
+    cfg = ScenarioConfig(name="far", layout_path=tmp_path / "far.layout",
+                         sink_multipliers=(((0, 2), float(factor)),))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"sink multiplier {float(factor)!r} takes the weight of sink (0, 2) to {product}, "
+            "which is not positive and finite")):
+        build_runtime(cfg)
+
+
 def test_build_runtime_rejects_subnormal_plateau(tmp_path):
     """Past about 3,350 hops at gamma 0.8 the field sticks at 1e-323: 147
     cells of a 1 x 3500 corridor share that value and none has a higher
