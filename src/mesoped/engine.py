@@ -360,7 +360,7 @@ class Simulation:
         # at, t_in, present and the shuffle's order, each with room for every agent
         for col in agent_cols[2:]:
             col.frombytes(bytes((len(state._at) - len(col)) * col.itemsize))
-        r.steps, r.step = max(0, min(steps, 2**63 - 1)), state.step_index
+        r.steps, r.step = min(steps, 2**63 - 1), state.step_index
         r.agents, r.events = len(state._at), len(log._kinds)
         r.pending = state._pending.buffer_info()[0]
         while True:
@@ -403,7 +403,9 @@ class Simulation:
         return self.state
 
     def run(self, max_steps: int) -> SimulationState:
-        """Step until everyone has exited or `max_steps` intervals elapse."""
+        """Step until everyone has exited or `max_steps` (>= 0) intervals elapse."""
+        if max_steps < 0:
+            raise ValueError(f"max_steps must be at least 0, got {max_steps}")
         self._advance(max_steps, until_done=True)
         return self.state
 

@@ -9,9 +9,9 @@ multiply value iteration performs, so the values are bit-identical to value
 iteration run until nothing changes (the tests keep that solver as the
 oracle). The solve runs in the compiled kernel (`step.c`). Cells with no
 path to a sink hold 0. Doubles bound the reach: with base reward 100 the
-values bottom out at the smallest subnormals after about 3,350 hops at
-gamma 0.8 (the field is flat beyond), and round to 0 after about 1,080
-hops at gamma 0.5.
+values round to 0 after about 1,080 hops at gamma 0.5, and at gamma 0.8
+they stick at the smallest subnormals after about 3,350 hops, a plateau
+with no ascent that `compute_field` refuses.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import csv_blocks, kernel, packed
-from .layout import Cell, LayoutGrid
+from .layout import LayoutGrid
 
 DEFAULT_GAMMA = 0.8
 DEFAULT_BASE_REWARD = 100.0
@@ -35,13 +35,10 @@ DEFAULT_BASE_REWARD = 100.0
 class FloorField:
     """Per-cell navigation values (a read-only, C-contiguous (rows, cols)
     float64 view, which the kernel reads as it is; a caller's array stays
-    writable), the frontier rounds the solve took, and `plateau`: the first
-    non-sink cell in row-major order whose value is positive, subnormal and
-    no lower than its best neighbour's, where agents find no ascent, or None."""
+    writable) and the frontier rounds the solve took."""
 
     values: np.ndarray
     rounds: int
-    plateau: Cell | None = None
 
     def __post_init__(self) -> None:
         values = np.ascontiguousarray(self.values, dtype=np.float64).view()
@@ -59,7 +56,8 @@ def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
     cell offered more than it holds takes its best offer; the solve ends when
     a round raises nothing. The rounds and values are those of recomputing
     every offered cell's `gamma * max` of all its neighbours. Each sink's
-    reward, base_reward times its weight, must be positive and finite.
+    reward, base_reward times its weight, must be positive and finite. A
+    subnormal plateau, with no ascent, is refused, naming its cell (step.c).
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
@@ -77,8 +75,11 @@ def compute_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
     rounds = kernel().solve(grid.neighbours.obj.buffer_info()[0], grid.sink_flags, n, gamma,
                             values.buffer_info()[0], work.buffer_info()[0],
                             new.buffer_info()[0], ctypes.byref(plateau))
-    return FloorField(values=np.frombuffer(values).reshape(grid.rows, grid.cols), rounds=rounds,
-                      plateau=None if plateau.value < 0 else divmod(plateau.value, grid.cols))
+    if plateau.value >= 0:
+        raise ValueError(f"cell {divmod(plateau.value, grid.cols)} lies on a plateau of the "
+                         f"navigation field at {values[plateau.value]!r}, with no higher "
+                         f"neighbour (too far from every sink at gamma {gamma})")
+    return FloorField(values=np.frombuffer(values).reshape(grid.rows, grid.cols), rounds=rounds)
 
 
 def field_csv_blocks(field: FloorField) -> Iterator[bytes]:

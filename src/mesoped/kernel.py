@@ -11,7 +11,6 @@ import ctypes
 import os
 import shlex
 import subprocess
-import sysconfig
 import zlib
 from array import array
 from collections.abc import Callable, Iterator
@@ -31,8 +30,8 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 def compiler() -> list[str]:
-    """The C compiler command: `$CC`, else the one Python was built with."""
-    return shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
+    """The C compiler command: `$CC`, else `cc`."""
+    return shlex.split(os.environ.get("CC") or "cc")
 
 
 def kernel_path() -> Path:
@@ -54,8 +53,8 @@ def _build_kernel(path: Path) -> None:
     """Compile `step.c` into `path` under a temporary name, then rename it
     into place, so that concurrent builds do not collide. Next to the source,
     the builds it replaces are then removed: those of an older `step.c` with
-    the same `$CC`, and those named before the name held a `$CC` key. The
-    shared cache keeps them, since another installed copy may load them."""
+    the same `$CC`. The shared cache keeps them, since another installed
+    copy may load them."""
     cc = compiler()
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -70,8 +69,7 @@ def _build_kernel(path: Path) -> None:
     finally:
         tmp.unlink(missing_ok=True)
     if path.parent == KERNEL_SOURCE.parent:
-        same_cc = path.name.rsplit("-", 1)[0]
-        for old in (*path.parent.glob(f"{same_cc}-*.so"), *path.parent.glob("_step-????????.so")):
+        for old in path.parent.glob(f"{path.name.rsplit('-', 1)[0]}-*.so"):
             if old != path:
                 old.unlink(missing_ok=True)
 

@@ -56,9 +56,9 @@ class LayoutGrid:
     A grid is valid once it exists, built by `dataclasses.replace` too: its
     construction refuses, in this order and naming the first culprit, more
     cells than int32 indexes, an edge its two cells disagree on, no sink or
-    no source, a cell off the grid, an open perimeter side off a sink, a
-    sink weight not positive and finite, and a source on a sink. So the
-    move table is symmetric, and the kernel indexes only cells on the grid.
+    no source, a cell off the grid, an open perimeter side off a sink, a sink
+    weight not positive and finite, a source on a sink, and a repeated sink or
+    source. So the move table is symmetric and the kernel reads only grid cells.
     """
 
     rows: int
@@ -100,6 +100,10 @@ class LayoutGrid:
                 raise ParseError(f"sink {cell} has weight {w}, which is not positive and finite")
         if overlap := self.sink_set & self.source_set:
             raise ParseError(f"cell {sorted(overlap)[0]} is both source and sink")
+        if len(self.sink_set) + len(self.source_set) < len(self.sinks) + len(self.sources):
+            for kind, cells in (("sink", [c for c, _ in self.sinks]), ("source", self.sources)):
+                if repeat := next((c for i, c in enumerate(cells) if c in cells[:i]), None):
+                    raise ParseError(f"duplicate {kind} {repeat}")
 
     def index(self, cell: Cell) -> int:
         return cell[0] * self.cols + cell[1]

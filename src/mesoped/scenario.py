@@ -303,8 +303,8 @@ class Runtime:
 
 
 def build_runtime(config: ScenarioConfig) -> Runtime:
-    """Parse the layout, apply multipliers, solve the navigation field, and
-    reject a source at field value 0, whose agents could only stay."""
+    """Parse the layout, apply multipliers, solve the field (a refusal is a
+    ConfigError), and reject a source at value 0, whose agents could only stay."""
     try:
         text = config.layout_path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -318,19 +318,13 @@ def build_runtime(config: ScenarioConfig) -> Runtime:
                 f"{config.name}: spawn cell {entry.cell} is not a source in the layout")
     try:
         field = compute_field(grid, gamma=config.gamma, base_reward=config.base_reward)
-    except ValueError as exc:  # a sink's reward, multipliers applied, overflows or underflows
+    except ValueError as exc:  # a sink's reward out of range, or a field no run can use
         raise ConfigError(f"{config.name}: {exc}") from None
     for cell in grid.sources:
         if field.values[cell] <= 0.0:
             raise ConfigError(
                 f"{config.name}: source {cell} has navigation value 0, so its agents "
                 f"cannot find a sink (walled off, or too far at gamma {config.gamma})")
-    # The solve reports the first cell where repeated gamma * x stuck at subnormals.
-    if field.plateau is not None:
-        raise ConfigError(
-            f"{config.name}: cell {field.plateau} lies on a plateau of the navigation "
-            f"field at {float(field.values[field.plateau])!r}, with no higher neighbour (too far "
-            f"from every sink at gamma {config.gamma})")
     return Runtime(config=config, grid=grid, field=field)
 
 

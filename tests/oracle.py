@@ -232,9 +232,10 @@ def q_learning(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
 
 
 def frontier_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
-                   base_reward: float = DEFAULT_BASE_REWARD) -> FloorField:
+                   base_reward: float = DEFAULT_BASE_REWARD
+                   ) -> tuple[FloorField, tuple[int, int] | None]:
     """The frontier solve in numpy: the reference for the kernel's `solve`,
-    its values, its rounds and its plateau cell.
+    its values and its rounds, next to its plateau cell (`plateau_cell`).
 
     Each round recomputes only the non-sink cells next to a cell that rose
     in the previous round, and keeps a new value where it is larger; the
@@ -268,7 +269,7 @@ def frontier_field(grid: LayoutGrid, gamma: float = DEFAULT_GAMMA,
         risen = cells[up]
         values[risen] = new[up]
     values = values[:n].reshape(grid.rows, grid.cols)
-    return FloorField(values=values, rounds=rounds, plateau=plateau_cell(grid, values))
+    return FloorField(values=values, rounds=rounds), plateau_cell(grid, values)
 
 
 def plateau_cell(grid: LayoutGrid, values: np.ndarray) -> tuple[int, int] | None:
@@ -401,6 +402,12 @@ def validate_reference(rows: int, cols: int, cell_size_m: float, wall_codes: byt
     overlap = sink_cells & set(sources)
     if overlap:
         raise ParseError(f"cell {sorted(overlap)[0]} is both source and sink")
+    for kind, cells in (("sink", [cell for cell, _ in sinks]), ("source", list(sources))):
+        seen = set()
+        for cell in cells:
+            if cell in seen:
+                raise ParseError(f"duplicate {kind} {cell}")
+            seen.add(cell)
     return LayoutGrid(rows=rows, cols=cols, cell_size_m=cell_size_m, wall_codes=wall_codes,
                       sinks=sinks, sources=sources)
 

@@ -25,7 +25,7 @@ from mesoped.floorfield import compute_field
 from mesoped.kernel import kernel
 from mesoped.layout import ParseError, parse_layout, render_snapshot
 from mesoped.metrics import occupancy, summarize
-from mesoped.scenario import build_runtime, bundled_scenarios, load_scenario
+from mesoped.scenario import build_runtime, bundled_scenarios, load_scenario, make_simulation
 import oracle
 from oracle import ReferenceSimulation
 
@@ -353,6 +353,16 @@ def test_sink_arrivals_exit_next_step_in_ascending_id_order():
         assert [e[2] for e in exits] == [0, 1, 2, 3]
         shuffled += [e[2] for e in moves] != [0, 1, 2, 3]
     assert shuffled, "no seed moved the agents out of id order"
+
+
+def test_run_refuses_a_negative_max_steps():
+    """A negative `max_steps` once ran as 0: `run(-5)` returned after step 0,
+    incomplete, with no error. It is refused, and the run is left as it was."""
+    sim = make_simulation(build_runtime(load_scenario("compare_10x15")))
+    with pytest.raises(ValueError, match=re.escape("max_steps must be at least 0, got -5")):
+        sim.run(-5)
+    assert sim.state.step_index == 0 and not sim.completed
+    assert sim.run(2**64).step_index > 0 and sim.completed
 
 
 def test_corridor_single_agent_event_log():

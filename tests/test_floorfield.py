@@ -189,15 +189,27 @@ def test_matches_value_iteration_on_random_grids(gamma, random_grids):
         assert_csv_matches_oracle(field)
 
 
+def plateau_message(cell, value, gamma):
+    return (f"cell {cell} lies on a plateau of the navigation field at {value!r}, with no "
+            f"higher neighbour (too far from every sink at gamma {gamma})")
+
+
 def assert_same_solve(grid, gamma, base_reward=DEFAULT_BASE_REWARD):
-    """The kernel's solve equals the numpy frontier solve bit for bit, with
-    the same rounds and plateau cell, and equals value iteration."""
-    field = compute_field(grid, gamma, base_reward)
-    reference = frontier_field(grid, gamma, base_reward)
-    bits = field.values.view(np.int64)
-    assert np.array_equal(bits, reference.values.view(np.int64))
-    assert (field.rounds, field.plateau) == (reference.rounds, reference.plateau)
+    """The numpy frontier solve equals value iteration bit for bit. Where its
+    scan finds a plateau cell, `compute_field` refuses the field, naming that
+    cell and its value, and None is returned; elsewhere the kernel's solve
+    equals the numpy one bit for bit, with the same rounds."""
+    reference, plateau = frontier_field(grid, gamma, base_reward)
+    bits = reference.values.view(np.int64)
     assert np.array_equal(bits, value_iteration(grid, gamma, base_reward).view(np.int64))
+    if plateau is not None:
+        message = plateau_message(plateau, float(reference.values[plateau]), gamma)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compute_field(grid, gamma, base_reward)
+        return None
+    field = compute_field(grid, gamma, base_reward)
+    assert np.array_equal(field.values.view(np.int64), bits)
+    assert field.rounds == reference.rounds
     return field
 
 
@@ -226,19 +238,29 @@ def test_solve_matches_numpy_frontier_rounds(case):
 @pytest.mark.parametrize("gamma,length,far", [(0.5, 1200, 0.0), (0.8, 3500, 1e-323)])
 def test_long_corridor_solve_and_plateau_match_the_oracles(tmp_path, gamma, length, far):
     """At gamma 0.5 the far end of the corridor rounds to 0 and no plateau
-    forms; at gamma 0.8 the values stick at 1e-323, and set-up names the
-    plateau cell the numpy scan finds first."""
+    forms; at gamma 0.8 the values stick at 1e-323, and the solve and set-up
+    name the plateau cell the numpy scan finds first."""
     text = corridor_layout(length)
-    field = assert_same_solve(parse_layout(text), gamma)
-    assert field.values[0, 0] == far
+    grid = parse_layout(text)
+    reference, plateau = frontier_field(grid, gamma)
+    assert reference.values[0, 0] == far
+    assert (assert_same_solve(grid, gamma) is None) == (plateau is not None)
     (tmp_path / "long.layout").write_text(text)
     config = ScenarioConfig(name="long", layout_path=tmp_path / "long.layout", gamma=gamma)
-    if field.plateau is None:
+    if plateau is None:
         with pytest.raises(ConfigError, match=r"source \(0, 0\) has navigation value 0"):
             build_runtime(config)
     else:
-        with pytest.raises(ConfigError, match=re.escape(f"cell {field.plateau} lies on a plateau")):
+        with pytest.raises(ConfigError, match=re.escape(f"long: cell {plateau} lies on a plateau")):
             build_runtime(config)
+
+
+def test_solve_refuses_a_subnormal_plateau():
+    """3,499 hops at gamma 0.8 stick at 1e-323 well before the far end. The
+    solve once returned such a field with the plateau marked, which only
+    set-up refused; a library caller got a field that no run can use."""
+    with pytest.raises(ValueError, match=re.escape(plateau_message((0, 0), 1e-323, 0.8))):
+        compute_field(parse_layout(corridor_layout(3500)), 0.8)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.8, 0.95])
@@ -433,7 +455,7 @@ def test_field_values_are_a_read_only_c_contiguous_float64_view(given):
     grid = open_hall(6)
     own = compute_field(grid, gamma=0.5)
     values = given(np.array(own.values))
-    field = FloorField(values=values, rounds=own.rounds, plateau=own.plateau)
+    field = FloorField(values=values, rounds=own.rounds)
     assert field.values.dtype == np.float64 and field.values.flags.c_contiguous
     assert not field.values.flags.writeable and values.flags.writeable
     assert np.shares_memory(field.values, values) == (values.dtype == np.float64

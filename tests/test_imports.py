@@ -1,7 +1,7 @@
 """The package's import graph: module-level imports only, no cycles, a
 bare `import mesoped` that leaves the command-line module unloaded, numpy
 imported by the listed modules alone, and commands that load none of
-`numpy.random`, OpenSSL and `configparser`."""
+`numpy.random`, OpenSSL, `configparser` and `sysconfig`."""
 
 import ast
 import subprocess
@@ -78,8 +78,9 @@ def test_import_mesoped_leaves_cli_unloaded():
 
 
 # The run's generator is the kernel's own; nothing a command does needs numpy's.
-# Scenario files are read by `scenario._read_ini`, not by configparser.
-UNLOADED = ("numpy.random", "secrets", "hashlib", "_hashlib", "configparser")
+# Scenario files are read by `scenario._read_ini`, not by configparser, and
+# the kernel's compiler is `$CC`, else `cc`, not read from sysconfig.
+UNLOADED = ("numpy.random", "secrets", "hashlib", "_hashlib", "configparser", "sysconfig")
 
 
 def test_commands_leave_numpy_random_and_openssl_unloaded(tmp_path):

@@ -343,6 +343,30 @@ def test_a_bad_grid_is_refused_when_it_is_built(build, changes, error, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("build", ["constructor", "replace"])
+@pytest.mark.parametrize("changes, message", [
+    ({"sinks": (((0, 2), 1.0), ((0, 2), 2.0))}, "duplicate sink (0, 2)"),
+    ({"sources": ((0, 0), (0, 0))}, "duplicate source (0, 0)"),
+    ({"sinks": (((0, 2), 1.0), ((0, 2), 2.0)), "sources": ((0, 0), (0, 0))},
+     "duplicate sink (0, 2)"),
+    ({"sources": ((0, 0), (0, 1), (0, 1), (0, 0))}, "duplicate source (0, 1)"),
+], ids=["sink", "source", "both", "first_repeat"])
+def test_a_repeated_sink_or_source_is_refused_when_the_grid_is_built(build, changes, message):
+    """`parse_layout` refuses a repeated directive, and so does a grid built
+    by hand, naming the first cell met again, as the oracle does. Such a grid
+    was once built: its field took the last weight of the sink (0, 2),
+    [[128, 160, 200]], and `serialize_layout` wrote both `sink 0 2` lines,
+    which `parse_layout` then refused (`line 4: duplicate sink (0, 2)`)."""
+    valid = parse_layout(CLOSED_1X3)
+    with pytest.raises(ParseError) as exc:
+        if build == "replace":
+            replace(valid, **changes)
+        else:
+            LayoutGrid(**fields_of(valid, **changes))
+    assert str(exc.value) == message
+    assert built_by_the_oracle(fields_of(valid, **changes)) == (ParseError, message)
+
+
 def test_sink_may_open_its_exterior_side():
     grid = parse_layout("1 3 1.0\n11 10 10\nsink 0 2 1\nsource 0 0\n")
     assert side_open(grid.wall_codes[2], RIGHT)
